@@ -11,7 +11,6 @@ from .core import (
     JumpChain,
     ScoreSpec,
     StateGrid,
-    WaitingTimeDist,
     discretize,
     estimate_kernel,
     ewma_score,

@@ -7,7 +7,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -153,16 +152,11 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tk = load_model(args.model)
     outputs = []
-
-    def one(rep: int):
+    for rep in range(args.reps):
         child = int(np.random.SeedSequence([args.seed, rep]).generate_state(1)[0])
-        cfg = SimConfig(length_minutes=args.minutes, seed=child,
-                        backtransform=args.backtransform, s0=args.s0, v0=args.v0)
-        return rep, simulate_path(tk, cfg)
-
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        results = list(pool.map(one, range(args.reps)))
-    for rep, path in sorted(results):
+        path = simulate_path(tk, SimConfig(
+            length_minutes=args.minutes, seed=child,
+            backtransform=args.backtransform, s0=args.s0, v0=args.v0))
         p = out / f"rep_{rep:03d}.csv"
         _write_csv(p, ["minute", "r", "v", "S", "V"],
                    zip(range(args.minutes), path.r, path.v,
@@ -292,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["empirical", "representative"])
     p.add_argument("--s0", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
-from scipy.special import roots_genlaguerre
+from scipy.special import ndtr, roots_genlaguerre, stdtr
 
 from .errors import EstimationError, ParameterError
 
@@ -195,12 +195,12 @@ def sample_copula(spec: CopulaSpec, n: int, rng: np.random.Generator):
     if spec.family == "gaussian":
         z1 = rng.standard_normal(n)
         z2 = spec.rho * z1 + np.sqrt(1.0 - spec.rho ** 2) * rng.standard_normal(n)
-        return stats.norm.cdf(z1), stats.norm.cdf(z2)
+        return ndtr(z1), ndtr(z2)
     if spec.family == "t":
         z1 = rng.standard_normal(n)
         z2 = spec.rho * z1 + np.sqrt(1.0 - spec.rho ** 2) * rng.standard_normal(n)
         s = np.sqrt(rng.chisquare(spec.df, n) / spec.df)
-        return stats.t.cdf(z1 / s, spec.df), stats.t.cdf(z2 / s, spec.df)
+        return stdtr(spec.df, z1 / s), stdtr(spec.df, z2 / s)
     if spec.family == "clayton":
         g = rng.gamma(1.0 / spec.theta, 1.0, n)
         e1, e2 = rng.exponential(1.0, n), rng.exponential(1.0, n)

@@ -15,7 +15,6 @@ __all__ = [
     "ScoreSpec",
     "IndexParams",
     "IndexedKernel",
-    "WaitingTimeDist",
     "make_state_grid",
     "discretize",
     "ewma_score",
@@ -23,6 +22,7 @@ __all__ = [
     "index_at_time",
     "index_trajectory",
     "index_at_times",
+    "advance_carry",
     "shift_check",
     "estimate_kernel",
 ]
@@ -264,34 +264,15 @@ def index_at_time(chain: JumpChain, t: int, score: ScoreSpec) -> float:
     return _index_sum(chain.values, times, pos, int(t), score)
 
 
-class _EwmaTracker:
-    """Incremental evaluation of the ewma-squares index.
-
-    Carries ``w`` (decayed sum of squared past values) and ``d`` (decayed
-    count plus the current minute) so that the index at the current minute is
-    ``(w + current_value**2) / d``. ``advance(value, dt)`` rolls both forward
-    ``dt`` minutes during which ``value`` holds.
-    """
-
-    __slots__ = ("lam", "w", "d")
-
-    def __init__(self, lam: float, w: float = 0.0, d: float = 1.0):
-        self.lam = lam
-        self.w = w
-        self.d = d
-
-    def advance(self, value: float, dt: int) -> None:
-        lam = self.lam
-        g = _geom_sum(lam, dt)
-        decay = lam ** dt
-        self.w = decay * self.w + value * value * (g * lam if lam < 1.0 else float(dt))
-        self.d = decay * self.d + g if lam < 1.0 else self.d + dt
-
-    def value(self, current_value: float) -> float:
-        return (self.w + current_value * current_value) / self.d
-
-    def state(self):
-        return self.w, self.d
+def advance_carry(lam: float, w, d, value, dt):
+    """Roll the index carry-state (decayed squared-value sum, decayed count)
+    forward ``dt`` minutes during which ``value`` holds; works on scalars or
+    aligned arrays. The index at the new time is (w + current**2) / d."""
+    if lam == 1.0:
+        return w + value * value * dt, d + dt
+    decay = lam ** dt
+    g = (1.0 - decay) / (1.0 - lam)
+    return decay * w + value * value * (lam * g), decay * d + g
 
 
 def index_trajectory(chain: JumpChain, score: ScoreSpec) -> np.ndarray:
@@ -300,11 +281,11 @@ def index_trajectory(chain: JumpChain, score: ScoreSpec) -> np.ndarray:
         return np.array([index_at_jump(chain, n, score) for n in range(len(chain))])
     values, times = chain.values, chain.times
     out = np.empty(len(chain))
-    trk = _EwmaTracker(score.lam)
+    w, d = 0.0, 1.0
     for n in range(len(chain)):
         if n > 0:
-            trk.advance(values[n - 1], int(times[n] - times[n - 1]))
-        out[n] = trk.value(values[n])
+            w, d = advance_carry(score.lam, w, d, values[n - 1], int(times[n] - times[n - 1]))
+        out[n] = (w + values[n] * values[n]) / d
     return out
 
 
@@ -318,19 +299,19 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) 
     if query_times.size and query_times[0] < times[0]:
         raise ContractViolation("time precedes the recorded history")
     out = np.empty(query_times.size)
-    trk = _EwmaTracker(score.lam)
+    w, d = 0.0, 1.0
     pos = 0
     now = int(times[0])
     for qi, t in enumerate(query_times):
         t = int(t)
         while pos + 1 < len(chain) and times[pos + 1] <= t:
-            trk.advance(values[pos], int(times[pos + 1]) - now)
+            w, d = advance_carry(score.lam, w, d, values[pos], int(times[pos + 1]) - now)
             now = int(times[pos + 1])
             pos += 1
         if t > now:
-            trk.advance(values[pos], t - now)
+            w, d = advance_carry(score.lam, w, d, values[pos], t - now)
             now = t
-        out[qi] = trk.value(values[pos])
+        out[qi] = (w + values[pos] * values[pos]) / d
     return out
 
 
@@ -369,26 +350,20 @@ class IndexParams:
             raise ParameterError("need at least one index bin")
 
 
+def bin_of(edges: np.ndarray, x) -> np.ndarray:
+    """Bin of each value between sorted edges, left-closed, with values
+    outside the edges put in the outer bins. (``np.clip`` would read more
+    plainly but costs several microseconds per call on the per-event path.)"""
+    pos = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
+    return np.minimum(np.maximum(pos, 0), edges.size - 2)
+
+
 def _quantile_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     """Equal-mass interior edges, deduplicated, with open outer bins."""
     if n_bins == 1:
         return np.array([-np.inf, np.inf])
     interior = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1]))
     return np.concatenate([[-np.inf], interior, [np.inf]])
-
-
-@dataclass
-class WaitingTimeDist:
-    """Cumulative sojourn law per (state, index-bin), truncated at ``t_max``
-    with the overflow mass lumped into the last slot."""
-
-    cdf: np.ndarray  # [s, B, t_max], slot k holds P(X <= k+1)
-    index_edges: np.ndarray
-
-    def at(self, i: int, b: int, t: int) -> float:
-        if t < 1:
-            return 0.0
-        return float(self.cdf[i, b, min(t, self.cdf.shape[2]) - 1])
 
 
 @dataclass
@@ -433,9 +408,7 @@ class IndexedKernel:
         return self._cell_total > 0
 
     def index_bin(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.clip(np.searchsorted(self.index_edges, x, side="right") - 1,
-                       0, self.n_index_bins - 1)
+        return bin_of(self.index_edges, x)
 
     def cell_pmf(self, i: int, b: int):
         """Joint (next state, sojourn) pmf with the fallback ladder; returns
@@ -451,16 +424,11 @@ class IndexedKernel:
         cell, _ = self.cell_pmf(i, b)
         return cell.sum(axis=0)
 
-    def waiting_time_dist(self) -> WaitingTimeDist:
-        h = self.pmf.sum(axis=2)
-        return WaitingTimeDist(cdf=np.cumsum(h, axis=2), index_edges=self.index_edges)
-
 
 def estimate_kernel(chain: JumpChain, params: IndexParams,
-                    score: Optional[ScoreSpec] = None):
+                    score: Optional[ScoreSpec] = None) -> IndexedKernel:
     """Count transitions (state, index-bin) -> (next state, sojourn) along the
-    chain and normalize per cell. Returns the kernel and its cumulative
-    waiting-time law. The index at each jump uses all earlier jumps of the
+    chain and normalize per cell. The index at each jump uses all earlier jumps of the
     chain as history."""
     if len(chain) < 2:
         raise EstimationError("need at least one transition")
@@ -479,12 +447,11 @@ def estimate_kernel(chain: JumpChain, params: IndexParams,
         t_max = max(int(np.quantile(soj, params.sojourn_quantile)), 1)
     s = chain.grid.n_states
     counts = np.zeros((s, nbins, s, t_max), dtype=np.int64)
-    bins = np.clip(np.searchsorted(edges, idx[:-1], side="right") - 1, 0, nbins - 1)
+    bins = bin_of(edges, idx[:-1])
     tslot = np.minimum(soj, t_max) - 1
     np.add.at(counts, (chain.states[:-1], bins, chain.states[1:], tslot), 1)
     totals = counts.sum(axis=(2, 3), keepdims=True)
     pmf = np.divide(counts, totals, out=np.zeros_like(counts, dtype=float),
                     where=totals > 0)
-    kernel = IndexedKernel(grid=chain.grid, lam=params.lam, index_edges=edges,
-                           t_max=t_max, counts=counts, pmf=pmf)
-    return kernel, kernel.waiting_time_dist()
+    return IndexedKernel(grid=chain.grid, lam=params.lam, index_edges=edges,
+                         t_max=t_max, counts=counts, pmf=pmf)

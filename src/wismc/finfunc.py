@@ -11,7 +11,8 @@ import numpy as np
 
 from .copulas import sample_copula
 from .errors import ContractViolation, ParameterError, ResourceLimitError
-from .triplet import ConditioningCell, ModelView, TripletKernel, advance_carry
+from .core import advance_carry
+from .triplet import ConditioningCell, ModelView, TripletKernel
 
 __all__ = [
     "CovarianceResult",
@@ -326,9 +327,9 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
     first_round = True
     while np.any(alive):
         ids = np.flatnonzero(alive)
-        soj = _draw_sojourns(tk, view, rng, i_val[ids], v_val[ids],
-                             wj[ids], dj[ids], wv[ids], dv[ids],
-                             u=query.u if first_round else 0)
+        cells = _cells_of(tk, view, i_val[ids], v_val[ids], wj[ids], dj[ids],
+                          wv[ids], dv[ids])
+        soj = _draw_sojourns(tk, rng, cells, u=query.u if first_round else 0)
         first_round = False
         # crossing during the stretch: positive held values accumulate
         for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
@@ -347,17 +348,20 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
         done = cross_at[ids] <= horizon
         beyond = t_now[ids] > horizon
         alive[ids[done | beyond]] = False
-        live = ids[~(done | beyond)]
+        keep = ~(done | beyond)
+        live = ids[keep]
         if live.size == 0:
             break
-        soj_live = soj[~(done | beyond)]
-        nj, nv, nwj, ndj, nwv, ndv = _draw_next_values(
-            tk, view, rng, i_val[live], v_val[live], wj[live], dj[live],
-            wv[live], dv[live], bj[live], bv[live], soj_live)
+        soj_live = soj[keep]
+        nj, nv = _draw_next_values(tk, rng, tuple(c[keep] for c in cells),
+                                   bj[live], bv[live], soj_live)
+        wj[live], dj[live] = advance_carry(tk.kernel_j.lam, wj[live], dj[live],
+                                           i_val[live], soj_live)
+        wv[live], dv[live] = advance_carry(tk.kernel_v.lam, wv[live], dv[live],
+                                           v_val[live], soj_live)
         bj[live] = np.where(nj != i_val[live], 0, bj[live] + soj_live)
         bv[live] = np.where(nv != v_val[live], 0, bv[live] + soj_live)
         i_val[live], v_val[live] = nj, nv
-        wj[live], dj[live], wv[live], dv[live] = nwj, ndj, nwv, ndv
     grid = np.arange(horizon + 1)
     surv = (cross_at[None, :] > grid[:, None]).mean(axis=1)
     se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
@@ -367,51 +371,44 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
                      n_paths=n_paths)
 
 
+# ---------------------------------------------------------------------------
+# the joint event step, shared with simulate.simulate_path (a batch of one)
+
+
 def _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv):
-    """Vectorized cell coordinates for a batch of paths."""
-    i_state = view.states_j(i_val)
-    v_state = view.states_v(v_val)
+    """Conditioning cells of a batch of paths: both states, the waiting-time
+    index bins and the per-variable kernel index bins."""
     xj = (wj + i_val * i_val) / dj
     wvv = (wv + v_val * v_val) / dv
-    xb = tk.cond_wait.x_bin(xj)
-    wb = tk.cond_wait.w_bin(wvv)
-    kxb = tk.kernel_j.index_bin(xj)
-    kwb = tk.kernel_v.index_bin(wvv)
-    return i_state, v_state, xb, wb, kxb, kwb
+    return (view.states_j(i_val), view.states_v(v_val),
+            tk.cond_wait.x_bin(xj), tk.cond_wait.w_bin(wvv),
+            tk.kernel_j.index_bin(xj), tk.kernel_v.index_bin(wvv))
 
 
-def _draw_sojourns(tk, view, rng, i_val, v_val, wj, dj, wv, dv, u=0):
-    """Inverse-cdf sojourn draws per path, conditioned on exceeding u."""
-    i_state, v_state, xb, wb, _, _ = _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv)
-    pmf = tk.cond_wait.resolved_cube()[i_state, v_state, xb, wb]
-    cdf = np.cumsum(pmf, axis=1)
-    base = 0.0
-    if u >= 1:
-        base = cdf[:, min(u, tk.t_max) - 1]
-    uni = base + rng.random(i_val.size) * (cdf[:, -1] - base)
+def _draw_sojourns(tk, rng, cells, u=0):
+    """Inverse-cdf sojourn draw per path, conditioned on exceeding u."""
+    i_state, v_state, xb, wb = cells[:4]
+    cdf = np.cumsum(tk.cond_wait.resolved_cube()[i_state, v_state, xb, wb], axis=1)
+    base = cdf[:, min(u, tk.t_max) - 1] if u >= 1 else 0.0
+    uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
     slot = (cdf < uni[:, None]).sum(axis=1)
-    return (np.minimum(slot, tk.t_max - 1) + 1).astype(np.int64)
+    return np.minimum(slot, tk.t_max - 1) + 1
 
 
-def _draw_next_values(tk, view, rng, i_val, v_val, wj, dj, wv, dv, bj, bv, soj):
-    """Draw the next signed value pair for each path: copula uniforms inverted
-    through the conditional modulus cdfs, signs attached independently. The
-    index carry-states are rolled forward through the sojourn."""
-    n = i_val.size
-    i_state, v_state, xb, wb, kxb, kwb = _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv)
+def _draw_next_values(tk, rng, cells, bj, bv, soj):
+    """Next signed value pair per path: copula uniforms inverted through the
+    conditional modulus cdfs at each variable's backward time plus the
+    sojourn, signs attached independently."""
+    i_state, v_state, _, _, kxb, kwb = cells
+    n = i_state.size
     u_j, u_v = sample_copula(tk.copula, n, rng)
-    tau_j = np.minimum(soj + bj, tk.kernel_j.t_max) - 1
-    tau_v = np.minimum(soj + bv, tk.kernel_v.t_max) - 1
-    rows_j = tk._mod_j.cdf[i_state, kxb, tau_j]
-    rows_v = tk._mod_v.cdf[v_state, kwb, tau_v]
-    pos_j = (rows_j < u_j[:, None]).sum(axis=1)
-    pos_v = (rows_v < u_v[:, None]).sum(axis=1)
-    mod_j = tk._mod_j.moduli[np.minimum(pos_j, tk._mod_j.moduli.size - 1)]
-    mod_v = tk._mod_v.moduli[np.minimum(pos_v, tk._mod_v.moduli.size - 1)]
+    out = []
+    for mod, state, kb, back, u in ((tk._mod_j, i_state, kxb, bj, u_j),
+                                    (tk._mod_v, v_state, kwb, bv, u_v)):
+        rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
+        pos = (rows < u[:, None]).sum(axis=1)
+        out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])
     sign_j = np.where(rng.random(n) < tk.signs.p_j, 1.0, -1.0)
     sign_v = np.where(rng.random(n) < tk.signs.p_v, 1.0, -1.0)
-    nj = np.where(mod_j == 0.0, 0.0, sign_j * mod_j)
-    nv = np.where(mod_v == 0.0, 0.0, sign_v * mod_v)
-    nwj, ndj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
-    nwv, ndv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
-    return nj, nv, nwj, ndj, nwv, ndv
+    return (np.where(out[0] == 0.0, 0.0, sign_j * out[0]),
+            np.where(out[1] == 0.0, 0.0, sign_v * out[1]))

@@ -3,7 +3,6 @@ absolute percentage error between the real and simulated autocorrelation of
 absolute returns."""
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +39,7 @@ class GridSpec:
 
 @dataclass
 class OptResult:
-    records: list  # dicts: s, lam, mape, runtime_s, failed, error
+    records: list  # dicts: s, lam, mape, failed, error
     best: Optional[dict]
 
     def as_dict(self) -> dict:
@@ -82,13 +81,12 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
     best_by_s = {}
     for s_i, s in enumerate(sorted(spec.state_counts)):
         for lam in spec.lambdas:
-            t0 = time.time()
             rec = {"s": int(s), "lam": float(lam), "mape": None,
-                   "runtime_s": None, "failed": False, "error": None}
+                   "failed": False, "error": None}
             try:
                 grid = make_state_grid(values, s)
                 chain = discretize(values, grid)
-                kernel, _ = estimate_kernel(
+                kernel = estimate_kernel(
                     chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins),
                     ScoreSpec(kind="ewma-squares", lam=lam))
                 inverse = EmpiricalInverse.from_data(values, grid)
@@ -103,7 +101,6 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
             except WismcError as exc:
                 rec["failed"] = True
                 rec["error"] = str(exc)
-            rec["runtime_s"] = time.time() - t0
             records.append(rec)
         scored = [r["mape"] for r in records if r["s"] == s and not r["failed"]]
         if scored:

@@ -10,17 +10,11 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import sample_copula
-from .core import IndexedKernel
+from .core import IndexedKernel, advance_carry
 from .errors import ParameterError
+from .finfunc import _cells_of, _draw_next_values, _draw_sojourns
 from .market_data import autocorrelation, cross_correlation_battery, jarque_bera
-from .triplet import (
-    ConditioningCell,
-    EmpiricalInverse,
-    ModelView,
-    TripletKernel,
-    advance_carry,
-)
+from .triplet import ConditioningCell, EmpiricalInverse, ModelView, TripletKernel
 
 __all__ = [
     "SimConfig",
@@ -38,7 +32,6 @@ class SimConfig:
 
     length_minutes: int
     seed: int = 0
-    n_replications: int = 1
     backtransform: str = "empirical"  # or "representative"
     initial: Optional[ConditioningCell] = None
     s0: float = 1.0
@@ -47,8 +40,6 @@ class SimConfig:
     def __post_init__(self):
         if self.length_minutes < 1:
             raise ParameterError("length must be >= 1 minute")
-        if self.n_replications < 1:
-            raise ParameterError("need at least one replication")
         if self.backtransform not in ("empirical", "representative"):
             raise ParameterError(f"unknown backtransform {self.backtransform!r}")
 
@@ -58,7 +49,9 @@ class SynthPath:
     """One synthetic joint path. ``r``/``v`` are the minute series (piecewise
     constant between each variable's own events); ``S``/``V`` are the
     exp-cumsum reconstructions with S[0] = s0. ``events`` holds the generated
-    synchronized jump record."""
+    synchronized jump record. ``fallback_events`` counts events whose
+    waiting-time cell was never observed in the fit; ``forced_holds`` counts
+    events whose draw left both values unchanged."""
 
     r: np.ndarray
     v: np.ndarray
@@ -99,12 +92,18 @@ def _continuous_value(value, state, rng, inv, grid, mode):
 
 
 def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
-    """Generate one synchronized path: draw the sojourn from the waiting-time
-    law, the modulus pair through the copula, signs independently; a variable
-    changes state only when the drawn value differs from its current one. A
-    draw leaving both variables unchanged is re-drawn once, then the event
-    advances time with no state change (counted)."""
+    """Generate one synchronized path with the event engine of
+    :func:`~wismc.finfunc.fpt_survival_mc` run on a batch of one path: each
+    event draws its sojourn from the conditional waiting law, the modulus pair
+    through the copula and both signs independently, so events follow
+    :meth:`TripletKernel.event_value_pmf` exactly. A variable changes state
+    only when its drawn value differs from its current one; an event that
+    changes neither is an ordinary hold (counted in ``forced_holds``)."""
     rng = np.random.default_rng(cfg.seed)
+    # the back-transform draws from a child stream: the engine consumes the
+    # seed's own stream, as in fpt_survival_mc, and the event record does not
+    # depend on the back-transform mode
+    bt_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     view = ModelView(tk)
     length = cfg.length_minutes
     if cfg.initial is not None:
@@ -117,74 +116,49 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
         flat = rng.choice(marg.size, p=(marg / marg.sum()).ravel())
         i_state, v_state = np.unravel_index(flat, marg.shape)
         b_j = b_v = 0
-    i_val = float(tk.kernel_j.grid.representatives[i_state])
-    v_val = float(tk.kernel_v.grid.representatives[v_state])
-    wj = wv = 0.0
-    dj = dv = 1.0
+    i_val = tk.kernel_j.grid.representatives[[i_state]]
+    v_val = tk.kernel_v.grid.representatives[[v_state]]
+    wj, dj = np.zeros(1), np.ones(1)
+    wv, dv = np.zeros(1), np.ones(1)
     r = np.empty(length)
     v = np.empty(length)
-    ev = {k: [] for k in ("n", "time", "j_state", "v_state", "b_j", "b_v",
-                          "x_bin", "w_bin", "j_value", "v_value")}
-    cur_r = _continuous_value(i_val, i_state, rng, tk.inverse_j,
-                              tk.kernel_j.grid, cfg.backtransform)
-    cur_v = _continuous_value(v_val, v_state, rng, tk.inverse_v,
-                              tk.kernel_v.grid, cfg.backtransform)
+    keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
+            "x_bin", "w_bin", "j_value", "v_value")
+    ev = {k: [] for k in keys}
+    empty = tk.cond_wait.counts.sum(axis=4) == 0
+    moved_j = moved_v = True
     t = 0
     n_event = 0
     fallbacks = 0
     forced = 0
-    wait_cube = tk.cond_wait.resolved_cube()
     while t < length:
-        xj = (wj + i_val * i_val) / dj
-        xv = (wv + v_val * v_val) / dv
-        xb = int(tk.cond_wait.x_bin(xj))
-        wb = int(tk.cond_wait.w_bin(xv))
-        kxb = int(tk.kernel_j.index_bin(xj))
-        kwb = int(tk.kernel_v.index_bin(xv))
-        if tk.cond_wait.counts[i_state, v_state, xb, wb].sum() == 0:
-            fallbacks += 1
-        ev["n"].append(n_event)
-        ev["time"].append(t)
-        ev["j_state"].append(int(i_state))
-        ev["v_state"].append(int(v_state))
-        ev["b_j"].append(int(b_j))
-        ev["b_v"].append(int(b_v))
-        ev["x_bin"].append(xb)
-        ev["w_bin"].append(wb)
-        ev["j_value"].append(i_val)
-        ev["v_value"].append(v_val)
-        cdf = np.cumsum(wait_cube[i_state, v_state, xb, wb])
-        soj = int(np.searchsorted(cdf, rng.random(), side="left")) + 1
-        soj = min(soj, tk.t_max)
-        end = min(t + soj, length)
-        r[t:end] = cur_r
-        v[t:end] = cur_v
-        new_j_val, new_v_val = _draw_event_values(
-            tk, rng, i_state, v_state, kxb, kwb, soj, b_j, b_v)
-        if new_j_val == i_val and new_v_val == v_val:
-            new_j_val, new_v_val = _draw_event_values(
-                tk, rng, i_state, v_state, kxb, kwb, soj, b_j, b_v)
-            if new_j_val == i_val and new_v_val == v_val:
-                forced += 1
+        cells = _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv)
+        i_state, v_state, xb, wb = (int(c[0]) for c in cells[:4])
+        # a value that moved takes its continuous value from its new state
+        if moved_j:
+            cur_r = _continuous_value(i_val[0], i_state, bt_rng, tk.inverse_j,
+                                      tk.kernel_j.grid, cfg.backtransform)
+        if moved_v:
+            cur_v = _continuous_value(v_val[0], v_state, bt_rng, tk.inverse_v,
+                                      tk.kernel_v.grid, cfg.backtransform)
+        fallbacks += bool(empty[i_state, v_state, xb, wb])
+        for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
+                                   float(i_val[0]), float(v_val[0]))):
+            ev[key].append(val)
+        soj = _draw_sojourns(tk, rng, cells)
+        new_j, new_v = _draw_next_values(tk, rng, cells, b_j, b_v, soj)
         wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
         wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
-        if new_j_val != i_val:
-            b_j = 0
-            i_val = new_j_val
-            i_state = int(view.states_j(i_val))
-            cur_r = _continuous_value(i_val, i_state, rng, tk.inverse_j,
-                                      tk.kernel_j.grid, cfg.backtransform)
-        else:
-            b_j += soj
-        if new_v_val != v_val:
-            b_v = 0
-            v_val = new_v_val
-            v_state = int(view.states_v(v_val))
-            cur_v = _continuous_value(v_val, v_state, rng, tk.inverse_v,
-                                      tk.kernel_v.grid, cfg.backtransform)
-        else:
-            b_v += soj
-        t += soj
+        step = int(soj[0])
+        r[t:t + step] = cur_r
+        v[t:t + step] = cur_v
+        moved_j = bool(new_j[0] != i_val[0])
+        moved_v = bool(new_v[0] != v_val[0])
+        forced += not (moved_j or moved_v)
+        b_j = 0 if moved_j else b_j + step
+        b_v = 0 if moved_v else b_v + step
+        i_val, v_val = new_j, new_v
+        t += step
         n_event += 1
     with np.errstate(over="ignore"):
         # exp-cumsum reconstruction; a drifting volume path may saturate to inf
@@ -193,20 +167,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     events = {k: np.asarray(vals) for k, vals in ev.items()}
     return SynthPath(r=r, v=v, S=S, V=V, events=events,
                      fallback_events=fallbacks, forced_holds=forced)
-
-
-def _draw_event_values(tk, rng, i_state, v_state, kxb, kwb, soj, b_j, b_v):
-    """One copula-coupled (value, value) draw for the event ending a sojourn."""
-    u_j, u_v = sample_copula(tk.copula, 1, rng)
-    tau_j = min(soj + b_j, tk.kernel_j.t_max)
-    tau_v = min(soj + b_v, tk.kernel_v.t_max)
-    kj = tk._mod_j.invert(i_state, kxb, tau_j, float(u_j[0]))
-    kv = tk._mod_v.invert(v_state, kwb, tau_v, float(u_v[0]))
-    mod_j = float(tk._mod_j.moduli[min(kj, tk._mod_j.moduli.size - 1)])
-    mod_v = float(tk._mod_v.moduli[min(kv, tk._mod_v.moduli.size - 1)])
-    val_j = 0.0 if mod_j == 0.0 else (mod_j if rng.random() < tk.signs.p_j else -mod_j)
-    val_v = 0.0 if mod_v == 0.0 else (mod_v if rng.random() < tk.signs.p_v else -mod_v)
-    return val_j, val_v
 
 
 # ---------------------------------------------------------------------------

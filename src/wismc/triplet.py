@@ -15,6 +15,8 @@ from .core import (
     JumpChain,
     ScoreSpec,
     StateGrid,
+    advance_carry,
+    bin_of,
     discretize,
     estimate_kernel,
     index_at_times,
@@ -162,12 +164,10 @@ class CondWaitDist:
         return self.pmf.shape[4]
 
     def x_bin(self, x) -> np.ndarray:
-        return np.clip(np.searchsorted(self.x_edges, x, side="right") - 1,
-                       0, self.x_edges.size - 2)
+        return bin_of(self.x_edges, x)
 
     def w_bin(self, w) -> np.ndarray:
-        return np.clip(np.searchsorted(self.w_edges, w, side="right") - 1,
-                       0, self.w_edges.size - 2)
+        return bin_of(self.w_edges, w)
 
     def cell_pmf(self, i: int, v: int, xb: int, wb: int):
         """Sojourn pmf with the fallback ladder; (pmf[t_max], level)."""
@@ -212,8 +212,8 @@ def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
     s_v = sync.grid_v.n_states
     bx, bw = x_edges.size - 1, w_edges.size - 1
     counts = np.zeros((s_j, s_v, bx, bw, t_max), dtype=np.int64)
-    xb = np.clip(np.searchsorted(x_edges, idx_j[:-1], side="right") - 1, 0, bx - 1)
-    wb = np.clip(np.searchsorted(w_edges, idx_v[:-1], side="right") - 1, 0, bw - 1)
+    xb = bin_of(x_edges, idx_j[:-1])
+    wb = bin_of(w_edges, idx_v[:-1])
     tslot = np.minimum(soj, t_max) - 1
     np.add.at(counts, (sync.j_states[:-1], sync.v_states[:-1], xb, wb, tslot), 1)
     totals = counts.sum(axis=4, keepdims=True)
@@ -314,11 +314,6 @@ class _ModulusTable:
             return 0.0
         k = int(np.searchsorted(self.moduli, threshold, side="right")) - 1
         return float(self.cdf_row(i, x_bin, sojourn)[k])
-
-    def invert(self, i: int, x_bin: int, sojourn: int, u: float) -> int:
-        """Smallest modulus position whose cdf reaches u."""
-        row = self.cdf_row(i, x_bin, sojourn)
-        return int(np.searchsorted(row, u, side="left"))
 
 
 @dataclass
@@ -429,21 +424,10 @@ class TripletKernel:
         return np.einsum("kl,ka,lb->ab", vol, sj, sv)
 
 
-def advance_carry(lam: float, w, d, value, dt):
-    """Roll the index carry-state (decayed squared-value sum, decayed count)
-    forward ``dt`` minutes during which ``value`` holds; works on scalars or
-    aligned arrays. The index at the new time is (w + current**2) / d."""
-    if lam == 1.0:
-        return w + value * value * dt, d + dt
-    decay = lam ** dt
-    g = (1.0 - decay) / (1.0 - lam)
-    return decay * w + value * value * lam * g, decay * d + g
-
-
 def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
     """Index of the closest support member (exact for in-support values)."""
     values = np.asarray(values, dtype=float)
-    pos = np.clip(np.searchsorted(support, values), 0, support.size - 1)
+    pos = np.minimum(np.searchsorted(support, values), support.size - 1)
     prev = np.maximum(pos - 1, 0)
     take_prev = np.abs(support[prev] - values) < np.abs(support[pos] - values)
     return np.where(take_prev, prev, pos)
@@ -625,10 +609,10 @@ def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitCon
     chain_v = discretize(v_values, grid_v)
     score_r = ScoreSpec(kind="ewma-squares", lam=cfg.lam_r)
     score_v = ScoreSpec(kind="ewma-squares", lam=cfg.lam_v)
-    kern_r, _ = estimate_kernel(chain_r, IndexParams(
+    kern_r = estimate_kernel(chain_r, IndexParams(
         lam=cfg.lam_r, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
         sojourn_quantile=cfg.sojourn_quantile), score_r)
-    kern_v, _ = estimate_kernel(chain_v, IndexParams(
+    kern_v = estimate_kernel(chain_v, IndexParams(
         lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
         sojourn_quantile=cfg.sojourn_quantile), score_v)
     sync = synchronize(chain_r, chain_v)

@@ -168,7 +168,7 @@ def test_criterion_05_estimator_consistency():
     truth = _truth_kernel_consistency()
     _, states, times = simulate_univariate(truth, None, seed=11, n_events=1_000_001)
     chain = JumpChain(states=states, times=times, grid=truth.grid)
-    est, _ = estimate_kernel(chain, IndexParams(
+    est = estimate_kernel(chain, IndexParams(
         lam=truth.lam, index_edges=truth.index_edges, t_max=truth.t_max),
         ScoreSpec("ewma-squares", lam=truth.lam))
     max_z = 0.0
@@ -276,8 +276,8 @@ def test_criterion_09_single_bin_degeneracy():
     truth = _truth_kernel_consistency()
     _, states, times = simulate_univariate(truth, None, seed=99, n_events=10_000)
     chain = JumpChain(states=states, times=times, grid=truth.grid)
-    kernel, _ = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1,
-                                                   t_max=truth.t_max))
+    kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1,
+                                                t_max=truth.t_max))
     plain = np.zeros((3, 3, truth.t_max), dtype=np.int64)
     soj = np.minimum(np.diff(times), truth.t_max)
     for i, j, t in zip(states[:-1], states[1:], soj):

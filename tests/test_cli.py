@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
+import wismc
 from conftest import heavy_tailed_series, write_bar_csv
 from wismc.cli import main
 
@@ -170,17 +173,55 @@ class TestDeterminism:
         assert ma["outputs"] == mb["outputs"]
         assert ma["seed"] == mb["seed"]
 
-    def test_threads_do_not_change_outputs(self, small_csv, tmp_path):
-        model = tmp_path / "model.json"
-        main(["estimate", "--input", small_csv, "--states-r", "3",
-              "--states-v", "3", "--index-bins", "1", "--out", str(model)])
-        sims = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            sim = tmp_path / name
-            main(["simulate", "--model", str(model), "--minutes", "1500",
-                  "--reps", "3", "--seed", "11", "--threads", threads,
-                  "--out", str(sim)])
-            sims.append(sim)
-        for rep in range(3):
-            assert ((sims[0] / f"rep_{rep:03d}.csv").read_bytes()
-                    == (sims[1] / f"rep_{rep:03d}.csv").read_bytes())
+    def test_optimize_reruns_byte_identical(self, small_csv, tmp_path):
+        written = []
+        for name in ("a", "b"):
+            out = tmp_path / name / "opt.json"
+            assert main(["optimize", "--input", small_csv, "--states", "3",
+                         "--lambdas", "0.9", "--max-lag", "5", "--reps", "1",
+                         "--index-bins", "1", "--seed", "3", "--out", str(out)]) == 0
+            written.append((out.read_bytes(),
+                            (out.parent / "opt.manifest.json").read_bytes()))
+        assert written[0] == written[1]
+
+
+SCHEMA_DIR = Path(wismc.__file__).parent / "schemas"
+
+
+def _schema_for(path: Path) -> str:
+    if path.name.endswith("manifest.json"):
+        return "manifest.schema.json"
+    return {"battery.json": "battery.schema.json", "model.json": "triplet.schema.json",
+            "fpt.json": "fpt.schema.json", "opt.json": "optresult.schema.json"}[path.name]
+
+
+def test_outputs_match_shipped_schemas(small_csv, tmp_path):
+    """Every JSON document the subcommands write validates against its schema
+    under wismc/schemas (the model's kernels through the kernel schema)."""
+    model = tmp_path / "model" / "model.json"
+    runs = [
+        ["analyze", "--input", small_csv, "--max-lag", "10", "--out", str(tmp_path / "an")],
+        ["estimate", "--input", small_csv, "--states-r", "3", "--states-v", "3",
+         "--index-bins", "1", "--out", str(model)],
+        ["simulate", "--model", str(model), "--minutes", "300", "--seed", "1",
+         "--out", str(tmp_path / "sim")],
+        ["fpt", "--model", str(model), "--rho", "1.005", "--psi", "100", "--horizon", "5",
+         "--paths", "2000", "--out", str(tmp_path / "mc")],
+        ["fpt", "--model", str(model), "--rho", "1.005", "--psi", "100", "--horizon", "2",
+         "--method", "recursion", "--out", str(tmp_path / "rec")],
+        ["optimize", "--input", small_csv, "--states", "3", "--lambdas", "0.9",
+         "--max-lag", "5", "--reps", "1", "--index-bins", "1",
+         "--out", str(tmp_path / "opt" / "opt.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    schemas = {p.name: json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.schema.json")}
+    registry = Registry().with_resources(
+        (name, Resource.from_contents(doc)) for name, doc in schemas.items())
+    seen = set()
+    for path in sorted(tmp_path.rglob("*.json")):
+        name = _schema_for(path)
+        Draft202012Validator(schemas[name], registry=registry).validate(
+            json.loads(path.read_text()))
+        seen.add(name)
+    assert seen == set(schemas) - {"kernel.schema.json"}

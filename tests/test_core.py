@@ -231,19 +231,18 @@ class TestEstimateKernel:
     def test_single_transition(self):
         grid = toy_grid([0.0, 1.0])
         chain = JumpChain(states=np.array([0, 1]), times=np.array([0, 2]), grid=grid)
-        kernel, wait = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1,
-                                                          t_max=4))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1, t_max=4))
         assert kernel.pmf[0, 0, 1, 1] == 1.0
-        assert wait.at(0, 0, 2) == 1.0
-        assert wait.at(0, 0, 1) == 0.0
+        cdf = np.cumsum(kernel.sojourn_pmf(0, 0))
+        assert cdf[1] == 1.0  # P(sojourn <= 2)
+        assert cdf[0] == 0.0  # P(sojourn <= 1)
 
     def test_hand_counted_frequencies(self):
         grid = toy_grid([-0.01, 0.0, 0.02])
         states = np.array([0, 1, 2, 0, 2, 1, 0, 1])
         times = np.array([0, 2, 3, 7, 8, 10, 11, 15])
         chain = JumpChain(states=states, times=times, grid=grid)
-        kernel, _ = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1,
-                                                       t_max=6))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1, t_max=6))
         from collections import Counter
         oracle = Counter(zip(states[:-1], states[1:], np.diff(times)))
         for (i, j, t), n in oracle.items():
@@ -253,7 +252,7 @@ class TestEstimateKernel:
     def test_rows_are_pmfs(self):
         rng = np.random.default_rng(13)
         chain = random_chain(rng, n_jumps=400)
-        kernel, _ = estimate_kernel(chain, IndexParams(lam=0.95, n_index_bins=3))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.95, n_index_bins=3))
         sums = kernel.pmf.sum(axis=(2, 3))
         assert np.allclose(sums[kernel.occupied], 1.0, atol=1e-12)
         assert np.all(sums[~kernel.occupied] == 0.0)
@@ -261,16 +260,18 @@ class TestEstimateKernel:
     def test_no_zero_sojourns(self):
         rng = np.random.default_rng(14)
         chain = random_chain(rng, n_jumps=200)
-        kernel, wait = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=2))
-        # cdf at t=0 vanishes everywhere: sojourns start at one minute
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=2))
+        # the sojourn law's slots start at one minute and carry all the mass,
+        # so the cdf at t=0 vanishes everywhere
         for i in range(kernel.grid.n_states):
             for b in range(kernel.n_index_bins):
-                assert wait.at(i, b, 0) == 0.0
+                assert kernel.sojourn_pmf(i, b).size == kernel.t_max
+                assert kernel.sojourn_pmf(i, b).sum() == pytest.approx(1.0)
 
     def test_single_bin_degenerates_to_plain_counting(self):
         rng = np.random.default_rng(15)
         chain = random_chain(rng, n_jumps=2000, n_states=3)
-        kernel, _ = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1))
         # plain semi-Markov counting oracle, no index anywhere
         t_max = kernel.t_max
         plain = np.zeros((3, 3, t_max), dtype=np.int64)
@@ -283,14 +284,13 @@ class TestEstimateKernel:
         grid = toy_grid([0.0, 1.0])
         chain = JumpChain(states=np.array([0, 1, 0, 1]),
                           times=np.array([0, 1, 2, 50]), grid=grid)
-        kernel, _ = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1,
-                                                       t_max=3))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1, t_max=3))
         assert kernel.counts[0, 0, 1, 2] == 1  # the 48-minute sojourn in the top slot
 
     def test_fallback_ladder(self):
         rng = np.random.default_rng(16)
         chain = random_chain(rng, n_jumps=50, n_states=3)
-        kernel, _ = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=4))
+        kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=4))
         empty = np.argwhere(~kernel.occupied)
         if empty.size:
             i, b = empty[0]

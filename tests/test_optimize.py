@@ -102,8 +102,7 @@ class TestOptResult:
     def test_round_trip_with_published_style_record(self):
         # fixture format mirrors the published optimum layout:
         # five states, lambda 0.97, MAPE 7.7 percent
-        rec = {"s": 5, "lam": 0.97, "mape": 7.7, "runtime_s": 12.3,
-               "failed": False, "error": None}
+        rec = {"s": 5, "lam": 0.97, "mape": 7.7, "failed": False, "error": None}
         res = OptResult(records=[rec], best=rec)
         doc = res.as_dict()
         back = OptResult.from_dict(doc)

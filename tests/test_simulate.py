@@ -2,8 +2,9 @@
 stylized-fact report."""
 import numpy as np
 import pytest
+from scipy import stats
 
-from conftest import random_kernel, random_triplet, toy_grid
+from conftest import heavy_tailed_series, random_kernel, random_triplet, toy_grid
 from wismc.copulas import CopulaSpec
 from wismc.core import IndexedKernel
 from wismc.errors import ParameterError
@@ -14,7 +15,15 @@ from wismc.simulate import (
     simulate_univariate,
     validate_stylized_facts,
 )
-from wismc.triplet import CondWaitDist, ConditioningCell, EmpiricalInverse, SignModel, TripletKernel
+from wismc.triplet import (
+    CondWaitDist,
+    ConditioningCell,
+    EmpiricalInverse,
+    SignModel,
+    TripletFitConfig,
+    TripletKernel,
+    fit_triplet_kernel,
+)
 
 
 class TestBacktransform:
@@ -161,6 +170,58 @@ class TestSimulatePath:
         prod = (a - a.mean()) * (b - b.mean())
         se = prod.std(ddof=1) / np.sqrt(prod.size)
         assert abs(prod.mean()) < 3 * se
+
+    def test_event_law_matches_event_value_pmf(self):
+        # chi-square test of the (sojourn, next j value, next v value) counts
+        # of the most visited cells against the model's event law; the return
+        # grid has a single modulus, so "nothing changes" carries real mass
+        rng = np.random.default_rng(21)
+        tk = random_triplet(rng, [-0.02, 0.02], [-1.0, 0.5, 1.0],
+                            CopulaSpec("gaussian", rho=0.5), t_max=3, max_b=6,
+                            p_j=0.5, p_v=0.5)
+        path = simulate_path(tk, SimConfig(length_minutes=100_000, seed=53))
+        ev = path.events
+        cells = list(zip(*(ev[k][:-1] for k in ("j_state", "v_state", "x_bin",
+                                                  "w_bin", "b_j", "b_v"))))
+        outcome = list(zip(np.diff(ev["time"]), ev["j_value"][1:], ev["v_value"][1:],
+                           (ev["j_value"][1:] == ev["j_value"][:-1])
+                           & (ev["v_value"][1:] == ev["v_value"][:-1])))
+        visits = {}
+        for cell, out in zip(cells, outcome):
+            visits.setdefault(cell, []).append(out)
+        top = sorted(visits, key=lambda c: -len(visits[c]))[:6]
+        assert len(visits[top[-1]]) >= 1000
+        for key in top:
+            vj, vv, law = tk.event_value_pmf(ConditioningCell(*map(int, key)))
+            obs = np.zeros(law.shape)
+            for soj, j1, v1, _ in visits[key]:
+                obs[soj - 1, np.searchsorted(vj, j1), np.searchsorted(vv, v1)] += 1
+            expected = obs.sum() * law.ravel()
+            obs = obs.ravel()
+            assert obs[expected == 0].sum() == 0
+            big = expected >= 5
+            o_bins = np.append(obs[big], obs[~big].sum())
+            e_bins = np.append(expected[big], expected[~big].sum())
+            if e_bins[-1] < 5:  # fold the pooled small bins into the smallest one
+                k = int(np.argmin(e_bins[:-1]))
+                o_bins[k] += o_bins[-1]
+                e_bins[k] += e_bins[-1]
+                o_bins, e_bins = o_bins[:-1], e_bins[:-1]
+            stat = float(((o_bins - e_bins) ** 2 / e_bins).sum())
+            p = float(stats.chi2.sf(stat, o_bins.size - 1))
+            assert p >= 1e-6, (key, stat, o_bins.size - 1)
+        holds = sum(hold for key in top for *_, hold in visits[key])
+        assert holds >= 0.05 * sum(len(visits[key]) for key in top)
+
+    def test_event_record_independent_of_backtransform(self):
+        r, v = heavy_tailed_series(4000, 3)
+        tk = fit_triplet_kernel(r, v, TripletFitConfig(n_states_r=3, n_states_v=3,
+                                                       n_index_bins=2))
+        paths = [simulate_path(tk, SimConfig(length_minutes=3000, seed=9, backtransform=mode))
+                 for mode in ("empirical", "representative")]
+        assert all(np.array_equal(paths[0].events[k], paths[1].events[k])
+                   for k in paths[0].events)
+        assert not np.array_equal(paths[0].r, paths[1].r)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
