@@ -325,10 +325,10 @@ def _apply_config_file(parser, argv):
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    if "--config" not in argv:
+    path = _config_path(argv)
+    if path is None:
         return argv
-    pos = argv.index("--config")
-    with open(argv[pos + 1]) as fh:
+    with open(path) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
@@ -338,6 +338,26 @@ def _apply_config_file(parser, argv):
                                if any(k.replace("-", "_") == a.dest
                                       for a in action._actions)})
     return argv
+
+
+def _config_path(argv):
+    """The --config value among the options before the subcommand, in every
+    spelling argparse accepts there (``--config PATH``, ``--config=PATH``,
+    unique prefixes); the last one wins, as in argparse."""
+    path = None
+    k = 0
+    while k < len(argv) and argv[k].startswith("-"):
+        name, eq, value = argv[k].partition("=")
+        if len(name) > 2 and "--config".startswith(name):
+            if eq:
+                path = value
+            elif k + 1 < len(argv):
+                path = argv[k + 1]
+                k += 1
+            else:
+                raise ParameterError("--config needs a file path")
+        k += 1
+    return path
 
 
 def main(argv=None) -> int:

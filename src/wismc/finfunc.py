@@ -209,7 +209,10 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     barriers deflated by the accumulation at the jump time and the index
     carry-states rolled forward. Memoization collapses repeated sub-problems;
     the node budget guards against profiles where the exact recursion is
-    infeasible (use the Monte Carlo method there).
+    infeasible (use the Monte Carlo method there). On a two-year minute-bar
+    model fitted with the ``estimate`` defaults and barriers 1.0015 (price)
+    and 20 (volume), horizon 3 takes about 1 s, horizon 4 about 30 s and
+    0.9 GB, and horizon 5 exceeds the default budget.
     """
     if query.rho <= 1.0 or query.psi <= 1.0:
         return FptResult(survival=np.zeros(query.horizon + 1), method="recursion")
@@ -258,14 +261,14 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
             block = event[t1 - 1]
             if block.sum() <= 0.0:
                 continue
+            wj2, dj2 = advance_carry(tk.kernel_j.lam, aj_w, aj_d, i_val, t1)
+            wv2, dv2 = advance_carry(tk.kernel_v.lam, av_w, av_d, v_val, t1)
             for a in range(vj.size):
                 for b in range(vv.size):
                     p = block[a, b]
                     if p <= 0.0:
                         continue
                     j1, v1 = float(vj[a]), float(vv[b])
-                    wj2, dj2 = advance_carry(tk.kernel_j.lam, aj_w, aj_d, i_val, t1)
-                    wv2, dv2 = advance_carry(tk.kernel_v.lam, av_w, av_d, v_val, t1)
                     child = solve(j1, v1, wj2, dj2, wv2, dv2,
                                   0 if j1 != i_val else bj + t1,
                                   0 if v1 != v_val else bv + t1,

@@ -3,6 +3,7 @@ law, sign probabilities, copula-coupled modulus marginals and the evaluation
 of the resulting three-way kernel."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -362,7 +363,7 @@ class TripletKernel:
         return self.cond_wait.t_max
 
     def waiting_pmf(self, cell: ConditioningCell) -> np.ndarray:
-        return self.cond_wait.cell_pmf(cell.i, cell.v, cell.x_bin, cell.w_bin)[0]
+        return self.cond_wait.resolved_cube()[cell.i, cell.v, cell.x_bin, cell.w_bin]
 
     def waiting_cdf_at(self, cell: ConditioningCell, t: int) -> float:
         if t < 1:
@@ -433,17 +434,26 @@ def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
     return np.where(take_prev, prev, pos)
 
 
+def _scalar_bin(edges: list, x: float) -> int:
+    """``core.bin_of`` for one value, with the edges as a list."""
+    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
+
+
 class ModelView:
     """Resolved lookup layer shared by the evaluators and samplers: maps
     signed values to grid states (mirroring across zero when a modulus only
     exists with one sign in the grid) and bins continuous index values."""
 
     def __init__(self, tk: "TripletKernel"):
-        self.tk = tk
         self.support_j = tk.signed_support_j()
         self.support_v = tk.signed_support_v()
         self.state_of_j = self._resolution(tk.kernel_j, self.support_j)
         self.state_of_v = self._resolution(tk.kernel_v, self.support_v)
+        # plain-Python tables for the scalar lookups of cell_for
+        self._exact_j = dict(zip(self.support_j.tolist(), self.state_of_j.tolist()))
+        self._exact_v = dict(zip(self.support_v.tolist(), self.state_of_v.tolist()))
+        self._x_edges = tk.cond_wait.x_edges.tolist()
+        self._w_edges = tk.cond_wait.w_edges.tolist()
 
     @staticmethod
     def _resolution(kernel, support):
@@ -465,11 +475,17 @@ class ModelView:
         return self.state_of_v[_nearest_idx(self.support_v, values)]
 
     def cell_for(self, i_val, v_val, xj, wv, b_j, b_v) -> ConditioningCell:
-        tk = self.tk
-        return ConditioningCell(
-            i=int(self.states_j(i_val)), v=int(self.states_v(v_val)),
-            x_bin=int(tk.cond_wait.x_bin(xj)), w_bin=int(tk.cond_wait.w_bin(wv)),
-            b_j=b_j, b_v=b_v)
+        """The cell of one path, from Python scalars: the same cell as the
+        array lookups give, without numpy's cost per call on single values
+        (the exact recursion makes one call per node)."""
+        i = self._exact_j.get(i_val)
+        if i is None:
+            i = int(self.states_j(i_val))
+        v = self._exact_v.get(v_val)
+        if v is None:
+            v = int(self.states_v(v_val))
+        return ConditioningCell(i=i, v=v, x_bin=_scalar_bin(self._x_edges, xj),
+                                w_bin=_scalar_bin(self._w_edges, wv), b_j=b_j, b_v=b_v)
 
 
 def _signed_support(moduli: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 """CLI subcommands: outputs, manifests, exit codes and determinism."""
+import functools
 import json
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from referencing import Registry, Resource
 
 import wismc
 from conftest import heavy_tailed_series, write_bar_csv
+from wismc import cli
 from wismc.cli import main
+from wismc.finfunc import fpt_survival_recursive
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,22 @@ class TestPipelineChain:
         doc = json.loads((out / "fpt.json").read_text())
         assert doc["method"] == "recursion"
 
+    def test_fpt_recursion_refuses_rich_query(self, market_csv, tmp_path, capsys,
+                                              monkeypatch):
+        # the README's barriers at horizon 30 on the bundled fixture exceed the
+        # default budget of 2 000 000 nodes, which takes ~40 s and ~1 GB to
+        # reach; a budget of 10 000 takes the same exit path in a moment
+        monkeypatch.setattr(cli, "fpt_survival_recursive",
+                            functools.partial(fpt_survival_recursive, max_nodes=10_000))
+        model = tmp_path / "model.json"
+        assert main(["estimate", "--input", market_csv["path"], "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["fpt", "--model", str(model), "--rho", "1.005", "--psi", "100",
+                     "--horizon", "30", "--method", "recursion",
+                     "--out", str(tmp_path / "fpt")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["error"] == "ResourceLimitError"
+
 
 class TestOptimizeCommand:
     def test_small_grid(self, small_csv, tmp_path):
@@ -130,6 +149,19 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert main(["--config", str(cfg), "analyze", "--input", small_csv,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_equals_syntax(self, small_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"states-r": 3, "states-v": 3, "index-bins": 1}))
+        model = tmp_path / "m.json"
+        assert main([f"--config={cfg}", "estimate", "--input", small_csv,
+                     "--out", str(model)]) == 0
+        manifest = _read_manifest(tmp_path, "m.manifest.json")
+        assert manifest["config"]["states_r"] == 3
+
+    def test_dangling_config_exits_2(self, capsys):
+        assert main(["--config"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
 
 class TestErrors:

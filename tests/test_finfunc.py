@@ -290,6 +290,22 @@ class TestFptRecursion:
         assert np.all(np.diff(rec.survival) <= 1e-12)
         assert rec.survival[0] == 1.0
 
+    @pytest.mark.parametrize("reps_j,horizon", [
+        ([-0.3, 0.25], 6),
+        ([-0.35, 0.0, 0.3], 4),
+    ])
+    def test_matches_path_enumeration_index_bins(self, reps_j, horizon):
+        # two index bins per variable: the memo keys on the float carry-states
+        rng = np.random.default_rng(12)
+        tk = random_triplet(rng, reps_j, [-0.5, 0.4], CopulaSpec("gaussian", rho=0.4),
+                            t_max=3, max_b=8, n_bins=2)
+        i0, v0 = reps_j[-1], -0.5
+        q = FptQuery(rho=1.9, psi=2.4, horizon=horizon,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+        rec = fpt_survival_recursive(tk, q)
+        orc = oracle_fpt(tk, i0, v0, 1.9, 2.4, horizon)
+        assert np.abs(rec.survival - orc).max() < 1e-10
+
     def test_negative_initial_state_threshold_handling(self):
         # the continuation barrier divides by the true accumulation even for
         # negative held values; enumeration is the ground truth
@@ -332,6 +348,20 @@ class TestFptRecursion:
                      history_v=[0.4], history_t=[0])
         with pytest.raises(ResourceLimitError):
             fpt_survival_recursive(tk, q, max_nodes=10)
+
+    def test_node_budget_counts_horizon_zero_children(self):
+        # at horizon 1 every child of the root has horizon 0; each counts
+        # against the budget, however cheaply it is solved
+        rng = np.random.default_rng(16)
+        tk = random_triplet(rng, [-0.3, 0.25], [-0.5, 0.4],
+                            CopulaSpec("gaussian", rho=0.4), t_max=3, max_b=8)
+        q = FptQuery(rho=5.0, psi=5.0, horizon=1, history_j=[0.25],
+                     history_v=[0.4], history_t=[0])
+        children = int((tk.event_value_pmf(ConditioningCell(i=1, v=1))[2][0] > 0).sum())
+        assert children > 1
+        fpt_survival_recursive(tk, q, max_nodes=1 + children)
+        with pytest.raises(ResourceLimitError):
+            fpt_survival_recursive(tk, q, max_nodes=children)
 
     def test_query_validation(self):
         with pytest.raises(ParameterError):

@@ -2,6 +2,8 @@
 copula-coupled kernel checked against an exhaustive enumeration oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import heavy_tailed_series, random_triplet, toy_grid
 from wismc.copulas import CopulaSpec, copula_eval
@@ -14,6 +16,7 @@ from wismc.errors import (
 )
 from wismc.triplet import (
     ConditioningCell,
+    ModelView,
     SignModel,
     TripletFitConfig,
     estimate_cond_wait,
@@ -333,6 +336,58 @@ class TestKernelEval:
                     for key, val in masses.items():
                         assert val == pytest.approx(oq[key], abs=1e-10)
                         assert val >= -1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 3),
+           b_j=st.integers(0, 3), b_v=st.integers(0, 3),
+           cop=st.one_of(
+               st.just(CopulaSpec("independence")),
+               st.floats(-0.9, 0.9).map(lambda r: CopulaSpec("gaussian", rho=r)),
+               st.floats(0.2, 8.0).map(lambda th: CopulaSpec("clayton", theta=th)),
+               st.floats(1.0, 8.0).map(lambda th: CopulaSpec("gumbel", theta=th)),
+               st.tuples(st.floats(-0.9, 0.9), st.floats(2.0, 30.0)).map(
+                   lambda a: CopulaSpec("t", rho=a[0], df=a[1]))))
+    def test_event_law_sums_to_waiting_law(self, seed, n_bins, b_j, b_v, cop):
+        # the exact FPT recursion splits each sojourn slot over its event
+        # block: a block must hold exactly that slot's waiting-time mass, and
+        # the law all of the mass
+        rng = np.random.default_rng(seed)
+        reps_j = sorted(rng.normal(0, 0.02, int(rng.integers(2, 5))))
+        reps_v = sorted(rng.normal(0, 1.0, int(rng.integers(2, 5))))
+        tk = random_triplet(rng, reps_j, reps_v, cop, n_bins=n_bins, max_b=3)
+        for i in range(len(reps_j)):
+            for v in range(len(reps_v)):
+                for xb in range(n_bins):
+                    for wb in range(n_bins):
+                        cell = ConditioningCell(i=i, v=v, x_bin=xb, w_bin=wb,
+                                                b_j=b_j, b_v=b_v)
+                        event = tk.event_value_pmf(cell)[2]
+                        assert np.abs(event.sum(axis=(1, 2))
+                                      - tk.waiting_pmf(cell)).max() <= 1e-12
+                        assert abs(event.sum() - 1.0) <= 1e-12
+
+
+class TestModelView:
+    def test_cell_for_matches_array_lookups(self):
+        # the scalar path against the array lookups it stands in for:
+        # support values, mirrored and off-grid values, and index values on
+        # the bin edges themselves
+        rng = np.random.default_rng(12)
+        tk = random_triplet(rng, [-0.02, 0.0, 0.01, 0.03], [-1.0, 0.5],
+                            CopulaSpec("independence"), n_bins=3)
+        view = ModelView(tk)
+        values_j = np.concatenate([view.support_j, rng.normal(0, 0.03, 20), [-0.0]])
+        values_v = np.concatenate([view.support_v, rng.normal(0, 1.0, 20)])
+        index = np.concatenate([tk.cond_wait.x_edges, tk.cond_wait.w_edges,
+                                rng.random(30), [-1.0, 2.0]])
+        for _ in range(300):
+            i_val, v_val = float(rng.choice(values_j)), float(rng.choice(values_v))
+            xj, wv = float(rng.choice(index)), float(rng.choice(index))
+            want = ConditioningCell(
+                i=int(view.states_j(i_val)), v=int(view.states_v(v_val)),
+                x_bin=int(tk.cond_wait.x_bin(xj)), w_bin=int(tk.cond_wait.w_bin(wv)),
+                b_j=1, b_v=2)
+            assert view.cell_for(i_val, v_val, xj, wv, 1, 2) == want
 
 
 class TestFitPipeline:
