@@ -212,23 +212,36 @@ def _cmd_fpt(args) -> int:
 
 
 def _parse_lambdas(text: str) -> tuple:
-    if ":" in text:
+    """``lo:hi:step`` (both ends included) or a comma list."""
+    try:
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(","))
         lo, hi, step = (float(p) for p in text.split(":"))
+        if not step > 0:
+            raise ValueError("the step must be positive")
         vals = np.arange(lo, hi + step / 2, step)
-        return tuple(float(round(v, 10)) for v in vals)
-    return tuple(float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"bad --lambdas {text!r}: {exc}") from exc
+    return tuple(float(round(v, 10)) for v in vals)
+
+
+def _parse_states(text: str) -> tuple:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"bad --states {text!r}: {exc}") from exc
 
 
 def _cmd_optimize(args) -> int:
+    spec = GridSpec(state_counts=_parse_states(args.states),
+                    lambdas=_parse_lambdas(args.lambdas),
+                    max_lag=args.max_lag, reps_per_point=args.reps,
+                    n_index_bins=args.index_bins, epsilon=args.epsilon)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     bars = load_bars(args.input, session=args.session)
     series = compute_returns(bars, "price-return" if args.variable == "r"
                              else "volume-return")
-    spec = GridSpec(state_counts=tuple(int(s) for s in args.states.split(",")),
-                    lambdas=_parse_lambdas(args.lambdas),
-                    max_lag=args.max_lag, reps_per_point=args.reps,
-                    n_index_bins=args.index_bins, epsilon=args.epsilon)
     result = grid_search(series.values, spec, seed=args.seed)
     out.write_text(dumps({"variable": args.variable, **result.as_dict()}))
     _write_manifest(out.parent, "optimize",

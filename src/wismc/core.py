@@ -23,6 +23,7 @@ __all__ = [
     "index_trajectory",
     "index_at_times",
     "advance_carry",
+    "carry_coefficients",
     "shift_check",
     "estimate_kernel",
 ]
@@ -264,29 +265,38 @@ def index_at_time(chain: JumpChain, t: int, score: ScoreSpec) -> float:
     return _index_sum(chain.values, times, pos, int(t), score)
 
 
+def carry_coefficients(lam: float, dt):
+    """(decay, weight, gain) of a carry step of ``dt`` minutes: the step maps
+    (w, d) to (decay * w + value * value * weight, decay * d + gain). At
+    lam = 1 the decay is exactly 1.0, so the step is w + value**2 * dt, d + dt
+    to the last bit."""
+    if lam == 1.0:
+        return 1.0, dt, dt
+    decay = lam ** dt
+    g = (1.0 - decay) / (1.0 - lam)
+    return decay, lam * g, g
+
+
 def advance_carry(lam: float, w, d, value, dt):
     """Roll the index carry-state (decayed squared-value sum, decayed count)
     forward ``dt`` minutes during which ``value`` holds; works on scalars or
     aligned arrays. The index at the new time is (w + current**2) / d."""
-    if lam == 1.0:
-        return w + value * value * dt, d + dt
-    decay = lam ** dt
-    g = (1.0 - decay) / (1.0 - lam)
-    return decay * w + value * value * (lam * g), decay * d + g
+    decay, weight, gain = carry_coefficients(lam, dt)
+    return decay * w + value * value * weight, decay * d + gain
 
 
 def index_trajectory(chain: JumpChain, score: ScoreSpec) -> np.ndarray:
     """Index value at every jump of the chain (fast incremental path)."""
     if score.kind != "ewma-squares":
         return np.array([index_at_jump(chain, n, score) for n in range(len(chain))])
-    values, times = chain.values, chain.times
-    out = np.empty(len(chain))
+    values, times = chain.values.tolist(), chain.times.tolist()
+    out = []
     w, d = 0.0, 1.0
-    for n in range(len(chain)):
+    for n, value in enumerate(values):
         if n > 0:
-            w, d = advance_carry(score.lam, w, d, values[n - 1], int(times[n] - times[n - 1]))
-        out[n] = (w + values[n] * values[n]) / d
-    return out
+            w, d = advance_carry(score.lam, w, d, values[n - 1], times[n] - times[n - 1])
+        out.append((w + value * value) / d)
+    return np.array(out, dtype=float)
 
 
 def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) -> np.ndarray:
@@ -295,24 +305,24 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) 
     query_times = np.asarray(query_times, dtype=np.int64)
     if score.kind != "ewma-squares":
         return np.array([index_at_time(chain, int(t), score) for t in query_times])
-    values, times = chain.values, chain.times
+    values, times = chain.values.tolist(), chain.times.tolist()
     if query_times.size and query_times[0] < times[0]:
         raise ContractViolation("time precedes the recorded history")
-    out = np.empty(query_times.size)
+    out = []
     w, d = 0.0, 1.0
     pos = 0
-    now = int(times[0])
-    for qi, t in enumerate(query_times):
-        t = int(t)
-        while pos + 1 < len(chain) and times[pos + 1] <= t:
-            w, d = advance_carry(score.lam, w, d, values[pos], int(times[pos + 1]) - now)
-            now = int(times[pos + 1])
+    now = times[0]
+    n_jumps = len(times)
+    for t in query_times.tolist():
+        while pos + 1 < n_jumps and times[pos + 1] <= t:
+            w, d = advance_carry(score.lam, w, d, values[pos], times[pos + 1] - now)
+            now = times[pos + 1]
             pos += 1
         if t > now:
             w, d = advance_carry(score.lam, w, d, values[pos], t - now)
             now = t
-        out[qi] = (w + values[pos] * values[pos]) / d
-    return out
+        out.append((w + values[pos] * values[pos]) / d)
+    return np.array(out, dtype=float)
 
 
 def shift_check(chain: JumpChain, score: ScoreSpec, tol: float = 1e-10) -> bool:

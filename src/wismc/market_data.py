@@ -79,10 +79,9 @@ class BarSeries:
 
     def session_of(self) -> np.ndarray:
         """Session index of each bar."""
-        out = np.zeros(len(self.bars), dtype=np.int64)
-        for s, start in enumerate(self.session_starts):
-            out[start:] = s
-        return out
+        pos = np.searchsorted(self.session_starts, np.arange(len(self.bars)),
+                              side="right") - 1
+        return np.maximum(pos, 0).astype(np.int64)
 
 
 @dataclass
@@ -198,23 +197,25 @@ def compute_returns(series: BarSeries, kind: str = "price-return") -> ReturnSeri
         raise ValueError(f"unknown return kind {kind!r}")
     x = series.prices() if kind == "price-return" else series.volumes()
     session = series.session_of()
-    values, positions, boundaries = [], [], []
-    skipped = 0
-    for t in range(1, len(x)):
-        if session[t] != session[t - 1]:
-            if values:
-                boundaries.append(len(values) - 1)
-            continue
-        if kind == "volume-return" and (x[t] <= 0 or x[t - 1] <= 0):
-            skipped += 1
-            continue
-        values.append(math.log(x[t] / x[t - 1]))
-        positions.append(t)
-    if values:
-        boundaries.append(len(values) - 1)
-    return ReturnSeries(values=np.array(values), kind=kind,
-                        session_boundaries=np.array(boundaries, dtype=np.int64),
-                        positions=np.array(positions, dtype=np.int64),
+    same = session[1:] == session[:-1]
+    keep = same
+    if kind == "volume-return":
+        keep = same & ~((x[1:] <= 0) | (x[:-1] <= 0))
+    skipped = int(same.sum() - keep.sum())
+    positions = np.flatnonzero(keep) + 1
+    # math.log, not np.log: the last digits may differ, and grid edges are
+    # quantiles of these values
+    values = np.array([math.log(q) for q in (x[positions] / x[positions - 1]).tolist()],
+                      dtype=float)
+    # a session ends at the last value before each session change; a session
+    # without pairs repeats the previous boundary
+    formed = np.searchsorted(positions, np.flatnonzero(~same) + 1)
+    boundaries = formed[formed > 0] - 1
+    if values.size:
+        boundaries = np.append(boundaries, values.size - 1)
+    return ReturnSeries(values=values, kind=kind,
+                        session_boundaries=boundaries.astype(np.int64),
+                        positions=positions.astype(np.int64),
                         skipped_pairs=skipped)
 
 

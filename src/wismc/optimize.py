@@ -79,7 +79,7 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
     minutes = spec.sim_minutes or values.size
     records = []
     best_by_s = {}
-    for s_i, s in enumerate(sorted(spec.state_counts)):
+    for s in sorted(spec.state_counts):
         for lam in spec.lambdas:
             rec = {"s": int(s), "lam": float(lam), "mape": None,
                    "failed": False, "error": None}
@@ -105,9 +105,10 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
         scored = [r["mape"] for r in records if r["s"] == s and not r["failed"]]
         if scored:
             best_by_s[s] = min(scored)
-        if spec.epsilon is not None and s_i > 0 and s in best_by_s:
-            prev = min(v for k, v in best_by_s.items() if k < s)
-            if prev - best_by_s[s] < spec.epsilon:
+        # the stop test needs an earlier state count that scored
+        earlier = [v for k, v in best_by_s.items() if k < s]
+        if spec.epsilon is not None and earlier and s in best_by_s:
+            if min(earlier) - best_by_s[s] < spec.epsilon:
                 break
     done = [r for r in records if not r["failed"]]
     best = min(done, key=lambda r: r["mape"]) if done else None

@@ -4,13 +4,16 @@ parameter search, back-transformation to continuous values and a report
 comparing synthetic statistics with a reference battery."""
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .core import IndexedKernel, advance_carry
+from .core import IndexedKernel, advance_carry, carry_coefficients
 from .errors import ParameterError
 from .finfunc import _cells_of, _draw_next_values, _draw_sojourns
 from .market_data import autocorrelation, cross_correlation_battery, jarque_bera
@@ -24,6 +27,14 @@ __all__ = [
     "simulate_univariate",
     "validate_stylized_facts",
 ]
+
+_BLOCK = 4096  # uniforms drawn per call to the generator
+
+
+def _uniforms(rng: np.random.Generator):
+    """A function returning the next uniform of ``rng``, drawn in blocks: the
+    same doubles, in the same order, as one ``rng.random()`` call each."""
+    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
 
 
 @dataclass(frozen=True)
@@ -180,15 +191,18 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     """Simulate one variable from its indexed kernel: at each event the
     (next state, sojourn) pair is drawn jointly from the conditioning cell.
     Runs until ``minutes`` are covered or ``n_events`` jumps were generated,
-    whichever is given. Returns (minute series, states, times)."""
+    whichever is given. Returns (minute series, states, times).
+
+    The loop runs on Python floats and lists (cumulative cell rows, index
+    edges, inverse samples) and block-drawn uniforms, with the arithmetic of
+    :func:`backtransform` and :func:`~wismc.core.advance_carry` inlined."""
     if minutes is None and n_events is None:
         raise ParameterError("give minutes or n_events")
     rng = np.random.default_rng(seed)
     s, nb, _, t_max = kernel.pmf.shape
-    flat = np.empty((s, nb, s * t_max))
-    for i in range(s):
-        for b in range(nb):
-            flat[i, b] = np.cumsum(kernel.cell_pmf(i, b)[0].ravel())
+    last = s * t_max - 1
+    cum = [[np.cumsum(kernel.cell_pmf(i, b)[0].ravel()).tolist() for b in range(nb)]
+           for i in range(s)]
     if initial_state is None:
         occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
         if occupancy.sum() <= 0:
@@ -196,31 +210,49 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
         state = int(rng.choice(s, p=occupancy / occupancy.sum()))
     else:
         state = int(initial_state)
-    reps = kernel.grid.representatives
+    uniform = _uniforms(rng)
+    reps = kernel.grid.representatives.tolist()
+    squares = [r * r for r in reps]
+    edges = kernel.index_edges.tolist()
+    top_bin = len(edges) - 2
+    samples = None if inverse is None else [x.tolist() for x in inverse.samples]
+    carry = [carry_coefficients(kernel.lam, dt) for dt in range(t_max + 1)]
     w, d = 0.0, 1.0
     t = 0
-    out = np.empty(minutes) if minutes is not None else None
-    states, times = [], []
+    record = minutes is not None
+    states, times, held, sojourns = [], [], [], []
     while (minutes is None or t < minutes) and (n_events is None
                                                 or len(states) < n_events):
         states.append(state)
         times.append(t)
-        x = (w + reps[state] * reps[state]) / d
-        b = int(kernel.index_bin(x))
-        pos = int(np.searchsorted(flat[state, b], rng.random(), side="left"))
-        pos = min(pos, s * t_max - 1)
-        nxt, soj = pos // t_max, pos % t_max + 1
-        if out is not None:
-            if inverse is not None:
-                val = backtransform(state, float(rng.random()), inverse)
+        b = min(max(bisect_right(edges, (w + squares[state]) / d) - 1, 0), top_bin)
+        pos = min(bisect_left(cum[state][b], uniform()), last)
+        soj = pos % t_max + 1
+        if record:
+            if samples is None:
+                held.append(reps[state])
             else:
-                val = float(reps[state])
-            out[t:min(t + soj, minutes)] = val
-        w, d = advance_carry(kernel.lam, w, d, reps[state], soj)
-        state = int(nxt)
+                sample = samples[state]
+                size = len(sample)
+                if size > 1:
+                    # backtransform() inlined
+                    at = uniform() * (size - 1)
+                    lo = math.floor(at)
+                    frac = at - lo
+                    held.append(sample[lo] * (1.0 - frac)
+                                + sample[min(lo + 1, size - 1)] * frac)
+                else:
+                    held.append(backtransform(state, uniform(), inverse))
+            sojourns.append(soj)
+        # advance_carry() inlined
+        decay, weight, gain = carry[soj]
+        w = decay * w + squares[state] * weight
+        d = decay * d + gain
+        state = pos // t_max
         t += soj
-    if out is not None:
-        out = out[:min(t, minutes)]
+    out = None
+    if record:
+        out = np.repeat(np.array(held, dtype=float), sojourns)[:min(t, minutes)]
     return out, np.asarray(states, dtype=np.int64), np.asarray(times, dtype=np.int64)
 
 

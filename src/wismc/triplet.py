@@ -365,12 +365,6 @@ class TripletKernel:
     def waiting_pmf(self, cell: ConditioningCell) -> np.ndarray:
         return self.cond_wait.resolved_cube()[cell.i, cell.v, cell.x_bin, cell.w_bin]
 
-    def waiting_cdf_at(self, cell: ConditioningCell, t: int) -> float:
-        if t < 1:
-            return 0.0
-        pmf = self.waiting_pmf(cell)
-        return float(pmf[: min(t, self.t_max)].sum())
-
     def modulus_cdf_j(self, cell: ConditioningCell, t: int, threshold: float) -> float:
         return self._mod_j.eval(cell.i, cell.x_bin, t + cell.b_j, threshold)
 

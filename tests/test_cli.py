@@ -170,6 +170,15 @@ class TestErrors:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--lambdas", "0.9:0.99:0"),
+                                             ("--lambdas", "abc"),
+                                             ("--states", "3,x")])
+    def test_bad_optimize_lists_exit_2(self, small_csv, tmp_path, capsys, flag, value):
+        code = main(["optimize", "--input", small_csv, flag, value,
+                     "--out", str(tmp_path / "opt.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--nope", "x"])

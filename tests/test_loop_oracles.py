@@ -1,0 +1,320 @@
+"""Byte-identity of the list-based per-element loops (``simulate_univariate``,
+``index_trajectory``, ``index_at_times``, ``compute_returns``) against the
+numpy-scalar versions they replaced, which are kept below as oracles. Every
+comparison is exact: same dtype, same shape, same doubles."""
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import heavy_tailed_series, random_chain, random_kernel, toy_grid
+from wismc.core import (
+    IndexParams,
+    JumpChain,
+    ScoreSpec,
+    advance_carry,
+    discretize,
+    estimate_kernel,
+    index_at_times,
+    index_trajectory,
+    make_state_grid,
+)
+from wismc.errors import ParameterError
+from wismc.market_data import Bar, BarSeries, ReturnSeries, compute_returns
+from wismc.simulate import backtransform, simulate_univariate
+from wismc.triplet import EmpiricalInverse
+
+# ---------------------------------------------------------------------------
+# oracles: the loops as they were before they moved off numpy scalars
+
+
+def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
+                               initial_state=None, n_events=None):
+    if minutes is None and n_events is None:
+        raise ParameterError("give minutes or n_events")
+    rng = np.random.default_rng(seed)
+    s, nb, _, t_max = kernel.pmf.shape
+    flat = np.empty((s, nb, s * t_max))
+    for i in range(s):
+        for b in range(nb):
+            flat[i, b] = np.cumsum(kernel.cell_pmf(i, b)[0].ravel())
+    if initial_state is None:
+        occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
+        if occupancy.sum() <= 0:
+            occupancy = np.ones(s)
+        state = int(rng.choice(s, p=occupancy / occupancy.sum()))
+    else:
+        state = int(initial_state)
+    reps = kernel.grid.representatives
+    w, d = 0.0, 1.0
+    t = 0
+    out = np.empty(minutes) if minutes is not None else None
+    states, times = [], []
+    while (minutes is None or t < minutes) and (n_events is None
+                                                or len(states) < n_events):
+        states.append(state)
+        times.append(t)
+        x = (w + reps[state] * reps[state]) / d
+        b = int(kernel.index_bin(x))
+        pos = int(np.searchsorted(flat[state, b], rng.random(), side="left"))
+        pos = min(pos, s * t_max - 1)
+        nxt, soj = pos // t_max, pos % t_max + 1
+        if out is not None:
+            if inverse is not None:
+                val = backtransform(state, float(rng.random()), inverse)
+            else:
+                val = float(reps[state])
+            out[t:min(t + soj, minutes)] = val
+        w, d = advance_carry(kernel.lam, w, d, reps[state], soj)
+        state = int(nxt)
+        t += soj
+    if out is not None:
+        out = out[:min(t, minutes)]
+    return out, np.asarray(states, dtype=np.int64), np.asarray(times, dtype=np.int64)
+
+
+def oracle_index_trajectory(chain, score):
+    values, times = chain.values, chain.times
+    out = np.empty(len(chain))
+    w, d = 0.0, 1.0
+    for n in range(len(chain)):
+        if n > 0:
+            w, d = advance_carry(score.lam, w, d, values[n - 1], int(times[n] - times[n - 1]))
+        out[n] = (w + values[n] * values[n]) / d
+    return out
+
+
+def oracle_index_at_times(chain, query_times, score):
+    query_times = np.asarray(query_times, dtype=np.int64)
+    values, times = chain.values, chain.times
+    out = np.empty(query_times.size)
+    w, d = 0.0, 1.0
+    pos = 0
+    now = int(times[0])
+    for qi, t in enumerate(query_times):
+        t = int(t)
+        while pos + 1 < len(chain) and times[pos + 1] <= t:
+            w, d = advance_carry(score.lam, w, d, values[pos], int(times[pos + 1]) - now)
+            now = int(times[pos + 1])
+            pos += 1
+        if t > now:
+            w, d = advance_carry(score.lam, w, d, values[pos], t - now)
+            now = t
+        out[qi] = (w + values[pos] * values[pos]) / d
+    return out
+
+
+def oracle_compute_returns(series, kind="price-return"):
+    x = series.prices() if kind == "price-return" else series.volumes()
+    session = np.zeros(len(series.bars), dtype=np.int64)
+    for s, start in enumerate(series.session_starts):
+        session[start:] = s
+    values, positions, boundaries = [], [], []
+    skipped = 0
+    for t in range(1, len(x)):
+        if session[t] != session[t - 1]:
+            if values:
+                boundaries.append(len(values) - 1)
+            continue
+        if kind == "volume-return" and (x[t] <= 0 or x[t - 1] <= 0):
+            skipped += 1
+            continue
+        values.append(math.log(x[t] / x[t - 1]))
+        positions.append(t)
+    if values:
+        boundaries.append(len(values) - 1)
+    return ReturnSeries(values=np.array(values), kind=kind,
+                        session_boundaries=np.array(boundaries, dtype=np.int64),
+                        positions=np.array(positions, dtype=np.int64),
+                        skipped_pairs=skipped)
+
+
+def assert_identical(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# simulate_univariate
+
+
+def _fitted(seed, n_states, lam, n_bins):
+    r, _ = heavy_tailed_series(4000, seed)
+    grid = make_state_grid(r, n_states)
+    kernel = estimate_kernel(discretize(r, grid),
+                             IndexParams(lam=lam, n_index_bins=n_bins),
+                             ScoreSpec(lam=lam))
+    return kernel, EmpiricalInverse.from_data(r, grid)
+
+
+RUNS = [
+    dict(minutes=3000),
+    dict(minutes=3000, inverse=True),
+    dict(minutes=None, n_events=400),
+    dict(minutes=None, n_events=400, inverse=True),
+    dict(minutes=2500, inverse=True, initial_state=1),
+    dict(minutes=5000, n_events=150, inverse=True),
+    dict(minutes=0),
+]
+
+
+def _check_runs(kernel, inverse, seed):
+    for run in RUNS:
+        kw = dict(run, inverse=inverse if run.get("inverse") else None)
+        want = oracle_simulate_univariate(kernel, seed=seed, **kw)
+        got = simulate_univariate(kernel, seed=seed, **kw)
+        for a, b in zip(want, got):
+            assert_identical(a, b)
+
+
+@pytest.mark.parametrize("lam", [0.9, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_univariate_fitted(seed, lam):
+    kernel, inverse = _fitted(seed, 5 + 2 * (seed % 2), lam, 6)
+    # several index bins on a short series: some cells fall back
+    assert not kernel.occupied.all()
+    _check_runs(kernel, inverse, seed)
+
+
+@pytest.mark.parametrize("lam", [0.9, 1.0])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_simulate_univariate_random_kernel(seed, lam):
+    rng = np.random.default_rng(seed)
+    kernel = random_kernel(rng, [-0.02, -0.004, 0.0, 0.01], n_bins=3, t_max=4,
+                           index_edges=np.array([-np.inf, 1e-5, 1e-4, np.inf]))
+    kernel = dataclasses.replace(kernel, lam=lam)
+    grid = kernel.grid
+    values = rng.normal(0.0, 0.02, 500)
+    _check_runs(kernel, EmpiricalInverse.from_data(values, grid), seed)
+
+
+def test_simulate_univariate_fallback_and_thin_samples():
+    rng = np.random.default_rng(5)
+    kernel = random_kernel(rng, [-0.02, 0.0, 0.015], n_bins=2, t_max=3,
+                           index_edges=np.array([-np.inf, 1e-4, np.inf]))
+    counts = kernel.counts.copy()
+    counts[0, 1] = 0  # state-level fallback
+    counts[2] = 0  # global fallback
+    pmf = kernel.pmf.copy()
+    pmf[0, 1] = 0.0
+    pmf[2] = 0.0
+    kernel = dataclasses.replace(kernel, counts=counts, pmf=pmf)
+    assert kernel.cell_pmf(0, 1)[1] == 1 and kernel.cell_pmf(2, 0)[1] == 2
+    # an empty sample (representative, with a warning) and a single value
+    inverse = EmpiricalInverse(samples=[np.array([-0.03, -0.02, -0.01]), np.array([]),
+                                        np.array([0.02])], grid=toy_grid([-0.02, 0.0, 0.015]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _check_runs(kernel, inverse, 6)
+
+
+def test_simulate_univariate_index_on_edge():
+    # index values that land exactly on an index edge or one unit in the
+    # last place below it, so a last-bit change in the carry arithmetic, up
+    # or down, moves the event to the other bin's law
+    rng = np.random.default_rng(7)
+    one = random_kernel(rng, [-0.02, -0.004, 0.003, 0.01], n_bins=1, t_max=4)
+    other = random_kernel(rng, [-0.02, -0.004, 0.003, 0.01], n_bins=1, t_max=4)
+    _, states, times = oracle_simulate_univariate(one, None, seed=8, n_events=80)
+    x = oracle_index_trajectory(JumpChain(states=states, times=times, grid=one.grid),
+                                ScoreSpec(lam=one.lam))
+    # up to a running maximum x[k], every earlier index lies in bin 0 and
+    # draws from ``one``'s law, so the path reaches x[k] exactly
+    records = [k for k in range(1, x.size) if x[k] > x[:k].max()]
+    assert len(records) >= 5
+    for k, edge in [(k, e) for k in records for e in (x[k], np.nextafter(x[k], np.inf))]:
+        kernel = dataclasses.replace(
+            one, index_edges=np.array([-np.inf, edge, np.inf]),
+            counts=np.concatenate([one.counts, other.counts], axis=1),
+            pmf=np.concatenate([one.pmf, other.pmf], axis=1))
+        for kw in (dict(minutes=None, n_events=k + 20), dict(minutes=int(times[k]) + 60)):
+            want = oracle_simulate_univariate(kernel, seed=8, **kw)
+            got = simulate_univariate(kernel, seed=8, **kw)
+            for a, b in zip(want, got):
+                assert_identical(a, b)
+
+
+# ---------------------------------------------------------------------------
+# index_trajectory and index_at_times
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.97, 1.0])
+def test_index_loops_random_chains(lam):
+    score = ScoreSpec(lam=lam)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_jumps=int(rng.integers(1, 40)))
+        assert_identical(oracle_index_trajectory(chain, score),
+                         index_trajectory(chain, score))
+        queries = np.unique(rng.integers(0, int(chain.times[-1]) + 6, 25))
+        assert_identical(oracle_index_at_times(chain, queries, score),
+                         index_at_times(chain, queries, score))
+        assert_identical(oracle_index_at_times(chain, queries[:0], score),
+                         index_at_times(chain, queries[:0], score))
+
+
+def test_index_loops_fitted_chain():
+    r, _ = heavy_tailed_series(20000, 11)
+    chain = discretize(r, make_state_grid(r, 5))
+    score = ScoreSpec(lam=0.97)
+    assert_identical(oracle_index_trajectory(chain, score), index_trajectory(chain, score))
+    queries = np.arange(0, r.size, 3)
+    assert_identical(oracle_index_at_times(chain, queries, score),
+                     index_at_times(chain, queries, score))
+
+
+# ---------------------------------------------------------------------------
+# compute_returns
+
+DAY = 20000 * 1440
+
+
+def _series(sessions):
+    """BarSeries from per-session lists of (price, volume)."""
+    bars, starts = [], []
+    for day, rows in enumerate(sessions):
+        starts.append(len(bars))
+        bars += [Bar(minute=DAY + day * 1440 + 540 + k, price=p, volume=v)
+                 for k, (p, v) in enumerate(rows)]
+    return BarSeries(bars=bars, session_open=540, session_close=1050,
+                     session_starts=np.array(starts, dtype=np.int64))
+
+
+def _same_returns(series):
+    for kind in ("price-return", "volume-return"):
+        want = oracle_compute_returns(series, kind)
+        got = compute_returns(series, kind)
+        for field in ("values", "positions", "session_boundaries"):
+            assert_identical(getattr(want, field), getattr(got, field))
+        assert got.skipped_pairs == want.skipped_pairs
+        assert type(got.skipped_pairs) is int
+
+
+def test_compute_returns_edge_sessions():
+    rng = np.random.default_rng(12)
+
+    def session(n, zero_at=()):
+        prices = np.exp(np.cumsum(rng.normal(0.0, 1e-3, n))) * 10.0
+        volumes = rng.integers(1, 900, n)
+        volumes[list(zero_at)] = 0
+        return list(zip(prices.tolist(), volumes.tolist()))
+
+    _same_returns(_series([]))  # no bars
+    _same_returns(_series([session(1)]))  # one bar
+    _same_returns(_series([session(1), session(4)]))  # no pairs first
+    _same_returns(_series([session(5), session(1), session(1), session(6)]))
+    _same_returns(_series([session(6, zero_at=(0, 3)), session(4, zero_at=(3,)),
+                           session(2, zero_at=(0, 1)), session(7)]))
+    _same_returns(_series([session(3, zero_at=(0, 1, 2)), session(1)]))
+
+
+def test_compute_returns_fixture(market_csv):
+    from wismc.market_data import load_bars
+    bars = load_bars(market_csv["path"])
+    assert bars.n_sessions > 1
+    _same_returns(bars)

@@ -91,6 +91,17 @@ class TestGridSearch:
         # an enormous improvement threshold stops after the second state count
         assert {rec["s"] for rec in res.records} == {2, 3}
 
+    def test_early_stop_after_failed_smaller_counts(self):
+        # quantized, mostly non-negative data: 4 states give degenerate edges
+        vals = np.round(np.random.default_rng(0).standard_t(3, 3000) * 2) * 1e-3
+        vals[vals < 0] = 0.0
+        vals[::97] = -1e-3
+        spec = GridSpec(state_counts=(4, 5), lambdas=(0.97,), max_lag=20,
+                        reps_per_point=1, n_index_bins=1, epsilon=0.5)
+        res = grid_search(vals, spec, seed=0)
+        assert [(rec["s"], rec["failed"]) for rec in res.records] == [(4, True), (5, False)]
+        assert res.best["s"] == 5
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             GridSpec(state_counts=(), lambdas=(0.9,))
