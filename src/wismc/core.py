@@ -26,6 +26,7 @@ __all__ = [
     "carry_coefficients",
     "shift_check",
     "estimate_kernel",
+    "resolve_ladder",
 ]
 
 
@@ -376,14 +377,59 @@ def _quantile_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.concatenate([[-np.inf], interior, [np.inf]])
 
 
+def resolve_ladder(levels, last):
+    """Resolve a table of conditional laws through a fallback ladder.
+
+    ``levels`` lists (law, mass) pairs in ladder order. ``mass`` holds one
+    value per conditioning cell, ``law`` the same leading axes followed by the
+    law's own axes; length-1 and missing leading axes broadcast. Each cell
+    takes the law of the first level where its mass is positive, and ``last``
+    where none is. Returns the resolved table and the level each cell took
+    (``len(levels)`` for ``last``)."""
+    cells = np.broadcast_shapes(*(np.shape(mass) for _, mass in levels))
+    shape = np.broadcast_shapes(*(np.shape(law) for law, _ in levels), np.shape(last))
+    resolved = np.array(np.broadcast_to(last, shape), dtype=float)
+    level = np.full(cells, len(levels))
+    for k in range(len(levels) - 1, -1, -1):
+        law, mass = levels[k]
+        take = np.broadcast_to(np.asarray(mass) > 0, cells)
+        resolved[take] = np.broadcast_to(law, shape)[take]
+        level[take] = k
+    return resolved, level
+
+
+def normalized(rows: np.ndarray, law_ndim: int = 1):
+    """(rows scaled to sum to one over their last ``law_ndim`` axes, their
+    masses); rows without mass are left at zero."""
+    mass = rows.sum(axis=tuple(range(-law_ndim, 0)))
+    expand = mass[(...,) + (None,) * law_ndim]
+    return np.divide(rows, expand, out=np.zeros(rows.shape), where=expand > 0), mass
+
+
+def indexed_ladder(counts: np.ndarray, pmf: np.ndarray, bin_axes: tuple, law_ndim: int):
+    """The fallback ladder of a count table whose last ``law_ndim`` axes hold
+    the law, in the form :func:`resolve_ladder` takes: the cell's own ``pmf``,
+    then the law pooled over the index-bin axes ``bin_axes``, then the global
+    law pooled over every conditioning axis (uniform when the table is
+    empty)."""
+    cell_axes = tuple(range(counts.ndim - law_ndim))
+    law_axes = tuple(range(counts.ndim - law_ndim, counts.ndim))
+    pooled = normalized(counts.sum(axis=bin_axes, keepdims=True), law_ndim)
+    global_law, mass = normalized(counts.sum(axis=cell_axes), law_ndim)
+    if mass <= 0:
+        global_law = np.full(global_law.shape, 1.0 / global_law.size)
+    return [(pmf, counts.sum(axis=law_axes)), pooled], global_law
+
+
 @dataclass
 class IndexedKernel:
     """Estimated law of (next state, sojourn) given (state, index bin).
 
     ``pmf[i, b, j, k]`` is the probability of jumping from state ``i`` with
     index in bin ``b`` to state ``j`` after ``k + 1`` minutes. Rows of
-    occupied cells sum to one. Cells never observed fall back first to the
-    state's law pooled over index bins, then to the global law.
+    occupied cells sum to one. ``resolved`` holds every cell's law after the
+    fallback ladder and ``level`` the level it took: 0 for the cell's own
+    law, 1 for the state's law pooled over index bins, 2 for the global law.
     """
 
     grid: StateGrid
@@ -400,14 +446,9 @@ class IndexedKernel:
         s, b = self.grid.n_states, self.n_index_bins
         if self.pmf.shape != (s, b, s, self.t_max):
             raise ParameterError("pmf shape does not match grid/bins/t_max")
-        self._cell_total = self.counts.sum(axis=(2, 3))
-        state_tot = self.counts.sum(axis=(1, 2, 3), keepdims=False)
-        self._state_pmf = np.zeros((s, s, self.t_max))
-        pooled = self.counts.sum(axis=1)
-        nz = state_tot > 0
-        self._state_pmf[nz] = pooled[nz] / state_tot[nz, None, None]
-        g = self.counts.sum(axis=(0, 1))
-        self._global_pmf = g / g.sum() if g.sum() > 0 else np.full((s, self.t_max), 1.0 / (s * self.t_max))
+        if self.counts.shape != self.pmf.shape:
+            raise ParameterError("counts shape does not match pmf shape")
+        self.resolved, self.level = resolve_ladder(*self.ladder())
 
     @property
     def n_index_bins(self) -> int:
@@ -415,7 +456,12 @@ class IndexedKernel:
 
     @property
     def occupied(self) -> np.ndarray:
-        return self._cell_total > 0
+        return self.level == 0
+
+    def ladder(self):
+        """The fallback ladder's (law, mass) levels and last law, laid out
+        as [state, index bin, next state, sojourn slot]."""
+        return indexed_ladder(self.counts, self.pmf, (1,), 2)
 
     def index_bin(self, x) -> np.ndarray:
         return bin_of(self.index_edges, x)
@@ -423,28 +469,21 @@ class IndexedKernel:
     def cell_pmf(self, i: int, b: int):
         """Joint (next state, sojourn) pmf with the fallback ladder; returns
         (pmf[s, t_max], level) where level 0 = cell, 1 = state, 2 = global."""
-        if self._cell_total[i, b] > 0:
-            return self.pmf[i, b], 0
-        if self._state_pmf[i].sum() > 0:
-            return self._state_pmf[i], 1
-        return self._global_pmf, 2
+        return self.resolved[i, b], int(self.level[i, b])
 
     def sojourn_pmf(self, i: int, b: int) -> np.ndarray:
         """Marginal sojourn law h(i, x; t) for the cell (with fallback)."""
-        cell, _ = self.cell_pmf(i, b)
-        return cell.sum(axis=0)
+        return self.resolved[i, b].sum(axis=0)
 
 
-def estimate_kernel(chain: JumpChain, params: IndexParams,
-                    score: Optional[ScoreSpec] = None) -> IndexedKernel:
+def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:
     """Count transitions (state, index-bin) -> (next state, sojourn) along the
-    chain and normalize per cell. The index at each jump uses all earlier jumps of the
-    chain as history."""
+    chain and normalize per cell. The index at each jump is the ewma-squares
+    index with ``params.lam``, the value the kernel stores and the samplers
+    advance, and uses all earlier jumps of the chain as history."""
     if len(chain) < 2:
         raise EstimationError("need at least one transition")
-    if score is None:
-        score = ScoreSpec(kind="ewma-squares", lam=params.lam)
-    idx = index_trajectory(chain, score)
+    idx = index_trajectory(chain, ScoreSpec(kind="ewma-squares", lam=params.lam))
     if params.index_edges is not None:
         edges = np.asarray(params.index_edges, dtype=float)
     else:

@@ -63,12 +63,12 @@ def joint_modulus_pmf(tk: TripletKernel, cell: ConditioningCell):
     """(moduli_j, moduli_v, pmf) of the next |return|, |volume| pair,
     aggregated over the waiting time."""
     h = tk.waiting_pmf(cell)
-    mj, mv = tk._mod_j.moduli, tk._mod_v.moduli
+    mj, mv = tk.modulus_j.moduli, tk.modulus_v.moduli
     joint = np.zeros((mj.size, mv.size))
     for t in range(1, tk.t_max + 1):
         if h[t - 1] <= 0.0:
             continue
-        joint += h[t - 1] * tk._modulus_volume(cell, t)
+        joint += h[t - 1] * tk.modulus_volume(cell, t)
     return mj, mv, joint
 
 
@@ -218,8 +218,7 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
         return FptResult(survival=np.zeros(query.horizon + 1), method="recursion")
     view = ModelView(tk)
     (wj0, dj0), (wv0, dv0), b_j, b_v = _history_accumulators(tk, query)
-    index_free = (tk.cond_wait.x_edges.size == 2 and tk.cond_wait.w_edges.size == 2
-                  and tk.kernel_j.index_edges.size == 2 and tk.kernel_v.index_edges.size == 2)
+    index_free = tk.kernel_j.index_edges.size == 2 and tk.kernel_v.index_edges.size == 2
     memo: dict = {}
     nodes = [0]
 
@@ -379,19 +378,17 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
 
 
 def _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv):
-    """Conditioning cells of a batch of paths: both states, the waiting-time
-    index bins and the per-variable kernel index bins."""
-    xj = (wj + i_val * i_val) / dj
-    wvv = (wv + v_val * v_val) / dv
+    """Conditioning cells of a batch of paths: both states and both index
+    bins, which index the waiting-time table and the modulus tables alike."""
     return (view.states_j(i_val), view.states_v(v_val),
-            tk.cond_wait.x_bin(xj), tk.cond_wait.w_bin(wvv),
-            tk.kernel_j.index_bin(xj), tk.kernel_v.index_bin(wvv))
+            tk.kernel_j.index_bin((wj + i_val * i_val) / dj),
+            tk.kernel_v.index_bin((wv + v_val * v_val) / dv))
 
 
 def _draw_sojourns(tk, rng, cells, u=0):
     """Inverse-cdf sojourn draw per path, conditioned on exceeding u."""
-    i_state, v_state, xb, wb = cells[:4]
-    cdf = np.cumsum(tk.cond_wait.resolved_cube()[i_state, v_state, xb, wb], axis=1)
+    i_state, v_state, xb, wb = cells
+    cdf = np.cumsum(tk.cond_wait.resolved[i_state, v_state, xb, wb], axis=1)
     base = cdf[:, min(u, tk.t_max) - 1] if u >= 1 else 0.0
     uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
     slot = (cdf < uni[:, None]).sum(axis=1)
@@ -402,12 +399,12 @@ def _draw_next_values(tk, rng, cells, bj, bv, soj):
     """Next signed value pair per path: copula uniforms inverted through the
     conditional modulus cdfs at each variable's backward time plus the
     sojourn, signs attached independently."""
-    i_state, v_state, _, _, kxb, kwb = cells
+    i_state, v_state, xb, wb = cells
     n = i_state.size
     u_j, u_v = sample_copula(tk.copula, n, rng)
     out = []
-    for mod, state, kb, back, u in ((tk._mod_j, i_state, kxb, bj, u_j),
-                                    (tk._mod_v, v_state, kwb, bv, u_v)):
+    for mod, state, kb, back, u in ((tk.modulus_j, i_state, xb, bj, u_j),
+                                    (tk.modulus_v, v_state, wb, bv, u_v)):
         rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
         pos = (rows < u[:, None]).sum(axis=1)
         out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])

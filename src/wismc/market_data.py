@@ -15,6 +15,7 @@ from .errors import (
     DegenerateTableError,
     InsufficientDataError,
     OrderingError,
+    ParameterError,
     ParseError,
     UndefinedStatisticError,
 )
@@ -126,12 +127,18 @@ def _parse_minute(text: str, line_no: int) -> int:
 def _parse_session(spec) -> tuple:
     if spec is None:
         return DEFAULT_SESSION
-    if isinstance(spec, str):
-        lo, hi = spec.split("-")
-        h1, m1 = (int(p) for p in lo.split(":"))
-        h2, m2 = (int(p) for p in hi.split(":"))
-        return h1 * 60 + m1, h2 * 60 + m2
-    return int(spec[0]), int(spec[1])
+    if not isinstance(spec, str):
+        return int(spec[0]), int(spec[1])
+    try:
+        (h1, m1), (h2, m2) = ((int(p) for p in part.split(":"))
+                              for part in spec.split("-"))
+    except ValueError as exc:
+        raise ParameterError(f"bad session {spec!r}: expected HH:MM-HH:MM") from exc
+    if not (0 <= h1 < 24 and 0 <= h2 < 24 and 0 <= m1 < 60 and 0 <= m2 < 60):
+        raise ParameterError(f"bad session {spec!r}: hours run 0-23, minutes 0-59")
+    if h1 * 60 + m1 > h2 * 60 + m2:
+        raise ParameterError(f"bad session {spec!r}: opens after it closes")
+    return h1 * 60 + m1, h2 * 60 + m2
 
 
 def load_bars(path, session=None, columns=None) -> BarSeries:
@@ -349,18 +356,20 @@ def value_wait_pairs(r: ReturnSeries):
     never crossing a session boundary. The waiting time is the number of
     minutes a value persists before changing."""
     x = r.values
-    ends = set(int(b) for b in r.session_boundaries)
-    values, waits = [], []
-    start = 0
-    for t in range(1, x.size + 1):
-        boundary = (t == x.size) or (t - 1 in ends)
-        if boundary or x[t] != x[t - 1]:
-            if t - start >= 1 and not (t == x.size or t - 1 in ends):
-                # run ended by a genuine value change
-                values.append(x[start])
-                waits.append(t - start)
-            start = t
-    return np.array(values), np.array(waits, dtype=np.int64)
+    n = x.size
+    # a run ends before position t (1..n) at a session boundary, at the end
+    # of the series or at a value change; only the last kind is emitted
+    ends = np.asarray(r.session_boundaries, dtype=np.int64)
+    boundary = np.zeros(n + 1, dtype=bool)
+    boundary[ends[(ends >= 0) & (ends < n)] + 1] = True
+    boundary[n] = True
+    cut = boundary.copy()
+    cut[1:n] |= x[1:] != x[:-1]
+    cut[0] = False
+    stops = np.flatnonzero(cut)
+    starts = np.concatenate([[0], stops])[:-1]
+    change = ~boundary[stops]
+    return x[starts[change]], (stops - starts)[change]
 
 
 def contingency(values, waits, state_edges, wait_edges) -> ContingencyTable:

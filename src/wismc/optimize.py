@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IndexParams, ScoreSpec, discretize, estimate_kernel, make_state_grid
+from .core import IndexParams, discretize, estimate_kernel, make_state_grid
 from .errors import ParameterError, WismcError
 from .market_data import autocorrelation
 from .simulate import simulate_univariate
@@ -87,8 +87,7 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
                 grid = make_state_grid(values, s)
                 chain = discretize(values, grid)
                 kernel = estimate_kernel(
-                    chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins),
-                    ScoreSpec(kind="ewma-squares", lam=lam))
+                    chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins))
                 inverse = EmpiricalInverse.from_data(values, grid)
                 acfs = []
                 for rep in range(spec.reps_per_point):

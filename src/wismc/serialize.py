@@ -135,8 +135,22 @@ def save_model(obj, path) -> None:
 
 
 def load_model(path):
+    """Read a kernel or triplet model file. A file that is not a JSON object,
+    lacks a field or holds one of the wrong type raises :class:`ParseError`;
+    tables whose shapes or index edges disagree raise the constructors'
+    errors."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") == TRIPLET_FORMAT:
-        return triplet_from_dict(doc)
-    return kernel_from_dict(doc)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a model document")
+    try:
+        if doc.get("format") == TRIPLET_FORMAT:
+            return triplet_from_dict(doc)
+        return kernel_from_dict(doc)
+    except KeyError as exc:
+        raise ParseError(f"{path}: model file lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model field: {exc}") from exc

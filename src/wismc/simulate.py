@@ -136,7 +136,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
             "x_bin", "w_bin", "j_value", "v_value")
     ev = {k: [] for k in keys}
-    empty = tk.cond_wait.counts.sum(axis=4) == 0
     moved_j = moved_v = True
     t = 0
     n_event = 0
@@ -144,7 +143,7 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     forced = 0
     while t < length:
         cells = _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv)
-        i_state, v_state, xb, wb = (int(c[0]) for c in cells[:4])
+        i_state, v_state, xb, wb = (int(c[0]) for c in cells)
         # a value that moved takes its continuous value from its new state
         if moved_j:
             cur_r = _continuous_value(i_val[0], i_state, bt_rng, tk.inverse_j,
@@ -152,7 +151,7 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
         if moved_v:
             cur_v = _continuous_value(v_val[0], v_state, bt_rng, tk.inverse_v,
                                       tk.kernel_v.grid, cfg.backtransform)
-        fallbacks += bool(empty[i_state, v_state, xb, wb])
+        fallbacks += bool(tk.cond_wait.level[i_state, v_state, xb, wb] > 0)
         for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
                                    float(i_val[0]), float(v_val[0]))):
             ev[key].append(val)
@@ -201,8 +200,7 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     rng = np.random.default_rng(seed)
     s, nb, _, t_max = kernel.pmf.shape
     last = s * t_max - 1
-    cum = [[np.cumsum(kernel.cell_pmf(i, b)[0].ravel()).tolist() for b in range(nb)]
-           for i in range(s)]
+    cum = np.cumsum(kernel.resolved.reshape(s, nb, s * t_max), axis=2).tolist()
     if initial_state is None:
         occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
         if occupancy.sum() <= 0:

@@ -21,12 +21,16 @@ from .core import (
     discretize,
     estimate_kernel,
     index_at_times,
+    indexed_ladder,
     make_state_grid,
+    normalized,
+    resolve_ladder,
 )
 from .errors import (
     AlignmentError,
     ContractViolation,
     EstimationError,
+    ParameterError,
     UndefinedConditionalError,
 )
 
@@ -139,9 +143,10 @@ def estimate_signs(sync: SyncChain) -> SignModel:
 @dataclass
 class CondWaitDist:
     """Law of the synchronized sojourn given both states and both index bins,
-    truncated at ``t_max`` with overflow lumped into the last slot. Cells
-    never observed fall back to the (state, state) law pooled over index
-    bins, then to the global law."""
+    truncated at ``t_max`` with overflow lumped into the last slot.
+    ``resolved`` holds every cell's law after the fallback ladder and
+    ``level`` the level it took: 0 for the cell's own law, 1 for the
+    (state, state) law pooled over index bins, 2 for the global law."""
 
     counts: np.ndarray  # [sJ, sV, Bx, Bw, t_max]
     pmf: np.ndarray
@@ -151,47 +156,14 @@ class CondWaitDist:
     def __post_init__(self):
         self.counts = np.asarray(self.counts)
         self.pmf = np.asarray(self.pmf, dtype=float)
-        self._resolved = None
-        tot = self.counts.sum(axis=(2, 3, 4))
-        pooled = self.counts.sum(axis=(2, 3))
-        self._pair_pmf = np.zeros(pooled.shape, dtype=float)
-        nz = tot > 0
-        self._pair_pmf[nz] = pooled[nz] / tot[nz, None]
-        g = self.counts.sum(axis=(0, 1, 2, 3))
-        self._global_pmf = g / g.sum() if g.sum() > 0 else np.full(self.t_max, 1.0 / self.t_max)
+        if self.pmf.ndim != 5 or self.counts.shape != self.pmf.shape:
+            raise ParameterError("counts and pmf must share one 5-axis shape")
+        self.resolved, self.level = resolve_ladder(
+            *indexed_ladder(self.counts, self.pmf, (2, 3), 1))
 
     @property
     def t_max(self) -> int:
         return self.pmf.shape[4]
-
-    def x_bin(self, x) -> np.ndarray:
-        return bin_of(self.x_edges, x)
-
-    def w_bin(self, w) -> np.ndarray:
-        return bin_of(self.w_edges, w)
-
-    def cell_pmf(self, i: int, v: int, xb: int, wb: int):
-        """Sojourn pmf with the fallback ladder; (pmf[t_max], level)."""
-        if self.counts[i, v, xb, wb].sum() > 0:
-            return self.pmf[i, v, xb, wb], 0
-        if self._pair_pmf[i, v].sum() > 0:
-            return self._pair_pmf[i, v], 1
-        return self._global_pmf, 2
-
-    def cdf(self, i: int, v: int, xb: int, wb: int) -> np.ndarray:
-        return np.cumsum(self.cell_pmf(i, v, xb, wb)[0])
-
-    def resolved_cube(self) -> np.ndarray:
-        """Full pmf cube with every empty cell replaced through the fallback
-        ladder (cached; used by the vectorized samplers)."""
-        cube = getattr(self, "_resolved", None)
-        if cube is None:
-            cube = self.pmf.copy()
-            empty = self.counts.sum(axis=4) == 0
-            for i, v, xb, wb in zip(*np.nonzero(empty)):
-                cube[i, v, xb, wb] = self.cell_pmf(i, v, xb, wb)[0]
-            self._resolved = cube
-        return cube
 
 
 def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
@@ -230,9 +202,9 @@ def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
 @dataclass(frozen=True)
 class ConditioningCell:
     """Everything the next synchronized transition is allowed to depend on:
-    both current states, both index bins and both backward times. Index bins
-    are shared between the waiting-time table and the per-variable kernels
-    (they are fitted with common edges)."""
+    both current states, both index bins and both backward times. Each
+    variable has one set of index edges, which its kernel and the
+    waiting-time table share, so one bin per variable indexes both."""
 
     i: int
     v: int
@@ -267,44 +239,31 @@ def modulus_marginal_cdf(kernel: IndexedKernel, i: int, x_bin: int,
 class _ModulusTable:
     """Per-kernel machinery: sorted unique modulus values and the resolved
     conditional modulus cdf cube F[i, b, t, k] = P(|next| <= modulus_k |
-    sojourn t+1, ...). Zero-mass sojourns resolve through the fallback
-    ladder (cell -> state -> global law at that sojourn, then the
-    sojourn-free state law) so analytic sums stay normalized."""
+    sojourn t+1, ...). Each (i, b, t) row takes the first of five laws,
+    folded onto the moduli, that has mass there: the kernel's cell, state
+    and global law at that sojourn (levels 0-2), then the state's and the
+    global law over all sojourns (levels 3 and 4), so analytic sums stay
+    normalized. ``level`` holds the level each row took."""
 
     def __init__(self, kernel: IndexedKernel):
         self.kernel = kernel
         self.moduli, self.state_mod = kernel.grid.moduli()
-        s, b, _, t_max = kernel.pmf.shape
-        k = self.moduli.size
-        fold = np.zeros((s, b, t_max, k))
-        for j in range(s):
-            fold[:, :, :, self.state_mod[j]] += kernel.pmf[:, :, j, :]
-        state_fold = np.zeros((s, t_max, k))
-        glob_fold = np.zeros((t_max, k))
-        for j in range(s):
-            state_fold[:, :, self.state_mod[j]] += kernel._state_pmf[:, j, :]
-            glob_fold[:, self.state_mod[j]] += kernel._global_pmf[j, :]
-        self.cdf = np.empty((s, b, t_max, k))
-        self.fallback_cells = 0
-        for i in range(s):
-            uncond = state_fold[i].sum(axis=0)
-            if uncond.sum() <= 0:
-                uncond = glob_fold.sum(axis=0)
-            uncond = uncond / uncond.sum()
-            for xb in range(b):
-                for t in range(t_max):
-                    row = fold[i, xb, t]
-                    tot = row.sum()
-                    if tot <= 0:
-                        row, tot = state_fold[i, t], state_fold[i, t].sum()
-                    if tot <= 0:
-                        row, tot = glob_fold[t], glob_fold[t].sum()
-                    if tot <= 0:
-                        row, tot = uncond, 1.0
-                        self.fallback_cells += 1
-                    self.cdf[i, xb, t] = np.cumsum(row / tot)
+        [(cell, _), (state, _)], glob = kernel.ladder()
+        cell, state, glob = (self._fold(law) for law in (cell, state, glob))
+        state_free = state.sum(axis=-2, keepdims=True)
+        global_free = glob.sum(axis=-2, keepdims=True)
+        levels = [normalized(law) for law in (cell, state, glob, state_free)]
+        resolved, self.level = resolve_ladder(levels, normalized(global_free)[0])
+        self.cdf = np.cumsum(resolved, axis=-1)
         # guard against accumulated rounding at the top
         self.cdf[..., -1] = 1.0
+
+    def _fold(self, law: np.ndarray) -> np.ndarray:
+        """law[..., next state, sojourn] -> [..., sojourn, modulus]."""
+        out = np.zeros(law.shape[:-2] + (law.shape[-1], self.moduli.size))
+        for j in range(self.state_mod.size):
+            out[..., self.state_mod[j]] += law[..., j, :]
+        return out
 
     def cdf_row(self, i: int, x_bin: int, sojourn: int) -> np.ndarray:
         t_slot = min(int(sojourn), self.kernel.t_max) - 1
@@ -352,8 +311,17 @@ class TripletKernel:
     inverse_v: Optional[EmpiricalInverse] = None
 
     def __post_init__(self):
-        self._mod_j = _ModulusTable(self.kernel_j)
-        self._mod_v = _ModulusTable(self.kernel_v)
+        cw, kj, kv = self.cond_wait, self.kernel_j, self.kernel_v
+        if not (np.array_equal(cw.x_edges, kj.index_edges)
+                and np.array_equal(cw.w_edges, kv.index_edges)):
+            raise ContractViolation("the waiting-time table's index edges differ "
+                                    "from the kernels' index edges")
+        if cw.pmf.shape[:4] != (kj.grid.n_states, kv.grid.n_states,
+                                kj.n_index_bins, kv.n_index_bins):
+            raise ContractViolation("the waiting-time table's shape does not match "
+                                    "the kernels' grids and index bins")
+        self.modulus_j = _ModulusTable(self.kernel_j)
+        self.modulus_v = _ModulusTable(self.kernel_v)
         self._event_cache: dict = {}
 
     # -- lookups ------------------------------------------------------------
@@ -363,21 +331,21 @@ class TripletKernel:
         return self.cond_wait.t_max
 
     def waiting_pmf(self, cell: ConditioningCell) -> np.ndarray:
-        return self.cond_wait.resolved_cube()[cell.i, cell.v, cell.x_bin, cell.w_bin]
+        return self.cond_wait.resolved[cell.i, cell.v, cell.x_bin, cell.w_bin]
 
     def modulus_cdf_j(self, cell: ConditioningCell, t: int, threshold: float) -> float:
-        return self._mod_j.eval(cell.i, cell.x_bin, t + cell.b_j, threshold)
+        return self.modulus_j.eval(cell.i, cell.x_bin, t + cell.b_j, threshold)
 
     def modulus_cdf_v(self, cell: ConditioningCell, t: int, threshold: float) -> float:
-        return self._mod_v.eval(cell.v, cell.w_bin, t + cell.b_v, threshold)
+        return self.modulus_v.eval(cell.v, cell.w_bin, t + cell.b_v, threshold)
 
     # -- signed value support -----------------------------------------------
 
     def signed_support_j(self) -> np.ndarray:
-        return _signed_support(self._mod_j.moduli)
+        return _signed_support(self.modulus_j.moduli)
 
     def signed_support_v(self) -> np.ndarray:
-        return _signed_support(self._mod_v.moduli)
+        return _signed_support(self.modulus_v.moduli)
 
     def event_value_pmf(self, cell: ConditioningCell) -> tuple:
         """Model law of the next event: (signed j values, signed v values,
@@ -395,15 +363,15 @@ class TripletKernel:
         for t in range(1, self.t_max + 1):
             if h[t - 1] <= 0.0:
                 continue
-            vol = self._modulus_volume(cell, t)
+            vol = self.modulus_volume(cell, t)
             out[t - 1] = h[t - 1] * self._sign_split(vol)
         self._event_cache[key] = (vj, vv, out)
         return vj, vv, out
 
-    def _modulus_volume(self, cell: ConditioningCell, t: int) -> np.ndarray:
+    def modulus_volume(self, cell: ConditioningCell, t: int) -> np.ndarray:
         """Joint modulus pmf at sojourn t via copula rectangle volumes."""
-        fj = self._mod_j.cdf_row(cell.i, cell.x_bin, t + cell.b_j)
-        fv = self._mod_v.cdf_row(cell.v, cell.w_bin, t + cell.b_v)
+        fj = self.modulus_j.cdf_row(cell.i, cell.x_bin, t + cell.b_j)
+        fv = self.modulus_v.cdf_row(cell.v, cell.w_bin, t + cell.b_v)
         fj = np.concatenate([[0.0], fj])
         fv = np.concatenate([[0.0], fv])
         grid = copula_eval(self.copula, fj[:, None], fv[None, :])
@@ -412,7 +380,7 @@ class TripletKernel:
 
     def _sign_split(self, vol: np.ndarray) -> np.ndarray:
         """Distribute a modulus-pair pmf onto signed values."""
-        mj, mv = self._mod_j.moduli, self._mod_v.moduli
+        mj, mv = self.modulus_j.moduli, self.modulus_v.moduli
         sj = _sign_matrix(mj, self.signs.p_j)
         sv = _sign_matrix(mv, self.signs.p_v)
         # out[a, b] = sum_{k,l} vol[k, l] * sj[k, a] * sv[l, b]
@@ -446,8 +414,8 @@ class ModelView:
         # plain-Python tables for the scalar lookups of cell_for
         self._exact_j = dict(zip(self.support_j.tolist(), self.state_of_j.tolist()))
         self._exact_v = dict(zip(self.support_v.tolist(), self.state_of_v.tolist()))
-        self._x_edges = tk.cond_wait.x_edges.tolist()
-        self._w_edges = tk.cond_wait.w_edges.tolist()
+        self._x_edges = tk.kernel_j.index_edges.tolist()
+        self._w_edges = tk.kernel_v.index_edges.tolist()
 
     @staticmethod
     def _resolution(kernel, support):
@@ -617,17 +585,15 @@ def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitCon
         grid_v = make_state_grid(v_values, cfg.n_states_v)
     chain_r = discretize(r_values, grid_r)
     chain_v = discretize(v_values, grid_v)
-    score_r = ScoreSpec(kind="ewma-squares", lam=cfg.lam_r)
-    score_v = ScoreSpec(kind="ewma-squares", lam=cfg.lam_v)
     kern_r = estimate_kernel(chain_r, IndexParams(
         lam=cfg.lam_r, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
-        sojourn_quantile=cfg.sojourn_quantile), score_r)
+        sojourn_quantile=cfg.sojourn_quantile))
     kern_v = estimate_kernel(chain_v, IndexParams(
         lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
-        sojourn_quantile=cfg.sojourn_quantile), score_v)
+        sojourn_quantile=cfg.sojourn_quantile))
     sync = synchronize(chain_r, chain_v)
-    idx_j = index_at_times(chain_r, sync.times, score_r)
-    idx_v = index_at_times(chain_v, sync.times, score_v)
+    idx_j = index_at_times(chain_r, sync.times, ScoreSpec(lam=cfg.lam_r))
+    idx_v = index_at_times(chain_v, sync.times, ScoreSpec(lam=cfg.lam_v))
     cond = estimate_cond_wait(sync, idx_j, idx_v,
                               x_edges=kern_r.index_edges,
                               w_edges=kern_v.index_edges,

@@ -1,5 +1,7 @@
 """Shared builders: toy grids, random kernels and triplet models, and the
 bundled synthetic heavy-tailed market fixture."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,33 @@ def random_triplet(rng, reps_j, reps_v, copula: CopulaSpec, t_max=3, n_bins=1,
         p_v=float(rng.uniform(0.2, 0.8)) if p_v is None else p_v)
     return TripletKernel(kernel_j=kj, kernel_v=kv, cond_wait=cond,
                          copula=copula, signs=signs)
+
+
+def _normalized(counts, law_ndim):
+    """Counts over their cells' totals, as the estimators compute the pmf."""
+    totals = counts.sum(axis=tuple(range(counts.ndim - law_ndim, counts.ndim)),
+                        keepdims=True)
+    return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+
+
+def knock_out(rng, tk: TripletKernel) -> TripletKernel:
+    """``tk`` with random conditioning cells, whole states and whole sojourn
+    slots emptied in both kernels, and random cells and whole state pairs
+    emptied in the waiting-time table, so that across draws every level of
+    every fallback ladder is reached."""
+    kernels = []
+    for kernel in (tk.kernel_j, tk.kernel_v):
+        c = kernel.counts.copy()
+        c[rng.random(c.shape[:2]) < 0.3] = 0
+        c[rng.random(c.shape[0]) < 0.2] = 0
+        c[..., rng.random(c.shape[-1]) < 0.2] = 0
+        kernels.append(dataclasses.replace(kernel, counts=c, pmf=_normalized(c, 2)))
+    c = tk.cond_wait.counts.copy()
+    c[rng.random(c.shape[:4]) < 0.3] = 0
+    c[rng.random(c.shape[:2]) < 0.2] = 0
+    cond = dataclasses.replace(tk.cond_wait, counts=c, pmf=_normalized(c, 1))
+    return dataclasses.replace(tk, kernel_j=kernels[0], kernel_v=kernels[1],
+                               cond_wait=cond)
 
 
 def heavy_tailed_series(n_minutes: int, seed: int):

@@ -169,8 +169,7 @@ def test_criterion_05_estimator_consistency():
     _, states, times = simulate_univariate(truth, None, seed=11, n_events=1_000_001)
     chain = JumpChain(states=states, times=times, grid=truth.grid)
     est = estimate_kernel(chain, IndexParams(
-        lam=truth.lam, index_edges=truth.index_edges, t_max=truth.t_max),
-        ScoreSpec("ewma-squares", lam=truth.lam))
+        lam=truth.lam, index_edges=truth.index_edges, t_max=truth.t_max))
     max_z = 0.0
     outside_one = 0
     total = 0

@@ -23,6 +23,14 @@ def small_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def small_model(small_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["estimate", "--input", small_csv, "--states-r", "3", "--states-v", "3",
+                 "--index-bins", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
 def _read_manifest(out_dir, name="manifest.json"):
     return json.loads((Path(out_dir) / name).read_text())
 
@@ -178,6 +186,42 @@ class TestErrors:
                      "--out", str(tmp_path / "opt.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("session", ["9-17", "24:00-25:00", "09:60-17:00",
+                                         "17:30-09:00"])
+    def test_bad_session_exits_2(self, small_csv, tmp_path, capsys, session):
+        code = main(["analyze", "--input", small_csv, "--session", session,
+                     "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("damage, command, code, error", [
+        ("not json", "simulate", 3, "ParseError"),
+        ("no cond_wait", "simulate", 3, "ParseError"),
+        ("kernel_j lambda not a number", "simulate", 3, "ParseError"),
+        ("cond_wait counts lost a state", "simulate", 2, "ParameterError"),
+        ("kernel_j counts lost a state", "simulate", 2, "ParameterError"),
+        ("cond_wait x_edges moved", "fpt", 2, "ContractViolation"),
+    ])
+    def test_bad_model_file(self, small_model, tmp_path, capsys, damage, command,
+                            code, error):
+        doc = json.loads(Path(small_model).read_text())
+        if damage == "no cond_wait":
+            del doc["cond_wait"]
+        elif damage == "kernel_j lambda not a number":
+            doc["kernel_j"]["lambda"] = "abc"
+        elif damage.endswith("lost a state"):
+            table = doc[damage.split()[0]]
+            table["counts"] = table["counts"][1:]
+        elif damage == "cond_wait x_edges moved":
+            doc["cond_wait"]["x_edges"][2] *= 1.5
+        path = tmp_path / "bad.json"
+        path.write_text("{not json" if damage == "not json" else json.dumps(doc))
+        args = (["simulate", "--minutes", "10"] if command == "simulate" else
+                ["fpt", "--rho", "1.0015", "--psi", "20", "--horizon", "3",
+                 "--paths", "100"])
+        assert main([*args, "--model", str(path), "--out", str(tmp_path / "o")]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -204,8 +204,8 @@ def oracle_fpt(tk, i0, v0, rho, psi, horizon):
     def rec(i_val, v_val, wj, dj, wv, dv, bj, bv, laj, lav, t0, prob):
         i_st = reps_j.get(i_val, mirror_j.get(i_val))
         v_st = reps_v.get(v_val, mirror_v.get(v_val))
-        xb = int(tk.cond_wait.x_bin((wj + i_val ** 2) / dj))
-        wb = int(tk.cond_wait.w_bin((wv + v_val ** 2) / dv))
+        xb = int(tk.kernel_j.index_bin((wj + i_val ** 2) / dj))
+        wb = int(tk.kernel_v.index_bin((wv + v_val ** 2) / dv))
         h = tk.cond_wait.pmf[i_st, v_st, xb, wb]
         for soj in range(1, tk.t_max + 1):
             p_soj = float(h[soj - 1])

@@ -1,7 +1,9 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
-``index_trajectory``, ``index_at_times``, ``compute_returns``) against the
-numpy-scalar versions they replaced, which are kept below as oracles. Every
-comparison is exact: same dtype, same shape, same doubles."""
+``index_trajectory``, ``index_at_times``, ``compute_returns``), the mask
+version of ``value_wait_pairs`` and the shared fallback-ladder resolver
+against the versions they replaced, which are kept below as oracles. Every
+comparison is exact: same shape and the same doubles, and the same dtype
+where the loop built a new array."""
 import dataclasses
 import math
 import warnings
@@ -9,7 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import heavy_tailed_series, random_chain, random_kernel, toy_grid
+from conftest import (
+    heavy_tailed_series,
+    knock_out,
+    random_chain,
+    random_kernel,
+    random_triplet,
+    toy_grid,
+)
+from wismc.copulas import CopulaSpec
 from wismc.core import (
     IndexParams,
     JumpChain,
@@ -22,9 +32,15 @@ from wismc.core import (
     make_state_grid,
 )
 from wismc.errors import ParameterError
-from wismc.market_data import Bar, BarSeries, ReturnSeries, compute_returns
+from wismc.market_data import (
+    Bar,
+    BarSeries,
+    ReturnSeries,
+    compute_returns,
+    value_wait_pairs,
+)
 from wismc.simulate import backtransform, simulate_univariate
-from wismc.triplet import EmpiricalInverse
+from wismc.triplet import EmpiricalInverse, fit_triplet_kernel, _ModulusTable
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before they moved off numpy scalars
@@ -131,6 +147,111 @@ def oracle_compute_returns(series, kind="price-return"):
                         skipped_pairs=skipped)
 
 
+def oracle_value_wait_pairs(r: ReturnSeries):
+    x = r.values
+    ends = set(int(b) for b in r.session_boundaries)
+    values, waits = [], []
+    start = 0
+    for t in range(1, x.size + 1):
+        boundary = (t == x.size) or (t - 1 in ends)
+        if boundary or x[t] != x[t - 1]:
+            if t - start >= 1 and not (t == x.size or t - 1 in ends):
+                # run ended by a genuine value change
+                values.append(x[start])
+                waits.append(t - start)
+            start = t
+    return np.array(values), np.array(waits, dtype=np.int64)
+
+
+def oracle_kernel_ladder(kernel):
+    """IndexedKernel's fallback ladder as it was written out in the class:
+    (resolved pmf, levels, state pmf, global pmf)."""
+    s = kernel.grid.n_states
+    cell_total = kernel.counts.sum(axis=(2, 3))
+    state_tot = kernel.counts.sum(axis=(1, 2, 3), keepdims=False)
+    state_pmf = np.zeros((s, s, kernel.t_max))
+    pooled = kernel.counts.sum(axis=1)
+    nz = state_tot > 0
+    state_pmf[nz] = pooled[nz] / state_tot[nz, None, None]
+    g = kernel.counts.sum(axis=(0, 1))
+    global_pmf = g / g.sum() if g.sum() > 0 else np.full((s, kernel.t_max), 1.0 / (s * kernel.t_max))
+
+    def cell_pmf(i, b):
+        if cell_total[i, b] > 0:
+            return kernel.pmf[i, b], 0
+        if state_pmf[i].sum() > 0:
+            return state_pmf[i], 1
+        return global_pmf, 2
+
+    resolved = np.empty(kernel.pmf.shape)
+    level = np.empty(cell_total.shape, dtype=np.int64)
+    for i in range(s):
+        for b in range(kernel.n_index_bins):
+            resolved[i, b], level[i, b] = cell_pmf(i, b)
+    return resolved, level, state_pmf, global_pmf
+
+
+def oracle_cond_wait_ladder(cond):
+    """CondWaitDist's fallback ladder and resolved_cube(): (cube, levels)."""
+    tot = cond.counts.sum(axis=(2, 3, 4))
+    pooled = cond.counts.sum(axis=(2, 3))
+    pair_pmf = np.zeros(pooled.shape, dtype=float)
+    nz = tot > 0
+    pair_pmf[nz] = pooled[nz] / tot[nz, None]
+    g = cond.counts.sum(axis=(0, 1, 2, 3))
+    global_pmf = g / g.sum() if g.sum() > 0 else np.full(cond.t_max, 1.0 / cond.t_max)
+
+    def cell_pmf(i, v, xb, wb):
+        if cond.counts[i, v, xb, wb].sum() > 0:
+            return cond.pmf[i, v, xb, wb], 0
+        if pair_pmf[i, v].sum() > 0:
+            return pair_pmf[i, v], 1
+        return global_pmf, 2
+
+    cube = cond.pmf.copy()
+    level = np.zeros(cond.counts.shape[:4], dtype=np.int64)
+    empty = cond.counts.sum(axis=4) == 0
+    for i, v, xb, wb in zip(*np.nonzero(empty)):
+        cube[i, v, xb, wb], level[i, v, xb, wb] = cell_pmf(i, v, xb, wb)
+    return cube, level
+
+
+def oracle_modulus_cdf(kernel, state_pmf, global_pmf):
+    """_ModulusTable's triple loop: (cdf cube, rows on the sojourn-free law)."""
+    moduli, state_mod = kernel.grid.moduli()
+    s, b, _, t_max = kernel.pmf.shape
+    k = moduli.size
+    fold = np.zeros((s, b, t_max, k))
+    for j in range(s):
+        fold[:, :, :, state_mod[j]] += kernel.pmf[:, :, j, :]
+    state_fold = np.zeros((s, t_max, k))
+    glob_fold = np.zeros((t_max, k))
+    for j in range(s):
+        state_fold[:, :, state_mod[j]] += state_pmf[:, j, :]
+        glob_fold[:, state_mod[j]] += global_pmf[j, :]
+    cdf = np.empty((s, b, t_max, k))
+    fallback_cells = 0
+    for i in range(s):
+        uncond = state_fold[i].sum(axis=0)
+        if uncond.sum() <= 0:
+            uncond = glob_fold.sum(axis=0)
+        uncond = uncond / uncond.sum()
+        for xb in range(b):
+            for t in range(t_max):
+                row = fold[i, xb, t]
+                tot = row.sum()
+                if tot <= 0:
+                    row, tot = state_fold[i, t], state_fold[i, t].sum()
+                if tot <= 0:
+                    row, tot = glob_fold[t], glob_fold[t].sum()
+                if tot <= 0:
+                    row, tot = uncond, 1.0
+                    fallback_cells += 1
+                cdf[i, xb, t] = np.cumsum(row / tot)
+    cdf[..., -1] = 1.0
+    return cdf, fallback_cells
+
+
 def assert_identical(a, b):
     if a is None or b is None:
         assert a is None and b is None
@@ -147,8 +268,7 @@ def _fitted(seed, n_states, lam, n_bins):
     r, _ = heavy_tailed_series(4000, seed)
     grid = make_state_grid(r, n_states)
     kernel = estimate_kernel(discretize(r, grid),
-                             IndexParams(lam=lam, n_index_bins=n_bins),
-                             ScoreSpec(lam=lam))
+                             IndexParams(lam=lam, n_index_bins=n_bins))
     return kernel, EmpiricalInverse.from_data(r, grid)
 
 
@@ -318,3 +438,78 @@ def test_compute_returns_fixture(market_csv):
     bars = load_bars(market_csv["path"])
     assert bars.n_sessions > 1
     _same_returns(bars)
+
+
+# ---------------------------------------------------------------------------
+# value_wait_pairs
+
+
+def _same_pairs(values, boundaries):
+    r = ReturnSeries(values=np.asarray(values, dtype=float), kind="price-return",
+                     session_boundaries=np.asarray(boundaries, dtype=np.int64),
+                     positions=np.arange(len(values), dtype=np.int64))
+    for a, b in zip(oracle_value_wait_pairs(r), value_wait_pairs(r)):
+        assert_identical(a, b)
+
+
+def test_value_wait_pairs_edge_series():
+    _same_pairs([], [])
+    _same_pairs([0.5], [0])
+    _same_pairs([0.0, 0.0, 1.0, 1.0, 0.0], [1, 1, 3, 3])  # duplicate boundaries
+    _same_pairs([0.0, 1.0, 1.0, 2.0], [3])  # a boundary at the last value
+    _same_pairs([1.0, 1.0, 1.0], [])
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        values = rng.integers(0, 3, n) * 0.5
+        boundaries = np.sort(rng.integers(0, max(n, 1), int(rng.integers(0, 6))))
+        _same_pairs(values, boundaries)
+
+
+def test_value_wait_pairs_fixture(market_csv):
+    from wismc.market_data import load_bars
+    bars = load_bars(market_csv["path"])
+    for kind in ("price-return", "volume-return"):
+        r = compute_returns(bars, kind)
+        for a, b in zip(oracle_value_wait_pairs(r), value_wait_pairs(r)):
+            assert_identical(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the fallback ladders of the kernel, waiting-time and modulus tables
+
+
+def _same_ladders(tk, reached):
+    for kernel in (tk.kernel_j, tk.kernel_v):
+        resolved, level, state_pmf, global_pmf = oracle_kernel_ladder(kernel)
+        assert np.array_equal(kernel.resolved, resolved)
+        assert np.array_equal(kernel.level, level)
+        table = _ModulusTable(kernel)
+        cdf, fallback_cells = oracle_modulus_cdf(kernel, state_pmf, global_pmf)
+        assert np.array_equal(table.cdf, cdf)
+        assert (table.level >= 3).sum() == fallback_cells
+        reached["kernel"].update(level.ravel().tolist())
+        reached["modulus"].update(table.level.ravel().tolist())
+    cube, level = oracle_cond_wait_ladder(tk.cond_wait)
+    assert np.array_equal(tk.cond_wait.resolved, cube)
+    assert np.array_equal(tk.cond_wait.level, level)
+    reached["cond_wait"].update(level.ravel().tolist())
+
+
+def test_ladders_fitted_fixture(market_csv):
+    reached = {"kernel": set(), "cond_wait": set(), "modulus": set()}
+    _same_ladders(fit_triplet_kernel(market_csv["r"], market_csv["v"]), reached)
+    assert reached["cond_wait"] == {0, 1, 2}
+
+
+def test_ladders_random_knockouts():
+    reached = {"kernel": set(), "cond_wait": set(), "modulus": set()}
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n_bins = int(rng.integers(1, 4))
+        tk = knock_out(rng, random_triplet(rng, [-0.02, 0.0, 0.01, 0.02],
+                                           [-1.0, 0.5, 1.0], CopulaSpec("independence"),
+                                           n_bins=n_bins))
+        _same_ladders(tk, reached)
+    assert reached == {"kernel": {0, 1, 2}, "cond_wait": {0, 1, 2},
+                       "modulus": {0, 1, 2, 3, 4}}

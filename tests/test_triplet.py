@@ -1,21 +1,25 @@
 """Synchronization, the conditional waiting-time law, signs, and the
 copula-coupled kernel checked against an exhaustive enumeration oracle."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heavy_tailed_series, random_triplet, toy_grid
+from conftest import heavy_tailed_series, knock_out, random_triplet, toy_grid
 from wismc.copulas import CopulaSpec, copula_eval
 from wismc.core import IndexedKernel, JumpChain
 from wismc.errors import (
     AlignmentError,
     ContractViolation,
     EstimationError,
+    ParameterError,
     UndefinedConditionalError,
 )
 from wismc.triplet import (
     ConditioningCell,
+    _ModulusTable,
     ModelView,
     SignModel,
     TripletFitConfig,
@@ -367,6 +371,54 @@ class TestKernelEval:
                         assert abs(event.sum() - 1.0) <= 1e-12
 
 
+def _law(counts):
+    """Counts normalized; uniform when the whole table is empty, the one case
+    where a ladder takes a law that has no mass."""
+    total = counts.sum()
+    return counts / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)
+
+
+class TestFallbackLadder:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 3),
+           t_max=st.integers(1, 4), n_j=st.integers(2, 5), n_v=st.integers(2, 4))
+    def test_resolved_rows_are_the_ladder_laws(self, seed, n_bins, t_max, n_j, n_v):
+        # every table, with random cells, states and sojourn slots emptied:
+        # rows are laws, level 0 is exactly the observed cells, and a row at
+        # level k is the level-k law computed from the counts
+        rng = np.random.default_rng(seed)
+        reps_j = np.sort(rng.choice(np.arange(-3, 4), n_j, replace=False)) * 0.01
+        reps_v = np.sort(rng.choice(np.arange(-3, 4), n_v, replace=False)) * 0.5
+        tk = knock_out(rng, random_triplet(rng, reps_j, reps_v, CopulaSpec("independence"),
+                                           t_max=t_max, n_bins=n_bins))
+        for kernel in (tk.kernel_j, tk.kernel_v):
+            c = kernel.counts
+            assert np.abs(kernel.resolved.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
+            assert np.array_equal(kernel.level == 0, c.sum(axis=(2, 3)) > 0)
+            for (i, b), k in np.ndenumerate(kernel.level):
+                want = _law([c[i, b], c[i].sum(axis=0), c.sum(axis=(0, 1))][k])
+                assert np.abs(kernel.resolved[i, b] - want).max() <= 1e-12
+            table = _ModulusTable(kernel)
+            moduli, state_mod = kernel.grid.moduli()
+            assert np.array_equal(table.level == 0, c.sum(axis=2) > 0)
+            assert np.all(np.diff(table.cdf, axis=-1) >= -1e-12)
+            for (i, b, t), k in np.ndenumerate(table.level):
+                rows = [c[i, b, :, t], c[i, :, :, t].sum(axis=0),
+                        c[:, :, :, t].sum(axis=(0, 1)), c[i].sum(axis=(0, 2)),
+                        c.sum(axis=(0, 1, 3))]
+                want = np.bincount(state_mod, weights=_law(rows[k]),
+                                   minlength=moduli.size)
+                assert np.abs(table.cdf[i, b, t] - np.cumsum(want)).max() <= 1e-12
+        cw = tk.cond_wait
+        c = cw.counts
+        assert np.abs(cw.resolved.sum(axis=4) - 1.0).max() <= 1e-12
+        assert np.array_equal(cw.level == 0, c.sum(axis=4) > 0)
+        for (i, v, xb, wb), k in np.ndenumerate(cw.level):
+            want = _law([c[i, v, xb, wb], c[i, v].sum(axis=(0, 1)),
+                         c.sum(axis=(0, 1, 2, 3))][k])
+            assert np.abs(cw.resolved[i, v, xb, wb] - want).max() <= 1e-12
+
+
 class TestModelView:
     def test_cell_for_matches_array_lookups(self):
         # the scalar path against the array lookups it stands in for:
@@ -385,7 +437,7 @@ class TestModelView:
             xj, wv = float(rng.choice(index)), float(rng.choice(index))
             want = ConditioningCell(
                 i=int(view.states_j(i_val)), v=int(view.states_v(v_val)),
-                x_bin=int(tk.cond_wait.x_bin(xj)), w_bin=int(tk.cond_wait.w_bin(wv)),
+                x_bin=int(tk.kernel_j.index_bin(xj)), w_bin=int(tk.kernel_v.index_bin(wv)),
                 b_j=1, b_v=2)
             assert view.cell_for(i_val, v_val, xj, wv, 1, 2) == want
 
@@ -401,6 +453,19 @@ class TestFitPipeline:
         assert tk.kernel_j.grid.n_states == 5
         occ = tk.cond_wait.counts.sum(axis=4) > 0
         assert np.allclose(tk.cond_wait.pmf.sum(axis=4)[occ], 1.0, atol=1e-12)
+
+    def test_cond_wait_must_match_the_kernels(self):
+        rng = np.random.default_rng(3)
+        tk = random_triplet(rng, [-0.02, 0.01, 0.03], [-1.0, 0.5],
+                            CopulaSpec("independence"), n_bins=2)
+        cw = tk.cond_wait
+        with pytest.raises(ParameterError):
+            dataclasses.replace(cw, counts=cw.counts[1:])
+        for bad in (dataclasses.replace(cw, x_edges=cw.x_edges * 1.5),
+                    dataclasses.replace(cw, w_edges=cw.w_edges[:-1]),
+                    dataclasses.replace(cw, counts=cw.counts[1:], pmf=cw.pmf[1:])):
+            with pytest.raises(ContractViolation):
+                dataclasses.replace(tk, cond_wait=bad)
 
     def test_misaligned_series(self):
         with pytest.raises(AlignmentError):

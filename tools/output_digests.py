@@ -1,0 +1,72 @@
+"""Print the SHA-256 digest of every file the CLI writes on two fixed inputs.
+
+Usage: python tools/output_digests.py OUTDIR
+
+OUTDIR must be empty or absent. The script writes two bar files, the bundled
+test fixture (``heavy_tailed_series(30000, 42)``) and the benchmark's stock
+(``make_stock`` with seed 101), runs ``analyze``, ``optimize``, ``estimate``,
+``simulate`` and ``fpt`` (Monte Carlo and recursion) on each, and prints one
+``sha256  relative/path`` line per file, inputs and manifests included.
+
+Manifests record the paths they were given, so two checkouts write the same
+lines for the same OUTDIR exactly when every output is byte-identical.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+FPT_BARRIERS = ["--rho", "1.0015", "--psi", "20"]
+
+
+def commands(d: Path) -> list:
+    bars, model = str(d / "bars.csv"), str(d / "model.json")
+    return [
+        ["analyze", "--input", bars, "--out", str(d / "analyze")],
+        ["estimate", "--input", bars, "--out", model],
+        ["optimize", "--input", bars, "--states", "3,5", "--lambdas", "0.97",
+         "--reps", "1", "--out", str(d / "opt.json")],
+        ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
+         "--out", str(d / "sim")],
+        ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "30",
+         "--method", "mc", "--out", str(d / "fpt_mc")],
+        ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3",
+         "--method", "recursion", "--out", str(d / "fpt_recursion")],
+    ]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        sys.stderr.write(f"{out} is not empty\n")
+        return 2
+    from bench_inputs import fixture_module, make_stock
+    from wismc.cli import main as wismc_main
+
+    fx = fixture_module()
+    inputs = {"fixture": lambda p: fx.write_bar_csv(p, *fx.heavy_tailed_series(30000, 42)),
+              "stock101": lambda p: make_stock(p, seed=101)}
+    for name, write in inputs.items():
+        d = out / name
+        d.mkdir(parents=True)
+        write(d / "bars.csv")
+        for argv_ in commands(d):
+            code = wismc_main(argv_)
+            if code != 0:
+                sys.stderr.write(f"{' '.join(argv_)} exited {code}\n")
+                return 1
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
