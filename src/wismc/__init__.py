@@ -32,7 +32,6 @@ from .finfunc import (
     signed_covariance,
 )
 from .market_data import (
-    Bar,
     BarSeries,
     ContingencyTable,
     DescriptiveStats,

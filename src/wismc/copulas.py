@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy import stats
-from scipy.special import ndtr, roots_genlaguerre, stdtr
+from scipy.special import ndtr, ndtri, roots_genlaguerre, stdtr, stdtrit
 
 from .errors import EstimationError, ParameterError
 
@@ -33,10 +32,10 @@ def _bvn_cdf(x, y, rho: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if rho >= 1.0:
-        return stats.norm.cdf(np.minimum(x, y))
+        return ndtr(np.minimum(x, y))
     if rho <= -1.0:
-        return np.maximum(stats.norm.cdf(x) + stats.norm.cdf(y) - 1.0, 0.0)
-    base = stats.norm.cdf(x) * stats.norm.cdf(y)
+        return np.maximum(ndtr(x) + ndtr(y) - 1.0, 0.0)
+    base = ndtr(x) * ndtr(y)
     if rho == 0.0:
         return base
     upper = np.arcsin(rho)
@@ -127,9 +126,9 @@ def copula_eval(spec: CopulaSpec, u, v):
     if spec.family == "independence":
         out[interior] = ui * vi
     elif spec.family == "gaussian":
-        out[interior] = _bvn_cdf(stats.norm.ppf(ui), stats.norm.ppf(vi), spec.rho)
+        out[interior] = _bvn_cdf(ndtri(ui), ndtri(vi), spec.rho)
     elif spec.family == "t":
-        out[interior] = _bvt_cdf(stats.t.ppf(ui, spec.df), stats.t.ppf(vi, spec.df),
+        out[interior] = _bvt_cdf(stdtrit(spec.df, ui), stdtrit(spec.df, vi),
                                  spec.rho, spec.df)
     elif spec.family == "clayton":
         th = spec.theta
@@ -162,13 +161,16 @@ def fit_copula(x, y, family: str = "gaussian", df: float = 4.0) -> CopulaSpec:
     meta = {"n": n}
     if family == "independence":
         return CopulaSpec(family="independence", fitted_from=meta)
+    # scipy.stats costs most of `import wismc`, so only a rank fit loads it
+    from scipy.stats import kendalltau, rankdata
+
     if family == "gaussian":
-        zu = stats.norm.ppf(stats.rankdata(x) / (n + 1.0))
-        zv = stats.norm.ppf(stats.rankdata(y) / (n + 1.0))
+        zu = ndtri(rankdata(x) / (n + 1.0))
+        zv = ndtri(rankdata(y) / (n + 1.0))
         rho = float(np.corrcoef(zu, zv)[0, 1])
         rho = min(max(rho, -1.0 + 1e-12), 1.0 - 1e-12)
         return CopulaSpec(family="gaussian", rho=rho, fitted_from=meta)
-    tau = float(stats.kendalltau(x, y).statistic)
+    tau = float(kendalltau(x, y).statistic)
     meta["kendall_tau"] = tau
     capped = min(tau, 1.0 - 1e-9)  # perfect concordance maps to a large theta
     if family == "clayton":

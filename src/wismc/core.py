@@ -443,6 +443,8 @@ class IndexedKernel:
         self.index_edges = np.asarray(self.index_edges, dtype=float)
         self.counts = np.asarray(self.counts)
         self.pmf = np.asarray(self.pmf, dtype=float)
+        if not 0.0 < self.lam <= 1.0:
+            raise ParameterError("lambda must lie in (0, 1]")
         s, b = self.grid.n_states, self.n_index_bins
         if self.pmf.shape != (s, b, s, self.t_max):
             raise ParameterError("pmf shape does not match grid/bins/t_max")

@@ -8,7 +8,7 @@ import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from .errors import (
     AlignmentError,
@@ -21,7 +21,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Bar",
     "BarSeries",
     "ReturnSeries",
     "DescriptiveStats",
@@ -41,25 +40,21 @@ MINUTES_PER_DAY = 1440
 DEFAULT_SESSION = (9 * 60, 17 * 60 + 30)  # 09:00-17:30 inclusive
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One minute bar: wall-clock minute since epoch, last price, cumulated
-    transaction count."""
-
-    minute: int
-    price: float
-    volume: int
-
-
 @dataclass
 class BarSeries:
-    """Bars grouped into trading sessions (one session per calendar day).
+    """Minute bars grouped into trading sessions (one session per calendar
+    day).
 
-    ``session_starts`` holds the index of the first bar of each session.
-    Every bar's minute-of-day lies inside [session_open, session_close].
+    ``minutes`` (int64 minutes since the epoch), ``prices`` (float last
+    prices) and ``volumes`` (float holding whole cumulated transaction
+    counts) are aligned arrays with one entry per bar. ``session_starts``
+    holds the index of the first bar of each session. Every bar's
+    minute-of-day lies inside [session_open, session_close].
     """
 
-    bars: list
+    minutes: np.ndarray
+    prices: np.ndarray
+    volumes: np.ndarray
     session_open: int
     session_close: int
     session_starts: np.ndarray
@@ -70,17 +65,11 @@ class BarSeries:
         return self.session_starts.size
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    def prices(self) -> np.ndarray:
-        return np.array([b.price for b in self.bars])
-
-    def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self.bars], dtype=float)
+        return self.minutes.size
 
     def session_of(self) -> np.ndarray:
         """Session index of each bar."""
-        pos = np.searchsorted(self.session_starts, np.arange(len(self.bars)),
+        pos = np.searchsorted(self.session_starts, np.arange(len(self)),
                               side="right") - 1
         return np.maximum(pos, 0).astype(np.int64)
 
@@ -141,57 +130,106 @@ def _parse_session(spec) -> tuple:
     return h1 * 60 + m1, h2 * 60 + m2
 
 
+def _column(texts, convert, dtype):
+    """``convert`` applied to each text, as an array of ``dtype``. Stops
+    before the first text it rejects; returns the array and that text's index
+    (``len(texts)`` when it rejects none)."""
+    try:
+        return np.fromiter(map(convert, texts), dtype, len(texts)), len(texts)
+    except (ValueError, OverflowError, ParseError):
+        pass
+    for k, text in enumerate(texts):
+        try:
+            np.fromiter((convert(text),), dtype, 1)
+        except (ValueError, OverflowError, ParseError):
+            return np.fromiter(map(convert, texts[:k]), dtype, k), k
+
+
 def load_bars(path, session=None, columns=None) -> BarSeries:
-    """Read a CSV of minute bars.
+    """Read a CSV of minute bars into a :class:`BarSeries` of aligned arrays.
 
     Expects a header with ``timestamp,price,volume`` (remappable through
     ``columns``); the timestamp is either ``YYYY-MM-DDTHH:MM`` or integer
-    epoch-minutes, auto-detected per row. Rows outside the trading session
-    are excluded and counted. Timestamps must be strictly increasing.
+    epoch-minutes, auto-detected per row. Volumes are truncated to whole
+    counts. Blank lines are skipped, and line numbers count the header and
+    the non-blank rows.
+
+    The whole file is checked before the session filter: a short row, a bad
+    timestamp or number, a non-finite or non-positive price and a non-finite
+    or negative volume raise :class:`ParseError`, and a timestamp not
+    strictly after the previous row's raises :class:`OrderingError`. The
+    error names the first faulty row. Rows outside the trading session are
+    then excluded and counted, with a warning.
     """
     session_open, session_close = _parse_session(session)
     colmap = {"timestamp": "timestamp", "price": "price", "volume": "volume"}
     if columns:
         colmap.update(columns)
-    bars = []
-    excluded = 0
-    last_minute = None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("missing header row", 1)
+        # a repeated name means its last column, as in csv.DictReader
+        where = {name: k for k, name in enumerate(header)}
         for want in colmap.values():
-            if want not in reader.fieldnames:
+            if want not in where:
                 raise ParseError(f"missing column {want!r}", 1)
-        for line_no, row in enumerate(reader, start=2):
-            minute = _parse_minute(row[colmap["timestamp"]], line_no)
-            try:
-                price = float(row[colmap["price"]])
-                volume = int(float(row[colmap["volume"]]))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad numeric field in {row!r}", line_no) from exc
-            if price <= 0:
-                raise ParseError(f"non-positive price {price}", line_no)
-            if volume < 0:
-                raise ParseError(f"negative volume {volume}", line_no)
-            if last_minute is not None and minute <= last_minute:
-                raise OrderingError(
-                    f"line {line_no}: timestamp not strictly increasing")
-            last_minute = minute
-            mod = minute % MINUTES_PER_DAY
-            if not session_open <= mod <= session_close:
-                excluded += 1
-                continue
-            bars.append(Bar(minute=minute, price=price, volume=volume))
+        rows = [row for row in reader if row]
+    idx = [where[colmap[key]] for key in ("timestamp", "price", "volume")]
+    width = max(idx) + 1
+    n = len(rows)
+    if rows and min(map(len, rows)) < width:
+        n = next(k for k, row in enumerate(rows) if len(row) < width)
+    whole = rows[:n]
+    stamps, price_text, volume_text = ([row[k] for row in whole] for k in idx)
+    parse_minute = (int if all(map(str.isdigit, stamps))
+                    else lambda text: _parse_minute(text, None))
+    minutes, k_time = _column(stamps, parse_minute, np.int64)
+    prices, k_price = _column(price_text, float, float)
+    volumes, k_volume = _column(volume_text, float, float)
+    k_number = min(k_price, k_volume)
+    stop = min(n, k_time, k_number)
+    minutes, prices = minutes[:stop], prices[:stop]
+    volumes = np.trunc(volumes[:stop]) + 0.0  # int(float(x)); -0.0 becomes 0.0
+
+    # (first faulty row, error) per check, len(rows) when it finds none. The
+    # earliest row is reported, by the first check listed that fails on it:
+    # the per-row order of the old row loop. The short-row check leads, as the
+    # conversion checks also read n when they find nothing.
+    def first(mask):
+        return int(mask.argmax()) if mask.any() else len(rows)
+
+    later = np.zeros(stop, dtype=bool)
+    later[1:] = minutes[1:] <= minutes[:-1]
+    k, error = min([
+        (n, lambda k: ParseError(f"short row {rows[k]!r}", k + 2)),
+        (k_time, lambda k: ParseError(f"bad timestamp {stamps[k]!r}", k + 2)),
+        (k_number, lambda k: ParseError(f"bad numeric field in {rows[k]!r}", k + 2)),
+        (first(~(np.isfinite(prices) & np.isfinite(volumes))),
+         lambda k: ParseError(f"non-finite price {prices[k]} or volume {volumes[k]}",
+                              k + 2)),
+        (first(prices <= 0), lambda k: ParseError(f"non-positive price {prices[k]}", k + 2)),
+        (first(volumes < 0), lambda k: ParseError(f"negative volume {volumes[k]:.0f}", k + 2)),
+        (first(later),
+         lambda k: OrderingError(f"line {k + 2}: timestamp not strictly increasing")),
+    ], key=lambda check: check[0])
+    if k < len(rows):
+        raise error(k)
+
+    mod = minutes % MINUTES_PER_DAY
+    keep = (session_open <= mod) & (mod <= session_close)
+    excluded = int(keep.size - keep.sum())
     if excluded:
         warnings.warn(f"excluded {excluded} rows outside session hours")
-    days = np.array([b.minute // MINUTES_PER_DAY for b in bars])
-    if days.size:
+    minutes, prices, volumes = minutes[keep], prices[keep], volumes[keep]
+    if minutes.size:
+        days = minutes // MINUTES_PER_DAY
         starts = np.concatenate([[0], np.flatnonzero(np.diff(days) != 0) + 1])
     else:
         starts = np.empty(0, dtype=np.int64)
-    return BarSeries(bars=bars, session_open=session_open,
-                     session_close=session_close,
+    return BarSeries(minutes=minutes, prices=prices, volumes=volumes,
+                     session_open=session_open, session_close=session_close,
                      session_starts=starts.astype(np.int64),
                      excluded_rows=excluded)
 
@@ -202,7 +240,7 @@ def compute_returns(series: BarSeries, kind: str = "price-return") -> ReturnSeri
     volume are skipped and counted."""
     if kind not in ("price-return", "volume-return"):
         raise ValueError(f"unknown return kind {kind!r}")
-    x = series.prices() if kind == "price-return" else series.volumes()
+    x = series.prices if kind == "price-return" else series.volumes
     session = series.session_of()
     same = session[1:] == session[:-1]
     keep = same
@@ -284,7 +322,7 @@ def jarque_bera(values, alpha: float = 0.01):
         raise InsufficientDataError("need at least 8 observations")
     d = descriptive_stats(x)
     jb = x.size / 6.0 * (d.skewness ** 2 + d.kurtosis ** 2 / 4.0)
-    p = float(sps.chi2.sf(jb, 2))
+    p = float(chdtrc(2, jb))
     return float(jb), p, p < alpha
 
 
@@ -312,6 +350,9 @@ def cross_correlation_battery(r, v):
     y = np.asarray(getattr(v, "values", v), dtype=float)
     if x.size != y.size:
         raise AlignmentError("series lengths differ; align them first")
+    # scipy.stats costs most of `import wismc`, so only this battery loads it
+    from scipy.stats import pearsonr
+
     rows = []
     for name, a, b in [
         ("r,v", x, y),
@@ -319,7 +360,7 @@ def cross_correlation_battery(r, v):
         ("r,|v|", x, np.abs(y)),
         ("|r|,|v|", np.abs(x), np.abs(y)),
     ]:
-        res = sps.pearsonr(a, b)
+        res = pearsonr(a, b)
         rows.append({"pair": name, "rho": float(res.statistic),
                      "p_value": float(res.pvalue)})
     return rows
@@ -412,7 +453,7 @@ def contingency(values, waits, state_edges, wait_edges) -> ContingencyTable:
         row_edges=wait_edges, col_edges=state_edges,
         observed=observed, expected=expected_full,
         chi2_statistic=chi2, degrees_of_freedom=dof,
-        p_value=float(sps.chi2.sf(chi2, dof)),
+        p_value=float(chdtrc(dof, chi2)),
         low_expected_cells=low,
         dropped_rows=int((~keep_r).sum()), dropped_cols=int((~keep_c).sum()))
 

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, manifests, exit codes and determinism."""
 import functools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,15 @@ def small_model(small_csv, tmp_path_factory):
 
 def _read_manifest(out_dir, name="manifest.json"):
     return json.loads((Path(out_dir) / name).read_text())
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of a cold start, so only the subcommands that use
+    it (analyze's battery and the copula fit) load it."""
+    code = "import sys, wismc; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(wismc.__file__).parent.parent)
+    assert out.stdout.strip() == "False"
 
 
 class TestAnalyze:
@@ -199,6 +210,7 @@ class TestErrors:
         ("not json", "simulate", 3, "ParseError"),
         ("no cond_wait", "simulate", 3, "ParseError"),
         ("kernel_j lambda not a number", "simulate", 3, "ParseError"),
+        ("kernel_v lambda above 1", "simulate", 2, "ParameterError"),
         ("cond_wait counts lost a state", "simulate", 2, "ParameterError"),
         ("kernel_j counts lost a state", "simulate", 2, "ParameterError"),
         ("cond_wait x_edges moved", "fpt", 2, "ContractViolation"),
@@ -210,6 +222,8 @@ class TestErrors:
             del doc["cond_wait"]
         elif damage == "kernel_j lambda not a number":
             doc["kernel_j"]["lambda"] = "abc"
+        elif damage == "kernel_v lambda above 1":
+            doc["kernel_v"]["lambda"] = 1.5
         elif damage.endswith("lost a state"):
             table = doc[damage.split()[0]]
             table["counts"] = table["counts"][1:]
@@ -222,6 +236,17 @@ class TestErrors:
                  "--paths", "100"])
         assert main([*args, "--model", str(path), "--out", str(tmp_path / "o")]) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize("price, volume", [("nan", "7"), ("inf", "7"), ("10.2", "inf"),
+                                               ("10.2", "-inf")])
+    def test_non_finite_bar_exits_3(self, tmp_path, capsys, price, volume):
+        day = 20000 * 1440 + 540
+        path = tmp_path / "bars.csv"
+        path.write_text(f"timestamp,price,volume\n{day},10.0,5\n{day + 1},10.1,6\n"
+                        f"{day + 2},{price},{volume}\n{day + 3},10.3,8\n")
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError" and err["message"].startswith("line 4:")
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -148,3 +148,27 @@ class TestValidation:
             CopulaSpec("gumbel", theta=0.5)
         with pytest.raises(ParameterError):
             CopulaSpec("nope")
+
+
+def test_special_functions_match_scipy_stats():
+    """The scipy.special calls that stand in for scipy.stats at import time
+    give the same doubles, tails and exact 0 and 1 included."""
+    from scipy import stats
+    from scipy.special import chdtrc, ndtr, ndtri, stdtrit
+
+    rng = np.random.default_rng(77)
+    tiny = 10.0 ** -rng.uniform(10, 300, 2000)
+    u = np.concatenate([rng.random(20000), tiny, 1e-10 * rng.random(2000), 1.0 - tiny,
+                        1.0 - 1e-10 * rng.random(2000), [0.0, 0.5, 1.0]])
+    x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-40, 40, 2000),
+                        [-np.inf, -0.0, 0.0, np.inf]])
+    assert np.array_equal(ndtr(x), stats.norm.cdf(x))
+    assert np.array_equal(ndtri(u), stats.norm.ppf(u))
+    # stdtrit(df, 0) is +inf where t.ppf gives -inf; copula_eval never
+    # passes it an argument below 1e-12
+    inner = u[u > 0]
+    for df in (2.5, 4.0, 7.0):
+        assert np.array_equal(stdtrit(df, inner), stats.t.ppf(inner, df))
+    chi = np.concatenate([rng.exponential(5.0, 20000), rng.uniform(0, 400, 2000), [0.0]])
+    for k in (1, 2, 4, 9, 16):
+        assert np.array_equal(chdtrc(k, chi), stats.chi2.sf(chi, k))

@@ -1,12 +1,15 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
 ``index_trajectory``, ``index_at_times``, ``compute_returns``), the mask
-version of ``value_wait_pairs`` and the shared fallback-ladder resolver
-against the versions they replaced, which are kept below as oracles. Every
-comparison is exact: same shape and the same doubles, and the same dtype
-where the loop built a new array."""
+version of ``value_wait_pairs``, the shared fallback-ladder resolver and the
+column-wise ``load_bars`` against the versions they replaced, which are kept
+below as oracles. Every comparison is exact: same shape and the same doubles,
+and the same dtype where the loop built a new array."""
+import csv
 import dataclasses
 import math
+import re
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,12 +34,15 @@ from wismc.core import (
     index_trajectory,
     make_state_grid,
 )
-from wismc.errors import ParameterError
+from wismc.errors import OrderingError, ParameterError, ParseError
 from wismc.market_data import (
-    Bar,
+    MINUTES_PER_DAY,
     BarSeries,
     ReturnSeries,
+    _parse_minute,
+    _parse_session,
     compute_returns,
+    load_bars,
     value_wait_pairs,
 )
 from wismc.simulate import backtransform, simulate_univariate
@@ -123,8 +129,8 @@ def oracle_index_at_times(chain, query_times, score):
 
 
 def oracle_compute_returns(series, kind="price-return"):
-    x = series.prices() if kind == "price-return" else series.volumes()
-    session = np.zeros(len(series.bars), dtype=np.int64)
+    x = series.prices if kind == "price-return" else series.volumes
+    session = np.zeros(len(series), dtype=np.int64)
     for s, start in enumerate(series.session_starts):
         session[start:] = s
     values, positions, boundaries = [], [], []
@@ -145,6 +151,61 @@ def oracle_compute_returns(series, kind="price-return"):
                         session_boundaries=np.array(boundaries, dtype=np.int64),
                         positions=np.array(positions, dtype=np.int64),
                         skipped_pairs=skipped)
+
+
+@dataclasses.dataclass(frozen=True)
+class Bar:
+    minute: int
+    price: float
+    volume: int
+
+
+def oracle_load_bars(path, session=None, columns=None):
+    """The per-row ``csv.DictReader`` loader that ``load_bars`` replaced;
+    returns the bars, the session starts and the excluded-row count in place
+    of a ``BarSeries``."""
+    session_open, session_close = _parse_session(session)
+    colmap = {"timestamp": "timestamp", "price": "price", "volume": "volume"}
+    if columns:
+        colmap.update(columns)
+    bars = []
+    excluded = 0
+    last_minute = None
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError("missing header row", 1)
+        for want in colmap.values():
+            if want not in reader.fieldnames:
+                raise ParseError(f"missing column {want!r}", 1)
+        for line_no, row in enumerate(reader, start=2):
+            minute = _parse_minute(row[colmap["timestamp"]], line_no)
+            try:
+                price = float(row[colmap["price"]])
+                volume = int(float(row[colmap["volume"]]))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad numeric field in {row!r}", line_no) from exc
+            if price <= 0:
+                raise ParseError(f"non-positive price {price}", line_no)
+            if volume < 0:
+                raise ParseError(f"negative volume {volume}", line_no)
+            if last_minute is not None and minute <= last_minute:
+                raise OrderingError(
+                    f"line {line_no}: timestamp not strictly increasing")
+            last_minute = minute
+            mod = minute % MINUTES_PER_DAY
+            if not session_open <= mod <= session_close:
+                excluded += 1
+                continue
+            bars.append(Bar(minute=minute, price=price, volume=volume))
+    if excluded:
+        warnings.warn(f"excluded {excluded} rows outside session hours")
+    days = np.array([b.minute // MINUTES_PER_DAY for b in bars])
+    if days.size:
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(days) != 0) + 1])
+    else:
+        starts = np.empty(0, dtype=np.int64)
+    return bars, starts.astype(np.int64), excluded
 
 
 def oracle_value_wait_pairs(r: ReturnSeries):
@@ -396,12 +457,15 @@ DAY = 20000 * 1440
 
 def _series(sessions):
     """BarSeries from per-session lists of (price, volume)."""
-    bars, starts = [], []
-    for day, rows in enumerate(sessions):
-        starts.append(len(bars))
-        bars += [Bar(minute=DAY + day * 1440 + 540 + k, price=p, volume=v)
-                 for k, (p, v) in enumerate(rows)]
-    return BarSeries(bars=bars, session_open=540, session_close=1050,
+    minutes, rows, starts = [], [], []
+    for day, session in enumerate(sessions):
+        starts.append(len(rows))
+        minutes += [DAY + day * 1440 + 540 + k for k in range(len(session))]
+        rows += session
+    prices = np.array([p for p, _ in rows], dtype=float)
+    volumes = np.array([v for _, v in rows], dtype=float)
+    return BarSeries(minutes=np.array(minutes, dtype=np.int64), prices=prices,
+                     volumes=volumes, session_open=540, session_close=1050,
                      session_starts=np.array(starts, dtype=np.int64))
 
 
@@ -438,6 +502,139 @@ def test_compute_returns_fixture(market_csv):
     bars = load_bars(market_csv["path"])
     assert bars.n_sessions > 1
     _same_returns(bars)
+
+
+# ---------------------------------------------------------------------------
+# load_bars
+
+
+def _loaded(load, path, **kw):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = load(path, **kw)
+    return out, [str(w.message) for w in caught]
+
+
+def _same_load(path, **kw):
+    (bars, starts, excluded), want_warnings = _loaded(oracle_load_bars, path, **kw)
+    got, got_warnings = _loaded(load_bars, path, **kw)
+    assert_identical(np.array([b.minute for b in bars], dtype=np.int64), got.minutes)
+    assert_identical(np.array([b.price for b in bars], dtype=float), got.prices)
+    assert_identical(np.array([b.volume for b in bars], dtype=float), got.volumes)
+    assert_identical(starts, got.session_starts)
+    assert got.excluded_rows == excluded and type(got.excluded_rows) is int
+    assert got_warnings == want_warnings
+    assert np.signbit(got.volumes).sum() == 0  # int() has no negative zero
+
+
+def _write_rows(tmp_path, rows, header="timestamp,price,volume", name="bars.csv"):
+    p = tmp_path / name
+    p.write_text("\n".join([header, *rows]) + "\n")
+    return p
+
+
+def _calendar(minute):
+    day, mod = divmod(minute, 1440)
+    date = (np.datetime64("1970-01-01") + np.timedelta64(day, "D")).item()
+    return f"{date.isoformat()}T{mod // 60:02d}:{mod % 60:02d}"
+
+
+def test_load_bars_fixture(market_csv):
+    _same_load(market_csv["path"])
+
+
+def test_load_bars_forms(tmp_path):
+    rng = np.random.default_rng(31)
+    minutes = DAY + np.sort(rng.choice(3 * 1440, 600, replace=False))  # in and out of session
+    prices = [repr(p) for p in np.round(10.0 + np.cumsum(rng.normal(0.0, 0.01, 600)), 4).tolist()]
+    volumes = [str(v) for v in rng.integers(0, 5000, 600).tolist()]
+    volumes[5] = "12.9"  # truncated, as int(float(x))
+    volumes[7] = "-0.5"  # truncates to 0, not negative
+    stamps = [str(m) for m in minutes.tolist()]
+    stamps[9] = f" {stamps[9]} "  # padded: parsed as text, not by the digit fast path
+    calendar = [_calendar(m) for m in minutes.tolist()]
+    mixed = [c if k % 3 else e for k, (e, c) in enumerate(zip(stamps, calendar))]
+    for name, column in (("epoch", stamps), ("calendar", calendar), ("mixed", mixed)):
+        path = _write_rows(tmp_path, [",".join(f) for f in zip(column, prices, volumes)],
+                           name=f"{name}.csv")
+        for session in (None, "00:00-23:59", "10:00-12:00", (0, 0)):
+            _same_load(path, session=session)
+    remapped = [f"x,{v},{t},{p}" for t, p, v in zip(stamps, prices, volumes)]
+    _same_load(_write_rows(tmp_path, remapped, header="note,qty,ts,last", name="remap.csv"),
+               columns={"timestamp": "ts", "price": "last", "volume": "qty"})
+    repeated = [f"{t},0,{p},{v}" for t, p, v in zip(stamps, prices, volumes)]
+    _same_load(_write_rows(tmp_path, repeated, header="timestamp,price,price,volume",
+                           name="repeated.csv"))  # the last column of a name is read
+    _same_load(_write_rows(tmp_path, [], name="header_only.csv"))
+    _same_load(_write_rows(tmp_path, ["", f"{DAY + 540},1.5,3", "", f"{DAY + 541},1.5,4", ""],
+                           name="blank_lines.csv"))
+
+
+def _error(load, path, **kw):
+    with pytest.raises((ParseError, OrderingError)) as info:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load(path, **kw)
+    line = re.match(r"line (\d+):", str(info.value))
+    return type(info.value), int(line.group(1))
+
+
+GOOD = [f"{DAY + 540 + k},{10.0 + k / 100},{5 + k}" for k in range(12)]
+
+# one faulty row in an otherwise good file, at several positions
+ERROR_CASES = {
+    "bad timestamp": lambda m, p, v: f"09:{m % 60},{p},{v}",
+    "signed timestamp": lambda m, p, v: f"+{m},{p},{v}",
+    "empty timestamp": lambda m, p, v: f",{p},{v}",
+    "bad calendar day": lambda m, p, v: f"2016-02-30T09:00,{p},{v}",
+    "bad price": lambda m, p, v: f"{m},oops,{v}",
+    "bad volume": lambda m, p, v: f"{m},{p},1e",
+    "nan volume": lambda m, p, v: f"{m},{p},nan",
+    "short row": lambda m, p, v: f"{m},{p}",
+    "zero price": lambda m, p, v: f"{m},0,{v}",
+    "negative price": lambda m, p, v: f"{m},-1.5,{v}",
+    "negative volume": lambda m, p, v: f"{m},{p},-1",
+    "repeated timestamp": lambda m, p, v: f"{m - 1},{p},{v}",
+    "earlier timestamp": lambda m, p, v: f"{m - 5},{p},{v}",
+}
+ORDERING_CASES = ("repeated timestamp", "earlier timestamp")
+
+
+# the first row has no predecessor, so it cannot break the ordering
+@pytest.mark.parametrize("case, at", [(case, at) for case in sorted(ERROR_CASES)
+                                      for at in (0, 1, 6, 11)
+                                      if not (at == 0 and case in ORDERING_CASES)])
+def test_load_bars_errors(tmp_path, case, at):
+    rows = list(GOOD)
+    m, p, v = rows[at].split(",")
+    rows[at] = ERROR_CASES[case](int(m), p, v)
+    path = _write_rows(tmp_path, rows)
+    want = (OrderingError if case in ORDERING_CASES else ParseError, at + 2)
+    assert _error(load_bars, path) == _error(oracle_load_bars, path) == want
+
+
+def test_load_bars_header_errors(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    no_price = _write_rows(tmp_path, GOOD, header="timestamp,last,volume", name="no_price.csv")
+    for path, kw in ((empty, {}), (no_price, {}),
+                     (_write_rows(tmp_path, GOOD), {"columns": {"volume": "qty"}})):
+        assert _error(load_bars, path, **kw) == _error(oracle_load_bars, path, **kw) == (
+            ParseError, 1)
+
+
+def test_load_bars_first_faulty_row_wins(tmp_path):
+    # (row, timestamp, price, volume), None keeping the good field; rows 5,
+    # 8, 10 and 11 hold two faults each, which the row loop checked in order
+    faults = [(3, "09:00", "10.1", "6"), (5, "x", "oops", "7"), (7, None, "-1", "8"),
+              (8, None, "-3", "-2"), (10, str(DAY + 500), "-1", None), (11, None, "nan", "-1")]
+    for chosen in [(k,) for k in range(len(faults))] + list(combinations(range(len(faults)), 2)):
+        rows = [r.split(",") for r in GOOD]
+        for k in chosen:
+            at, *fields = faults[k]
+            rows[at] = [f if f is not None else old for f, old in zip(fields, rows[at])]
+        path = _write_rows(tmp_path, [",".join(r) for r in rows])
+        assert _error(load_bars, path) == _error(oracle_load_bars, path)
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,14 @@ class TestLoadBars:
                               f"{DAY + 542},10.2,7"])
         bars = load_bars(p)
         assert len(bars) == 3
-        assert [b.price for b in bars.bars] == [10.0, 10.1, 10.2]
+        assert bars.prices.tolist() == [10.0, 10.1, 10.2]
         assert bars.n_sessions == 1
 
     def test_calendar_timestamps(self, tmp_path):
         p = _write(tmp_path, ["2016-03-01T09:00,10.0,5", "2016-03-01T09:01,10.1,6"])
         bars = load_bars(p)
         assert len(bars) == 2
-        assert bars.bars[1].minute - bars.bars[0].minute == 1
+        assert bars.minutes[1] - bars.minutes[0] == 1
 
     def test_row_after_close_excluded(self, tmp_path):
         p = _write(tmp_path, [f"{DAY + 1050},10.0,5", f"{DAY + 1051},10.1,6"])
@@ -71,6 +71,12 @@ class TestLoadBars:
         with pytest.raises(ParseError, match="line 3"):
             load_bars(p)
 
+    def test_short_row_without_timestamp_reports_line(self, tmp_path):
+        p = _write(tmp_path, [f"10.0,5,{DAY + 540}", "10.1,6"],
+                   header="price,volume,timestamp")
+        with pytest.raises(ParseError, match="line 3"):
+            load_bars(p)
+
     def test_non_monotone_timestamps(self, tmp_path):
         p = _write(tmp_path, [f"{DAY + 541},10.0,5", f"{DAY + 540},10.1,6"])
         with pytest.raises(OrderingError):
@@ -86,7 +92,7 @@ class TestLoadBars:
                    header="ts,last,qty")
         bars = load_bars(p, columns={"timestamp": "ts", "price": "last",
                                      "volume": "qty"})
-        assert len(bars) == 2 and bars.bars[1].volume == 6
+        assert len(bars) == 2 and bars.volumes[1] == 6
 
     def test_missing_column_reported(self, tmp_path):
         p = _write(tmp_path, [f"{DAY + 540},10.0,5"], header="when,price,volume")
