@@ -14,9 +14,8 @@ from .core import (
     discretize,
     estimate_kernel,
     ewma_score,
-    index_at_jump,
     index_at_time,
-    index_trajectory,
+    index_at_times,
     make_state_grid,
     shift_check,
 )

@@ -52,13 +52,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config: dict,
-                    inputs: list, outputs: list, seed,
-                    name: str = "manifest.json") -> Path:
+# parsed names left out of a manifest's config: the seed has a field of its
+# own, and outputs are recorded by name
+_NOT_CONFIG = ("seed", "out", "command", "func", "config")
+
+
+def _write_manifest(out_dir: Path, args, inputs: list, outputs: list,
+                    name: str = "manifest.json", **resolved) -> Path:
+    """Write the run manifest. Its ``config`` holds every flag of the
+    subcommand but ``--seed`` and ``--out``, plus the ``resolved`` values."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
+        "subcommand": args.command,
+        "config": {**config, **resolved},
+        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {p.name: _sha256(p) for p in outputs},
@@ -115,10 +122,7 @@ def _cmd_analyze(args) -> int:
                 rows.append((ri, ci, obs, table["expected"][ri][ci]))
         _write_csv(p, ["wait_bin", "value_bin", "observed", "expected"], rows)
         outputs.append(p)
-    _write_manifest(out, "analyze",
-                    {"input": args.input, "session": args.session,
-                     "max_lag": args.max_lag, "alpha": args.alpha},
-                    [args.input], outputs, seed=None)
+    _write_manifest(out, args, [args.input], outputs)
     return 0
 
 
@@ -136,14 +140,8 @@ def _cmd_estimate(args) -> int:
         t_max=args.t_max)
     tk = fit_triplet_kernel(ra, va, cfg)
     save_model(tk, out)
-    _write_manifest(out.parent, "estimate",
-                    {"input": args.input, "session": args.session,
-                     "states_r": args.states_r, "states_v": args.states_v,
-                     "lambda_r": args.lambda_r, "lambda_v": args.lambda_v,
-                     "index_bins": args.index_bins, "copula": args.copula,
-                     "t_max": args.t_max, "out": out.name},
-                    [args.input], [out], seed=None,
-                    name=out.stem + ".manifest.json")
+    _write_manifest(out.parent, args, [args.input], [out],
+                    name=out.stem + ".manifest.json", out=out.name)
     return 0
 
 
@@ -168,11 +166,7 @@ def _cmd_simulate(args) -> int:
                    zip(ev["n"], ev["time"], ev["j_state"], ev["v_state"],
                        ev["b_j"], ev["b_v"], ev["x_bin"], ev["w_bin"]))
         outputs.append(p)
-    _write_manifest(out, "simulate",
-                    {"model": args.model, "minutes": args.minutes,
-                     "reps": args.reps, "backtransform": args.backtransform,
-                     "s0": args.s0, "v0": args.v0},
-                    [args.model], outputs, seed=args.seed)
+    _write_manifest(out, args, [args.model], outputs)
     return 0
 
 
@@ -203,11 +197,7 @@ def _cmd_fpt(args) -> int:
                                   "u": args.u},
                         **res.as_dict()}))
     outputs.append(p)
-    _write_manifest(out, "fpt",
-                    {"model": args.model, "rho": args.rho, "psi": args.psi,
-                     "horizon": args.horizon, "method": args.method,
-                     "paths": args.paths, "i0": i0, "v0": v0, "u": args.u},
-                    [args.model], outputs, seed=args.seed)
+    _write_manifest(out, args, [args.model], outputs, i0=i0, v0=v0)
     return 0
 
 
@@ -244,13 +234,8 @@ def _cmd_optimize(args) -> int:
                              else "volume-return")
     result = grid_search(series.values, spec, seed=args.seed)
     out.write_text(dumps({"variable": args.variable, **result.as_dict()}))
-    _write_manifest(out.parent, "optimize",
-                    {"input": args.input, "variable": args.variable,
-                     "states": args.states, "lambdas": args.lambdas,
-                     "max_lag": args.max_lag, "reps": args.reps,
-                     "epsilon": args.epsilon, "out": out.name},
-                    [args.input], [out], seed=args.seed,
-                    name=out.stem + ".manifest.json")
+    _write_manifest(out.parent, args, [args.input], [out],
+                    name=out.stem + ".manifest.json", out=out.name)
     return 0
 
 
@@ -334,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv):
     """Precedence flags > config file > built-in defaults: values from the
-    JSON file become parser defaults before the real parse."""
+    JSON file become defaults of the subcommands that have those flags,
+    before the real parse."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -345,11 +331,10 @@ def _apply_config_file(parser, argv):
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
-    parser.set_defaults(**{k.replace("-", "_"): v for k, v in overrides.items()})
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k.replace("-", "_"): v for k, v in overrides.items()
-                               if any(k.replace("-", "_") == a.dest
-                                      for a in action._actions)})
+    overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        dests = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
     return argv
 
 

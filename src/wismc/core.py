@@ -2,6 +2,7 @@
 estimation of the per-variable indexed semi-Markov kernel."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,16 +19,18 @@ __all__ = [
     "make_state_grid",
     "discretize",
     "ewma_score",
-    "index_at_jump",
     "index_at_time",
-    "index_trajectory",
     "index_at_times",
     "advance_carry",
     "carry_coefficients",
     "shift_check",
     "estimate_kernel",
+    "sojourn_counts",
     "resolve_ladder",
 ]
+
+# sojourns above this quantile share a kernel's or waiting-time law's last slot
+SOJOURN_QUANTILE = 0.995
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +71,7 @@ class StateGrid:
 
     def state_of(self, values) -> np.ndarray:
         """Map values to state indices (vectorized)."""
-        values = np.asarray(values, dtype=float)
-        return np.clip(np.searchsorted(self.edges, values, side="right") - 1,
-                       0, self.n_states - 1)
+        return bin_of(self.edges, values)
 
     def moduli(self):
         """Sorted unique absolute representative values with, per state, the
@@ -110,7 +111,7 @@ def make_state_grid(values, n_states: int, center_zero_bin: bool = True) -> Stat
     if interior.size != n_states - 1:
         raise EstimationError("degenerate quantile edges; reduce the state count")
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, n_states - 1)
+    idx = bin_of(edges, values)
     reps = np.empty(n_states)
     for s in range(n_states):
         sel = values[idx == s]
@@ -127,15 +128,12 @@ class JumpChain:
     """Marked point process of state changes.
 
     ``states`` are grid indices, ``times`` the integer minute of each change
-    (strictly increasing). Position ``history_len`` is the chain's "current
-    time zero" when an explicit pre-history is attached; the default 0 means
-    the whole record is the estimation sample.
+    (strictly increasing).
     """
 
     states: np.ndarray
     times: np.ndarray
     grid: StateGrid
-    history_len: int = 0
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.int64)
@@ -147,8 +145,6 @@ class JumpChain:
                 raise ContractViolation("jump times must be strictly increasing")
             if np.any(np.diff(self.states) == 0):
                 raise ContractViolation("consecutive states must differ (a jump changes the state)")
-        if not 0 <= self.history_len <= max(self.states.size - 1, 0):
-            raise ContractViolation("history length out of range")
 
     def __len__(self) -> int:
         return self.states.size
@@ -248,17 +244,9 @@ def _index_sum(values: np.ndarray, times: np.ndarray, pos: int, t: int,
     return total
 
 
-def index_at_jump(chain: JumpChain, n: int, score: ScoreSpec) -> float:
-    """Index value at the n-th recorded jump (position in the chain arrays)."""
-    if not 0 <= n < len(chain):
-        raise ContractViolation("jump position out of range")
-    values, times = chain.values, chain.times
-    return _index_sum(values, times, n, int(times[n]), score)
-
-
 def index_at_time(chain: JumpChain, t: int, score: ScoreSpec) -> float:
-    """Index value at an arbitrary minute ``t``; coincides with
-    :func:`index_at_jump` when ``t`` is a jump time."""
+    """Index value at minute ``t``, summed term by term: the reference for
+    :func:`index_at_times`, and the only form that takes a custom score."""
     times = chain.times
     if t < times[0]:
         raise ContractViolation("time precedes the recorded history")
@@ -286,29 +274,30 @@ def advance_carry(lam: float, w, d, value, dt):
     return decay * w + value * value * weight, decay * d + gain
 
 
-def index_trajectory(chain: JumpChain, score: ScoreSpec) -> np.ndarray:
-    """Index value at every jump of the chain (fast incremental path)."""
-    if score.kind != "ewma-squares":
-        return np.array([index_at_jump(chain, n, score) for n in range(len(chain))])
-    values, times = chain.values.tolist(), chain.times.tolist()
-    out = []
-    w, d = 0.0, 1.0
-    for n, value in enumerate(values):
-        if n > 0:
-            w, d = advance_carry(score.lam, w, d, values[n - 1], times[n] - times[n - 1])
-        out.append((w + value * value) / d)
-    return np.array(out, dtype=float)
-
-
 def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) -> np.ndarray:
     """Index value at each (sorted, integer) query time; the holding state is
-    the last jumped-to state at or before each time."""
+    the last jumped-to state at or before each time. At the chain's own
+    jump times it gives the index at every jump."""
     query_times = np.asarray(query_times, dtype=np.int64)
+    if not query_times.size:
+        return np.empty(0)
     if score.kind != "ewma-squares":
         return np.array([index_at_time(chain, int(t), score) for t in query_times])
     values, times = chain.values.tolist(), chain.times.tolist()
-    if query_times.size and query_times[0] < times[0]:
+    if query_times[0] < times[0]:
         raise ContractViolation("time precedes the recorded history")
+    lam = score.lam
+    coefficients = {}
+
+    def advance(w, d, value, dt):
+        # advance_carry, with the coefficients of each step length worked
+        # out once: lengths repeat, and a power costs more than a lookup
+        c = coefficients.get(dt)
+        if c is None:
+            c = coefficients[dt] = carry_coefficients(lam, dt)
+        decay, weight, gain = c
+        return decay * w + value * value * weight, decay * d + gain
+
     out = []
     w, d = 0.0, 1.0
     pos = 0
@@ -316,11 +305,11 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) 
     n_jumps = len(times)
     for t in query_times.tolist():
         while pos + 1 < n_jumps and times[pos + 1] <= t:
-            w, d = advance_carry(score.lam, w, d, values[pos], times[pos + 1] - now)
+            w, d = advance(w, d, values[pos], times[pos + 1] - now)
             now = times[pos + 1]
             pos += 1
         if t > now:
-            w, d = advance_carry(score.lam, w, d, values[pos], t - now)
+            w, d = advance(w, d, values[pos], t - now)
             now = t
         out.append((w + values[pos] * values[pos]) / d)
     return np.array(out, dtype=float)
@@ -332,11 +321,11 @@ def shift_check(chain: JumpChain, score: ScoreSpec, tol: float = 1e-10) -> bool:
     original value exactly."""
     if len(chain) < 1:
         raise ContractViolation("empty window")
-    last = index_at_jump(chain, len(chain) - 1, score)
+    last = index_at_time(chain, int(chain.times[-1]), score)
     shifted = JumpChain(states=chain.states.copy(),
                         times=chain.times - chain.times[-1],
                         grid=chain.grid)
-    again = index_at_jump(shifted, len(shifted) - 1, score)
+    again = index_at_time(shifted, 0, score)
     return abs(last - again) <= tol
 
 
@@ -352,7 +341,6 @@ class IndexParams:
     n_index_bins: int = 5
     index_edges: Optional[np.ndarray] = None
     t_max: Optional[int] = None
-    sojourn_quantile: float = 0.995
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 1.0:
@@ -367,6 +355,11 @@ def bin_of(edges: np.ndarray, x) -> np.ndarray:
     plainly but costs several microseconds per call on the per-event path.)"""
     pos = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
     return np.minimum(np.maximum(pos, 0), edges.size - 2)
+
+
+def scalar_bin(edges: list, x: float) -> int:
+    """:func:`bin_of` for one value, with the edges as a list."""
+    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
 
 
 def _quantile_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -404,6 +397,22 @@ def normalized(rows: np.ndarray, law_ndim: int = 1):
     mass = rows.sum(axis=tuple(range(-law_ndim, 0)))
     expand = mass[(...,) + (None,) * law_ndim]
     return np.divide(rows, expand, out=np.zeros(rows.shape), where=expand > 0), mass
+
+
+def sojourn_counts(cells: tuple, shape: tuple, sojourns: np.ndarray,
+                   t_max: Optional[int], law_ndim: int):
+    """(counts, pmf) of a transition table: one count per transition at
+    ``cells`` (an index array per axis of ``shape``) and its sojourn slot on
+    a last axis of ``t_max`` slots, longer sojourns in the last one. ``t_max``
+    defaults to the :data:`SOJOURN_QUANTILE` quantile of the sojourns. ``pmf``
+    normalizes the counts over their last ``law_ndim`` axes."""
+    if t_max is None:
+        t_max = max(int(np.quantile(sojourns, SOJOURN_QUANTILE)), 1)
+    if t_max < 1:
+        raise ParameterError(f"t_max must be >= 1, got {t_max}")
+    counts = np.zeros(tuple(shape) + (int(t_max),), dtype=np.int64)
+    np.add.at(counts, tuple(cells) + (np.minimum(sojourns, t_max) - 1,), 1)
+    return counts, normalized(counts, law_ndim)[0]
 
 
 def indexed_ladder(counts: np.ndarray, pmf: np.ndarray, bin_axes: tuple, law_ndim: int):
@@ -485,24 +494,15 @@ def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:
     advance, and uses all earlier jumps of the chain as history."""
     if len(chain) < 2:
         raise EstimationError("need at least one transition")
-    idx = index_trajectory(chain, ScoreSpec(kind="ewma-squares", lam=params.lam))
+    # the index where each counted transition starts: every jump but the last
+    idx = index_at_times(chain, chain.times, ScoreSpec(lam=params.lam))[:-1]
     if params.index_edges is not None:
         edges = np.asarray(params.index_edges, dtype=float)
     else:
-        edges = _quantile_edges(idx[:-1], params.n_index_bins)
-    nbins = edges.size - 1
-    soj = chain.sojourns()
-    if params.t_max is not None:
-        t_max = int(params.t_max)
-    else:
-        t_max = max(int(np.quantile(soj, params.sojourn_quantile)), 1)
+        edges = _quantile_edges(idx, params.n_index_bins)
     s = chain.grid.n_states
-    counts = np.zeros((s, nbins, s, t_max), dtype=np.int64)
-    bins = bin_of(edges, idx[:-1])
-    tslot = np.minimum(soj, t_max) - 1
-    np.add.at(counts, (chain.states[:-1], bins, chain.states[1:], tslot), 1)
-    totals = counts.sum(axis=(2, 3), keepdims=True)
-    pmf = np.divide(counts, totals, out=np.zeros_like(counts, dtype=float),
-                    where=totals > 0)
+    counts, pmf = sojourn_counts(
+        (chain.states[:-1], bin_of(edges, idx), chain.states[1:]),
+        (s, edges.size - 1, s), chain.sojourns(), params.t_max, 2)
     return IndexedKernel(grid=chain.grid, lam=params.lam, index_edges=edges,
-                         t_max=t_max, counts=counts, pmf=pmf)
+                         t_max=counts.shape[-1], counts=counts, pmf=pmf)

@@ -169,7 +169,6 @@ class FptResult:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     n_paths: int = 0
-    fallback_events: int = 0
 
     def as_dict(self) -> dict:
         out = {"survival": self.survival.tolist(), "method": self.method,

@@ -7,9 +7,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 import numpy as np
 from scipy.special import chdtrc
 
+from .core import _quantile_edges, bin_of
 from .errors import (
     AlignmentError,
     DegenerateTableError,
@@ -151,8 +153,8 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
     Expects a header with ``timestamp,price,volume`` (remappable through
     ``columns``); the timestamp is either ``YYYY-MM-DDTHH:MM`` or integer
     epoch-minutes, auto-detected per row. Volumes are truncated to whole
-    counts. Blank lines are skipped, and line numbers count the header and
-    the non-blank rows.
+    counts. Blank lines are skipped; an error names its row's line in the
+    file.
 
     The whole file is checked before the session filter: a short row, a bad
     timestamp or number, a non-finite or non-positive price and a non-finite
@@ -200,19 +202,27 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
     def first(mask):
         return int(mask.argmax()) if mask.any() else len(rows)
 
+    def line(k):
+        """The file line of rows[k], blank lines included; read again only
+        for an error, so the rows need not carry their line numbers."""
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            return next(islice((reader.line_num for row in reader if row), k, None))
+
     later = np.zeros(stop, dtype=bool)
     later[1:] = minutes[1:] <= minutes[:-1]
     k, error = min([
-        (n, lambda k: ParseError(f"short row {rows[k]!r}", k + 2)),
-        (k_time, lambda k: ParseError(f"bad timestamp {stamps[k]!r}", k + 2)),
-        (k_number, lambda k: ParseError(f"bad numeric field in {rows[k]!r}", k + 2)),
+        (n, lambda k: ParseError(f"short row {rows[k]!r}", line(k))),
+        (k_time, lambda k: ParseError(f"bad timestamp {stamps[k]!r}", line(k))),
+        (k_number, lambda k: ParseError(f"bad numeric field in {rows[k]!r}", line(k))),
         (first(~(np.isfinite(prices) & np.isfinite(volumes))),
          lambda k: ParseError(f"non-finite price {prices[k]} or volume {volumes[k]}",
-                              k + 2)),
-        (first(prices <= 0), lambda k: ParseError(f"non-positive price {prices[k]}", k + 2)),
-        (first(volumes < 0), lambda k: ParseError(f"negative volume {volumes[k]:.0f}", k + 2)),
+                              line(k))),
+        (first(prices <= 0), lambda k: ParseError(f"non-positive price {prices[k]}", line(k))),
+        (first(volumes < 0), lambda k: ParseError(f"negative volume {volumes[k]:.0f}", line(k))),
         (first(later),
-         lambda k: OrderingError(f"line {k + 2}: timestamp not strictly increasing")),
+         lambda k: OrderingError(f"line {line(k)}: timestamp not strictly increasing")),
     ], key=lambda check: check[0])
     if k < len(rows):
         raise error(k)
@@ -328,6 +338,8 @@ def jarque_bera(values, alpha: float = 0.01):
 
 def autocorrelation(values, max_lag: int) -> np.ndarray:
     """Sample ACF normalized by the lag-0 autocovariance; acf[0] == 1."""
+    if max_lag < 0:
+        raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
     x = np.asarray(getattr(values, "values", values), dtype=float)
     if x.size <= max_lag:
         raise InsufficientDataError("series shorter than max_lag")
@@ -428,8 +440,8 @@ def contingency(values, waits, state_edges, wait_edges) -> ContingencyTable:
         raise ValueError("state bins do not cover the data range")
     if waits.size and (waits.min() < wait_edges[0] or waits.max() >= wait_edges[-1]):
         raise ValueError("wait bins do not cover the data range")
-    ci = np.searchsorted(state_edges, values, side="right") - 1
-    ri = np.searchsorted(wait_edges, waits, side="right") - 1
+    ci = bin_of(state_edges, values)
+    ri = bin_of(wait_edges, waits)
     n_r, n_c = wait_edges.size - 1, state_edges.size - 1
     observed = np.zeros((n_r, n_c))
     np.add.at(observed, (ri, ci), 1)
@@ -462,11 +474,6 @@ def contingency(values, waits, state_edges, wait_edges) -> ContingencyTable:
 # full battery
 
 
-def _value_edges(values: np.ndarray, n_states: int = 5) -> np.ndarray:
-    interior = np.unique(np.quantile(values, np.linspace(0, 1, n_states + 1)[1:-1]))
-    return np.concatenate([[-np.inf], interior, [np.inf]])
-
-
 def run_battery(r: ReturnSeries, v: ReturnSeries, max_lag: int = 100,
                 alpha: float = 0.01) -> dict:
     """Full exploratory battery over aligned price and volume returns."""
@@ -496,7 +503,7 @@ def run_battery(r: ReturnSeries, v: ReturnSeries, max_lag: int = 100,
     for name, series in (("r", r), ("v", v)):
         vals, waits = value_wait_pairs(series)
         if vals.size >= 20 and np.unique(vals).size >= 5:
-            table = contingency(vals, waits, _value_edges(vals), wait_edges)
+            table = contingency(vals, waits, _quantile_edges(vals, 5), wait_edges)
             tables[name] = table.as_dict()
     out["contingency"] = tables
     return out

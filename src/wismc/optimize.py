@@ -26,7 +26,6 @@ class GridSpec:
     reps_per_point: int = 5
     n_index_bins: int = 5
     epsilon: Optional[float] = None  # early stop on state-count improvement
-    sim_minutes: Optional[int] = None  # default: length of the input series
 
     def __post_init__(self):
         if not self.state_counts or not self.lambdas:
@@ -70,13 +69,13 @@ def mape(real_acf, synth_acf, max_lag: Optional[int] = None) -> float:
 
 def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
     """For each (s, lam): discretize, estimate the kernel, simulate
-    ``reps_per_point`` replications, average the absolute-value ACF and score
-    it against the real one. Deterministic for a fixed seed; failed points
-    are recorded and skipped. With ``epsilon`` set, the search stops growing
-    the state count once the improvement falls below it."""
+    ``reps_per_point`` replications as long as the input series, average the
+    absolute-value ACF and score it against the real one. Deterministic for
+    a fixed seed; failed points are recorded and skipped. With ``epsilon``
+    set, the search stops growing the state count once the improvement falls
+    below it."""
     values = np.asarray(getattr(values, "values", values), dtype=float)
     real_acf = autocorrelation(np.abs(values), spec.max_lag)
-    minutes = spec.sim_minutes or values.size
     records = []
     best_by_s = {}
     for s in sorted(spec.state_counts):
@@ -93,7 +92,7 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
                 for rep in range(spec.reps_per_point):
                     child = np.random.SeedSequence(
                         [seed, s, rep, int(round(lam * 10 ** 9))]).generate_state(1)[0]
-                    r_syn, _, _ = simulate_univariate(kernel, minutes, int(child),
+                    r_syn, _, _ = simulate_univariate(kernel, values.size, int(child),
                                                       inverse=inverse)
                     acfs.append(autocorrelation(np.abs(r_syn), spec.max_lag))
                 rec["mape"] = mape(real_acf, np.mean(acfs, axis=0), spec.max_lag)

@@ -1,4 +1,5 @@
-"""Self-describing JSON documents for fitted kernels and triplet models.
+"""Self-describing JSON documents for triplet models and the two kernels
+nested in each.
 
 Floats are written with Python's shortest round-trip representation and the
 non-finite grid edges as JSON ``Infinity`` literals, so load(save(x)) is
@@ -128,17 +129,16 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
     )
 
 
-def save_model(obj, path) -> None:
-    doc = triplet_to_dict(obj) if isinstance(obj, TripletKernel) else kernel_to_dict(obj)
+def save_model(tk: TripletKernel, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps(doc))
+        fh.write(dumps(triplet_to_dict(tk)))
 
 
-def load_model(path):
-    """Read a kernel or triplet model file. A file that is not a JSON object,
-    lacks a field or holds one of the wrong type raises :class:`ParseError`;
-    tables whose shapes or index edges disagree raise the constructors'
-    errors."""
+def load_model(path) -> TripletKernel:
+    """Read a triplet model file. A file that is not a JSON object or not a
+    triplet document, lacks a field or holds one of the wrong type raises
+    :class:`ParseError`; tables whose shapes or index edges disagree raise
+    the constructors' errors."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -147,9 +147,7 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a model document")
     try:
-        if doc.get("format") == TRIPLET_FORMAT:
-            return triplet_from_dict(doc)
-        return kernel_from_dict(doc)
+        return triplet_from_dict(doc)
     except KeyError as exc:
         raise ParseError(f"{path}: model file lacks the field {exc}") from exc
     except (TypeError, ValueError) as exc:

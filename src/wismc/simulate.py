@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .core import IndexedKernel, advance_carry, carry_coefficients
+from .core import IndexedKernel, advance_carry, carry_coefficients, scalar_bin
 from .errors import ParameterError
 from .finfunc import _cells_of, _draw_next_values, _draw_sojourns
 from .market_data import autocorrelation, cross_correlation_battery, jarque_bera
@@ -212,7 +212,6 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     reps = kernel.grid.representatives.tolist()
     squares = [r * r for r in reps]
     edges = kernel.index_edges.tolist()
-    top_bin = len(edges) - 2
     samples = None if inverse is None else [x.tolist() for x in inverse.samples]
     carry = [carry_coefficients(kernel.lam, dt) for dt in range(t_max + 1)]
     w, d = 0.0, 1.0
@@ -223,7 +222,7 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
                                                 or len(states) < n_events):
         states.append(state)
         times.append(t)
-        b = min(max(bisect_right(edges, (w + squares[state]) / d) - 1, 0), top_bin)
+        b = scalar_bin(edges, (w + squares[state]) / d)
         pos = min(bisect_left(cum[state][b], uniform()), last)
         soj = pos % t_max + 1
         if record:

@@ -3,7 +3,6 @@ law, sign probabilities, copula-coupled modulus marginals and the evaluation
 of the resulting three-way kernel."""
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,8 @@ from .core import (
     make_state_grid,
     normalized,
     resolve_ladder,
+    scalar_bin,
+    sojourn_counts,
 )
 from .errors import (
     AlignmentError,
@@ -167,31 +168,19 @@ class CondWaitDist:
 
 
 def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
-                       t_max: Optional[int] = None,
-                       sojourn_quantile: float = 0.995) -> CondWaitDist:
+                       t_max: Optional[int] = None) -> CondWaitDist:
     """Count synchronized sojourns per (state, state, index-bin, index-bin)
     cell and normalize. ``idx_j``/``idx_v`` are the index-process values at
     the union times."""
     if len(sync) < 2:
         raise EstimationError("need at least one synchronized transition")
-    idx_j = np.asarray(idx_j, dtype=float)
-    idx_v = np.asarray(idx_v, dtype=float)
     x_edges = np.asarray(x_edges, dtype=float)
     w_edges = np.asarray(w_edges, dtype=float)
-    soj = sync.sojourns()
-    if t_max is None:
-        t_max = max(int(np.quantile(soj, sojourn_quantile)), 1)
-    s_j = sync.grid_j.n_states
-    s_v = sync.grid_v.n_states
-    bx, bw = x_edges.size - 1, w_edges.size - 1
-    counts = np.zeros((s_j, s_v, bx, bw, t_max), dtype=np.int64)
-    xb = bin_of(x_edges, idx_j[:-1])
-    wb = bin_of(w_edges, idx_v[:-1])
-    tslot = np.minimum(soj, t_max) - 1
-    np.add.at(counts, (sync.j_states[:-1], sync.v_states[:-1], xb, wb, tslot), 1)
-    totals = counts.sum(axis=4, keepdims=True)
-    pmf = np.divide(counts, totals, out=np.zeros_like(counts, dtype=float),
-                    where=totals > 0)
+    counts, pmf = sojourn_counts(
+        (sync.j_states[:-1], sync.v_states[:-1],
+         bin_of(x_edges, idx_j[:-1]), bin_of(w_edges, idx_v[:-1])),
+        (sync.grid_j.n_states, sync.grid_v.n_states, x_edges.size - 1, w_edges.size - 1),
+        sync.sojourns(), t_max, 1)
     return CondWaitDist(counts=counts, pmf=pmf, x_edges=x_edges, w_edges=w_edges)
 
 
@@ -396,11 +385,6 @@ def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
     return np.where(take_prev, prev, pos)
 
 
-def _scalar_bin(edges: list, x: float) -> int:
-    """``core.bin_of`` for one value, with the edges as a list."""
-    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
-
-
 class ModelView:
     """Resolved lookup layer shared by the evaluators and samplers: maps
     signed values to grid states (mirroring across zero when a modulus only
@@ -446,8 +430,8 @@ class ModelView:
         v = self._exact_v.get(v_val)
         if v is None:
             v = int(self.states_v(v_val))
-        return ConditioningCell(i=i, v=v, x_bin=_scalar_bin(self._x_edges, xj),
-                                w_bin=_scalar_bin(self._w_edges, wv), b_j=b_j, b_v=b_v)
+        return ConditioningCell(i=i, v=v, x_bin=scalar_bin(self._x_edges, xj),
+                                w_bin=scalar_bin(self._w_edges, wv), b_j=b_j, b_v=b_v)
 
 
 def _signed_support(moduli: np.ndarray) -> np.ndarray:
@@ -565,7 +549,6 @@ class TripletFitConfig:
     n_index_bins: int = 5
     copula_family: str = "gaussian"
     t_max: Optional[int] = None
-    sojourn_quantile: float = 0.995
 
 
 def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitConfig(),
@@ -586,19 +569,16 @@ def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitCon
     chain_r = discretize(r_values, grid_r)
     chain_v = discretize(v_values, grid_v)
     kern_r = estimate_kernel(chain_r, IndexParams(
-        lam=cfg.lam_r, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
-        sojourn_quantile=cfg.sojourn_quantile))
+        lam=cfg.lam_r, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
     kern_v = estimate_kernel(chain_v, IndexParams(
-        lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max,
-        sojourn_quantile=cfg.sojourn_quantile))
+        lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
     sync = synchronize(chain_r, chain_v)
     idx_j = index_at_times(chain_r, sync.times, ScoreSpec(lam=cfg.lam_r))
     idx_v = index_at_times(chain_v, sync.times, ScoreSpec(lam=cfg.lam_v))
     cond = estimate_cond_wait(sync, idx_j, idx_v,
                               x_edges=kern_r.index_edges,
                               w_edges=kern_v.index_edges,
-                              t_max=cfg.t_max,
-                              sojourn_quantile=cfg.sojourn_quantile)
+                              t_max=cfg.t_max)
     signs = estimate_signs(sync)
     mj = np.abs(sync.j_values[1:])
     mv = np.abs(sync.v_values[1:])

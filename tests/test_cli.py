@@ -149,6 +149,19 @@ class TestOptimizeCommand:
         doc = json.loads(out.read_text())
         assert [rec["lam"] for rec in doc["records"]] == [0.9, 0.91, 0.92]
 
+    def test_manifest_records_every_flag(self, small_csv, tmp_path):
+        configs = []
+        for bins in ("1", "2"):
+            out = tmp_path / bins / "opt.json"
+            assert main(["optimize", "--input", small_csv, "--states", "3",
+                         "--lambdas", "0.9", "--max-lag", "5", "--reps", "1",
+                         "--index-bins", bins, "--session", "08:30-17:30",
+                         "--out", str(out)]) == 0
+            configs.append(_read_manifest(out.parent, "opt.manifest.json")["config"])
+        assert [c.pop("index_bins") for c in configs] == [1, 2]
+        assert configs[0] == configs[1]
+        assert configs[0]["session"] == "08:30-17:30"
+
 
 class TestConfigFile:
     def test_flags_beat_config_beat_defaults(self, small_csv, tmp_path):
@@ -177,6 +190,19 @@ class TestConfigFile:
                      "--out", str(model)]) == 0
         manifest = _read_manifest(tmp_path, "m.manifest.json")
         assert manifest["config"]["states_r"] == 3
+
+    def test_other_subcommands_keys_stay_out(self, small_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"minutes": 500, "max-lag": 5}))
+        argv = ["--config", str(cfg), "analyze", "--input", small_csv,
+                "--out", str(tmp_path / "a")]
+        parser = cli.build_parser()
+        assert not hasattr(parser.parse_args(cli._apply_config_file(parser, argv)),
+                           "minutes")
+        assert main(argv) == 0
+        config = _read_manifest(tmp_path / "a")["config"]
+        assert config == {"input": small_csv, "session": "09:00-17:30",
+                          "max_lag": 5, "alpha": 0.01}
 
     def test_dangling_config_exits_2(self, capsys):
         assert main(["--config"]) == 2
@@ -214,6 +240,8 @@ class TestErrors:
         ("cond_wait counts lost a state", "simulate", 2, "ParameterError"),
         ("kernel_j counts lost a state", "simulate", 2, "ParameterError"),
         ("cond_wait x_edges moved", "fpt", 2, "ContractViolation"),
+        ("kernel document", "simulate", 3, "ParseError"),
+        ("kernel document", "fpt", 3, "ParseError"),
     ])
     def test_bad_model_file(self, small_model, tmp_path, capsys, damage, command,
                             code, error):
@@ -229,6 +257,8 @@ class TestErrors:
             table["counts"] = table["counts"][1:]
         elif damage == "cond_wait x_edges moved":
             doc["cond_wait"]["x_edges"][2] *= 1.5
+        elif damage == "kernel document":  # a nested kernel on its own
+            doc = doc["kernel_j"]
         path = tmp_path / "bad.json"
         path.write_text("{not json" if damage == "not json" else json.dumps(doc))
         args = (["simulate", "--minutes", "10"] if command == "simulate" else
@@ -236,6 +266,20 @@ class TestErrors:
                  "--paths", "100"])
         assert main([*args, "--model", str(path), "--out", str(tmp_path / "o")]) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize("t_max", ["0", "-2"])
+    def test_t_max_below_one_exits_2(self, small_csv, tmp_path, capsys, t_max):
+        code = main(["estimate", "--input", small_csv, "--t-max", t_max,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    def test_negative_max_lag_exits_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["analyze", "--input", small_csv, "--max-lag", "-5",
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (out / "battery.json").exists()
 
     @pytest.mark.parametrize("price, volume", [("nan", "7"), ("inf", "7"), ("10.2", "inf"),
                                                ("10.2", "-inf")])

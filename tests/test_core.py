@@ -12,12 +12,11 @@ from wismc.core import (
     discretize,
     estimate_kernel,
     ewma_score,
-    index_at_jump,
     index_at_time,
     index_at_times,
-    index_trajectory,
     make_state_grid,
     shift_check,
+    sojourn_counts,
 )
 from wismc.errors import ContractViolation, EstimationError, ParameterError
 
@@ -114,13 +113,13 @@ class TestIndexProcess:
         chain = JumpChain(states=np.array([0, 1, 0]), times=np.array([0, 2, 5]),
                           grid=grid)
         sc = ScoreSpec("ewma-squares", lam=0.9)
-        assert index_at_jump(chain, 2, sc) == 0.0
+        assert index_at_time(chain, 5, sc) == 0.0
 
     def test_degenerate_history(self):
         grid = toy_grid([0.0, 0.7])
         chain = JumpChain(states=np.array([1]), times=np.array([0]), grid=grid)
         sc = ScoreSpec("ewma-squares", lam=0.9)
-        assert index_at_jump(chain, 0, sc) == pytest.approx(0.49)
+        assert index_at_time(chain, 0, sc) == pytest.approx(0.49)
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(3)
@@ -130,9 +129,9 @@ class TestIndexProcess:
             lam = float(rng.uniform(0.5, 1.0))
             sc = ScoreSpec("ewma-squares", lam=lam)
             vals = chain.values
-            for n in range(len(chain)):
-                got = index_at_jump(chain, n, sc)
-                want = oracle_index(vals, chain.times, chain.times[n], lam)
+            for t in chain.times:
+                got = index_at_time(chain, int(t), sc)
+                want = oracle_index(vals, chain.times, t, lam)
                 worst = max(worst, abs(got - want))
         assert worst < 1e-14
 
@@ -151,18 +150,18 @@ class TestIndexProcess:
         rng = np.random.default_rng(5)
         chain = random_chain(rng)
         sc = ScoreSpec("ewma-squares", lam=0.93)
-        for n in range(len(chain)):
-            assert index_at_time(chain, int(chain.times[n]), sc) == pytest.approx(
-                index_at_jump(chain, n, sc), abs=1e-14)
+        at_jumps = index_at_times(chain, chain.times, sc)
+        for n, t in enumerate(chain.times):
+            assert index_at_time(chain, int(t), sc) == pytest.approx(at_jumps[n], abs=1e-14)
 
     def test_fast_paths_match_reference(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             chain = random_chain(rng)
             sc = ScoreSpec("ewma-squares", lam=float(rng.uniform(0.5, 1.0)))
-            traj = index_trajectory(chain, sc)
-            for n in range(len(chain)):
-                assert traj[n] == pytest.approx(index_at_jump(chain, n, sc), abs=1e-12)
+            traj = index_at_times(chain, chain.times, sc)
+            for n, t in enumerate(chain.times):
+                assert traj[n] == pytest.approx(index_at_time(chain, int(t), sc), abs=1e-12)
             qts = np.sort(rng.integers(chain.times[0], chain.times[-1] + 4, 5))
             fast = index_at_times(chain, qts, sc)
             for q, t in enumerate(qts):
@@ -173,7 +172,7 @@ class TestIndexProcess:
         rng = np.random.default_rng(7)
         chain = random_chain(rng)
         sc = ScoreSpec("ewma-squares", lam=1.0)
-        got = index_at_jump(chain, len(chain) - 1, sc)
+        got = index_at_time(chain, int(chain.times[-1]), sc)
         want = oracle_index(chain.values, chain.times, chain.times[-1], 1.0)
         assert got == pytest.approx(want, abs=1e-14)
 
@@ -182,9 +181,17 @@ class TestIndexProcess:
         for _ in range(20):
             chain = random_chain(rng)
             sc = ScoreSpec("ewma-squares", lam=float(rng.uniform(0.5, 1.0)))
-            idx = index_trajectory(chain, sc)
+            idx = index_at_times(chain, chain.times, sc)
             top = np.max(chain.values ** 2)
             assert np.all(idx >= 0.0) and np.all(idx <= top + 1e-12)
+
+    def test_no_query_times(self):
+        grid = toy_grid([0.0, 0.7])
+        empty = JumpChain(states=np.empty(0), times=np.empty(0), grid=grid)
+        custom = ScoreSpec("custom", func=lambda v, t, a: v * v)
+        for sc in (ScoreSpec(lam=0.9), custom):
+            got = index_at_times(empty, empty.times, sc)
+            assert got.dtype == float and got.shape == (0,)
 
     def test_before_history(self):
         chain = random_chain(np.random.default_rng(9))
@@ -298,8 +305,24 @@ class TestEstimateKernel:
             assert level >= 1
             assert pmf.sum() == pytest.approx(1.0)
 
+    def test_t_max_below_one_rejected(self):
+        chain = random_chain(np.random.default_rng(17), n_jumps=20)
+        for t_max in (0, -2):
+            with pytest.raises(ParameterError):
+                estimate_kernel(chain, IndexParams(lam=0.9, t_max=t_max))
+
     def test_needs_a_transition(self):
         grid = toy_grid([0.0, 1.0])
         chain = JumpChain(states=np.array([0]), times=np.array([0]), grid=grid)
         with pytest.raises(EstimationError):
             estimate_kernel(chain, IndexParams(lam=0.9))
+
+
+class TestSojournCounts:
+    def test_default_cap_lumps_the_top_quantile(self):
+        # 199 one-minute sojourns and one of 9 minutes: the 0.995 quantile
+        # is 1, so the long one shares the single slot
+        sojourns = np.array([1] * 199 + [9])
+        cells = (np.zeros(200, dtype=np.int64),)
+        counts, pmf = sojourn_counts(cells, (1,), sojourns, None, 1)
+        assert counts.tolist() == [[200]] and pmf.tolist() == [[1.0]]

@@ -1,9 +1,10 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
-``index_trajectory``, ``index_at_times``, ``compute_returns``), the mask
-version of ``value_wait_pairs``, the shared fallback-ladder resolver and the
-column-wise ``load_bars`` against the versions they replaced, which are kept
-below as oracles. Every comparison is exact: same shape and the same doubles,
-and the same dtype where the loop built a new array."""
+``index_at_times`` at a chain's jumps and at other times,
+``compute_returns``), the mask version of ``value_wait_pairs``, the shared
+fallback-ladder resolver and the column-wise ``load_bars`` against the
+versions they replaced, which are kept below as oracles. Every comparison
+is exact: same shape and the same doubles, and the same dtype where the loop
+built a new array."""
 import csv
 import dataclasses
 import math
@@ -31,7 +32,6 @@ from wismc.core import (
     discretize,
     estimate_kernel,
     index_at_times,
-    index_trajectory,
     make_state_grid,
 )
 from wismc.errors import OrderingError, ParameterError, ParseError
@@ -421,7 +421,7 @@ def test_simulate_univariate_index_on_edge():
 
 
 # ---------------------------------------------------------------------------
-# index_trajectory and index_at_times
+# index_at_times, at a chain's jumps and at other times
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.97, 1.0])
@@ -431,7 +431,7 @@ def test_index_loops_random_chains(lam):
         rng = np.random.default_rng(seed)
         chain = random_chain(rng, n_jumps=int(rng.integers(1, 40)))
         assert_identical(oracle_index_trajectory(chain, score),
-                         index_trajectory(chain, score))
+                         index_at_times(chain, chain.times, score))
         queries = np.unique(rng.integers(0, int(chain.times[-1]) + 6, 25))
         assert_identical(oracle_index_at_times(chain, queries, score),
                          index_at_times(chain, queries, score))
@@ -443,7 +443,8 @@ def test_index_loops_fitted_chain():
     r, _ = heavy_tailed_series(20000, 11)
     chain = discretize(r, make_state_grid(r, 5))
     score = ScoreSpec(lam=0.97)
-    assert_identical(oracle_index_trajectory(chain, score), index_trajectory(chain, score))
+    assert_identical(oracle_index_trajectory(chain, score),
+                     index_at_times(chain, chain.times, score))
     queries = np.arange(0, r.size, 3)
     assert_identical(oracle_index_at_times(chain, queries, score),
                      index_at_times(chain, queries, score))

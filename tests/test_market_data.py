@@ -71,6 +71,12 @@ class TestLoadBars:
         with pytest.raises(ParseError, match="line 3"):
             load_bars(p)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        # the bad row is on line 4 of the file, after one blank line
+        p = _write(tmp_path, [f"{DAY + 540},10.0,5", "", f"{DAY + 541},oops,6"])
+        with pytest.raises(ParseError, match="^line 4:"):
+            load_bars(p)
+
     def test_short_row_without_timestamp_reports_line(self, tmp_path):
         p = _write(tmp_path, [f"10.0,5,{DAY + 540}", "10.1,6"],
                    header="price,volume,timestamp")

@@ -79,13 +79,6 @@ class TestTripletRoundTrip:
         with pytest.raises(ParseError):
             triplet_from_dict({"format": "wismc.kernel"})
 
-    def test_loader_dispatches_on_format(self, tmp_path):
-        rng = np.random.default_rng(4)
-        kernel = random_kernel(rng, [-0.02, 0.01], n_bins=1, t_max=3)
-        p = tmp_path / "k.json"
-        save_model(kernel, p)
-        assert load_model(p).t_max == 3
-
     def test_evaluation_identical_after_round_trip(self):
         from wismc.triplet import ConditioningCell, triplet_kernel_eval
         rng = np.random.default_rng(5)
