@@ -146,6 +146,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tk = load_model(args.model)

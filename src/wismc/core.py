@@ -90,6 +90,8 @@ def make_state_grid(values, n_states: int, center_zero_bin: bool = True) -> Stat
     split into equal-count bins on each side. Representatives are in-bin
     medians.
     """
+    if n_states < 2:
+        raise ParameterError(f"need at least 2 states, got {n_states}")
     values = np.asarray(values, dtype=float)
     if values.size < 2 * n_states:
         raise EstimationError("too few observations for the requested state count")
@@ -400,70 +402,72 @@ def normalized(rows: np.ndarray, law_ndim: int = 1):
 
 
 def sojourn_counts(cells: tuple, shape: tuple, sojourns: np.ndarray,
-                   t_max: Optional[int], law_ndim: int):
-    """(counts, pmf) of a transition table: one count per transition at
-    ``cells`` (an index array per axis of ``shape``) and its sojourn slot on
-    a last axis of ``t_max`` slots, longer sojourns in the last one. ``t_max``
-    defaults to the :data:`SOJOURN_QUANTILE` quantile of the sojourns. ``pmf``
-    normalizes the counts over their last ``law_ndim`` axes."""
+                   t_max: Optional[int]) -> np.ndarray:
+    """Counts of a transition table: one count per transition at ``cells``
+    (an index array per axis of ``shape``) and its sojourn slot on a last axis
+    of ``t_max`` slots, longer sojourns in the last one. ``t_max`` defaults to
+    the :data:`SOJOURN_QUANTILE` quantile of the sojourns."""
     if t_max is None:
         t_max = max(int(np.quantile(sojourns, SOJOURN_QUANTILE)), 1)
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
     counts = np.zeros(tuple(shape) + (int(t_max),), dtype=np.int64)
     np.add.at(counts, tuple(cells) + (np.minimum(sojourns, t_max) - 1,), 1)
-    return counts, normalized(counts, law_ndim)[0]
+    return counts
 
 
-def indexed_ladder(counts: np.ndarray, pmf: np.ndarray, bin_axes: tuple, law_ndim: int):
+def indexed_ladder(counts: np.ndarray, bin_axes: tuple, law_ndim: int):
     """The fallback ladder of a count table whose last ``law_ndim`` axes hold
-    the law, in the form :func:`resolve_ladder` takes: the cell's own ``pmf``,
-    then the law pooled over the index-bin axes ``bin_axes``, then the global
-    law pooled over every conditioning axis (uniform when the table is
-    empty)."""
+    the law, in the form :func:`resolve_ladder` takes: the cell's own counts
+    normalized, then the law pooled over the index-bin axes ``bin_axes``, then
+    the global law pooled over every conditioning axis (uniform when the table
+    is empty)."""
     cell_axes = tuple(range(counts.ndim - law_ndim))
-    law_axes = tuple(range(counts.ndim - law_ndim, counts.ndim))
     pooled = normalized(counts.sum(axis=bin_axes, keepdims=True), law_ndim)
     global_law, mass = normalized(counts.sum(axis=cell_axes), law_ndim)
     if mass <= 0:
         global_law = np.full(global_law.shape, 1.0 / global_law.size)
-    return [(pmf, counts.sum(axis=law_axes)), pooled], global_law
+    return [normalized(counts, law_ndim), pooled], global_law
 
 
 @dataclass
 class IndexedKernel:
     """Estimated law of (next state, sojourn) given (state, index bin).
 
-    ``pmf[i, b, j, k]`` is the probability of jumping from state ``i`` with
-    index in bin ``b`` to state ``j`` after ``k + 1`` minutes. Rows of
-    occupied cells sum to one. ``resolved`` holds every cell's law after the
-    fallback ladder and ``level`` the level it took: 0 for the cell's own
-    law, 1 for the state's law pooled over index bins, 2 for the global law.
+    ``counts[i, b, j, k]`` counts the jumps from state ``i`` with index in
+    bin ``b`` to state ``j`` after ``k + 1`` minutes (the last slot also
+    takes longer sojourns). Everything else is derived from them:
+    ``pmf`` normalizes each (i, b) cell, so rows of occupied cells sum to
+    one; ``resolved`` holds every cell's law after the fallback ladder and
+    ``level`` the level it took: 0 for the cell's own law, 1 for the state's
+    law pooled over index bins, 2 for the global law.
     """
 
     grid: StateGrid
     lam: float
     index_edges: np.ndarray
-    t_max: int
     counts: np.ndarray
-    pmf: np.ndarray
 
     def __post_init__(self):
         self.index_edges = np.asarray(self.index_edges, dtype=float)
         self.counts = np.asarray(self.counts)
-        self.pmf = np.asarray(self.pmf, dtype=float)
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError("lambda must lie in (0, 1]")
         s, b = self.grid.n_states, self.n_index_bins
-        if self.pmf.shape != (s, b, s, self.t_max):
-            raise ParameterError("pmf shape does not match grid/bins/t_max")
-        if self.counts.shape != self.pmf.shape:
-            raise ParameterError("counts shape does not match pmf shape")
-        self.resolved, self.level = resolve_ladder(*self.ladder())
+        if self.counts.ndim != 4 or self.counts.shape[:3] != (s, b, s) or self.t_max < 1:
+            raise ParameterError("counts must be laid out as [state, index bin, "
+                                 "next state, sojourn slot], with at least one slot")
+        levels, last = self.ladder()
+        self.pmf = levels[0][0]
+        self.resolved, self.level = resolve_ladder(levels, last)
 
     @property
     def n_index_bins(self) -> int:
         return self.index_edges.size - 1
+
+    @property
+    def t_max(self) -> int:
+        return self.counts.shape[-1]
 
     @property
     def occupied(self) -> np.ndarray:
@@ -472,19 +476,10 @@ class IndexedKernel:
     def ladder(self):
         """The fallback ladder's (law, mass) levels and last law, laid out
         as [state, index bin, next state, sojourn slot]."""
-        return indexed_ladder(self.counts, self.pmf, (1,), 2)
+        return indexed_ladder(self.counts, (1,), 2)
 
     def index_bin(self, x) -> np.ndarray:
         return bin_of(self.index_edges, x)
-
-    def cell_pmf(self, i: int, b: int):
-        """Joint (next state, sojourn) pmf with the fallback ladder; returns
-        (pmf[s, t_max], level) where level 0 = cell, 1 = state, 2 = global."""
-        return self.resolved[i, b], int(self.level[i, b])
-
-    def sojourn_pmf(self, i: int, b: int) -> np.ndarray:
-        """Marginal sojourn law h(i, x; t) for the cell (with fallback)."""
-        return self.resolved[i, b].sum(axis=0)
 
 
 def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:
@@ -501,8 +496,8 @@ def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:
     else:
         edges = _quantile_edges(idx, params.n_index_bins)
     s = chain.grid.n_states
-    counts, pmf = sojourn_counts(
+    counts = sojourn_counts(
         (chain.states[:-1], bin_of(edges, idx), chain.states[1:]),
-        (s, edges.size - 1, s), chain.sojourns(), params.t_max, 2)
+        (s, edges.size - 1, s), chain.sojourns(), params.t_max)
     return IndexedKernel(grid=chain.grid, lam=params.lam, index_edges=edges,
-                         t_max=counts.shape[-1], counts=counts, pmf=pmf)
+                         counts=counts)

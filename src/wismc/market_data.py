@@ -327,6 +327,8 @@ def descriptive_stats(values) -> DescriptiveStats:
 def jarque_bera(values, alpha: float = 0.01):
     """JB = n/6 (S^2 + K^2/4) with K the excess kurtosis; chi-square(2)
     p-value. Returns (statistic, p_value, reject)."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     x = np.asarray(getattr(values, "values", values), dtype=float)
     if x.size < 8:
         raise InsufficientDataError("need at least 8 observations")

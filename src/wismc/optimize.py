@@ -32,6 +32,10 @@ class GridSpec:
             raise ParameterError("state_counts and lambdas must be non-empty")
         if self.max_lag < 1:
             raise ParameterError("max_lag must be >= 1")
+        if any(s < 2 for s in self.state_counts):
+            raise ParameterError("state counts must be >= 2")
+        if self.reps_per_point < 1:
+            raise ParameterError("reps_per_point must be >= 1")
         if any(not 0.0 < l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in (0, 1]")
 

@@ -4,6 +4,11 @@ nested in each.
 Floats are written with Python's shortest round-trip representation and the
 non-finite grid edges as JSON ``Infinity`` literals, so load(save(x)) is
 bit-exact. Every document carries a ``format`` tag and ``version`` field.
+
+A table is its counts. Each document also holds copies derived from them for
+readers: every table's ``pmf``, each kernel's ``t_max`` and the waiting-time
+table's ``x_edges``/``w_edges`` (the kernels' index edges). The loader derives
+them again and checks each copy against them (see :func:`load_model`).
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import numpy as np
 
 from .copulas import CopulaSpec
 from .core import IndexedKernel, StateGrid
-from .errors import ParseError
+from .errors import ContractViolation, ParameterError, ParseError
 from .triplet import CondWaitDist, EmpiricalInverse, SignModel, TripletKernel
 
 __all__ = [
@@ -51,19 +56,32 @@ def kernel_to_dict(k: IndexedKernel) -> dict:
     }
 
 
-def kernel_from_dict(doc: dict) -> IndexedKernel:
+def _check_pmf(table, stored, name: str) -> None:
+    """The stored copy of a table's pmf must be the one its counts give."""
+    stored = np.array(stored, dtype=float)
+    if stored.shape != table.pmf.shape:
+        raise ParameterError(f"{name} pmf shape {stored.shape} does not match "
+                             f"its counts' {table.pmf.shape}")
+    if stored.tobytes() != table.pmf.tobytes():
+        raise ParseError(f"{name} pmf is not its counts normalized")
+
+
+def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
     if doc.get("format") != KERNEL_FORMAT:
         raise ParseError(f"not a kernel document: {doc.get('format')!r}")
     grid = StateGrid(edges=np.array(doc["grid"]["edges"], dtype=float),
                      representatives=np.array(doc["grid"]["representatives"], dtype=float))
-    return IndexedKernel(
+    kernel = IndexedKernel(
         grid=grid,
         lam=float(doc["lambda"]),
         index_edges=np.array(doc["index_edges"], dtype=float),
-        t_max=int(doc["t_max"]),
         counts=np.array(doc["counts"], dtype=np.int64),
-        pmf=np.array(doc["pmf"], dtype=float),
     )
+    if int(doc["t_max"]) != kernel.t_max:
+        raise ParameterError(f"{name} t_max {doc['t_max']} does not match "
+                             f"its counts' {kernel.t_max}")
+    _check_pmf(kernel, doc["pmf"], name)
+    return kernel
 
 
 def _inverse_to_dict(inv) -> dict | None:
@@ -88,8 +106,8 @@ def triplet_to_dict(tk: TripletKernel) -> dict:
         "cond_wait": {
             "counts": tk.cond_wait.counts.tolist(),
             "pmf": tk.cond_wait.pmf.tolist(),
-            "x_edges": tk.cond_wait.x_edges.tolist(),
-            "w_edges": tk.cond_wait.w_edges.tolist(),
+            "x_edges": tk.kernel_j.index_edges.tolist(),
+            "w_edges": tk.kernel_v.index_edges.tolist(),
         },
         "copula": {
             "family": tk.copula.family,
@@ -107,15 +125,15 @@ def triplet_to_dict(tk: TripletKernel) -> dict:
 def triplet_from_dict(doc: dict) -> TripletKernel:
     if doc.get("format") != TRIPLET_FORMAT:
         raise ParseError(f"not a triplet document: {doc.get('format')!r}")
-    kj = kernel_from_dict(doc["kernel_j"])
-    kv = kernel_from_dict(doc["kernel_v"])
+    kj = kernel_from_dict(doc["kernel_j"], "kernel_j")
+    kv = kernel_from_dict(doc["kernel_v"], "kernel_v")
     cw = doc["cond_wait"]
-    cond = CondWaitDist(
-        counts=np.array(cw["counts"], dtype=np.int64),
-        pmf=np.array(cw["pmf"], dtype=float),
-        x_edges=np.array(cw["x_edges"], dtype=float),
-        w_edges=np.array(cw["w_edges"], dtype=float),
-    )
+    cond = CondWaitDist(counts=np.array(cw["counts"], dtype=np.int64))
+    _check_pmf(cond, cw["pmf"], "cond_wait")
+    if not (np.array_equal(np.array(cw["x_edges"], dtype=float), kj.index_edges)
+            and np.array_equal(np.array(cw["w_edges"], dtype=float), kv.index_edges)):
+        raise ContractViolation("the waiting-time table's index edges differ "
+                                "from the kernels' index edges")
     cop = doc["copula"]
     spec = CopulaSpec(family=cop["family"], rho=float(cop["rho"]),
                       theta=float(cop["theta"]), df=float(cop["df"]),
@@ -136,9 +154,10 @@ def save_model(tk: TripletKernel, path) -> None:
 
 def load_model(path) -> TripletKernel:
     """Read a triplet model file. A file that is not a JSON object or not a
-    triplet document, lacks a field or holds one of the wrong type raises
-    :class:`ParseError`; tables whose shapes or index edges disagree raise
-    the constructors' errors."""
+    triplet document, lacks a field, holds one of the wrong type or a pmf
+    other than its counts normalized raises :class:`ParseError`; tables
+    whose shapes, ``t_max`` or index edges disagree raise
+    :class:`ParameterError` or :class:`ContractViolation`."""
     with open(path) as fh:
         try:
             doc = json.load(fh)

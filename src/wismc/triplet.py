@@ -144,44 +144,42 @@ def estimate_signs(sync: SyncChain) -> SignModel:
 @dataclass
 class CondWaitDist:
     """Law of the synchronized sojourn given both states and both index bins,
-    truncated at ``t_max`` with overflow lumped into the last slot.
-    ``resolved`` holds every cell's law after the fallback ladder and
-    ``level`` the level it took: 0 for the cell's own law, 1 for the
-    (state, state) law pooled over index bins, 2 for the global law."""
+    truncated at ``t_max`` with overflow lumped into the last slot. Only the
+    counts are stored; the index bins are the kernels' (one set of edges per
+    variable). ``pmf`` normalizes each cell's counts, ``resolved`` holds
+    every cell's law after the fallback ladder and ``level`` the level it
+    took: 0 for the cell's own law, 1 for the (state, state) law pooled over
+    index bins, 2 for the global law."""
 
     counts: np.ndarray  # [sJ, sV, Bx, Bw, t_max]
-    pmf: np.ndarray
-    x_edges: np.ndarray
-    w_edges: np.ndarray
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts)
-        self.pmf = np.asarray(self.pmf, dtype=float)
-        if self.pmf.ndim != 5 or self.counts.shape != self.pmf.shape:
-            raise ParameterError("counts and pmf must share one 5-axis shape")
-        self.resolved, self.level = resolve_ladder(
-            *indexed_ladder(self.counts, self.pmf, (2, 3), 1))
+        if self.counts.ndim != 5 or self.t_max < 1:
+            raise ParameterError("counts must have 5 axes and at least one sojourn slot")
+        levels, last = indexed_ladder(self.counts, (2, 3), 1)
+        self.pmf = levels[0][0]
+        self.resolved, self.level = resolve_ladder(levels, last)
 
     @property
     def t_max(self) -> int:
-        return self.pmf.shape[4]
+        return self.counts.shape[4]
 
 
 def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
                        t_max: Optional[int] = None) -> CondWaitDist:
     """Count synchronized sojourns per (state, state, index-bin, index-bin)
-    cell and normalize. ``idx_j``/``idx_v`` are the index-process values at
-    the union times."""
+    cell. ``idx_j``/``idx_v`` are the index-process values at the union
+    times, binned by ``x_edges``/``w_edges``."""
     if len(sync) < 2:
         raise EstimationError("need at least one synchronized transition")
     x_edges = np.asarray(x_edges, dtype=float)
     w_edges = np.asarray(w_edges, dtype=float)
-    counts, pmf = sojourn_counts(
+    return CondWaitDist(counts=sojourn_counts(
         (sync.j_states[:-1], sync.v_states[:-1],
          bin_of(x_edges, idx_j[:-1]), bin_of(w_edges, idx_v[:-1])),
         (sync.grid_j.n_states, sync.grid_v.n_states, x_edges.size - 1, w_edges.size - 1),
-        sync.sojourns(), t_max, 1)
-    return CondWaitDist(counts=counts, pmf=pmf, x_edges=x_edges, w_edges=w_edges)
+        sync.sojourns(), t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +298,9 @@ class TripletKernel:
     inverse_v: Optional[EmpiricalInverse] = None
 
     def __post_init__(self):
-        cw, kj, kv = self.cond_wait, self.kernel_j, self.kernel_v
-        if not (np.array_equal(cw.x_edges, kj.index_edges)
-                and np.array_equal(cw.w_edges, kv.index_edges)):
-            raise ContractViolation("the waiting-time table's index edges differ "
-                                    "from the kernels' index edges")
-        if cw.pmf.shape[:4] != (kj.grid.n_states, kv.grid.n_states,
-                                kj.n_index_bins, kv.n_index_bins):
+        kj, kv = self.kernel_j, self.kernel_v
+        if self.cond_wait.counts.shape[:4] != (kj.grid.n_states, kv.grid.n_states,
+                                               kj.n_index_bins, kv.n_index_bins):
             raise ContractViolation("the waiting-time table's shape does not match "
                                     "the kernels' grids and index bins")
         self.modulus_j = _ModulusTable(self.kernel_j)

@@ -32,10 +32,9 @@ def random_kernel(rng, reps, n_bins=1, t_max=3, index_edges=None) -> IndexedKern
     reps = np.asarray(reps, dtype=float)
     s = reps.size
     grid = toy_grid(reps)
-    counts = rng.integers(1, 30, size=(s, n_bins, s, t_max)).astype(float)
+    counts = rng.integers(1, 30, size=(s, n_bins, s, t_max))
     for i in range(s):
-        counts[i, :, i, :] = 0.0
-    pmf = counts / counts.sum(axis=(2, 3), keepdims=True)
+        counts[i, :, i, :] = 0
     if index_edges is None:
         if n_bins == 1:
             index_edges = np.array([-np.inf, np.inf])
@@ -43,7 +42,7 @@ def random_kernel(rng, reps, n_bins=1, t_max=3, index_edges=None) -> IndexedKern
             index_edges = np.concatenate([[-np.inf], np.sort(rng.random(n_bins - 1)),
                                           [np.inf]])
     return IndexedKernel(grid=grid, lam=0.9, index_edges=np.asarray(index_edges),
-                         t_max=t_max, counts=counts.astype(np.int64), pmf=pmf)
+                         counts=counts)
 
 
 def random_triplet(rng, reps_j, reps_v, copula: CopulaSpec, t_max=3, n_bins=1,
@@ -53,22 +52,12 @@ def random_triplet(rng, reps_j, reps_v, copula: CopulaSpec, t_max=3, n_bins=1,
     kj = random_kernel(rng, reps_j, n_bins, t_max + max_b)
     kv = random_kernel(rng, reps_v, n_bins, t_max + max_b)
     sj, sv = len(reps_j), len(reps_v)
-    c = rng.integers(1, 20, size=(sj, sv, n_bins, n_bins, t_max)).astype(float)
-    pmf = c / c.sum(axis=4, keepdims=True)
-    cond = CondWaitDist(counts=c.astype(np.int64), pmf=pmf,
-                        x_edges=kj.index_edges, w_edges=kv.index_edges)
+    cond = CondWaitDist(counts=rng.integers(1, 20, size=(sj, sv, n_bins, n_bins, t_max)))
     signs = SignModel(
         p_j=float(rng.uniform(0.2, 0.8)) if p_j is None else p_j,
         p_v=float(rng.uniform(0.2, 0.8)) if p_v is None else p_v)
     return TripletKernel(kernel_j=kj, kernel_v=kv, cond_wait=cond,
                          copula=copula, signs=signs)
-
-
-def _normalized(counts, law_ndim):
-    """Counts over their cells' totals, as the estimators compute the pmf."""
-    totals = counts.sum(axis=tuple(range(counts.ndim - law_ndim, counts.ndim)),
-                        keepdims=True)
-    return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
 
 
 def knock_out(rng, tk: TripletKernel) -> TripletKernel:
@@ -82,11 +71,11 @@ def knock_out(rng, tk: TripletKernel) -> TripletKernel:
         c[rng.random(c.shape[:2]) < 0.3] = 0
         c[rng.random(c.shape[0]) < 0.2] = 0
         c[..., rng.random(c.shape[-1]) < 0.2] = 0
-        kernels.append(dataclasses.replace(kernel, counts=c, pmf=_normalized(c, 2)))
+        kernels.append(dataclasses.replace(kernel, counts=c))
     c = tk.cond_wait.counts.copy()
     c[rng.random(c.shape[:4]) < 0.3] = 0
     c[rng.random(c.shape[:2]) < 0.2] = 0
-    cond = dataclasses.replace(tk.cond_wait, counts=c, pmf=_normalized(c, 1))
+    cond = dataclasses.replace(tk.cond_wait, counts=c)
     return dataclasses.replace(tk, kernel_j=kernels[0], kernel_v=kernels[1],
                                cond_wait=cond)
 

@@ -155,10 +155,10 @@ def _truth_kernel_consistency():
             else:
                 row[:, 0] *= 3.0
             pmf[i, b] = row / row.sum()
-    counts = np.rint(pmf * 1000).astype(np.int64)
+    # counts fine enough that the law they give is the designed one to ~1e-12
+    counts = np.rint(pmf * 1e12).astype(np.int64)
     return IndexedKernel(grid=grid, lam=0.9,
-                         index_edges=np.array([-np.inf, 6e-4, np.inf]),
-                         t_max=t_max, counts=counts, pmf=pmf)
+                         index_edges=np.array([-np.inf, 6e-4, np.inf]), counts=counts)
 
 
 def test_criterion_05_estimator_consistency():
@@ -317,10 +317,11 @@ def _truth_kernel_search():
                 tostate[ext[0]] = 0.85
             pmf[i, b] = np.outer(tostate, soj)
             pmf[i, b] /= pmf[i, b].sum()
-    counts = np.rint(pmf * 1000).astype(np.int64)
+    # counts fine enough that the law they give is the designed one to ~1e-12
+    counts = np.rint(pmf * 1e12).astype(np.int64)
     return IndexedKernel(grid=grid, lam=0.9,
                          index_edges=np.array([-np.inf, 8e-5, 1.15e-4, np.inf]),
-                         t_max=t_max, counts=counts, pmf=pmf)
+                         counts=counts)
 
 
 def test_criterion_10_optimizer_self_consistency():

@@ -240,6 +240,9 @@ class TestErrors:
         ("cond_wait counts lost a state", "simulate", 2, "ParameterError"),
         ("kernel_j counts lost a state", "simulate", 2, "ParameterError"),
         ("cond_wait x_edges moved", "fpt", 2, "ContractViolation"),
+        ("cond_wait pmf row zeroed", "simulate", 3, "ParseError"),
+        ("kernel_j pmf entry changed", "fpt", 3, "ParseError"),
+        ("kernel_v t_max changed", "simulate", 2, "ParameterError"),
         ("kernel document", "simulate", 3, "ParseError"),
         ("kernel document", "fpt", 3, "ParseError"),
     ])
@@ -257,6 +260,19 @@ class TestErrors:
             table["counts"] = table["counts"][1:]
         elif damage == "cond_wait x_edges moved":
             doc["cond_wait"]["x_edges"][2] *= 1.5
+        elif damage == "cond_wait pmf row zeroed":  # an occupied row, counts kept
+            cw = doc["cond_wait"]
+            pmf = np.array(cw["pmf"])
+            pmf[tuple(np.argwhere(np.array(cw["counts"]).sum(axis=4) > 0)[0])] = 0.0
+            cw["pmf"] = pmf.tolist()
+        elif damage == "kernel_j pmf entry changed":
+            kj = doc["kernel_j"]
+            pmf = np.array(kj["pmf"])
+            top = np.unravel_index(np.argmax(pmf), pmf.shape)
+            pmf[top] = np.nextafter(pmf[top], 0.0)  # one unit in the last place
+            kj["pmf"] = pmf.tolist()
+        elif damage == "kernel_v t_max changed":
+            doc["kernel_v"]["t_max"] += 1
         elif damage == "kernel document":  # a nested kernel on its own
             doc = doc["kernel_j"]
         path = tmp_path / "bad.json"
@@ -273,6 +289,38 @@ class TestErrors:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("args", [["estimate", "--states-r", "1"],
+                                      ["estimate", "--states-v", "1"],
+                                      ["optimize", "--states", "1"]])
+    def test_fewer_than_two_states_exits_2(self, small_csv, tmp_path, capsys, args):
+        code = main([*args, "--input", small_csv, "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_simulate_reps_below_one_exits_2(self, small_model, tmp_path, capsys, reps):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--model", small_model, "--minutes", "10",
+                     "--reps", reps, "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+
+    def test_optimize_reps_below_one_exits_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "opt" / "opt.json"
+        code = main(["optimize", "--input", small_csv, "--reps", "0", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("alpha", ["2", "0"])
+    def test_alpha_outside_unit_interval_exits_2(self, small_csv, tmp_path, capsys, alpha):
+        out = tmp_path / "a"
+        assert main(["analyze", "--input", small_csv, "--alpha", alpha,
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (out / "battery.json").exists()
 
     def test_negative_max_lag_exits_2(self, small_csv, tmp_path, capsys):
         out = tmp_path / "a"

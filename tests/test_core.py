@@ -58,6 +58,11 @@ class TestStateGrid:
             StateGrid(edges=np.array([-np.inf, 1.0, 0.0, np.inf]),
                       representatives=np.array([0.0, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("n_states", [1, 0, -3])
+    def test_fewer_than_two_states_rejected(self, n_states):
+        with pytest.raises(ParameterError):
+            make_state_grid(np.random.default_rng(2).standard_normal(100), n_states)
+
 
 class TestDiscretize:
     def test_hand_trace(self):
@@ -240,7 +245,7 @@ class TestEstimateKernel:
         chain = JumpChain(states=np.array([0, 1]), times=np.array([0, 2]), grid=grid)
         kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=1, t_max=4))
         assert kernel.pmf[0, 0, 1, 1] == 1.0
-        cdf = np.cumsum(kernel.sojourn_pmf(0, 0))
+        cdf = np.cumsum(kernel.resolved[0, 0].sum(axis=0))
         assert cdf[1] == 1.0  # P(sojourn <= 2)
         assert cdf[0] == 0.0  # P(sojourn <= 1)
 
@@ -272,8 +277,9 @@ class TestEstimateKernel:
         # so the cdf at t=0 vanishes everywhere
         for i in range(kernel.grid.n_states):
             for b in range(kernel.n_index_bins):
-                assert kernel.sojourn_pmf(i, b).size == kernel.t_max
-                assert kernel.sojourn_pmf(i, b).sum() == pytest.approx(1.0)
+                sojourn = kernel.resolved[i, b].sum(axis=0)
+                assert sojourn.size == kernel.t_max
+                assert sojourn.sum() == pytest.approx(1.0)
 
     def test_single_bin_degenerates_to_plain_counting(self):
         rng = np.random.default_rng(15)
@@ -301,7 +307,7 @@ class TestEstimateKernel:
         empty = np.argwhere(~kernel.occupied)
         if empty.size:
             i, b = empty[0]
-            pmf, level = kernel.cell_pmf(int(i), int(b))
+            pmf, level = kernel.resolved[i, b], kernel.level[i, b]
             assert level >= 1
             assert pmf.sum() == pytest.approx(1.0)
 
@@ -324,5 +330,4 @@ class TestSojournCounts:
         # is 1, so the long one shares the single slot
         sojourns = np.array([1] * 199 + [9])
         cells = (np.zeros(200, dtype=np.int64),)
-        counts, pmf = sojourn_counts(cells, (1,), sojourns, None, 1)
-        assert counts.tolist() == [[200]] and pmf.tolist() == [[1.0]]
+        assert sojourn_counts(cells, (1,), sojourns, None).tolist() == [[200]]

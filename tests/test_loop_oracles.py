@@ -61,7 +61,7 @@ def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
     flat = np.empty((s, nb, s * t_max))
     for i in range(s):
         for b in range(nb):
-            flat[i, b] = np.cumsum(kernel.cell_pmf(i, b)[0].ravel())
+            flat[i, b] = np.cumsum(kernel.resolved[i, b].ravel())
     if initial_state is None:
         occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
         if occupancy.sum() <= 0:
@@ -381,11 +381,8 @@ def test_simulate_univariate_fallback_and_thin_samples():
     counts = kernel.counts.copy()
     counts[0, 1] = 0  # state-level fallback
     counts[2] = 0  # global fallback
-    pmf = kernel.pmf.copy()
-    pmf[0, 1] = 0.0
-    pmf[2] = 0.0
-    kernel = dataclasses.replace(kernel, counts=counts, pmf=pmf)
-    assert kernel.cell_pmf(0, 1)[1] == 1 and kernel.cell_pmf(2, 0)[1] == 2
+    kernel = dataclasses.replace(kernel, counts=counts)
+    assert kernel.level[0, 1] == 1 and kernel.level[2, 0] == 2
     # an empty sample (representative, with a warning) and a single value
     inverse = EmpiricalInverse(samples=[np.array([-0.03, -0.02, -0.01]), np.array([]),
                                         np.array([0.02])], grid=toy_grid([-0.02, 0.0, 0.015]))
@@ -411,8 +408,7 @@ def test_simulate_univariate_index_on_edge():
     for k, edge in [(k, e) for k in records for e in (x[k], np.nextafter(x[k], np.inf))]:
         kernel = dataclasses.replace(
             one, index_edges=np.array([-np.inf, edge, np.inf]),
-            counts=np.concatenate([one.counts, other.counts], axis=1),
-            pmf=np.concatenate([one.pmf, other.pmf], axis=1))
+            counts=np.concatenate([one.counts, other.counts], axis=1))
         for kw in (dict(minutes=None, n_events=k + 20), dict(minutes=int(times[k]) + 60)):
             want = oracle_simulate_univariate(kernel, seed=8, **kw)
             got = simulate_univariate(kernel, seed=8, **kw)

@@ -9,6 +9,7 @@ from wismc.errors import (
     DegenerateTableError,
     InsufficientDataError,
     OrderingError,
+    ParameterError,
     ParseError,
     UndefinedStatisticError,
 )
@@ -193,6 +194,11 @@ class TestJarqueBera:
     def test_short_sample(self):
         with pytest.raises(InsufficientDataError):
             jarque_bera([1.0] * 5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ParameterError):
+            jarque_bera(np.random.default_rng(7).standard_normal(100), alpha=alpha)
 
 
 class TestAutocorrelation:

@@ -107,6 +107,11 @@ class TestGridSearch:
             GridSpec(state_counts=(), lambdas=(0.9,))
         with pytest.raises(ParameterError):
             GridSpec(state_counts=(3,), lambdas=(1.5,))
+        with pytest.raises(ParameterError):
+            GridSpec(state_counts=(1, 3), lambdas=(0.9,))
+        for reps in (0, -1):
+            with pytest.raises(ParameterError):
+                GridSpec(state_counts=(3,), lambdas=(0.9,), reps_per_point=reps)
 
 
 class TestOptResult:

@@ -1,5 +1,7 @@
 """Synthetic path generation: reproducibility, law recovery and the
 stylized-fact report."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -64,18 +66,14 @@ def _deterministic_triplet():
     """Single reachable value (+m) with unit sojourns: the path is constant."""
     reps = [-0.02, 0.02]
     grid = toy_grid(reps)
-    counts = np.zeros((2, 1, 2, 2))
-    counts[0, 0, 1, 0] = 1.0  # only target modulus .02 at sojourn 1
-    counts[1, 0, 0, 0] = 1.0
-    pmf = counts / counts.sum(axis=(2, 3), keepdims=True)
+    counts = np.zeros((2, 1, 2, 2), dtype=np.int64)
+    counts[0, 0, 1, 0] = 1  # only target modulus .02 at sojourn 1
+    counts[1, 0, 0, 0] = 1
     kern = IndexedKernel(grid=grid, lam=0.9, index_edges=np.array([-np.inf, np.inf]),
-                         t_max=2, counts=counts.astype(np.int64), pmf=pmf)
-    c = np.zeros((2, 2, 1, 1, 2))
-    c[:, :, 0, 0, 0] = 1.0
-    cond = CondWaitDist(counts=c.astype(np.int64),
-                        pmf=c / c.sum(axis=4, keepdims=True),
-                        x_edges=np.array([-np.inf, np.inf]),
-                        w_edges=np.array([-np.inf, np.inf]))
+                         counts=counts)
+    c = np.zeros((2, 2, 1, 1, 2), dtype=np.int64)
+    c[:, :, 0, 0, 0] = 1
+    cond = CondWaitDist(counts=c)
     return TripletKernel(kernel_j=kern, kernel_v=kern, cond_wait=cond,
                          copula=CopulaSpec("independence"),
                          signs=SignModel(p_j=1.0, p_v=1.0))
@@ -274,8 +272,9 @@ class TestStylizedFacts:
         tk = random_triplet(rng, [-0.02, 0.01, 0.03], [-1.0, 0.5, 1.4],
                             CopulaSpec("independence"), t_max=3, max_b=6,
                             p_j=0.5, p_v=0.5)
-        tk.cond_wait.pmf[...] = tk.cond_wait.pmf[0, 0, 0, 0]
-        tk.cond_wait.__post_init__()
+        counts = tk.cond_wait.counts.copy()
+        counts[...] = counts[0, 0, 0, 0]
+        tk = dataclasses.replace(tk, cond_wait=CondWaitDist(counts=counts))
         path = simulate_path(tk, SimConfig(length_minutes=120_000, seed=37))
         report = validate_stylized_facts([path], max_lag=20)
         band = report["three_se_band"]

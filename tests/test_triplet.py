@@ -18,6 +18,7 @@ from wismc.errors import (
     UndefinedConditionalError,
 )
 from wismc.triplet import (
+    CondWaitDist,
     ConditioningCell,
     _ModulusTable,
     ModelView,
@@ -207,14 +208,12 @@ class TestSigns:
 class TestModulusMarginal:
     def _kernel(self):
         grid = toy_grid([-0.02, 0.01])
-        counts = np.zeros((2, 1, 2, 3))
-        counts[0, 0, 1, 0] = 3.0  # from -0.02: to 0.01 at t=1
-        counts[0, 0, 1, 2] = 1.0
-        counts[1, 0, 0, 1] = 2.0
-        pmf = counts / counts.sum(axis=(2, 3), keepdims=True)
+        counts = np.zeros((2, 1, 2, 3), dtype=np.int64)
+        counts[0, 0, 1, 0] = 3  # from -0.02: to 0.01 at t=1
+        counts[0, 0, 1, 2] = 1
+        counts[1, 0, 0, 1] = 2
         return IndexedKernel(grid=grid, lam=0.9,
-                             index_edges=np.array([-np.inf, np.inf]), t_max=3,
-                             counts=counts.astype(np.int64), pmf=pmf)
+                             index_edges=np.array([-np.inf, np.inf]), counts=counts)
 
     def test_full_support_limits(self):
         k = self._kernel()
@@ -236,12 +235,10 @@ class TestModulusMarginal:
 
     def test_unoccupied_cell_raises(self):
         grid = toy_grid([-0.02, 0.01])
-        counts = np.zeros((2, 1, 2, 3))
-        counts[0, 0, 1, 0] = 1.0
-        pmf = np.divide(counts, counts.sum(axis=(2, 3), keepdims=True),
-                        out=np.zeros_like(counts), where=counts.sum(axis=(2, 3), keepdims=True) > 0)
+        counts = np.zeros((2, 1, 2, 3), dtype=np.int64)
+        counts[0, 0, 1, 0] = 1
         k = IndexedKernel(grid=grid, lam=0.9, index_edges=np.array([-np.inf, np.inf]),
-                          t_max=3, counts=counts.astype(np.int64), pmf=pmf)
+                          counts=counts)
         with pytest.raises(UndefinedConditionalError):
             modulus_marginal_cdf(k, 1, 0, 1, 0.02)
 
@@ -430,7 +427,7 @@ class TestModelView:
         view = ModelView(tk)
         values_j = np.concatenate([view.support_j, rng.normal(0, 0.03, 20), [-0.0]])
         values_v = np.concatenate([view.support_v, rng.normal(0, 1.0, 20)])
-        index = np.concatenate([tk.cond_wait.x_edges, tk.cond_wait.w_edges,
+        index = np.concatenate([tk.kernel_j.index_edges, tk.kernel_v.index_edges,
                                 rng.random(30), [-1.0, 2.0]])
         for _ in range(300):
             i_val, v_val = float(rng.choice(values_j)), float(rng.choice(values_v))
@@ -458,14 +455,11 @@ class TestFitPipeline:
         rng = np.random.default_rng(3)
         tk = random_triplet(rng, [-0.02, 0.01, 0.03], [-1.0, 0.5],
                             CopulaSpec("independence"), n_bins=2)
-        cw = tk.cond_wait
+        counts = tk.cond_wait.counts
         with pytest.raises(ParameterError):
-            dataclasses.replace(cw, counts=cw.counts[1:])
-        for bad in (dataclasses.replace(cw, x_edges=cw.x_edges * 1.5),
-                    dataclasses.replace(cw, w_edges=cw.w_edges[:-1]),
-                    dataclasses.replace(cw, counts=cw.counts[1:], pmf=cw.pmf[1:])):
-            with pytest.raises(ContractViolation):
-                dataclasses.replace(tk, cond_wait=bad)
+            CondWaitDist(counts=counts[..., 0])
+        with pytest.raises(ContractViolation):
+            dataclasses.replace(tk, cond_wait=CondWaitDist(counts=counts[1:]))
 
     def test_misaligned_series(self):
         with pytest.raises(AlignmentError):
