@@ -142,6 +142,22 @@ def copula_eval(spec: CopulaSpec, u, v):
     return out
 
 
+def average_ranks(x) -> np.ndarray:
+    """Ranks 1..n of a 1-d sample as float64, tied values sharing the mean
+    of their ranks; all NaN when the sample holds a NaN. The same doubles as
+    ``scipy.stats.rankdata(x)``."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    first = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    counts = np.diff(first, append=y.size)
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat((first + 1.0) + (counts - 1.0) / 2, counts)
+    if np.isnan(x).any():
+        ranks[:] = np.nan
+    return ranks
+
+
 def fit_copula(x, y, family: str = "gaussian", df: float = 4.0) -> CopulaSpec:
     """Fit from paired samples via ranks.
 
@@ -161,15 +177,16 @@ def fit_copula(x, y, family: str = "gaussian", df: float = 4.0) -> CopulaSpec:
     meta = {"n": n}
     if family == "independence":
         return CopulaSpec(family="independence", fitted_from=meta)
-    # scipy.stats costs most of `import wismc`, so only a rank fit loads it
-    from scipy.stats import kendalltau, rankdata
-
     if family == "gaussian":
-        zu = ndtri(rankdata(x) / (n + 1.0))
-        zv = ndtri(rankdata(y) / (n + 1.0))
+        zu = ndtri(average_ranks(x) / (n + 1.0))
+        zv = ndtri(average_ranks(y) / (n + 1.0))
         rho = float(np.corrcoef(zu, zv)[0, 1])
         rho = min(max(rho, -1.0 + 1e-12), 1.0 - 1e-12)
         return CopulaSpec(family="gaussian", rho=rho, fitted_from=meta)
+    # scipy.stats costs more than the rest of `import wismc` together, so
+    # only the Kendall-tau families load it
+    from scipy.stats import kendalltau
+
     tau = float(kendalltau(x, y).statistic)
     meta["kendall_tau"] = tau
     capped = min(tau, 1.0 - 1e-9)  # perfect concordance maps to a large theta

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 import numpy as np
-from scipy.special import chdtrc
+from scipy.special import betaincc, chdtrc
 
 from .core import _quantile_edges, bin_of
 from .errors import (
@@ -33,6 +33,7 @@ __all__ = [
     "jarque_bera",
     "autocorrelation",
     "cross_correlation_battery",
+    "pearson",
     "contingency",
     "value_wait_pairs",
     "run_battery",
@@ -362,11 +363,6 @@ def cross_correlation_battery(r, v):
     (r, v), (|r|, v), (r, |v|), (|r|, |v|)."""
     x = np.asarray(getattr(r, "values", r), dtype=float)
     y = np.asarray(getattr(v, "values", v), dtype=float)
-    if x.size != y.size:
-        raise AlignmentError("series lengths differ; align them first")
-    # scipy.stats costs most of `import wismc`, so only this battery loads it
-    from scipy.stats import pearsonr
-
     rows = []
     for name, a, b in [
         ("r,v", x, y),
@@ -374,10 +370,44 @@ def cross_correlation_battery(r, v):
         ("r,|v|", x, np.abs(y)),
         ("|r|,|v|", np.abs(x), np.abs(y)),
     ]:
-        res = pearsonr(a, b)
-        rows.append({"pair": name, "rho": float(res.statistic),
-                     "p_value": float(res.pvalue)})
+        rho, p = pearson(a, b)
+        rows.append({"pair": name, "rho": rho, "p_value": p})
     return rows
+
+
+def _centred_norm(x):
+    """(x less its mean, the Euclidean norm of that), the norm scaled by the
+    largest magnitude first so that it cannot overflow."""
+    xm = x - x.mean()
+    top = np.abs(xm).max()
+    return xm, top * np.sqrt(((xm / top) ** 2).sum())
+
+
+def pearson(x, y) -> tuple:
+    """Pearson correlation r of two paired samples and its two-sided p-value
+    for independent normal samples, under which (r + 1) / 2 is Beta(n/2 - 1,
+    n/2 - 1). Takes scipy.stats.pearsonr's steps in its order, so both give
+    the same doubles: n == 2 gives r = +-1 and p = 1, and a constant sample
+    gives NaN for both with a RuntimeWarning."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n != y.size:
+        raise AlignmentError("series lengths differ; align them first")
+    if n < 2:
+        raise InsufficientDataError("need at least 2 pairs for a correlation")
+    if (x == x[0]).all() or (y == y[0]).all():
+        warnings.warn("an input is constant; the correlation is undefined",
+                      RuntimeWarning, stacklevel=2)
+        return math.nan, math.nan
+    xm, nx = _centred_norm(x)
+    ym, ny = _centred_norm(y)
+    r = float(np.clip(np.dot(xm / nx, ym / ny), -1.0, 1.0))
+    if n == 2:
+        r = float(np.round(r))
+        return r, (math.nan if math.isnan(r) else 1.0)
+    ab = n / 2.0 - 1.0
+    return r, float(2.0 * betaincc(ab, ab, (abs(r) + 1.0) / 2.0))
 
 
 @dataclass

@@ -36,8 +36,11 @@ TRIPLET_FORMAT = "wismc.triplet"
 FORMAT_VERSION = 1
 
 
+_JSON_LAYOUT = {"sort_keys": True, "indent": 1}
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json.dumps(doc, **_JSON_LAYOUT)
 
 
 def kernel_to_dict(k: IndexedKernel) -> dict:
@@ -66,6 +69,14 @@ def _check_pmf(table, stored, name: str) -> None:
         raise ParseError(f"{name} pmf is not its counts normalized")
 
 
+def _counts(stored, name: str) -> np.ndarray:
+    """A table's stored counts, which must all be non-negative."""
+    counts = np.array(stored, dtype=np.int64)
+    if (counts < 0).any():
+        raise ParseError(f"{name} holds a negative count")
+    return counts
+
+
 def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
     if doc.get("format") != KERNEL_FORMAT:
         raise ParseError(f"not a kernel document: {doc.get('format')!r}")
@@ -75,7 +86,7 @@ def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
         grid=grid,
         lam=float(doc["lambda"]),
         index_edges=np.array(doc["index_edges"], dtype=float),
-        counts=np.array(doc["counts"], dtype=np.int64),
+        counts=_counts(doc["counts"], name),
     )
     if int(doc["t_max"]) != kernel.t_max:
         raise ParameterError(f"{name} t_max {doc['t_max']} does not match "
@@ -128,7 +139,7 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
     kj = kernel_from_dict(doc["kernel_j"], "kernel_j")
     kv = kernel_from_dict(doc["kernel_v"], "kernel_v")
     cw = doc["cond_wait"]
-    cond = CondWaitDist(counts=np.array(cw["counts"], dtype=np.int64))
+    cond = CondWaitDist(counts=_counts(cw["counts"], "cond_wait"))
     _check_pmf(cond, cw["pmf"], "cond_wait")
     if not (np.array_equal(np.array(cw["x_edges"], dtype=float), kj.index_edges)
             and np.array_equal(np.array(cw["w_edges"], dtype=float), kv.index_edges)):
@@ -148,16 +159,18 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
 
 
 def save_model(tk: TripletKernel, path) -> None:
+    # json.dump writes the encoder's pieces as they come; dumps would hold
+    # them all at once, about 7 times the file's size
     with open(path, "w") as fh:
-        fh.write(dumps(triplet_to_dict(tk)))
+        json.dump(triplet_to_dict(tk), fh, **_JSON_LAYOUT)
 
 
 def load_model(path) -> TripletKernel:
     """Read a triplet model file. A file that is not a JSON object or not a
-    triplet document, lacks a field, holds one of the wrong type or a pmf
-    other than its counts normalized raises :class:`ParseError`; tables
-    whose shapes, ``t_max`` or index edges disagree raise
-    :class:`ParameterError` or :class:`ContractViolation`."""
+    triplet document, lacks a field, holds one of the wrong type, a negative
+    count or a pmf other than its counts normalized raises
+    :class:`ParseError`; tables whose shapes, ``t_max`` or index edges
+    disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
     with open(path) as fh:
         try:
             doc = json.load(fh)

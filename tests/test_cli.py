@@ -14,6 +14,7 @@ import wismc
 from conftest import heavy_tailed_series, write_bar_csv
 from wismc import cli
 from wismc.cli import main
+from wismc.core import normalized
 from wismc.finfunc import fpt_survival_recursive
 
 
@@ -38,12 +39,34 @@ def _read_manifest(out_dir, name="manifest.json"):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats is most of a cold start, so only the subcommands that use
-    it (analyze's battery and the copula fit) load it."""
+    """scipy.stats costs more than the rest of a cold start together, so
+    `import wismc` does not load it."""
     code = "import sys, wismc; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(wismc.__file__).parent.parent)
     assert out.stdout.strip() == "False"
+
+
+def test_fit_path_leaves_scipy_stats_unloaded(small_csv, tmp_path):
+    """analyze and estimate with the rank-based copulas run without
+    scipy.stats; only the Kendall-tau families (clayton, gumbel, t) load it."""
+    code = f"""
+import sys
+from wismc.cli import main
+out = {str(tmp_path)!r}
+codes = [main(["analyze", "--input", {small_csv!r}, "--max-lag", "30",
+               "--out", out + "/analysis"]),
+         main(["estimate", "--input", {small_csv!r}, "--out", out + "/g.json"]),
+         main(["estimate", "--input", {small_csv!r}, "--copula", "independence",
+               "--out", out + "/i.json"])]
+print(codes, "scipy.stats" in sys.modules)
+codes.append(main(["estimate", "--input", {small_csv!r}, "--copula", "clayton",
+                   "--out", out + "/c.json"]))
+print(codes, "scipy.stats" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(wismc.__file__).parent.parent)
+    assert out.stdout.split("\n")[:2] == ["[0, 0, 0] False", "[0, 0, 0, 0] True"]
 
 
 class TestAnalyze:
@@ -243,6 +266,8 @@ class TestErrors:
         ("cond_wait pmf row zeroed", "simulate", 3, "ParseError"),
         ("kernel_j pmf entry changed", "fpt", 3, "ParseError"),
         ("kernel_v t_max changed", "simulate", 2, "ParameterError"),
+        ("cond_wait count negative", "simulate", 3, "ParseError"),
+        ("kernel_v count negative", "simulate", 3, "ParseError"),
         ("kernel document", "simulate", 3, "ParseError"),
         ("kernel document", "fpt", 3, "ParseError"),
     ])
@@ -273,6 +298,13 @@ class TestErrors:
             kj["pmf"] = pmf.tolist()
         elif damage == "kernel_v t_max changed":
             doc["kernel_v"]["t_max"] += 1
+        elif damage.endswith("count negative"):  # its pmf recomputed to match
+            table = doc[damage.split()[0]]
+            counts = np.array(table["counts"])
+            counts[tuple(np.argwhere(counts > 0)[0])] = -273
+            table["counts"] = counts.tolist()
+            law_ndim = 1 if damage.startswith("cond_wait") else 2
+            table["pmf"] = normalized(counts, law_ndim)[0].tolist()
         elif damage == "kernel document":  # a nested kernel on its own
             doc = doc["kernel_j"]
         path = tmp_path / "bad.json"

@@ -3,7 +3,14 @@ inversion and sampling consistency."""
 import numpy as np
 import pytest
 
-from wismc.copulas import FAMILIES, CopulaSpec, copula_eval, fit_copula, sample_copula
+from wismc.copulas import (
+    FAMILIES,
+    CopulaSpec,
+    average_ranks,
+    copula_eval,
+    fit_copula,
+    sample_copula,
+)
 from wismc.errors import EstimationError, ParameterError
 
 SPECS = {
@@ -172,3 +179,23 @@ def test_special_functions_match_scipy_stats():
     chi = np.concatenate([rng.exponential(5.0, 20000), rng.uniform(0, 400, 2000), [0.0]])
     for k in (1, 2, 4, 9, 16):
         assert np.array_equal(chdtrc(k, chi), stats.chi2.sf(chi, k))
+
+
+def test_average_ranks_match_scipy_rankdata(market_csv):
+    """The gaussian fit's ranks are scipy.stats.rankdata's doubles, dtype
+    included, on heavy-tailed, tied, short, constant and nearly constant
+    samples and on the fixture's returns."""
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(2718)
+    samples = [market_csv["r"], market_csv["v"], np.round(market_csv["r"], 4)]
+    for _ in range(100):
+        x = rng.standard_t(2.5, int(rng.integers(2, 3000)))
+        samples += [x, np.round(x, 1), np.floor(np.abs(x))]
+    samples += [rng.random(2), [1.0, 1.0], rng.random(3), [2.0, 1.0, 2.0], np.zeros(40),
+                1e6 + 1e-10 * rng.random(40), [0.0, -0.0, 1.0, -np.inf, np.inf],
+                [1.0, np.nan, 0.0]]
+    for x in samples:
+        ours, ref = average_ranks(x), rankdata(x)
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref, equal_nan=True)

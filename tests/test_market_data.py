@@ -1,5 +1,6 @@
 """Bar ingestion, per-session returns and the statistics battery."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from wismc.market_data import (
     descriptive_stats,
     jarque_bera,
     load_bars,
+    pearson,
     run_battery,
     value_wait_pairs,
 )
@@ -258,6 +260,51 @@ class TestCrossCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
             cross_correlation_battery(np.ones(3), np.ones(4))
+        with pytest.raises(InsufficientDataError):
+            pearson([1.0], [2.0])
+
+
+def _pearson_oracle_samples(market_csv):
+    """Paired samples for the pearsonr oracle: heavy-tailed, tied, n = 2 and
+    3, constant, nearly constant and the fixture's four battery pairs."""
+    rng = np.random.default_rng(314)
+    pairs = []
+    for k in range(120):
+        n = int(rng.integers(4, 3000))
+        x = rng.standard_t(2.5, n) * 10.0 ** rng.uniform(-6, 6)
+        y = 0.2 * x / np.abs(x).max() + rng.standard_t(3.0, n)
+        pairs.append((x, y))
+        pairs.append((np.round(x / np.abs(x).max(), 1), np.round(y)))
+    for n in (2, 3):
+        pairs += [tuple(rng.standard_cauchy((2, n))) for _ in range(20)]
+    x = rng.standard_normal(50)
+    pairs += [(np.full(50, 1.5), x), (x, np.zeros(50)), (np.ones(2), [1.0, 2.0]),
+              (1e6 + 1e-4 * rng.random(50), x), (x, 3.0 + 1e-13 * rng.random(50))]
+    bars = load_bars(market_csv["path"])
+    ra, va = align(compute_returns(bars, "price-return"),
+                   compute_returns(bars, "volume-return"))
+    pairs += [(ra, va), (np.abs(ra), va), (ra, np.abs(va)), (np.abs(ra), np.abs(va))]
+    return pairs
+
+
+def test_pearson_matches_scipy_pearsonr(market_csv):
+    """The battery's Pearson test gives scipy.stats.pearsonr's doubles, so
+    analyze runs without scipy.stats and writes the same bytes."""
+    from scipy.stats import pearsonr
+
+    same = lambda a, b: a == b or (math.isnan(a) and math.isnan(b))  # noqa: E731
+    for x, y in _pearson_oracle_samples(market_csv):
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            r, p = pearson(x, y)
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            ref = pearsonr(x, y)
+        assert same(r, float(ref.statistic)) and same(p, float(ref.pvalue)), (len(x), r, p)
+        constant = math.isnan(r)
+        assert constant == any(w.category.__name__ == "ConstantInputWarning"
+                               for w in theirs)
+        assert constant == any(issubclass(w.category, RuntimeWarning) for w in ours)
 
 
 # observed counts of the published value/waiting-time table used as a
