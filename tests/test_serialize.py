@@ -63,8 +63,10 @@ class TestTripletRoundTrip:
         assert back.signs == tk.signs
         for a, b in zip(back.inverse_j.samples, tk.inverse_j.samples):
             assert np.array_equal(a, b)
-        # serialization is idempotent byte-for-byte
+        # serialization is idempotent byte-for-byte, and the streamed file
+        # holds the same text as dumps
         assert dumps(triplet_to_dict(back)) == dumps(triplet_to_dict(tk))
+        assert path.read_text() == dumps(triplet_to_dict(tk))
 
     def test_hand_built_round_trip(self):
         rng = np.random.default_rng(3)

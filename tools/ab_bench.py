@@ -17,10 +17,12 @@ workloads already there are kept): every run's seed, order, metrics,
 end-to-end metric of BENCHMARK.json each side's values, median and quartiles,
 the pairs the change won and a verdict:
 
-- ``gain``: the change won at least nine tenths of the pairs (ties count for
-  neither) and its median is better than the parent's by more than the
-  distance between the parent's quartiles, with no more failed operations
-  than the parent. A better median inside that spread is never a gain.
+- ``gain``: at least ten pairs ran, the change won at least nine tenths of
+  them (ties count for neither) and its median is better than the parent's
+  by more than the distance between the parent's quartiles, with no more
+  failed operations than the parent. A better median inside that spread is
+  never a gain; with fewer pairs the same result reads ``better, too few
+  pairs``.
 - ``regression``: the change's median is worse than the parent's by more
   than the metric's bound (a fraction of the parent's median).
 - ``unresolved``: otherwise, when the parent's quartile spread is wider than
@@ -41,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # equal length, so the checkouts' paths are too
 GAIN_SHARE = 0.9
+GAIN_PAIRS = 10
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -87,7 +90,7 @@ def verdict(spec: dict, parent: list, change: list, extra_failures: bool) -> dic
     allowed = spec["bound"] * abs(p["median"])
     every_run_better = max(sign * x for x in change) < min(sign * x for x in parent)
     if wins >= GAIN_SHARE * len(parent) and gain > spread and not extra_failures:
-        call = "gain"
+        call = "gain" if len(parent) >= GAIN_PAIRS else "better, too few pairs"
     elif -gain > allowed:
         call = "regression"
     elif spread > allowed and not every_run_better:
