@@ -375,12 +375,20 @@ def cross_correlation_battery(r, v):
     return rows
 
 
+# scipy.stats.pearsonr's bound for a nearly constant sample: a centred norm
+# below it times |mean| has lost most digits to the subtraction of the mean
+_NEAR_CONSTANT = np.finfo(float).eps ** 0.75
+
+
 def _centred_norm(x):
-    """(x less its mean, the Euclidean norm of that), the norm scaled by the
-    largest magnitude first so that it cannot overflow."""
-    xm = x - x.mean()
+    """(x less its mean, the Euclidean norm of that, whether the sample is
+    nearly constant), the norm scaled by the largest magnitude first so that
+    it cannot overflow."""
+    mean = x.mean()
+    xm = x - mean
     top = np.abs(xm).max()
-    return xm, top * np.sqrt(((xm / top) ** 2).sum())
+    norm = top * np.sqrt(((xm / top) ** 2).sum())
+    return xm, norm, norm < _NEAR_CONSTANT * abs(mean)
 
 
 def pearson(x, y) -> tuple:
@@ -388,7 +396,9 @@ def pearson(x, y) -> tuple:
     for independent normal samples, under which (r + 1) / 2 is Beta(n/2 - 1,
     n/2 - 1). Takes scipy.stats.pearsonr's steps in its order, so both give
     the same doubles: n == 2 gives r = +-1 and p = 1, and a constant sample
-    gives NaN for both with a RuntimeWarning."""
+    gives NaN for both with a RuntimeWarning. As in scipy, a nearly constant
+    sample (centred norm below eps**0.75 times |mean|) gives a RuntimeWarning
+    that r may be inaccurate."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
@@ -400,8 +410,11 @@ def pearson(x, y) -> tuple:
         warnings.warn("an input is constant; the correlation is undefined",
                       RuntimeWarning, stacklevel=2)
         return math.nan, math.nan
-    xm, nx = _centred_norm(x)
-    ym, ny = _centred_norm(y)
+    xm, nx, x_near = _centred_norm(x)
+    ym, ny, y_near = _centred_norm(y)
+    if x_near or y_near:
+        warnings.warn("an input is nearly constant; the correlation may be inaccurate",
+                      RuntimeWarning, stacklevel=2)
     r = float(np.clip(np.dot(xm / nx, ym / ny), -1.0, 1.0))
     if n == 2:
         r = float(np.round(r))

@@ -1,6 +1,8 @@
 """The A/B driver's verdicts: a gain needs ten pairs, nine tenths of them won
-and a median move wider than the parent's quartile spread."""
+and a median move wider than the parent's quartile spread, with every change
+run correct and finished; a failed run still leaves the pairs already run."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,15 @@ HIGHER = {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}
 PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
 
 
-def call(spec, parent, change, extra_failures=False):
-    return ab_bench.verdict(spec, parent, change, extra_failures)["verdict"]
+def call(spec, parent, change, change_faulted=False):
+    return ab_bench.verdict(spec, parent, change, change_faulted)["verdict"]
 
 
 def test_gain_needs_ten_pairs_won_outside_the_spread():
     faster = [x - 2.0 for x in PARENT]
     assert call(LOWER, PARENT, faster) == "gain"
     assert call(LOWER, PARENT[:5], faster[:5]) == "better, too few pairs"
-    assert call(LOWER, PARENT, faster, extra_failures=True) == "unchanged"
+    assert call(LOWER, PARENT, faster, change_faulted=True) == "unchanged"
     # every pair won, but by less than the parent's own quartile spread
     assert call(LOWER, PARENT, [x - 0.01 for x in PARENT]) == "unchanged"
     # eight of ten pairs won
@@ -40,7 +42,63 @@ def test_regression_and_unresolved():
     assert call(LOWER, wide, [0.5] * 10) == "gain"
 
 
+def _run(run_s, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": {"run_s": run_s}}
+
+
+def _pairs(change_correct=True, change_failed=0):
+    return [{"seed": k, "parent": _run(p), "change": _run(p - 2.0, change_correct, change_failed)}
+            for k, p in enumerate(PARENT)]
+
+
+def test_incorrect_or_failing_change_run_is_never_a_gain():
+    assert ab_bench.compare(_pairs(), [LOWER])["metrics"]["run_s"]["verdict"] == "gain"
+    pairs = _pairs()
+    pairs[3]["change"]["correct"] = False
+    result = ab_bench.compare(pairs, [LOWER])
+    assert not result["all_correct"] and result["metrics"]["run_s"]["verdict"] == "unchanged"
+    result = ab_bench.compare(_pairs(change_failed=1), [LOWER])
+    assert result["failed"] == {"parent": 0, "change": 10}
+    assert result["metrics"]["run_s"]["verdict"] == "unchanged"
+    # a change run that did not finish: the other pairs are compared, no gain
+    pairs = _pairs()
+    pairs[-1]["change"] = {"error": "exited with code 1"}
+    result = ab_bench.compare(pairs, [LOWER])
+    assert result["complete_pairs"] == 9 and result["metrics"]["run_s"]["verdict"] == "unchanged"
+
+
+def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch):
+    calls = []
+    bench = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, seed, seconds))
+        if seed == 12 and tree.name == "change":
+            return {"error": "exited with code 1", "stderr": ["boom"]}
+        run = _run(0.0)
+        run["metrics"] = {m["name"]: 10.0 if tree.name == "parent" else 9.0
+                          for m in bench["end_to_end"]}
+        return run
+
+    monkeypatch.setattr(ab_bench, "checkout", lambda rev, dest: dest.mkdir(parents=True) or rev)
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    code = ab_bench.main(["p", "c", "--workload", "fit", "--pairs", "4", "--seeds", "10:13",
+                          "--out", str(out), "--workdir", str(tmp_path)])
+    assert code == 1
+    assert calls == [("parent", 10, seconds), ("change", 10, seconds), ("change", 11, seconds),
+                     ("parent", 11, seconds), ("parent", 12, seconds), ("change", 12, seconds)]
+    doc = json.loads(out.read_text())["workloads"]["fit"]
+    assert [p["seed"] for p in doc["pairs"]] == [10, 11, 12]
+    assert doc["pairs"][2]["change"]["error"] == "exited with code 1"
+    assert doc["complete_pairs"] == 2 and "pair 2 seed 12 change" in doc["error"]
+    assert doc["seconds"] == seconds
+    assert doc["metrics"]["run_s"]["change_won"] == 2
+
+
 def test_seed_range():
-    assert ab_bench.parse_seeds("5:9", 3) == [5, 6, 7]
-    with pytest.raises(SystemExit):
-        ab_bench.parse_seeds("5:6", 3)
+    assert ab_bench.parse_seeds("5:7", 3) == [5, 6, 7]
+    for text in ("5:6", "5:9"):
+        with pytest.raises(SystemExit):
+            ab_bench.parse_seeds(text, 3)

@@ -279,7 +279,8 @@ def _pearson_oracle_samples(market_csv):
         pairs += [tuple(rng.standard_cauchy((2, n))) for _ in range(20)]
     x = rng.standard_normal(50)
     pairs += [(np.full(50, 1.5), x), (x, np.zeros(50)), (np.ones(2), [1.0, 2.0]),
-              (1e6 + 1e-4 * rng.random(50), x), (x, 3.0 + 1e-13 * rng.random(50))]
+              (1e6 + 1e-4 * rng.random(50), x), (1e6 + 1e-11 * rng.random(50), x),
+              (x, 3.0 + 1e-13 * rng.random(50))]
     bars = load_bars(market_csv["path"])
     ra, va = align(compute_returns(bars, "price-return"),
                    compute_returns(bars, "volume-return"))
@@ -287,12 +288,22 @@ def _pearson_oracle_samples(market_csv):
     return pairs
 
 
+def _warning_kinds(caught, kind_of):
+    return sorted(k for k in map(kind_of, caught) if k is not None)
+
+
 def test_pearson_matches_scipy_pearsonr(market_csv):
-    """The battery's Pearson test gives scipy.stats.pearsonr's doubles, so
-    analyze runs without scipy.stats and writes the same bytes."""
+    """The battery's Pearson test gives scipy.stats.pearsonr's doubles and
+    warns where it does (constant and nearly constant inputs), so analyze
+    runs without scipy.stats and writes the same bytes."""
     from scipy.stats import pearsonr
 
     same = lambda a, b: a == b or (math.isnan(a) and math.isnan(b))  # noqa: E731
+    scipy_kind = {"ConstantInputWarning": "constant", "NearConstantInputWarning": "near"}
+    ours_kind = lambda w: (  # noqa: E731
+        None if not issubclass(w.category, RuntimeWarning)
+        else "near" if "nearly constant" in str(w.message) else "constant")
+    kinds_seen = set()
     for x, y in _pearson_oracle_samples(market_csv):
         with warnings.catch_warnings(record=True) as ours:
             warnings.simplefilter("always")
@@ -301,10 +312,10 @@ def test_pearson_matches_scipy_pearsonr(market_csv):
             warnings.simplefilter("always")
             ref = pearsonr(x, y)
         assert same(r, float(ref.statistic)) and same(p, float(ref.pvalue)), (len(x), r, p)
-        constant = math.isnan(r)
-        assert constant == any(w.category.__name__ == "ConstantInputWarning"
-                               for w in theirs)
-        assert constant == any(issubclass(w.category, RuntimeWarning) for w in ours)
+        expected = _warning_kinds(theirs, lambda w: scipy_kind.get(w.category.__name__))
+        assert _warning_kinds(ours, ours_kind) == expected, (len(x), expected)
+        kinds_seen.update(expected)
+    assert kinds_seen == {"constant", "near"}
 
 
 # observed counts of the published value/waiting-time table used as a

@@ -2,14 +2,15 @@
 
 Usage:
     python tools/ab_bench.py PARENT CHANGE --workload W --pairs N --seeds A:B \
-        --out BENCH.json [--seconds 15] [--workdir DIR]
+        --out BENCH.json [--workdir DIR]
 
 PARENT and CHANGE are git revisions of this repository. Each is written with
 ``git archive`` into ``DIR/parent`` and ``DIR/change``, two paths of equal
 length (the manifests record the paths they were given, so the outputs then
-weigh the same). Pair k runs ``perfbench/run.py --workload W --seed A+k
---seconds S --trace 0`` unchanged in each checkout, the parent first in even
-pairs and the change first in odd ones.
+weigh the same). The range A:B must hold exactly N seeds; pair k runs
+``perfbench/run.py --workload W --seed A+k --seconds S --trace 0`` unchanged
+in each checkout, S being BENCHMARK.json's ``run_seconds``, the parent first
+in even pairs and the change first in odd ones.
 
 The result for W is stored under ``workloads[W]`` of the JSON file OUT (other
 workloads already there are kept): every run's seed, order, metrics,
@@ -20,14 +21,18 @@ the pairs the change won and a verdict:
 - ``gain``: at least ten pairs ran, the change won at least nine tenths of
   them (ties count for neither) and its median is better than the parent's
   by more than the distance between the parent's quartiles, with no more
-  failed operations than the parent. A better median inside that spread is
-  never a gain; with fewer pairs the same result reads ``better, too few
-  pairs``.
+  failed operations than the parent and every change run correct. A better
+  median inside that spread is never a gain; with fewer pairs the same result
+  reads ``better, too few pairs``.
 - ``regression``: the change's median is worse than the parent's by more
   than the metric's bound (a fraction of the parent's median).
 - ``unresolved``: otherwise, when the parent's quartile spread is wider than
   the bound and not every change run beats every parent run.
 - ``unchanged``: otherwise.
+
+If a run exits with an error or times out, its exit code and error output are
+stored in its pair, the pairs already run are written with the verdicts over
+the complete ones, and the driver exits with code 1.
 """
 from __future__ import annotations
 
@@ -59,14 +64,18 @@ def checkout(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 600)
+    """One benchmark run; a run that fails or times out gives ``error``."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 600)
+    except subprocess.TimeoutExpired as exc:
+        return {"error": f"timed out after {exc.timeout:.0f} s"}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"perfbench/run.py in {tree} exited with code {proc.returncode}")
+        return {"error": f"exited with code {proc.returncode}",
+                "stderr": proc.stderr.strip().splitlines()}
     res = json.loads(lines[-1])
     return {"correct": res["correct"], "attempted": res["attempted"],
             "failed": res["failed"],
@@ -79,8 +88,10 @@ def summary(values: list) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def verdict(spec: dict, parent: list, change: list, extra_failures: bool) -> dict:
-    """Compare one metric's per-pair values; see the module docstring."""
+def verdict(spec: dict, parent: list, change: list, change_faulted: bool) -> dict:
+    """Compare one metric's per-pair values; see the module docstring.
+    ``change_faulted`` (more failed operations than the parent, or a change
+    run that was not correct or did not finish) rules out a gain."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p, c = summary(parent), summary(change)
     wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
@@ -89,7 +100,7 @@ def verdict(spec: dict, parent: list, change: list, extra_failures: bool) -> dic
     spread = p["q3"] - p["q1"]
     allowed = spec["bound"] * abs(p["median"])
     every_run_better = max(sign * x for x in change) < min(sign * x for x in parent)
-    if wins >= GAIN_SHARE * len(parent) and gain > spread and not extra_failures:
+    if wins >= GAIN_SHARE * len(parent) and gain > spread and not change_faulted:
         call = "gain" if len(parent) >= GAIN_PAIRS else "better, too few pairs"
     elif -gain > allowed:
         call = "regression"
@@ -102,13 +113,28 @@ def verdict(spec: dict, parent: list, change: list, extra_failures: bool) -> dic
             "median_gain": gain, "parent_quartile_spread": spread, "verdict": call}
 
 
+def compare(pairs: list, specs: list) -> dict:
+    """Failed-operation totals and per-metric verdicts over the pairs in
+    which both runs finished (none when fewer than two did)."""
+    done = [r for r in pairs if all(side in r and "error" not in r[side] for side in SIDES)]
+    failed = {side: sum(r[side]["failed"] for r in done) for side in SIDES}
+    faulted = (failed["change"] > failed["parent"] or len(done) < len(pairs)
+               or not all(r["change"]["correct"] for r in done))
+    metrics = {} if len(done) < 2 else {
+        spec["name"]: verdict(spec, [r["parent"]["metrics"][spec["name"]] for r in done],
+                              [r["change"]["metrics"][spec["name"]] for r in done], faulted)
+        for spec in specs}
+    return {"complete_pairs": len(done), "failed": failed,
+            "all_correct": all(r[side]["correct"] for r in done for side in SIDES),
+            "metrics": metrics}
+
+
 def parse_seeds(text: str, pairs: int) -> list:
     first, _, last = text.partition(":")
     seeds = list(range(int(first), int(last or first) + 1))
-    if len(seeds) < pairs:
-        raise SystemExit(f"--seeds {text} holds {len(seeds)} seeds, fewer than "
-                         f"--pairs {pairs}")
-    return seeds[:pairs]
+    if len(seeds) != pairs:
+        raise SystemExit(f"--seeds {text} holds {len(seeds)} seeds, not --pairs {pairs}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -117,59 +143,61 @@ def main(argv=None) -> int:
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seeds", required=True, help="A:B, pair k uses seed A+k")
+    ap.add_argument("--seeds", required=True, help="A:B holding N seeds, pair k uses seed A+k")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the two checkouts go (default: a new temporary directory)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         raise SystemExit("--pairs must be at least 2 to give quartiles")
     seeds = parse_seeds(args.seeds, args.pairs)
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="ab-", dir=args.workdir))
+    runs, error = [], None
     try:
         trees = {side: work / side for side in SIDES}
         commits = {side: checkout(rev, trees[side])
                    for side, rev in zip(SIDES, (args.parent, args.change))}
-        runs = []
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
+            runs.append(pair)
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
-                m = pair[side]["metrics"]
-                print(f"pair {k} seed {seed} {side}: correct {pair[side]['correct']}, "
-                      f"failed {pair[side]['failed']}, "
+                run = pair[side] = run_once(trees[side], args.workload, seed, seconds)
+                if "error" in run:
+                    error = f"pair {k} seed {seed} {side}: {run['error']}"
+                    print(error, *run.get("stderr", ()), sep="\n", file=sys.stderr, flush=True)
+                    break
+                m = run["metrics"]
+                print(f"pair {k} seed {seed} {side}: correct {run['correct']}, "
+                      f"failed {run['failed']}, "
                       + ", ".join(f"{name} {m[name]:.4g}" for name in m),
                       file=sys.stderr, flush=True)
-            runs.append(pair)
+            if error:
+                break
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
-    metrics = {
-        spec["name"]: verdict(spec, [r["parent"]["metrics"][spec["name"]] for r in runs],
-                              [r["change"]["metrics"][spec["name"]] for r in runs],
-                              failed["change"] > failed["parent"])
-        for spec in specs}
+    result = compare(runs, bench["end_to_end"])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
         "parent": commits["parent"], "change": commits["change"],
-        "seconds": args.seconds, "pairs": runs, "failed": failed,
-        "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
-        "metrics": metrics}
+        "seconds": seconds, "pairs": runs, "error": error, **result}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
-    print(f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, "
-          f"failed {failed['parent']} -> {failed['change']}")
-    for name, m in metrics.items():
+    failed = result["failed"]
+    print(f"{args.workload}: {result['complete_pairs']} of {args.pairs} pairs, "
+          f"seeds {seeds[0]}-{seeds[-1]}, failed {failed['parent']} -> {failed['change']}"
+          + ("" if result["all_correct"] else ", NOT ALL RUNS CORRECT")
+          + (f", stopped: {error}" if error else ""))
+    for name, m in result["metrics"].items():
         p, c = m["parent"], m["change"]
         print(f"  {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}, "
-              f"change won {m['change_won']}/{args.pairs}: {m['verdict']}")
-    return 0
+              f"change won {m['change_won']}/{result['complete_pairs']}: {m['verdict']}")
+    return 1 if error else 0
 
 
 if __name__ == "__main__":
