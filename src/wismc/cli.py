@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -12,20 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AlignmentError,
-    ContractViolation,
-    DegenerateTableError,
-    EstimationError,
-    InsufficientDataError,
-    OrderingError,
-    ParameterError,
-    ParseError,
-    ResourceLimitError,
-    UndefinedConditionalError,
-    UndefinedStatisticError,
-    WismcError,
-)
+from .errors import ContractViolation, ParameterError, ResourceLimitError, WismcError
 from .finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
 from .market_data import align, compute_returns, load_bars, run_battery
 from .optimize import GridSpec, grid_search
@@ -38,10 +26,9 @@ EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
 _USAGE_ERRORS = (ParameterError, ContractViolation)
-_DATA_ERRORS = (ParseError, OrderingError, InsufficientDataError, AlignmentError,
-                DegenerateTableError, UndefinedStatisticError, EstimationError,
-                UndefinedConditionalError, FileNotFoundError)
 _RESOURCE_ERRORS = (ResourceLimitError, MemoryError)
+# every other package error is a data error; caught after the two above
+_DATA_ERRORS = (WismcError, FileNotFoundError)
 
 
 def _sha256(path: Path) -> str:
@@ -148,15 +135,15 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
+    cfg = SimConfig(length_minutes=args.minutes, backtransform=args.backtransform,
+                    s0=args.s0, v0=args.v0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tk = load_model(args.model)
     outputs = []
     for rep in range(args.reps):
         child = int(np.random.SeedSequence([args.seed, rep]).generate_state(1)[0])
-        path = simulate_path(tk, SimConfig(
-            length_minutes=args.minutes, seed=child,
-            backtransform=args.backtransform, s0=args.s0, v0=args.v0))
+        path = simulate_path(tk, dataclasses.replace(cfg, seed=child))
         p = out / f"rep_{rep:03d}.csv"
         _write_csv(p, ["minute", "r", "v", "S", "V"],
                    zip(range(args.minutes), path.r, path.v,
@@ -173,8 +160,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fpt(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tk = load_model(args.model)
     i0 = args.i0 if args.i0 is not None else float(
         tk.kernel_j.grid.representatives[int(np.argmax(tk.kernel_j.counts.sum(axis=(1, 2, 3))))])
@@ -182,6 +167,8 @@ def _cmd_fpt(args) -> int:
         tk.kernel_v.grid.representatives[int(np.argmax(tk.kernel_v.counts.sum(axis=(1, 2, 3))))])
     query = FptQuery(rho=args.rho, psi=args.psi, horizon=args.horizon,
                      history_j=[i0], history_v=[v0], history_t=[0], u=args.u)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.method == "recursion":
         res = fpt_survival_recursive(tk, query)
     else:
@@ -380,9 +367,6 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return EXIT_RESOURCE
     except _DATA_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_DATA
-    except WismcError as exc:
         _emit_error(exc)
         return EXIT_DATA
 

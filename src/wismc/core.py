@@ -82,20 +82,19 @@ class StateGrid:
         return uniq, pos
 
 
-def make_state_grid(values, n_states: int, center_zero_bin: bool = True) -> StateGrid:
+def make_state_grid(values, n_states: int) -> StateGrid:
     """Build a quantile state grid from observed values.
 
-    For odd ``n_states`` (and ``center_zero_bin``) a dedicated bin bracketing
-    zero takes roughly ``1/n_states`` of the mass and the remaining mass is
-    split into equal-count bins on each side. Representatives are in-bin
-    medians.
+    For odd ``n_states`` a dedicated bin bracketing zero takes roughly
+    ``1/n_states`` of the mass and the remaining mass is split into
+    equal-count bins on each side. Representatives are in-bin medians.
     """
     if n_states < 2:
         raise ParameterError(f"need at least 2 states, got {n_states}")
     values = np.asarray(values, dtype=float)
     if values.size < 2 * n_states:
         raise EstimationError("too few observations for the requested state count")
-    if n_states % 2 == 1 and center_zero_bin:
+    if n_states % 2 == 1:
         half = np.quantile(np.abs(values), 1.0 / n_states)
         if half <= 0:
             half = np.finfo(float).tiny

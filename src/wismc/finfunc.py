@@ -9,10 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import sample_copula
 from .errors import ContractViolation, ParameterError, ResourceLimitError
 from .core import advance_carry
-from .triplet import ConditioningCell, ModelView, TripletKernel
+from .triplet import ConditioningCell, TripletKernel
 
 __all__ = [
     "CovarianceResult",
@@ -148,8 +147,10 @@ class FptQuery:
         self.history_j = np.asarray(self.history_j, dtype=float)
         self.history_v = np.asarray(self.history_v, dtype=float)
         self.history_t = np.asarray(self.history_t, dtype=np.int64)
-        if self.rho <= 0 or self.psi <= 0:
+        if not (self.rho > 0 and self.psi > 0):
             raise ParameterError("thresholds must be positive")
+        if not (np.isfinite(self.history_j).all() and np.isfinite(self.history_v).all()):
+            raise ParameterError("history values must be finite")
         if self.horizon < 1:
             raise ParameterError("horizon must be >= 1")
         if self.u < 0:
@@ -215,7 +216,6 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     """
     if query.rho <= 1.0 or query.psi <= 1.0:
         return FptResult(survival=np.zeros(query.horizon + 1), method="recursion")
-    view = ModelView(tk)
     (wj0, dj0), (wv0, dv0), b_j, b_v = _history_accumulators(tk, query)
     index_free = tk.kernel_j.index_edges.size == 2 and tk.kernel_v.index_edges.size == 2
     memo: dict = {}
@@ -237,7 +237,7 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
                 f"recursion exceeded {max_nodes} nodes; use the mc method")
         xj = (aj_w + i_val * i_val) / aj_d
         wv = (av_w + v_val * v_val) / av_d
-        cell = view.cell_for(i_val, v_val, xj, wv, bj, bv)
+        cell = tk.cell_for(i_val, v_val, xj, wv, bj, bv)
         h = tk.waiting_pmf(cell)
         cdf = np.cumsum(h)
         h_u = cdf[min(u, tk.t_max) - 1] if u >= 1 else 0.0
@@ -306,7 +306,6 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
         return FptResult(survival=zeros, method="monte-carlo", lower=zeros,
                          upper=zeros, n_paths=n_paths)
     rng = np.random.default_rng(seed)
-    view = ModelView(tk)
     (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _history_accumulators(tk, query)
     i0, v0 = float(query.history_j[-1]), float(query.history_v[-1])
 
@@ -328,9 +327,8 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
     first_round = True
     while np.any(alive):
         ids = np.flatnonzero(alive)
-        cells = _cells_of(tk, view, i_val[ids], v_val[ids], wj[ids], dj[ids],
-                          wv[ids], dv[ids])
-        soj = _draw_sojourns(tk, rng, cells, u=query.u if first_round else 0)
+        cells = tk.cells_of(i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
+        soj = tk.draw_sojourns(rng, cells, u=query.u if first_round else 0)
         first_round = False
         # crossing during the stretch: positive held values accumulate
         for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
@@ -354,8 +352,8 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
         if live.size == 0:
             break
         soj_live = soj[keep]
-        nj, nv = _draw_next_values(tk, rng, tuple(c[keep] for c in cells),
-                                   bj[live], bv[live], soj_live)
+        nj, nv = tk.draw_next_values(rng, tuple(c[keep] for c in cells),
+                                     bj[live], bv[live], soj_live)
         wj[live], dj[live] = advance_carry(tk.kernel_j.lam, wj[live], dj[live],
                                            i_val[live], soj_live)
         wv[live], dv[live] = advance_carry(tk.kernel_v.lam, wv[live], dv[live],
@@ -370,44 +368,3 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
                      lower=np.clip(surv - 3.0 * se, 0.0, 1.0),
                      upper=np.clip(surv + 3.0 * se, 0.0, 1.0),
                      n_paths=n_paths)
-
-
-# ---------------------------------------------------------------------------
-# the joint event step, shared with simulate.simulate_path (a batch of one)
-
-
-def _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv):
-    """Conditioning cells of a batch of paths: both states and both index
-    bins, which index the waiting-time table and the modulus tables alike."""
-    return (view.states_j(i_val), view.states_v(v_val),
-            tk.kernel_j.index_bin((wj + i_val * i_val) / dj),
-            tk.kernel_v.index_bin((wv + v_val * v_val) / dv))
-
-
-def _draw_sojourns(tk, rng, cells, u=0):
-    """Inverse-cdf sojourn draw per path, conditioned on exceeding u."""
-    i_state, v_state, xb, wb = cells
-    cdf = np.cumsum(tk.cond_wait.resolved[i_state, v_state, xb, wb], axis=1)
-    base = cdf[:, min(u, tk.t_max) - 1] if u >= 1 else 0.0
-    uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
-    slot = (cdf < uni[:, None]).sum(axis=1)
-    return np.minimum(slot, tk.t_max - 1) + 1
-
-
-def _draw_next_values(tk, rng, cells, bj, bv, soj):
-    """Next signed value pair per path: copula uniforms inverted through the
-    conditional modulus cdfs at each variable's backward time plus the
-    sojourn, signs attached independently."""
-    i_state, v_state, xb, wb = cells
-    n = i_state.size
-    u_j, u_v = sample_copula(tk.copula, n, rng)
-    out = []
-    for mod, state, kb, back, u in ((tk.modulus_j, i_state, xb, bj, u_j),
-                                    (tk.modulus_v, v_state, wb, bv, u_v)):
-        rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
-        pos = (rows < u[:, None]).sum(axis=1)
-        out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])
-    sign_j = np.where(rng.random(n) < tk.signs.p_j, 1.0, -1.0)
-    sign_v = np.where(rng.random(n) < tk.signs.p_v, 1.0, -1.0)
-    return (np.where(out[0] == 0.0, 0.0, sign_j * out[0]),
-            np.where(out[1] == 0.0, 0.0, sign_v * out[1]))

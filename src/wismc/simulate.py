@@ -15,9 +15,8 @@ import numpy as np
 
 from .core import IndexedKernel, advance_carry, carry_coefficients, scalar_bin
 from .errors import ParameterError
-from .finfunc import _cells_of, _draw_next_values, _draw_sojourns
 from .market_data import autocorrelation, cross_correlation_battery, jarque_bera
-from .triplet import ConditioningCell, EmpiricalInverse, ModelView, TripletKernel
+from .triplet import ConditioningCell, EmpiricalInverse, TripletKernel
 
 __all__ = [
     "SimConfig",
@@ -53,6 +52,8 @@ class SimConfig:
             raise ParameterError("length must be >= 1 minute")
         if self.backtransform not in ("empirical", "representative"):
             raise ParameterError(f"unknown backtransform {self.backtransform!r}")
+        if not (0 < self.s0 < math.inf and 0 < self.v0 < math.inf):
+            raise ParameterError("s0 and v0 must be finite and positive")
 
 
 @dataclass
@@ -103,10 +104,11 @@ def _continuous_value(value, state, rng, inv, grid, mode):
 
 
 def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
-    """Generate one synchronized path with the event engine of
-    :func:`~wismc.finfunc.fpt_survival_mc` run on a batch of one path: each
-    event draws its sojourn from the conditional waiting law, the modulus pair
-    through the copula and both signs independently, so events follow
+    """Generate one synchronized path with the sampling step of
+    :class:`TripletKernel` run on a batch of one path, as
+    :func:`~wismc.finfunc.fpt_survival_mc` runs it on many: each event draws
+    its sojourn from the conditional waiting law, the modulus pair through
+    the copula and both signs independently, so events follow
     :meth:`TripletKernel.event_value_pmf` exactly. A variable changes state
     only when its drawn value differs from its current one; an event that
     changes neither is an ordinary hold (counted in ``forced_holds``)."""
@@ -115,7 +117,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     # seed's own stream, as in fpt_survival_mc, and the event record does not
     # depend on the back-transform mode
     bt_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    view = ModelView(tk)
     length = cfg.length_minutes
     if cfg.initial is not None:
         i_state, v_state = cfg.initial.i, cfg.initial.v
@@ -142,7 +143,7 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     fallbacks = 0
     forced = 0
     while t < length:
-        cells = _cells_of(tk, view, i_val, v_val, wj, dj, wv, dv)
+        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
         i_state, v_state, xb, wb = (int(c[0]) for c in cells)
         # a value that moved takes its continuous value from its new state
         if moved_j:
@@ -155,8 +156,8 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
         for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
                                    float(i_val[0]), float(v_val[0]))):
             ev[key].append(val)
-        soj = _draw_sojourns(tk, rng, cells)
-        new_j, new_v = _draw_next_values(tk, rng, cells, b_j, b_v, soj)
+        soj = tk.draw_sojourns(rng, cells)
+        new_j, new_v = tk.draw_next_values(rng, cells, b_j, b_v, soj)
         wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
         wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
         step = int(soj[0])
@@ -185,7 +186,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
 
 def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int,
                         inverse: Optional[EmpiricalInverse] = None,
-                        initial_state: Optional[int] = None,
                         n_events: Optional[int] = None):
     """Simulate one variable from its indexed kernel: at each event the
     (next state, sojourn) pair is drawn jointly from the conditioning cell.
@@ -201,13 +201,10 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     s, nb, _, t_max = kernel.pmf.shape
     last = s * t_max - 1
     cum = np.cumsum(kernel.resolved.reshape(s, nb, s * t_max), axis=2).tolist()
-    if initial_state is None:
-        occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
-        if occupancy.sum() <= 0:
-            occupancy = np.ones(s)
-        state = int(rng.choice(s, p=occupancy / occupancy.sum()))
-    else:
-        state = int(initial_state)
+    occupancy = kernel.counts.sum(axis=(1, 2, 3)).astype(float)
+    if occupancy.sum() <= 0:
+        occupancy = np.ones(s)
+    state = int(rng.choice(s, p=occupancy / occupancy.sum()))
     uniform = _uniforms(rng)
     reps = kernel.grid.representatives.tolist()
     squares = [r * r for r in reps]

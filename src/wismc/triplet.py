@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import CopulaSpec, copula_eval, fit_copula
+from .copulas import CopulaSpec, copula_eval, fit_copula, sample_copula
 from .core import (
     IndexedKernel,
     IndexParams,
@@ -51,7 +51,6 @@ __all__ = [
     "quadrant_masses",
     "fit_triplet_kernel",
     "advance_carry",
-    "ModelView",
 ]
 
 
@@ -305,6 +304,14 @@ class TripletKernel:
                                     "the kernels' grids and index bins")
         self.modulus_j = _ModulusTable(self.kernel_j)
         self.modulus_v = _ModulusTable(self.kernel_v)
+        (self.support_j, self.sign_matrix_j, self.state_of_j,
+         self._exact_j) = _value_tables(kj.grid.representatives,
+                                        self.modulus_j.moduli, self.signs.p_j)
+        (self.support_v, self.sign_matrix_v, self.state_of_v,
+         self._exact_v) = _value_tables(kv.grid.representatives,
+                                        self.modulus_v.moduli, self.signs.p_v)
+        self._x_edges = kj.index_edges.tolist()
+        self._w_edges = kv.index_edges.tolist()
         self._event_cache: dict = {}
 
     # -- lookups ------------------------------------------------------------
@@ -322,14 +329,6 @@ class TripletKernel:
     def modulus_cdf_v(self, cell: ConditioningCell, t: int, threshold: float) -> float:
         return self.modulus_v.eval(cell.v, cell.w_bin, t + cell.b_v, threshold)
 
-    # -- signed value support -----------------------------------------------
-
-    def signed_support_j(self) -> np.ndarray:
-        return _signed_support(self.modulus_j.moduli)
-
-    def signed_support_v(self) -> np.ndarray:
-        return _signed_support(self.modulus_v.moduli)
-
     def event_value_pmf(self, cell: ConditioningCell) -> tuple:
         """Model law of the next event: (signed j values, signed v values,
         P[t_max, nj, nv]) where P[t-1, a, b] = P(next j value, next v value,
@@ -340,8 +339,7 @@ class TripletKernel:
         if hit is not None:
             return hit
         h = self.waiting_pmf(cell)
-        vj = self.signed_support_j()
-        vv = self.signed_support_v()
+        vj, vv = self.support_j, self.support_v
         out = np.zeros((self.t_max, vj.size, vv.size))
         for t in range(1, self.t_max + 1):
             if h[t - 1] <= 0.0:
@@ -363,52 +361,14 @@ class TripletKernel:
 
     def _sign_split(self, vol: np.ndarray) -> np.ndarray:
         """Distribute a modulus-pair pmf onto signed values."""
-        mj, mv = self.modulus_j.moduli, self.modulus_v.moduli
-        sj = _sign_matrix(mj, self.signs.p_j)
-        sv = _sign_matrix(mv, self.signs.p_v)
         # out[a, b] = sum_{k,l} vol[k, l] * sj[k, a] * sv[l, b]
-        return np.einsum("kl,ka,lb->ab", vol, sj, sv)
+        return np.einsum("kl,ka,lb->ab", vol, self.sign_matrix_j, self.sign_matrix_v)
 
-
-def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
-    """Index of the closest support member (exact for in-support values)."""
-    values = np.asarray(values, dtype=float)
-    pos = np.minimum(np.searchsorted(support, values), support.size - 1)
-    prev = np.maximum(pos - 1, 0)
-    take_prev = np.abs(support[prev] - values) < np.abs(support[pos] - values)
-    return np.where(take_prev, prev, pos)
-
-
-class ModelView:
-    """Resolved lookup layer shared by the evaluators and samplers: maps
-    signed values to grid states (mirroring across zero when a modulus only
-    exists with one sign in the grid) and bins continuous index values."""
-
-    def __init__(self, tk: "TripletKernel"):
-        self.support_j = tk.signed_support_j()
-        self.support_v = tk.signed_support_v()
-        self.state_of_j = self._resolution(tk.kernel_j, self.support_j)
-        self.state_of_v = self._resolution(tk.kernel_v, self.support_v)
-        # plain-Python tables for the scalar lookups of cell_for
-        self._exact_j = dict(zip(self.support_j.tolist(), self.state_of_j.tolist()))
-        self._exact_v = dict(zip(self.support_v.tolist(), self.state_of_v.tolist()))
-        self._x_edges = tk.kernel_j.index_edges.tolist()
-        self._w_edges = tk.kernel_v.index_edges.tolist()
-
-    @staticmethod
-    def _resolution(kernel, support):
-        reps = kernel.grid.representatives
-        out = np.empty(support.size, dtype=np.int64)
-        for k, val in enumerate(support):
-            exact = np.flatnonzero(reps == val)
-            if exact.size:
-                out[k] = exact[0]
-                continue
-            mirror = np.flatnonzero(np.abs(reps) == abs(val))
-            out[k] = mirror[0] if mirror.size else int(np.argmin(np.abs(reps - val)))
-        return out
+    # -- states and cells of signed values ------------------------------------
 
     def states_j(self, values) -> np.ndarray:
+        """Grid states of signed return values: exact for support values,
+        the nearest support value's state otherwise."""
         return self.state_of_j[_nearest_idx(self.support_j, values)]
 
     def states_v(self, values) -> np.ndarray:
@@ -427,30 +387,72 @@ class ModelView:
         return ConditioningCell(i=i, v=v, x_bin=scalar_bin(self._x_edges, xj),
                                 w_bin=scalar_bin(self._w_edges, wv), b_j=b_j, b_v=b_v)
 
+    def cells_of(self, i_val, v_val, wj, dj, wv, dv) -> tuple:
+        """Conditioning cells of a batch of paths: both states and both index
+        bins, which index the waiting-time table and the modulus tables alike."""
+        return (self.states_j(i_val), self.states_v(v_val),
+                self.kernel_j.index_bin((wj + i_val * i_val) / dj),
+                self.kernel_v.index_bin((wv + v_val * v_val) / dv))
 
-def _signed_support(moduli: np.ndarray) -> np.ndarray:
-    vals = set()
-    for m in moduli:
-        if m == 0.0:
-            vals.add(0.0)
-        else:
-            vals.add(m)
-            vals.add(-m)
-    return np.array(sorted(vals))
+    # -- the sampling step, shared by simulate_path and fpt_survival_mc -----
+
+    def draw_sojourns(self, rng, cells, u=0) -> np.ndarray:
+        """Inverse-cdf sojourn draw per path, conditioned on exceeding u."""
+        i_state, v_state, xb, wb = cells
+        cdf = np.cumsum(self.cond_wait.resolved[i_state, v_state, xb, wb], axis=1)
+        base = cdf[:, min(u, self.t_max) - 1] if u >= 1 else 0.0
+        uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
+        slot = (cdf < uni[:, None]).sum(axis=1)
+        return np.minimum(slot, self.t_max - 1) + 1
+
+    def draw_next_values(self, rng, cells, bj, bv, soj) -> tuple:
+        """Next signed value pair per path: copula uniforms inverted through the
+        conditional modulus cdfs at each variable's backward time plus the
+        sojourn, signs attached independently."""
+        i_state, v_state, xb, wb = cells
+        n = i_state.size
+        u_j, u_v = sample_copula(self.copula, n, rng)
+        out = []
+        for mod, state, kb, back, u in ((self.modulus_j, i_state, xb, bj, u_j),
+                                        (self.modulus_v, v_state, wb, bv, u_v)):
+            rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
+            pos = (rows < u[:, None]).sum(axis=1)
+            out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])
+        sign_j = np.where(rng.random(n) < self.signs.p_j, 1.0, -1.0)
+        sign_v = np.where(rng.random(n) < self.signs.p_v, 1.0, -1.0)
+        return (np.where(out[0] == 0.0, 0.0, sign_j * out[0]),
+                np.where(out[1] == 0.0, 0.0, sign_v * out[1]))
 
 
-def _sign_matrix(moduli: np.ndarray, p: float) -> np.ndarray:
-    """Map modulus positions onto the signed support: row k gives the
-    distribution of the signed value for modulus k."""
-    support = _signed_support(moduli)
-    out = np.zeros((moduli.size, support.size))
-    for k, m in enumerate(moduli):
-        if m == 0.0:
-            out[k, np.searchsorted(support, 0.0)] = 1.0
-        else:
-            out[k, np.searchsorted(support, m)] = p
-            out[k, np.searchsorted(support, -m)] = 1.0 - p
-    return out
+def _value_tables(reps: np.ndarray, moduli: np.ndarray, p: float) -> tuple:
+    """One variable's signed-value tables, from its representatives, its
+    sorted moduli and its up-move probability:
+
+    - the signed support, every modulus with both signs (0.0 once, never -0.0);
+    - the sign matrix, row k the law of modulus k's signed value: mass 1 on
+      0 for a zero modulus, else p on +m and 1 - p on -m;
+    - the state of each support value: the first representative equal to
+      it, else the first of the same modulus, which every support value has;
+    - that map as a dict of Python floats, for scalar lookups."""
+    support = np.unique(np.concatenate([-moduli[moduli > 0], moduli]))
+    rows = np.arange(moduli.size)
+    signed = moduli > 0
+    signs = np.zeros((moduli.size, support.size))
+    signs[rows, np.searchsorted(support, moduli)] = np.where(signed, p, 1.0)
+    signs[rows[signed], np.searchsorted(support, -moduli[signed])] = 1.0 - p
+    same = support[:, None] == reps
+    mirror = np.abs(support)[:, None] == np.abs(reps)
+    state_of = np.where(same.any(axis=1), same.argmax(axis=1), mirror.argmax(axis=1))
+    return support, signs, state_of, dict(zip(support.tolist(), state_of.tolist()))
+
+
+def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
+    """Index of the closest support member (exact for in-support values)."""
+    values = np.asarray(values, dtype=float)
+    pos = np.minimum(np.searchsorted(support, values), support.size - 1)
+    prev = np.maximum(pos - 1, 0)
+    take_prev = np.abs(support[prev] - values) < np.abs(support[pos] - values)
+    return np.where(take_prev, prev, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +547,8 @@ class TripletFitConfig:
     t_max: Optional[int] = None
 
 
-def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitConfig(),
-                       grid_r: Optional[StateGrid] = None,
-                       grid_v: Optional[StateGrid] = None) -> TripletKernel:
+def fit_triplet_kernel(r_values, v_values,
+                       cfg: TripletFitConfig = TripletFitConfig()) -> TripletKernel:
     """Full estimation pipeline from aligned continuous return series:
     discretize both variables, estimate their indexed kernels, synchronize,
     estimate the conditional waiting-time law, the sign probabilities and the
@@ -556,10 +557,8 @@ def fit_triplet_kernel(r_values, v_values, cfg: TripletFitConfig = TripletFitCon
     v_values = np.asarray(v_values, dtype=float)
     if r_values.size != v_values.size:
         raise AlignmentError("return and volume series must be aligned")
-    if grid_r is None:
-        grid_r = make_state_grid(r_values, cfg.n_states_r)
-    if grid_v is None:
-        grid_v = make_state_grid(v_values, cfg.n_states_v)
+    grid_r = make_state_grid(r_values, cfg.n_states_r)
+    grid_v = make_state_grid(v_values, cfg.n_states_v)
     chain_r = discretize(r_values, grid_r)
     chain_v = discretize(v_values, grid_v)
     kern_r = estimate_kernel(chain_r, IndexParams(

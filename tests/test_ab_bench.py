@@ -1,6 +1,7 @@
 """The A/B driver's verdicts: a gain needs ten pairs, nine tenths of them won
 and a median move wider than the parent's quartile spread, with every change
-run correct and finished; a failed run still leaves the pairs already run."""
+run correct and finished; a failed run still leaves the pairs already run;
+the closing report is the Markdown table of the result file."""
 import importlib.util
 import json
 from pathlib import Path
@@ -67,7 +68,7 @@ def test_incorrect_or_failing_change_run_is_never_a_gain():
     assert result["complete_pairs"] == 9 and result["metrics"]["run_s"]["verdict"] == "unchanged"
 
 
-def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch):
+def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch, capsys):
     calls = []
     bench = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -84,7 +85,7 @@ def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch):
     monkeypatch.setattr(ab_bench, "checkout", lambda rev, dest: dest.mkdir(parents=True) or rev)
     monkeypatch.setattr(ab_bench, "run_once", run_once)
     out = tmp_path / "bench.json"
-    code = ab_bench.main(["p", "c", "--workload", "fit", "--pairs", "4", "--seeds", "10:13",
+    code = ab_bench.main(["p", "c", "--workload", "fit", "--seeds", "10:13",
                           "--out", str(out), "--workdir", str(tmp_path)])
     assert code == 1
     assert calls == [("parent", 10, seconds), ("change", 10, seconds), ("change", 11, seconds),
@@ -95,10 +96,17 @@ def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch):
     assert doc["complete_pairs"] == 2 and "pair 2 seed 12 change" in doc["error"]
     assert doc["seconds"] == seconds
     assert doc["metrics"]["run_s"]["change_won"] == 2
+    # the closing report is the Markdown table of the file just written
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "| workload | metric | parent | change | won | verdict |"
+    assert "| fit | run_s | 10 [10–10] | 9 [9–9] | 2/2 | unchanged |" in printed
+    assert printed[-1] == ("fit: 2 of 3 pairs, seeds 10–12, failed operations 0 → 0, "
+                           "every run correct, stopped: " + doc["error"])
 
 
 def test_seed_range():
-    assert ab_bench.parse_seeds("5:7", 3) == [5, 6, 7]
-    for text in ("5:6", "5:9"):
+    assert ab_bench.parse_seeds("5:7") == [5, 6, 7]
+    assert ab_bench.parse_seeds("5:6") == [5, 6]
+    for text in ("5", "5:5", "6:5"):
         with pytest.raises(SystemExit):
-            ab_bench.parse_seeds(text, 3)
+            ab_bench.parse_seeds(text)

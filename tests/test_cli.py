@@ -346,6 +346,30 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("flag, value, method", [
+        ("--rho", "nan", "mc"), ("--psi", "nan", "mc"), ("--psi", "nan", "recursion"),
+        ("--i0", "nan", "mc"), ("--v0", "inf", "mc"), ("--v0", "inf", "recursion")])
+    def test_non_finite_fpt_flags_exit_2(self, small_model, tmp_path, capsys, flag,
+                                         value, method):
+        flags = {"--rho": "1.0015", "--psi": "20", flag: value}
+        out = tmp_path / "fpt"
+        code = main(["fpt", "--model", small_model, "--horizon", "3", "--method", method,
+                     "--paths", "100", *[x for kv in flags.items() for x in kv],
+                     "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--s0", "nan"), ("--s0", "0"),
+                                             ("--v0", "inf"), ("--v0", "-1")])
+    def test_bad_start_levels_exit_2(self, small_model, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--model", small_model, "--minutes", "10", flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["2", "0"])
     def test_alpha_outside_unit_interval_exits_2(self, small_csv, tmp_path, capsys, alpha):
         out = tmp_path / "a"

@@ -1,8 +1,9 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
 ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``), the mask version of ``value_wait_pairs``, the shared
-fallback-ladder resolver and the column-wise ``load_bars`` against the
-versions they replaced, which are kept below as oracles. Every comparison
+fallback-ladder resolver, the column-wise ``load_bars`` and the signed-value
+tables ``TripletKernel`` builds once against the versions they replaced,
+which are kept below as oracles. Every comparison
 is exact: same shape and the same doubles, and the same dtype where the loop
 built a new array."""
 import csv
@@ -313,6 +314,47 @@ def oracle_modulus_cdf(kernel, state_pmf, global_pmf):
     return cdf, fallback_cells
 
 
+def oracle_signed_support(moduli: np.ndarray) -> np.ndarray:
+    """triplet._signed_support, rebuilt on every event_value_pmf call."""
+    vals = set()
+    for m in moduli:
+        if m == 0.0:
+            vals.add(0.0)
+        else:
+            vals.add(m)
+            vals.add(-m)
+    return np.array(sorted(vals))
+
+
+def oracle_sign_matrix(moduli: np.ndarray, p: float) -> np.ndarray:
+    """triplet._sign_matrix, rebuilt for every sojourn slot of every new
+    cell. Map modulus positions onto the signed support: row k gives the
+    distribution of the signed value for modulus k."""
+    support = oracle_signed_support(moduli)
+    out = np.zeros((moduli.size, support.size))
+    for k, m in enumerate(moduli):
+        if m == 0.0:
+            out[k, np.searchsorted(support, 0.0)] = 1.0
+        else:
+            out[k, np.searchsorted(support, m)] = p
+            out[k, np.searchsorted(support, -m)] = 1.0 - p
+    return out
+
+
+def oracle_resolution(kernel, support):
+    """triplet.ModelView._resolution, rebuilt by every engine call."""
+    reps = kernel.grid.representatives
+    out = np.empty(support.size, dtype=np.int64)
+    for k, val in enumerate(support):
+        exact = np.flatnonzero(reps == val)
+        if exact.size:
+            out[k] = exact[0]
+            continue
+        mirror = np.flatnonzero(np.abs(reps) == abs(val))
+        out[k] = mirror[0] if mirror.size else int(np.argmin(np.abs(reps - val)))
+    return out
+
+
 def assert_identical(a, b):
     if a is None or b is None:
         assert a is None and b is None
@@ -338,7 +380,6 @@ RUNS = [
     dict(minutes=3000, inverse=True),
     dict(minutes=None, n_events=400),
     dict(minutes=None, n_events=400, inverse=True),
-    dict(minutes=2500, inverse=True, initial_state=1),
     dict(minutes=5000, n_events=150, inverse=True),
     dict(minutes=0),
 ]
@@ -707,3 +748,58 @@ def test_ladders_random_knockouts():
         _same_ladders(tk, reached)
     assert reached == {"kernel": {0, 1, 2}, "cond_wait": {0, 1, 2},
                        "modulus": {0, 1, 2, 3, 4}}
+
+
+# ---------------------------------------------------------------------------
+# the signed-value tables of TripletKernel
+
+
+def _same_value_tables(tk):
+    """Byte identity of both variables' tables; returns what the grids held:
+    a zero representative, a modulus with both signs, one with one sign."""
+    held = set()
+    for kernel, modulus, p, support, signs, state_of, exact in (
+            (tk.kernel_j, tk.modulus_j, tk.signs.p_j, tk.support_j, tk.sign_matrix_j,
+             tk.state_of_j, tk._exact_j),
+            (tk.kernel_v, tk.modulus_v, tk.signs.p_v, tk.support_v, tk.sign_matrix_v,
+             tk.state_of_v, tk._exact_v)):
+        assert_identical(support, oracle_signed_support(modulus.moduli))
+        assert not np.signbit(support[support == 0.0]).any()
+        assert_identical(signs, oracle_sign_matrix(modulus.moduli, p))
+        assert_identical(state_of, oracle_resolution(kernel, support))
+        assert exact == dict(zip(support.tolist(), state_of.tolist()))
+        # the nearest-value fallback of the oracle is never taken
+        reps = kernel.grid.representatives
+        assert np.isin(np.abs(support), np.abs(reps)).all()
+        mods = np.abs(reps)
+        if (mods == 0.0).any():
+            held.add("zero")
+        for m in np.unique(mods[mods > 0]):
+            held.add("mirrored" if np.isin([-m, m], reps).all() else "one-sided")
+    return held
+
+
+def _random_reps(rng):
+    """Sorted distinct representatives drawn from a few moduli with random
+    signs, so that grids have mirrored pairs, one-sided moduli and zero
+    (sometimes as -0.0)."""
+    while True:
+        mods = rng.choice([0.0, 0.001, 0.0025, 0.01, 0.03], size=int(rng.integers(2, 8)))
+        reps = np.unique(np.where(rng.random(mods.size) < 0.5, -mods, mods))
+        if reps.size >= 2:
+            return reps
+
+
+def test_value_tables_random_grids():
+    held = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        reps_j, reps_v = _random_reps(rng), _random_reps(rng)
+        p_j, p_v = (float(p) for p in rng.choice([0.0, 0.3, 0.5, 1.0], size=2))
+        held |= _same_value_tables(random_triplet(
+            rng, reps_j, reps_v, CopulaSpec("independence"), p_j=p_j, p_v=p_v))
+    assert held == {"zero", "mirrored", "one-sided"}
+
+
+def test_value_tables_fitted_fixture(market_csv):
+    _same_value_tables(fit_triplet_kernel(market_csv["r"], market_csv["v"]))

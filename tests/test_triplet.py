@@ -21,7 +21,6 @@ from wismc.triplet import (
     CondWaitDist,
     ConditioningCell,
     _ModulusTable,
-    ModelView,
     SignModel,
     TripletFitConfig,
     estimate_cond_wait,
@@ -416,7 +415,7 @@ class TestFallbackLadder:
             assert np.abs(cw.resolved[i, v, xb, wb] - want).max() <= 1e-12
 
 
-class TestModelView:
+class TestLookups:
     def test_cell_for_matches_array_lookups(self):
         # the scalar path against the array lookups it stands in for:
         # support values, mirrored and off-grid values, and index values on
@@ -424,19 +423,18 @@ class TestModelView:
         rng = np.random.default_rng(12)
         tk = random_triplet(rng, [-0.02, 0.0, 0.01, 0.03], [-1.0, 0.5],
                             CopulaSpec("independence"), n_bins=3)
-        view = ModelView(tk)
-        values_j = np.concatenate([view.support_j, rng.normal(0, 0.03, 20), [-0.0]])
-        values_v = np.concatenate([view.support_v, rng.normal(0, 1.0, 20)])
+        values_j = np.concatenate([tk.support_j, rng.normal(0, 0.03, 20), [-0.0]])
+        values_v = np.concatenate([tk.support_v, rng.normal(0, 1.0, 20)])
         index = np.concatenate([tk.kernel_j.index_edges, tk.kernel_v.index_edges,
                                 rng.random(30), [-1.0, 2.0]])
         for _ in range(300):
             i_val, v_val = float(rng.choice(values_j)), float(rng.choice(values_v))
             xj, wv = float(rng.choice(index)), float(rng.choice(index))
             want = ConditioningCell(
-                i=int(view.states_j(i_val)), v=int(view.states_v(v_val)),
+                i=int(tk.states_j(i_val)), v=int(tk.states_v(v_val)),
                 x_bin=int(tk.kernel_j.index_bin(xj)), w_bin=int(tk.kernel_v.index_bin(wv)),
                 b_j=1, b_v=2)
-            assert view.cell_for(i_val, v_val, xj, wv, 1, 2) == want
+            assert tk.cell_for(i_val, v_val, xj, wv, 1, 2) == want
 
 
 class TestFitPipeline:

@@ -1,13 +1,13 @@
 """Run the benchmark on two revisions in alternating pairs and compare them.
 
 Usage:
-    python tools/ab_bench.py PARENT CHANGE --workload W --pairs N --seeds A:B \
+    python tools/ab_bench.py PARENT CHANGE --workload W --seeds A:B \
         --out BENCH.json [--workdir DIR]
 
 PARENT and CHANGE are git revisions of this repository. Each is written with
 ``git archive`` into ``DIR/parent`` and ``DIR/change``, two paths of equal
 length (the manifests record the paths they were given, so the outputs then
-weigh the same). The range A:B must hold exactly N seeds; pair k runs
+weigh the same). The range A:B, at least two seeds, sets the pairs; pair k runs
 ``perfbench/run.py --workload W --seed A+k --seconds S --trace 0`` unchanged
 in each checkout, S being BENCHMARK.json's ``run_seconds``, the parent first
 in even pairs and the change first in odd ones.
@@ -33,6 +33,11 @@ the pairs the change won and a verdict:
 If a run exits with an error or times out, its exit code and error output are
 stored in its pair, the pairs already run are written with the verdicts over
 the complete ones, and the driver exits with code 1.
+
+Last, the driver prints every workload of OUT as a Markdown table, one row per
+end-to-end metric (each side's median [q1–q3], the pairs the change won and
+the verdict), and one line per workload with its seeds, failed operations and
+whether every run was correct.
 """
 from __future__ import annotations
 
@@ -129,12 +134,34 @@ def compare(pairs: list, specs: list) -> dict:
             "metrics": metrics}
 
 
-def parse_seeds(text: str, pairs: int) -> list:
+def parse_seeds(text: str) -> list:
     first, _, last = text.partition(":")
     seeds = list(range(int(first), int(last or first) + 1))
-    if len(seeds) != pairs:
-        raise SystemExit(f"--seeds {text} holds {len(seeds)} seeds, not --pairs {pairs}")
+    if len(seeds) < 2:
+        raise SystemExit(f"--seeds {text} holds {len(seeds)} seeds; quartiles need at least 2")
     return seeds
+
+
+def report(doc: dict) -> str:
+    """The result file ``doc`` as Markdown: the comparison table of every
+    workload, then one line per workload on its runs."""
+    lines = ["| workload | metric | parent | change | won | verdict |",
+             "|---|---|---|---|---|---|"]
+    notes = []
+    for name, w in sorted(doc["workloads"].items()):
+        n = w["complete_pairs"]
+        for metric, m in w["metrics"].items():
+            p, c = m["parent"], m["change"]
+            lines.append(f"| {name} | {metric} "
+                         f"| {p['median']:.4g} [{p['q1']:.4g}–{p['q3']:.4g}] "
+                         f"| {c['median']:.4g} [{c['q1']:.4g}–{c['q3']:.4g}] "
+                         f"| {m['change_won']}/{n} | {m['verdict']} |")
+        seeds = [pair["seed"] for pair in w["pairs"]]
+        notes.append(f"{name}: {n} of {len(seeds)} pairs, seeds {seeds[0]}–{seeds[-1]}, "
+                     f"failed operations {w['failed']['parent']} → {w['failed']['change']}, "
+                     + ("every run correct" if w["all_correct"] else "NOT EVERY RUN CORRECT")
+                     + (f", stopped: {w['error']}" if w["error"] else ""))
+    return "\n".join(lines + [""] + notes)
 
 
 def main(argv=None) -> int:
@@ -142,15 +169,12 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seeds", required=True, help="A:B holding N seeds, pair k uses seed A+k")
+    ap.add_argument("--seeds", required=True, help="A:B, pair k uses seed A+k")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the two checkouts go (default: a new temporary directory)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        raise SystemExit("--pairs must be at least 2 to give quartiles")
-    seeds = parse_seeds(args.seeds, args.pairs)
+    seeds = parse_seeds(args.seeds)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
 
@@ -186,17 +210,7 @@ def main(argv=None) -> int:
         "parent": commits["parent"], "change": commits["change"],
         "seconds": seconds, "pairs": runs, "error": error, **result}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-    failed = result["failed"]
-    print(f"{args.workload}: {result['complete_pairs']} of {args.pairs} pairs, "
-          f"seeds {seeds[0]}-{seeds[-1]}, failed {failed['parent']} -> {failed['change']}"
-          + ("" if result["all_correct"] else ", NOT ALL RUNS CORRECT")
-          + (f", stopped: {error}" if error else ""))
-    for name, m in result["metrics"].items():
-        p, c = m["parent"], m["change"]
-        print(f"  {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
-              f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}, "
-              f"change won {m['change_won']}/{result['complete_pairs']}: {m['verdict']}")
+    print(report(doc))
     return 1 if error else 0
 
 
