@@ -142,15 +142,17 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def report(doc: dict) -> str:
+def report(doc: dict, order: list) -> str:
     """The result file ``doc`` as Markdown: the comparison table of every
-    workload, then one line per workload on its runs."""
+    workload, its rows in the metric ``order``, then one line per workload
+    on its runs."""
     lines = ["| workload | metric | parent | change | won | verdict |",
              "|---|---|---|---|---|---|"]
     notes = []
     for name, w in sorted(doc["workloads"].items()):
         n = w["complete_pairs"]
-        for metric, m in w["metrics"].items():
+        for metric in [x for x in order if x in w["metrics"]]:
+            m = w["metrics"][metric]
             p, c = m["parent"], m["change"]
             lines.append(f"| {name} | {metric} "
                          f"| {p['median']:.4g} [{p['q1']:.4g}–{p['q3']:.4g}] "
@@ -210,7 +212,7 @@ def main(argv=None) -> int:
         "parent": commits["parent"], "change": commits["change"],
         "seconds": seconds, "pairs": runs, "error": error, **result}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(report(doc))
+    print(report(doc, [spec["name"] for spec in bench["end_to_end"]]))
     return 1 if error else 0
 
 
