@@ -13,6 +13,7 @@ them again and checks each copy against them (see :func:`load_model`).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -36,11 +37,39 @@ TRIPLET_FORMAT = "wismc.triplet"
 FORMAT_VERSION = 1
 
 
-_JSON_LAYOUT = {"sort_keys": True, "indent": 1}
+def _pieces(obj, depth: int = 0):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=1)`` in pieces,
+    for ``obj`` nested at ``depth``. A flat list of plain ints, or of finite
+    plain floats, is one piece; every other scalar is encoded by ``json``
+    itself. Dict keys must be strings."""
+    if not isinstance(obj, (dict, list, tuple)):
+        yield json.dumps(obj)
+        return
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        yield opening + closing
+        return
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(obj, dict):
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield (opening if k == 0 else ",") + pad + json.dumps(key) + ": "
+            yield from _pieces(value, depth + 1)
+    else:
+        kinds = set(map(type, obj))
+        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj))):
+            yield opening + pad + ("," + pad).join(map(repr, obj))
+        else:
+            for k, value in enumerate(obj):
+                yield (opening if k == 0 else ",") + pad
+                yield from _pieces(value, depth + 1)
+    yield "\n" + " " * depth + closing
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, **_JSON_LAYOUT)
+    """``doc`` as ``json.dumps(doc, sort_keys=True, indent=1)`` writes it."""
+    return "".join(_pieces(doc))
 
 
 def kernel_to_dict(k: IndexedKernel) -> dict:
@@ -159,10 +188,8 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
 
 
 def save_model(tk: TripletKernel, path) -> None:
-    # json.dump writes the encoder's pieces as they come; dumps would hold
-    # them all at once, about 7 times the file's size
     with open(path, "w") as fh:
-        json.dump(triplet_to_dict(tk), fh, **_JSON_LAYOUT)
+        fh.writelines(_pieces(triplet_to_dict(tk)))
 
 
 def load_model(path) -> TripletKernel:

@@ -15,6 +15,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     heavy_tailed_series,
@@ -554,8 +556,13 @@ def _loaded(load, path, **kw):
 
 
 def _same_load(path, **kw):
-    (bars, starts, excluded), want_warnings = _loaded(oracle_load_bars, path, **kw)
-    got, got_warnings = _loaded(load_bars, path, **kw)
+    _assert_same_load(_loaded(oracle_load_bars, path, **kw), _loaded(load_bars, path, **kw))
+
+
+def _assert_same_load(want, got):
+    """The oracle's and load_bars's (result, warnings) hold the same bars."""
+    (bars, starts, excluded), want_warnings = want
+    got, got_warnings = got
     assert_identical(np.array([b.minute for b in bars], dtype=np.int64), got.minutes)
     assert_identical(np.array([b.price for b in bars], dtype=float), got.prices)
     assert_identical(np.array([b.volume for b in bars], dtype=float), got.volumes)
@@ -673,6 +680,100 @@ def test_load_bars_first_faulty_row_wins(tmp_path):
             rows[at] = [f if f is not None else old for f, old in zip(fields, rows[at])]
         path = _write_rows(tmp_path, [",".join(r) for r in rows])
         assert _error(load_bars, path) == _error(oracle_load_bars, path)
+
+
+# fields of a drawn bar file: each row starts from a good one (the first two
+# before the session opens) and may swap a field for text made of these
+# pieces, pad or quote it, sign it, or write its stamp in calendar form
+PIECES = ["0", "1", "5", "9", "+", "-", ".", "e", "_", "inf", "nan", " ", "\t",
+          "\u00a0", "\u2003", '"', "2016-03-01T09:00"]
+PADS = [" ", "\t", "\u00a0", "\u2003"]
+
+
+@st.composite
+def bar_files(draw):
+    """(lines after the header, line end, final line end) of a small bar file."""
+    lines = []
+    for k in range(draw(st.integers(0, 8))):
+        minute = DAY + 538 + 3 * k
+        fields = [str(minute), f"{10 + k / 8}", str(7 * k % 50)]
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "extra"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        if shape == "spaces":
+            lines.append("".join(draw(st.lists(st.sampled_from(PADS), min_size=1,
+                                               max_size=3))))
+            continue
+        for at in range(3):
+            how = draw(st.sampled_from(["keep"] * 16 + ["text", "pad", "quote", "sign"]))
+            if how == "text":
+                fields[at] = "".join(draw(st.lists(st.sampled_from(PIECES), max_size=4)))
+            elif how == "pad":
+                fields[at] = draw(st.sampled_from(PADS)) + fields[at] + draw(
+                    st.sampled_from(["", *PADS]))
+            elif how == "quote":
+                fields[at] = f'"{fields[at]}"'
+            elif how == "sign":
+                fields[at] = draw(st.sampled_from("+-")) + fields[at]
+        if draw(st.integers(0, 5)) == 0:
+            fields[0] = _calendar(minute)
+        if shape == "short":
+            fields = fields[:draw(st.integers(1, 2))]
+        elif shape == "extra":
+            fields += draw(st.lists(st.sampled_from(["", "x", "1", '"']), min_size=1,
+                                    max_size=2))
+        lines.append(",".join(fields))
+    return lines, draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(st.booleans())
+
+
+def _outcome(load, path):
+    """``_loaded(load, path)``, or its error's type and line."""
+    try:
+        return _loaded(load, path)
+    except (ParseError, OrderingError) as exc:
+        return type(exc), int(re.match(r"line (\d+):", str(exc)).group(1))
+
+
+def _reads_non_finite(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bar_files())
+def test_load_bars_drawn_files(tmp_path_factory, drawn):
+    lines, end, final = drawn
+    path = tmp_path_factory.mktemp("drawn") / "bars.csv"
+    text = end.join(["timestamp,price,volume", *lines]) + (end if final else "")
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _outcome(oracle_load_bars, path)
+    except OverflowError:  # the oracle's int(float("inf")) of a volume
+        want = None
+    got = _outcome(load_bars, path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        records = [(reader.line_num, row) for row in reader if row]
+    failed = want is not None and isinstance(want[0], type)
+    if failed:
+        # the oracle numbers the non-blank rows from 2; load_bars names their
+        # file line, blank lines and line ends inside quotes included
+        want = (want[0], records[want[1] - 2][0])
+    # the oracle takes a non-finite price and breaks on a non-finite volume;
+    # load_bars refuses either at its row, so the oracle's verdict holds only
+    # on the rows before the first one
+    bad = next((line for line, row in records
+                if any(map(_reads_non_finite, row[1:3]))), None)
+    if bad is not None and not (failed and want[1] < bad):
+        want, failed = (ParseError, bad), True
+    if failed:
+        assert got == want
+    else:
+        _assert_same_load(want, got)
 
 
 # ---------------------------------------------------------------------------

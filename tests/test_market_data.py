@@ -47,6 +47,17 @@ class TestLoadBars:
         assert bars.prices.tolist() == [10.0, 10.1, 10.2]
         assert bars.n_sessions == 1
 
+    @pytest.mark.parametrize("stamps", [[f"{DAY + 540}", f"{DAY + 541}"],
+                                        ["2016-03-01T09:00", "2016-03-01T09:01"]])
+    def test_byte_order_mark_dropped(self, tmp_path, stamps):
+        # read by the C reader and, with calendar stamps, row by row
+        p = _write(tmp_path, [f"{stamps[0]},10.0,5", f"{stamps[1]},10.1,6"])
+        want = load_bars(p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        got = load_bars(p)
+        for field in ("minutes", "prices", "volumes", "session_starts"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
     def test_calendar_timestamps(self, tmp_path):
         p = _write(tmp_path, ["2016-03-01T09:00,10.0,5", "2016-03-01T09:01,10.1,6"])
         bars = load_bars(p)

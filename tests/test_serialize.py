@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import heavy_tailed_series, random_kernel, random_triplet
+from wismc.cli import main
 from wismc.copulas import CopulaSpec
 from wismc.errors import ParseError
 from wismc.serialize import (
@@ -92,3 +95,30 @@ class TestTripletRoundTrip:
             for j, a in [(0.015, 0.7), (-0.02, np.inf), (0.0, -0.5)]:
                 assert triplet_kernel_eval(back, cell, j, a, t) == \
                     triplet_kernel_eval(tk, cell, j, a, t)
+
+
+# bools are ints to isinstance, np.float64 values are floats; big ints, -0.0,
+# NaN, infinities and non-ASCII text all take json's own scalar encoding
+SCALARS = st.one_of(st.booleans(), st.none(), st.integers(-2**70, 2**70), st.floats(),
+                    st.floats().map(np.float64), st.just(-0.0), st.text())
+FLAT_LISTS = st.one_of(st.lists(st.integers(-2**70, 2**70)), st.lists(st.floats()),
+                       st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+DOCS = st.recursive(
+    st.one_of(SCALARS, FLAT_LISTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=40)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(DOCS)
+    def test_dumps_is_json_dumps(self, doc):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+    def test_save_model_is_json_dump(self, market_csv, tmp_path):
+        path = tmp_path / "model.json"
+        assert main(["estimate", "--input", market_csv["path"], "--out", str(path)]) == 0
+        with open(tmp_path / "json.json", "w") as fh:
+            json.dump(triplet_to_dict(load_model(path)), fh, sort_keys=True, indent=1)
+        assert path.read_bytes() == (tmp_path / "json.json").read_bytes()

@@ -2,17 +2,20 @@
 
 Usage: python tools/output_digests.py OUTDIR
 
-OUTDIR must be empty or absent. The script writes two bar files, the bundled
-test fixture (``heavy_tailed_series(30000, 42)``) and the benchmark's stock
-(``make_stock`` with seed 101), runs ``analyze``, ``optimize``, ``estimate``,
-``simulate`` and ``fpt`` (Monte Carlo and recursion) on each, and prints one
-``sha256  relative/path`` line per file, inputs and manifests included.
+OUTDIR must be empty or absent. The script writes three bar files, the bundled
+test fixture (``heavy_tailed_series(30000, 42)``), the same bars with
+calendar-form stamps (``YYYY-MM-DDTHH:MM``, which ``load_bars`` parses row by
+row) and the benchmark's stock (``make_stock`` with seed 101), runs
+``analyze``, ``optimize``, ``estimate``, ``simulate`` and ``fpt`` (Monte Carlo
+and recursion) on each, and prints one ``sha256  relative/path`` line per
+file, inputs and manifests included.
 
 Manifests record the paths they were given, so two checkouts write the same
 lines for the same OUTDIR exactly when every output is byte-identical.
 """
 from __future__ import annotations
 
+import datetime
 import hashlib
 import sys
 from pathlib import Path
@@ -40,6 +43,18 @@ def commands(d: Path) -> list:
     ]
 
 
+def with_calendar_stamps(path: Path) -> None:
+    """Rewrite the epoch-minute stamps of the bar file at ``path`` in calendar
+    form."""
+    header, *rows = path.read_text().splitlines()
+    epoch = datetime.datetime(1970, 1, 1)
+    for k, row in enumerate(rows):
+        stamp, rest = row.split(",", 1)
+        when = epoch + datetime.timedelta(minutes=int(stamp))
+        rows[k] = f"{when:%Y-%m-%dT%H:%M},{rest}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -52,7 +67,15 @@ def main(argv) -> int:
     from wismc.cli import main as wismc_main
 
     fx = fixture_module()
-    inputs = {"fixture": lambda p: fx.write_bar_csv(p, *fx.heavy_tailed_series(30000, 42)),
+
+    def fixture(p):
+        fx.write_bar_csv(p, *fx.heavy_tailed_series(30000, 42))
+
+    def calendar(p):
+        fixture(p)
+        with_calendar_stamps(p)
+
+    inputs = {"fixture": fixture, "calendar": calendar,
               "stock101": lambda p: make_stock(p, seed=101)}
     for name, write in inputs.items():
         d = out / name
