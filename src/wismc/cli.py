@@ -74,12 +74,12 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bars = load_bars(args.input, session=args.session)
     r = compute_returns(bars, "price-return")
     v = compute_returns(bars, "volume-return")
     battery = run_battery(r, v, max_lag=args.max_lag, alpha=args.alpha)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     p = out / "battery.json"
     p.write_text(dumps(battery))
@@ -114,8 +114,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     bars = load_bars(args.input, session=args.session)
     r = compute_returns(bars, "price-return")
     v = compute_returns(bars, "volume-return")
@@ -126,6 +124,8 @@ def _cmd_estimate(args) -> int:
         n_index_bins=args.index_bins, copula_family=args.copula,
         t_max=args.t_max)
     tk = fit_triplet_kernel(ra, va, cfg)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(tk, out)
     _write_manifest(out.parent, args, [args.input], [out],
                     name=out.stem + ".manifest.json", out=out.name)
@@ -137,13 +137,13 @@ def _cmd_simulate(args) -> int:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
     cfg = SimConfig(length_minutes=args.minutes, backtransform=args.backtransform,
                     s0=args.s0, v0=args.v0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tk = load_model(args.model)
+    out = Path(args.out)
     outputs = []
     for rep in range(args.reps):
         child = int(np.random.SeedSequence([args.seed, rep]).generate_state(1)[0])
         path = simulate_path(tk, dataclasses.replace(cfg, seed=child))
+        out.mkdir(parents=True, exist_ok=True)
         p = out / f"rep_{rep:03d}.csv"
         _write_csv(p, ["minute", "r", "v", "S", "V"],
                    zip(range(args.minutes), path.r, path.v,
@@ -167,12 +167,12 @@ def _cmd_fpt(args) -> int:
         tk.kernel_v.grid.representatives[int(np.argmax(tk.kernel_v.counts.sum(axis=(1, 2, 3))))])
     query = FptQuery(rho=args.rho, psi=args.psi, horizon=args.horizon,
                      history_j=[i0], history_v=[v0], history_t=[0], u=args.u)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.method == "recursion":
         res = fpt_survival_recursive(tk, query)
     else:
         res = fpt_survival_mc(tk, query, n_paths=args.paths, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     p = out / "fpt.csv"
     lower = res.lower if res.lower is not None else res.survival
@@ -216,12 +216,12 @@ def _cmd_optimize(args) -> int:
                     lambdas=_parse_lambdas(args.lambdas),
                     max_lag=args.max_lag, reps_per_point=args.reps,
                     n_index_bins=args.index_bins, epsilon=args.epsilon)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     bars = load_bars(args.input, session=args.session)
     series = compute_returns(bars, "price-return" if args.variable == "r"
                              else "volume-return")
     result = grid_search(series.values, spec, seed=args.seed)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dumps({"variable": args.variable, **result.as_dict()}))
     _write_manifest(out.parent, args, [args.input], [out],
                     name=out.stem + ".manifest.json", out=out.name)

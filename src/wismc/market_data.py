@@ -4,10 +4,11 @@ cross-correlations and value/waiting-time contingency tables)."""
 from __future__ import annotations
 
 import csv
+import datetime
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 import numpy as np
 from scipy.special import betaincc, chdtrc
 
@@ -108,9 +109,7 @@ def _parse_minute(text: str, line_no: int) -> int:
         date_part, time_part = text.split("T")
         year, month, day = (int(p) for p in date_part.split("-"))
         hh, mm = (int(p) for p in time_part.split(":")[:2])
-        import datetime as _dt
-
-        epoch_day = (_dt.date(year, month, day) - _dt.date(1970, 1, 1)).days
+        epoch_day = (datetime.date(year, month, day) - datetime.date(1970, 1, 1)).days
         return epoch_day * MINUTES_PER_DAY + hh * 60 + mm
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad timestamp {text!r}", line_no) from exc
@@ -133,34 +132,9 @@ def _parse_session(spec) -> tuple:
     return h1 * 60 + m1, h2 * 60 + m2
 
 
-def _column(texts, convert, dtype):
-    """``convert`` applied to each text, as an array of ``dtype``. Stops
-    before the first text it rejects; returns the array and that text's index
-    (``len(texts)`` when it rejects none)."""
-    try:
-        return np.fromiter(map(convert, texts), dtype, len(texts)), len(texts)
-    except (ValueError, OverflowError, ParseError):
-        pass
-    for k, text in enumerate(texts):
-        try:
-            np.fromiter((convert(text),), dtype, 1)
-        except (ValueError, OverflowError, ParseError):
-            return np.fromiter(map(convert, texts[:k]), dtype, k), k
-
-
 def _open_bars(path):
     """A bar file opened for ``csv``; a UTF-8 byte-order mark is dropped."""
     return open(path, newline="", encoding="utf-8-sig")
-
-
-def _line_of(path, k):
-    """The file line of the k-th non-blank row after the header, blank lines
-    included; read again only for an error, so the rows need not carry their
-    line numbers."""
-    with _open_bars(path) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return next(islice((reader.line_num for row in reader if row), k, None))
 
 
 _BAR_FIELDS = np.dtype([("minute", np.int64), ("price", float), ("volume", float)])
@@ -168,10 +142,11 @@ _BAR_FIELDS = np.dtype([("minute", np.int64), ("price", float), ("volume", float
 
 def _read_body(fh, idx):
     """The rest of ``fh`` parsed by numpy's C reader as (minutes, prices,
-    volumes) from columns ``idx``, or None when it rejects any row. It takes
-    epoch-minute stamps and Python float syntax without underscores or
-    non-ASCII digits, and skips only empty lines, so what it reads the row
-    parser reads to the same values, except a stamp signed with ``+``."""
+    volumes) from columns ``idx``, or None when it rejects any row or a value
+    check fails. It takes epoch-minute stamps and Python float syntax without
+    underscores or non-ASCII digits, and skips only empty lines, so what it
+    reads the row loop reads to the same values, except a stamp signed with
+    ``+``."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -179,37 +154,63 @@ def _read_body(fh, idx):
                               usecols=idx, ndmin=1, dtype=_BAR_FIELDS)
     except ValueError:
         return None
-    return body["minute"], body["price"], body["volume"]
+    minutes, prices, volumes = body["minute"], body["price"], body["volume"]
+    # the row loop's value checks in one pass: nan fails every comparison
+    ok = ((0.0 < prices) & (prices < math.inf)
+          & (-1.0 < volumes) & (volumes < math.inf)).all()
+    if not (ok and (minutes[1:] > minutes[:-1]).all()):
+        return None
+    return minutes, prices, volumes
 
 
-def _parse_rows(path, idx):
-    """The body of ``path`` parsed row by row: (minutes, prices, volumes) up
-    to the first row that does not parse, the number of non-blank rows, and
-    one (first faulty row, error) per kind of parse fault."""
+def _read_rows(path, idx):
+    """The body of ``path`` read row by row as (minutes, prices, volumes)
+    from columns ``idx``. Each row is checked as it is read: short row,
+    stamp, numbers, non-finite value, price, volume (truncated), then
+    ordering. The first fault raises, naming the row's file line."""
+    t, p, v = idx
+    width = max(idx) + 1
+    minutes, prices, volumes = array("q"), array("d"), array("d")
+    last = -math.inf
     with _open_bars(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        rows = [row for row in reader if row]
-    width = max(idx) + 1
-    n = len(rows)
-    if rows and min(map(len, rows)) < width:
-        n = next(k for k, row in enumerate(rows) if len(row) < width)
-    whole = rows[:n]
-    stamps, price_text, volume_text = ([row[k] for row in whole] for k in idx)
-    parse_minute = (int if all(map(str.isdigit, stamps))
-                    else lambda text: _parse_minute(text, None))
-    minutes, k_time = _column(stamps, parse_minute, np.int64)
-    prices, k_price = _column(price_text, float, float)
-    volumes, k_volume = _column(volume_text, float, float)
-    k_number = min(k_price, k_volume)
-    stop = min(n, k_time, k_number)
-    faults = [
-        (n, lambda k: ParseError(f"short row {rows[k]!r}", _line_of(path, k))),
-        (k_time, lambda k: ParseError(f"bad timestamp {stamps[k]!r}", _line_of(path, k))),
-        (k_number, lambda k: ParseError(f"bad numeric field in {rows[k]!r}",
-                                        _line_of(path, k))),
-    ]
-    return (minutes[:stop], prices[:stop], volumes[:stop]), len(rows), faults
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ParseError(f"short row {row!r}", reader.line_num)
+                stamp = row[t]
+                try:
+                    minute = int(stamp) if stamp.isdigit() else _parse_minute(stamp, None)
+                    minutes.append(minute)  # OverflowError beyond int64
+                except (ValueError, OverflowError, ParseError):
+                    raise ParseError(f"bad timestamp {stamp!r}", reader.line_num) from None
+                try:
+                    price, volume = float(row[p]), float(row[v])
+                except ValueError:
+                    raise ParseError(f"bad numeric field in {row!r}",
+                                     reader.line_num) from None
+                # a volume truncates to a negative count exactly when it is <= -1
+                if not (0.0 < price < math.inf and -1.0 < volume < math.inf):
+                    if not (math.isfinite(price) and math.isfinite(volume)):
+                        raise ParseError(f"non-finite price {price} or volume {volume}",
+                                         reader.line_num)
+                    if price <= 0:
+                        raise ParseError(f"non-positive price {price}", reader.line_num)
+                    raise ParseError(f"negative volume {math.trunc(volume)}",
+                                     reader.line_num)
+                if minute <= last:
+                    raise OrderingError(
+                        f"line {reader.line_num}: timestamp not strictly increasing")
+                last = minute
+                prices.append(price)
+                volumes.append(volume)
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
+    return (np.frombuffer(minutes, np.int64), np.frombuffer(prices, float),
+            np.frombuffer(volumes, float))
 
 
 def load_bars(path, session=None, columns=None) -> BarSeries:
@@ -228,20 +229,24 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
     error names the first faulty row. Rows outside the trading session are
     then excluded and counted, with a warning.
 
-    A body that numpy's C reader parses whole is read by it; any other body
-    (calendar stamps, a ``+`` anywhere, a faulty row) is parsed row by row
-    to the same arrays and errors, 2.5 to 7 times slower.
+    A body that numpy's C reader parses whole and whose values pass the
+    checks is read by it; any other body (calendar stamps, a ``+`` anywhere,
+    a faulty row) is read row by row to the same arrays and errors, about 2
+    to 5 times slower.
     """
     session_open, session_close = _parse_session(session)
     colmap = {"timestamp": "timestamp", "price": "price", "volume": "volume"}
     if columns:
         colmap.update(columns)
     with open(path, "rb") as fh:
-        # the C reader takes "+5" for 5, which the row parser refuses as a stamp
+        # the C reader takes "+5" for 5, which the row loop refuses as a stamp
         signed = b"+" in fh.read()
     with _open_bars(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
         if header is None:
             raise ParseError("missing header row", 1)
         # a repeated name means its last column, as in csv.DictReader
@@ -252,36 +257,9 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
         idx = [where[colmap[key]] for key in ("timestamp", "price", "volume")]
         body = None if signed else _read_body(fh, idx)
     if body is None:
-        body, n_rows, faults = _parse_rows(path, idx)
-    else:
-        n_rows, faults = body[0].size, []
+        body = _read_rows(path, idx)
     minutes, prices, volumes = body
     volumes = np.trunc(volumes) + 0.0  # int(float(x)); -0.0 becomes 0.0
-
-    # (first faulty row, error) per check, n_rows when it finds none. The
-    # earliest row is reported, by the first check listed that fails on it:
-    # the per-row order of the old row loop. The parse faults lead, as the
-    # value checks see only the rows before the first of them.
-    def first(mask):
-        return int(mask.argmax()) if mask.any() else n_rows
-
-    def line(k):
-        return _line_of(path, k)
-
-    later = np.zeros(minutes.size, dtype=bool)
-    later[1:] = minutes[1:] <= minutes[:-1]
-    k, error = min([
-        *faults,
-        (first(~(np.isfinite(prices) & np.isfinite(volumes))),
-         lambda k: ParseError(f"non-finite price {prices[k]} or volume {volumes[k]}",
-                              line(k))),
-        (first(prices <= 0), lambda k: ParseError(f"non-positive price {prices[k]}", line(k))),
-        (first(volumes < 0), lambda k: ParseError(f"negative volume {volumes[k]:.0f}", line(k))),
-        (first(later),
-         lambda k: OrderingError(f"line {line(k)}: timestamp not strictly increasing")),
-    ], key=lambda check: check[0])
-    if k < n_rows:
-        raise error(k)
 
     mod = minutes % MINUTES_PER_DAY
     keep = (session_open <= mod) & (mod <= session_close)

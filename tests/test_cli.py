@@ -16,6 +16,7 @@ from wismc import cli
 from wismc.cli import main
 from wismc.core import normalized
 from wismc.finfunc import fpt_survival_recursive
+from wismc.market_data import load_bars
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,43 @@ class TestErrors:
         assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and err["message"].startswith("line 4:")
+
+    def test_field_over_csv_limit_exits_3(self, tmp_path, capsys):
+        # csv refuses a field longer than csv.field_size_limit() (131 072)
+        day = 20000 * 1440 + 540
+        path = tmp_path / "bars.csv"
+        path.write_text(f"timestamp,price,volume\n{day},{'x' * 140_000},5\n{day + 1},10.1,6\n")
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError" and err["message"].startswith("line 2:")
+        # padded with spaces, the price parses, and the C reader takes the file
+        path.write_text(f"timestamp,price,volume\n{day},10.0{' ' * 140_000},5\n"
+                        f"{day + 1},10.1,6\n")
+        assert len(load_bars(path)) == 2
+        path.write_text(f"timestamp,{'x' * 140_000},price,volume\n{day},1,10.0,5\n")
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError" and err["message"].startswith("line 1:")
+
+    @pytest.mark.parametrize("args, code", [
+        (["fpt", "--model", "MODEL", "--paths", "0"], 2),
+        (["fpt", "--model", "MODEL", "--u", "100000"], 2),
+        (["analyze", "--input", "CSV", "--max-lag", "-1"], 2),
+        (["analyze", "--input", "CSV", "--alpha", "2"], 2),
+        (["estimate", "--input", "CSV", "--states-r", "1"], 2),
+        (["simulate", "--model", "missing.json", "--minutes", "10"], 3),
+        (["optimize", "--input", "missing.csv"], 3),
+    ], ids=["fpt-paths", "fpt-u", "analyze-max-lag", "analyze-alpha", "estimate-states",
+            "simulate-model", "optimize-input"])
+    def test_failed_run_creates_no_output(self, small_csv, small_model, tmp_path, args,
+                                          code):
+        # --out names a directory or, for estimate and optimize, a file in one
+        names = {"MODEL": small_model, "CSV": small_csv, "missing.json":
+                 str(tmp_path / "missing.json"), "missing.csv": str(tmp_path / "missing.csv")}
+        fpt = ["--rho", "1.0015", "--psi", "20", "--horizon", "3"] if args[0] == "fpt" else []
+        argv = [names.get(a, a) for a in args] + fpt
+        assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == code
+        assert not (tmp_path / "new").exists()
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

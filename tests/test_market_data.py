@@ -91,6 +91,12 @@ class TestLoadBars:
         with pytest.raises(ParseError, match="^line 4:"):
             load_bars(p)
 
+    @pytest.mark.parametrize("stamp", ["9" * 20, "-" + "9" * 20])
+    def test_stamp_beyond_int64_reports_line(self, tmp_path, stamp):
+        p = _write(tmp_path, [f"{DAY + 540},10.0,5", f"{stamp},10.1,6"])
+        with pytest.raises(ParseError, match="^line 3: bad timestamp"):
+            load_bars(p)
+
     def test_short_row_without_timestamp_reports_line(self, tmp_path):
         p = _write(tmp_path, [f"10.0,5,{DAY + 540}", "10.1,6"],
                    header="price,volume,timestamp")

@@ -1,11 +1,12 @@
-"""Print the SHA-256 digest of every file the CLI writes on two fixed inputs.
+"""Print the SHA-256 digest of every file the CLI writes on four fixed inputs.
 
 Usage: python tools/output_digests.py OUTDIR
 
-OUTDIR must be empty or absent. The script writes three bar files, the bundled
-test fixture (``heavy_tailed_series(30000, 42)``), the same bars with
-calendar-form stamps (``YYYY-MM-DDTHH:MM``, which ``load_bars`` parses row by
-row) and the benchmark's stock (``make_stock`` with seed 101), runs
+OUTDIR must be empty or absent. The script writes four bar files: the bundled
+test fixture (``heavy_tailed_series(30000, 42)``); the same bars with
+calendar-form stamps (``YYYY-MM-DDTHH:MM``); the same bars with a ``+`` before
+every price; and the benchmark's stock (``make_stock`` with seed 101). The
+calendar and signed files are the ones ``load_bars`` reads row by row. It runs
 ``analyze``, ``optimize``, ``estimate``, ``simulate`` and ``fpt`` (Monte Carlo
 and recursion) on each, and prints one ``sha256  relative/path`` line per
 file, inputs and manifests included.
@@ -55,6 +56,13 @@ def with_calendar_stamps(path: Path) -> None:
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
+def with_signed_prices(path: Path) -> None:
+    """Put a ``+`` before every price of the bar file at ``path``."""
+    header, *rows = path.read_text().splitlines()
+    rows = [row.replace(",", ",+", 1) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -75,7 +83,11 @@ def main(argv) -> int:
         fixture(p)
         with_calendar_stamps(p)
 
-    inputs = {"fixture": fixture, "calendar": calendar,
+    def signed(p):
+        fixture(p)
+        with_signed_prices(p)
+
+    inputs = {"fixture": fixture, "calendar": calendar, "signed": signed,
               "stock101": lambda p: make_stock(p, seed=101)}
     for name, write in inputs.items():
         d = out / name
