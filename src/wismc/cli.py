@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ContractViolation, ParameterError, ResourceLimitError, WismcError
+from .errors import (ContractViolation, ParameterError, ParseError, ResourceLimitError,
+                     WismcError)
 from .finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
 from .market_data import align, compute_returns, load_bars, run_battery
 from .optimize import GridSpec, grid_search
@@ -27,8 +28,9 @@ EXIT_RESOURCE = 4
 
 _USAGE_ERRORS = (ParameterError, ContractViolation)
 _RESOURCE_ERRORS = (ResourceLimitError, MemoryError)
-# every other package error is a data error; caught after the two above
-_DATA_ERRORS = (WismcError, FileNotFoundError)
+# every other package error is a data error, and so is an input or output path
+# that cannot be opened; caught after the two above
+_DATA_ERRORS = (WismcError, OSError)
 
 
 def _sha256(path: Path) -> str:
@@ -308,29 +310,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv):
     """Precedence flags > config file > built-in defaults: values from the
-    JSON file become defaults of the subcommands that have those flags,
-    before the real parse."""
+    JSON file become defaults of the subcommand being run, where it has those
+    flags, before the real parse. Each value passes its flag's type and
+    choices as a command-line value does; ``null`` is taken only where the
+    built-in default is ``null``."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    path = _config_path(argv)
+    path, command = _config_path(argv)
     if path is None:
         return argv
-    with open(path) as fh:
-        overrides = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc}") from None
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
     overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-    for sub in parser._subparsers._group_actions[0].choices.values():
-        dests = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+    sub = parser._subparsers._group_actions[0].choices.get(command)
+    if sub is None:  # argparse reports the missing or unknown subcommand
+        return argv
+    sub.set_defaults(**{a.dest: _flag_value(sub, a, overrides[a.dest])
+                        for a in sub._actions if a.dest in overrides})
     return argv
+
+
+def _flag_value(sub, action, value):
+    """A config value converted and checked as argparse converts and checks
+    the same value given on the command line."""
+    if value is None and action.default is None:
+        return None
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise argparse.ArgumentError(action, f"not a flag value: {value!r}")
+        value = sub._get_value(action, str(value))
+        sub._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        raise ParameterError(f"config file: {exc}") from None
+    return value
 
 
 def _config_path(argv):
     """The --config value among the options before the subcommand, in every
     spelling argparse accepts there (``--config PATH``, ``--config=PATH``,
-    unique prefixes); the last one wins, as in argparse."""
+    unique prefixes), and the subcommand; the last --config wins, as in
+    argparse."""
     path = None
     k = 0
     while k < len(argv) and argv[k].startswith("-"):
@@ -344,19 +369,19 @@ def _config_path(argv):
             else:
                 raise ParameterError("--config needs a file path")
         k += 1
-    return path
+    return path, (argv[k] if k < len(argv) else None)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config_file(parser, argv)
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return EXIT_DATA
     except ParameterError as exc:
         _emit_error(exc)
         return EXIT_USAGE
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
+        _emit_error(exc)
+        return EXIT_DATA
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -180,15 +180,21 @@ class FptResult:
         return out
 
 
-def _history_accumulators(tk: TripletKernel, q: FptQuery):
-    """Index carry-states at time zero implied by the query history, plus the
-    backward time of each variable (minutes since its value last changed)."""
-    accs = []
+def _fpt_start(tk: TripletKernel, q: FptQuery):
+    """The start both first-passage methods run from: the last history values,
+    the index carry-states the history implies at time zero and the backward
+    time of each variable (minutes since its value last changed).
+
+    Refuses a start cell whose waiting law has no mass beyond ``q.u``: the
+    recursion divides by 1 - H(u) and the sampler draws from H(u) to the
+    row's top, which may lie just below one, so both must be positive."""
+    i0, v0 = float(q.history_j[-1]), float(q.history_v[-1])
+    carries = []
     for lam, vals in ((tk.kernel_j.lam, q.history_j), (tk.kernel_v.lam, q.history_v)):
         w, d = 0.0, 1.0
         for k in range(vals.size - 1):
             w, d = advance_carry(lam, w, d, vals[k], int(q.history_t[k + 1] - q.history_t[k]))
-        accs.append((w, d))
+        carries.append((w, d))
     backs = []
     for vals in (q.history_j, q.history_v):
         b = 0
@@ -197,7 +203,13 @@ def _history_accumulators(tk: TripletKernel, q: FptQuery):
                 break
             b = int(-q.history_t[k - 1])
         backs.append(b)
-    return accs[0], accs[1], backs[0], backs[1]
+    (wj, dj), (wv, dv) = carries
+    cell = tk.cell_for(i0, v0, (wj + i0 * i0) / dj, (wv + v0 * v0) / dv, *backs)
+    cdf = np.cumsum(tk.cond_wait.resolved[cell.i, cell.v, cell.x_bin, cell.w_bin])
+    h_u = cdf[min(q.u, tk.t_max) - 1] if q.u >= 1 else 0.0
+    if not (1.0 - h_u > 0.0 and cdf[-1] - h_u > 0.0):
+        raise ContractViolation("waiting-time law has no mass beyond u")
+    return i0, v0, carries[0], carries[1], backs[0], backs[1]
 
 
 def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
@@ -214,9 +226,9 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     and 20 (volume), horizon 3 takes about 1 s, horizon 4 about 30 s and
     0.9 GB, and horizon 5 exceeds the default budget.
     """
+    i0, v0, (wj0, dj0), (wv0, dv0), b_j, b_v = _fpt_start(tk, query)
     if query.rho <= 1.0 or query.psi <= 1.0:
         return FptResult(survival=np.zeros(query.horizon + 1), method="recursion")
-    (wj0, dj0), (wv0, dv0), b_j, b_v = _history_accumulators(tk, query)
     index_free = tk.kernel_j.index_edges.size == 2 and tk.kernel_v.index_edges.size == 2
     memo: dict = {}
     nodes = [0]
@@ -240,10 +252,8 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
         cell = tk.cell_for(i_val, v_val, xj, wv, bj, bv)
         h = tk.waiting_pmf(cell)
         cdf = np.cumsum(h)
-        h_u = cdf[min(u, tk.t_max) - 1] if u >= 1 else 0.0
-        denom = 1.0 - h_u
-        if denom <= 0.0:
-            raise ContractViolation("waiting-time law has no mass beyond u")
+        # u > 0 only at the root, where _fpt_start has checked the denominator
+        denom = 1.0 - (cdf[min(u, tk.t_max) - 1] if u >= 1 else 0.0)
         out = np.zeros(hor + 1)
         for t in range(hor + 1):
             if _crossed_by(i_val, t, lr) or _crossed_by(v_val, t, lp):
@@ -276,7 +286,6 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
         memo[key] = out
         return out
 
-    i0, v0 = float(query.history_j[-1]), float(query.history_v[-1])
     surv = solve(i0, v0, wj0, dj0, wv0, dv0, b_j, b_v,
                  math.log(query.rho), math.log(query.psi), query.u, query.horizon)
     return FptResult(survival=surv, method="recursion")
@@ -295,74 +304,58 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
                     seed: int = 0) -> FptResult:
     """Monte Carlo estimate of the same survival with binomial-proportion
     bands. Paths are advanced in vectorized lockstep from a single seeded
-    stream, so the result is reproducible for fixed (seed, n_paths)."""
+    stream, so the result is reproducible for fixed (seed, n_paths). Each
+    round draws the sojourns of the live paths in path order, then the next
+    values of the paths that neither crossed nor passed the horizon; the
+    others leave every array."""
     if n_paths < 1:
         raise ParameterError("need at least one path")
-    if query.u >= tk.t_max:
-        raise ContractViolation("waiting-time law has no mass beyond u")
+    i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _fpt_start(tk, query)
     horizon = query.horizon
-    zeros = np.zeros(horizon + 1)
     if query.rho <= 1.0 or query.psi <= 1.0:
+        zeros = np.zeros(horizon + 1)
         return FptResult(survival=zeros, method="monte-carlo", lower=zeros,
                          upper=zeros, n_paths=n_paths)
     rng = np.random.default_rng(seed)
-    (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _history_accumulators(tk, query)
-    i0, v0 = float(query.history_j[-1]), float(query.history_v[-1])
-
     n = n_paths
-    i_val = np.full(n, i0)
-    v_val = np.full(n, v0)
-    wj = np.full(n, wj0)
-    dj = np.full(n, dj0)
-    wv = np.full(n, wv0)
-    dv = np.full(n, dv0)
+    i_val, v_val = np.full(n, i0), np.full(n, v0)
+    wj, dj, wv, dv = np.full(n, wj0), np.full(n, dj0), np.full(n, wv0), np.full(n, dv0)
     bj = np.full(n, b_j0, dtype=np.int64)
     bv = np.full(n, b_v0, dtype=np.int64)
-    log_j = np.zeros(n)
-    log_v = np.zeros(n)
+    log_j, log_v = np.zeros(n), np.zeros(n)
     t_now = np.zeros(n, dtype=np.int64)
-    cross_at = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
     lr, lp = math.log(query.rho), math.log(query.psi)
-    first_round = True
-    while np.any(alive):
-        ids = np.flatnonzero(alive)
-        cells = tk.cells_of(i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
-        soj = tk.draw_sojourns(rng, cells, u=query.u if first_round else 0)
-        first_round = False
+    crossed = []  # crossing times within the horizon, one array per round
+    u = query.u
+    while True:
+        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
+        soj = tk.draw_sojourns(rng, cells, u=u)
+        u = 0
         # crossing during the stretch: positive held values accumulate
+        cross = np.full(i_val.size, horizon + 1, dtype=np.int64)
         for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
-            mask = vals[ids] > 0
-            pos = ids[mask]
-            if pos.size:
-                end = logs[pos] + vals[pos] * soj[mask]
-                hit = end >= lim
-                if np.any(hit):
-                    need = np.ceil((lim - logs[pos][hit]) / vals[pos][hit]).astype(np.int64)
-                    at = t_now[pos][hit] + need
-                    cross_at[pos[hit]] = np.minimum(cross_at[pos[hit]], at)
-        log_j[ids] += i_val[ids] * soj
-        log_v[ids] += v_val[ids] * soj
-        t_now[ids] += soj
-        done = cross_at[ids] <= horizon
-        beyond = t_now[ids] > horizon
-        alive[ids[done | beyond]] = False
-        keep = ~(done | beyond)
-        live = ids[keep]
-        if live.size == 0:
+            hit = (vals > 0) & (logs + vals * soj >= lim)
+            need = np.ceil((lim - logs[hit]) / vals[hit]).astype(np.int64)
+            cross[hit] = np.minimum(cross[hit], t_now[hit] + need)
+        done = cross <= horizon
+        crossed.append(cross[done])
+        t_now += soj
+        keep = ~done & (t_now <= horizon)
+        (i_val, v_val, wj, dj, wv, dv, bj, bv, log_j, log_v, t_now, soj,
+         *cells) = (a[keep] for a in (i_val, v_val, wj, dj, wv, dv, bj, bv,
+                                      log_j, log_v, t_now, soj, *cells))
+        if not soj.size:
             break
-        soj_live = soj[keep]
-        nj, nv = tk.draw_next_values(rng, tuple(c[keep] for c in cells),
-                                     bj[live], bv[live], soj_live)
-        wj[live], dj[live] = advance_carry(tk.kernel_j.lam, wj[live], dj[live],
-                                           i_val[live], soj_live)
-        wv[live], dv[live] = advance_carry(tk.kernel_v.lam, wv[live], dv[live],
-                                           v_val[live], soj_live)
-        bj[live] = np.where(nj != i_val[live], 0, bj[live] + soj_live)
-        bv[live] = np.where(nv != v_val[live], 0, bv[live] + soj_live)
-        i_val[live], v_val[live] = nj, nv
-    grid = np.arange(horizon + 1)
-    surv = (cross_at[None, :] > grid[:, None]).mean(axis=1)
+        log_j += i_val * soj
+        log_v += v_val * soj
+        nj, nv = tk.draw_next_values(rng, tuple(cells), bj, bv, soj)
+        wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
+        wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
+        bj = np.where(nj != i_val, 0, bj + soj)
+        bv = np.where(nv != v_val, 0, bv + soj)
+        i_val, v_val = nj, nv
+    hits = np.bincount(np.concatenate(crossed), minlength=horizon + 1)
+    surv = (n_paths - np.cumsum(hits)) / n_paths
     se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
     return FptResult(survival=surv, method="monte-carlo",
                      lower=np.clip(surv - 3.0 * se, 0.0, 1.0),

@@ -104,22 +104,26 @@ def _parse_minute(text: str, line_no: int) -> int:
         raise ParseError("empty timestamp", line_no)
     if text.isdigit() or (text[0] == "-" and text[1:].isdigit()):
         return int(text)
-    # calendar form YYYY-MM-DDTHH:MM (seconds tolerated and truncated)
+    # calendar form YYYY-MM-DDTHH:MM, hours 0-23 and minutes 0-59; one
+    # seconds field 00-59 is tolerated and truncated
     try:
         date_part, time_part = text.split("T")
         year, month, day = (int(p) for p in date_part.split("-"))
-        hh, mm = (int(p) for p in time_part.split(":")[:2])
+        fields = time_part.split(":")
+        if not (2 <= len(fields) <= 3 and all(f.isascii() and f.isdigit() for f in fields)):
+            raise ValueError("hours and minutes, then at most seconds, in digits")
+        hh, mm, ss = (int(f) for f in fields + ["0"] * (3 - len(fields)))
+        if not (hh < 24 and mm < 60 and ss < 60):
+            raise ValueError("hours run 0-23, minutes and seconds 0-59")
         epoch_day = (datetime.date(year, month, day) - datetime.date(1970, 1, 1)).days
         return epoch_day * MINUTES_PER_DAY + hh * 60 + mm
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}", line_no) from exc
 
 
 def _parse_session(spec) -> tuple:
     if spec is None:
         return DEFAULT_SESSION
-    if not isinstance(spec, str):
-        return int(spec[0]), int(spec[1])
     try:
         (h1, m1), (h2, m2) = ((int(p) for p in part.split(":"))
                               for part in spec.split("-"))
@@ -239,8 +243,15 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
     if columns:
         colmap.update(columns)
     with open(path, "rb") as fh:
-        # the C reader takes "+5" for 5, which the row loop refuses as a stamp
-        signed = b"+" in fh.read()
+        raw = fh.read()
+    # the C reader takes "+5" for 5, which the row loop refuses as a stamp
+    signed = b"+" in raw
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte {raw[exc.start]:#04x}",
+                         raw.count(b"\n", 0, exc.start) + 1) from None
+    del raw
     with _open_bars(path) as fh:
         reader = csv.reader(fh)
         try:

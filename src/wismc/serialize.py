@@ -193,15 +193,15 @@ def save_model(tk: TripletKernel, path) -> None:
 
 
 def load_model(path) -> TripletKernel:
-    """Read a triplet model file. A file that is not a JSON object or not a
-    triplet document, lacks a field, holds one of the wrong type, a negative
-    count or a pmf other than its counts normalized raises
+    """Read a triplet model file. A file that is not UTF-8 JSON, not a JSON
+    object or not a triplet document, lacks a field, holds one of the wrong
+    type, a negative count or a pmf other than its counts normalized raises
     :class:`ParseError`; tables whose shapes, ``t_max`` or index edges
     disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a model document")

@@ -228,6 +228,37 @@ class TestConfigFile:
         assert config == {"input": small_csv, "session": "09:00-17:30",
                           "max_lag": 5, "alpha": 0.01}
 
+    @pytest.mark.parametrize("values, args", [
+        ({"method": "foo"}, ["fpt", "--model", "MODEL", "--rho", "1.0015", "--psi", "20",
+                             "--horizon", "3", "--paths", "100"]),
+        ({"variable": "x"}, ["optimize", "--input", "CSV", "--states", "3",
+                             "--lambdas", "0.97", "--reps", "1"]),
+        ({"states_r": 5.5}, ["estimate", "--input", "CSV"]),
+        ({"max-lag": True}, ["analyze", "--input", "CSV"]),
+        ({"session": ["09:00", "17:30"]}, ["analyze", "--input", "CSV"]),
+    ], ids=["choices", "choices-optimize", "type", "bool", "list"])
+    def test_config_values_checked_as_flags(self, small_csv, small_model, tmp_path,
+                                            capsys, values, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        argv = [{"MODEL": small_model, "CSV": small_csv}.get(a, a) for a in args]
+        out = tmp_path / "new" / "out"
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "new").exists()
+
+    def test_config_values_take_the_flag_type(self, small_model, tmp_path):
+        # a JSON integer for a float flag, a string for an int flag, and null
+        # where the built-in default is null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"i0": 0, "paths": "100", "v0": None}))
+        out = tmp_path / "fpt"
+        assert main(["--config", str(cfg), "fpt", "--model", small_model, "--rho", "1.0015",
+                     "--psi", "20", "--horizon", "3", "--out", str(out)]) == 0
+        config = _read_manifest(out)["config"]
+        assert config["i0"] == 0.0 and isinstance(config["i0"], float)
+        assert config["paths"] == 100 and config["v0"] is not None
+
     def test_dangling_config_exits_2(self, capsys):
         assert main(["--config"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
@@ -414,6 +445,19 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and err["message"].startswith("line 1:")
 
+    @pytest.mark.parametrize("rho", ["1.0015", "1"])
+    @pytest.mark.parametrize("method", ["mc", "recursion"])
+    def test_fpt_u_beyond_waiting_law_exits_2(self, small_model, tmp_path, capsys,
+                                              method, rho):
+        # the refusal comes before the shortcut for a barrier at or below one
+        out = tmp_path / "fpt"
+        assert main(["fpt", "--model", small_model, "--rho", rho, "--psi", "20",
+                     "--horizon", "3", "--u", "100000", "--method", method,
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ContractViolation", "message": "waiting-time law has no mass beyond u"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, code", [
         (["fpt", "--model", "MODEL", "--paths", "0"], 2),
         (["fpt", "--model", "MODEL", "--u", "100000"], 2),
@@ -433,6 +477,35 @@ class TestErrors:
         argv = [names.get(a, a) for a in args] + fpt
         assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == code
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("case", ["bar byte", "model bom", "config byte",
+                                      "input directory", "model directory",
+                                      "out is a file"])
+    def test_unreadable_input_or_output_exits_3(self, small_csv, small_model, tmp_path,
+                                                capsys, case):
+        day = 20000 * 1440 + 540
+        bars, model, cfg = tmp_path / "bars.csv", tmp_path / "model.json", tmp_path / "c.json"
+        bars.write_bytes(f"timestamp,price,volume\n{day},10.0,5\n".encode()
+                         + f"{day + 1},10.1,6 caf\xe9\n".encode("latin-1"))
+        model.write_bytes(b"\xff\xfe" + Path(small_model).read_text().encode("utf-16-le"))
+        cfg.write_bytes(b'{"max-lag": 5, "note": "caf\xe9"}')
+        out = tmp_path / "out"
+        analyze = ["analyze", "--input", small_csv, "--max-lag", "5", "--out", str(out)]
+        argv = {"bar byte": ["analyze", "--input", str(bars), "--out", str(out)],
+                "model bom": ["simulate", "--model", str(model), "--minutes", "10",
+                              "--out", str(out)],
+                "config byte": ["--config", str(cfg), *analyze],
+                "input directory": ["analyze", "--input", str(tmp_path), "--out", str(out)],
+                "model directory": ["fpt", "--model", str(tmp_path), "--rho", "1.0015",
+                                    "--psi", "20", "--horizon", "3", "--out", str(out)],
+                "out is a file": analyze[:-1] + [str(bars)]}[case]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        if case == "bar byte":
+            assert err == {"error": "ParseError", "message": "line 3: not UTF-8: byte 0xe9"}
+        elif case in ("model bom", "config byte"):
+            assert err["error"] == "ParseError"
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

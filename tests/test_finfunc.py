@@ -1,5 +1,6 @@
 """One-step marginals, dependence measures and first-passage times, checked
 against enumeration oracles."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import random_triplet
 from test_triplet import modulus_law, oracle_signed_atoms
 from wismc.copulas import CopulaSpec, copula_eval
-from wismc.errors import ParameterError, ResourceLimitError
+from wismc.errors import ContractViolation, ParameterError, ResourceLimitError
 from wismc.finfunc import (
     FptQuery,
     fpt_survival_mc,
@@ -19,7 +20,7 @@ from wismc.finfunc import (
     one_step_marginal_volume,
     signed_covariance,
 )
-from wismc.triplet import ConditioningCell
+from wismc.triplet import CondWaitDist, ConditioningCell, fit_triplet_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +422,43 @@ class TestFptMonteCarlo:
         mc = fpt_survival_mc(tk, q, n_paths=150_000, seed=3)
         se = np.sqrt(np.maximum(rec.survival * (1 - rec.survival), 1e-12) / mc.n_paths)
         assert np.all(np.abs(mc.survival - rec.survival) <= 3.0 * se + 1e-12)
+
+
+class TestFptStart:
+    """Both methods start from one state and refuse the same starts."""
+
+    @staticmethod
+    def _refusals(tk, **query):
+        refused = []
+        for run in (fpt_survival_recursive, fpt_survival_mc):
+            with pytest.raises(ContractViolation) as exc:
+                run(tk, FptQuery(**query))
+            refused.append(str(exc.value))
+        return refused
+
+    @pytest.mark.parametrize("rho", [2.0, 1.0])
+    @pytest.mark.parametrize("profile, u", [([1, 0, 0, 0], 1), ([1, 4, 1], 3)],
+                             ids=["all-at-one", "top-below-one"])
+    def test_no_mass_beyond_u(self, rho, profile, u):
+        # every cell has one waiting law: all of its mass at sojourn 1, or a
+        # law whose cumulative sum tops out at 0.9999999999999999, so that
+        # 1 - H(t_max) is positive but nothing lies beyond u = t_max
+        tk = random_triplet(np.random.default_rng(3), [-0.3, 0.25], [-0.5, 0.4],
+                            CopulaSpec("gaussian", rho=0.4), t_max=len(profile))
+        counts = np.broadcast_to(profile, tk.cond_wait.counts.shape).copy()
+        tk = dataclasses.replace(tk, cond_wait=CondWaitDist(counts=counts))
+        query = dict(rho=rho, psi=2.5, horizon=5, history_j=[0.25], history_v=[0.4],
+                     history_t=[0])
+        assert self._refusals(tk, u=u, **query) == ["waiting-time law has no mass beyond u"] * 2
+        rec = fpt_survival_recursive(tk, FptQuery(u=u - 1, **query))
+        mc = fpt_survival_mc(tk, FptQuery(u=u - 1, **query), n_paths=1000)
+        assert rec.survival[0] == mc.survival[0] == (1.0 if rho > 1.0 else 0.0)
+
+    def test_fitted_fixture_top_states(self, market_csv):
+        # the cell of both top states holds two sojourns, both of one minute
+        tk = fit_triplet_kernel(market_csv["r"], market_csv["v"])
+        i0, v0 = tk.kernel_j.grid.representatives[-1], tk.kernel_v.grid.representatives[-1]
+        query = dict(rho=1.0015, psi=20.0, horizon=3, history_j=[i0], history_v=[v0],
+                     history_t=[0])
+        assert len(self._refusals(tk, u=1, **query)) == 2
+        assert fpt_survival_mc(tk, FptQuery(u=0, **query), n_paths=1000).survival[0] == 1.0

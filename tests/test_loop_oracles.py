@@ -1,9 +1,10 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
 ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``), the mask version of ``value_wait_pairs``, the shared
-fallback-ladder resolver, the column-wise ``load_bars`` and the signed-value
-tables ``TripletKernel`` builds once against the versions they replaced,
-which are kept below as oracles. Every comparison
+fallback-ladder resolver, the column-wise ``load_bars``, the signed-value
+tables ``TripletKernel`` builds once and the live-paths-only Monte Carlo
+loop of ``fpt_survival_mc`` against the versions they replaced, which are
+kept below as oracles. Every comparison
 is exact: same shape and the same doubles, and the same dtype where the loop
 built a new array."""
 import csv
@@ -38,6 +39,7 @@ from wismc.core import (
     make_state_grid,
 )
 from wismc.errors import OrderingError, ParameterError, ParseError
+from wismc.finfunc import FptQuery, _fpt_start, fpt_survival_mc
 from wismc.market_data import (
     MINUTES_PER_DAY,
     BarSeries,
@@ -357,6 +359,71 @@ def oracle_resolution(kernel, support):
     return out
 
 
+def oracle_fpt_survival_mc(tk, query, n_paths, seed):
+    """The Monte Carlo loop over an ``alive`` mask of all paths, with its
+    start taken from the shared helper; returns (survival, lower, upper)."""
+    horizon = query.horizon
+    rng = np.random.default_rng(seed)
+    i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _fpt_start(tk, query)
+
+    n = n_paths
+    i_val = np.full(n, i0)
+    v_val = np.full(n, v0)
+    wj = np.full(n, wj0)
+    dj = np.full(n, dj0)
+    wv = np.full(n, wv0)
+    dv = np.full(n, dv0)
+    bj = np.full(n, b_j0, dtype=np.int64)
+    bv = np.full(n, b_v0, dtype=np.int64)
+    log_j = np.zeros(n)
+    log_v = np.zeros(n)
+    t_now = np.zeros(n, dtype=np.int64)
+    cross_at = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    lr, lp = math.log(query.rho), math.log(query.psi)
+    first_round = True
+    while np.any(alive):
+        ids = np.flatnonzero(alive)
+        cells = tk.cells_of(i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
+        soj = tk.draw_sojourns(rng, cells, u=query.u if first_round else 0)
+        first_round = False
+        # crossing during the stretch: positive held values accumulate
+        for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
+            mask = vals[ids] > 0
+            pos = ids[mask]
+            if pos.size:
+                end = logs[pos] + vals[pos] * soj[mask]
+                hit = end >= lim
+                if np.any(hit):
+                    need = np.ceil((lim - logs[pos][hit]) / vals[pos][hit]).astype(np.int64)
+                    at = t_now[pos][hit] + need
+                    cross_at[pos[hit]] = np.minimum(cross_at[pos[hit]], at)
+        log_j[ids] += i_val[ids] * soj
+        log_v[ids] += v_val[ids] * soj
+        t_now[ids] += soj
+        done = cross_at[ids] <= horizon
+        beyond = t_now[ids] > horizon
+        alive[ids[done | beyond]] = False
+        keep = ~(done | beyond)
+        live = ids[keep]
+        if live.size == 0:
+            break
+        soj_live = soj[keep]
+        nj, nv = tk.draw_next_values(rng, tuple(c[keep] for c in cells),
+                                     bj[live], bv[live], soj_live)
+        wj[live], dj[live] = advance_carry(tk.kernel_j.lam, wj[live], dj[live],
+                                           i_val[live], soj_live)
+        wv[live], dv[live] = advance_carry(tk.kernel_v.lam, wv[live], dv[live],
+                                           v_val[live], soj_live)
+        bj[live] = np.where(nj != i_val[live], 0, bj[live] + soj_live)
+        bv[live] = np.where(nv != v_val[live], 0, bv[live] + soj_live)
+        i_val[live], v_val[live] = nj, nv
+    grid = np.arange(horizon + 1)
+    surv = (cross_at[None, :] > grid[:, None]).mean(axis=1)
+    se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
+    return surv, np.clip(surv - 3.0 * se, 0.0, 1.0), np.clip(surv + 3.0 * se, 0.0, 1.0)
+
+
 def assert_identical(a, b):
     if a is None or b is None:
         assert a is None and b is None
@@ -602,7 +669,7 @@ def test_load_bars_forms(tmp_path):
     for name, column in (("epoch", stamps), ("calendar", calendar), ("mixed", mixed)):
         path = _write_rows(tmp_path, [",".join(f) for f in zip(column, prices, volumes)],
                            name=f"{name}.csv")
-        for session in (None, "00:00-23:59", "10:00-12:00", (0, 0)):
+        for session in (None, "00:00-23:59", "10:00-12:00", "00:00-00:00"):
             _same_load(path, session=session)
     remapped = [f"x,{v},{t},{p}" for t, p, v in zip(stamps, prices, volumes)]
     _same_load(_write_rows(tmp_path, remapped, header="note,qty,ts,last", name="remap.csv"),
@@ -904,3 +971,41 @@ def test_value_tables_random_grids():
 
 def test_value_tables_fitted_fixture(market_csv):
     _same_value_tables(fit_triplet_kernel(market_csv["r"], market_csv["v"]))
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo first-passage loop
+
+
+def _same_fpt_mc(tk, query, n_paths, seed):
+    """Byte identity of the survival curve and its bands; returns the
+    survival so callers can check that paths crossed at several times."""
+    got = fpt_survival_mc(tk, query, n_paths=n_paths, seed=seed)
+    for a, b in zip(oracle_fpt_survival_mc(tk, query, n_paths, seed),
+                    (got.survival, got.lower, got.upper)):
+        assert_identical(a, b)
+    return got.survival
+
+
+@pytest.mark.parametrize("u", [0, 1, 2])
+def test_fpt_mc_random_triplets(u):
+    histories = [dict(history_j=[0.25], history_v=[-0.5], history_t=[0]),
+                 dict(history_j=[-0.3, 0.25], history_v=[0.4, 0.4], history_t=[-2, 0])]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        tk = random_triplet(rng, [-0.3, 0.0, 0.25], [-0.5, 0.4],
+                            CopulaSpec("gaussian", rho=0.4), t_max=4,
+                            n_bins=int(rng.integers(1, 4)), max_b=8)
+        query = FptQuery(rho=2.5, psi=4.0, horizon=10, u=u, **histories[seed % 2])
+        assert np.unique(_same_fpt_mc(tk, query, 4000, seed)).size > 2
+
+
+@pytest.mark.parametrize("u", [0, 2])
+def test_fpt_mc_fitted_fixture(market_csv, u):
+    tk = fit_triplet_kernel(market_csv["r"], market_csv["v"])
+    # the start of the ``fpt`` command: each variable's most visited state
+    i0, v0 = (float(k.grid.representatives[np.argmax(k.counts.sum(axis=(1, 2, 3)))])
+              for k in (tk.kernel_j, tk.kernel_v))
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30, u=u,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+    assert np.unique(_same_fpt_mc(tk, query, 20_000, 7)).size > 2

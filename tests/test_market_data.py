@@ -1,5 +1,6 @@
 """Bar ingestion, per-session returns and the statistics battery."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -63,6 +64,30 @@ class TestLoadBars:
         bars = load_bars(p)
         assert len(bars) == 2
         assert bars.minutes[1] - bars.minutes[0] == 1
+
+    @pytest.mark.parametrize("stamp", ["2016-03-01T09:75", "2016-03-01T33:01",
+                                       "2016-03-01T10:-1", "2016-03-01T09:31:zz",
+                                       "2016-03-01T09:31:60", "2016-03-01T09:31:00:00",
+                                       "2016-03-01T09", "2016-03-01T+9:30"])
+    def test_calendar_stamp_out_of_range(self, tmp_path, stamp):
+        p = _write(tmp_path, ["2016-03-01T09:00,10.0,5", f"{stamp},10.1,6",
+                              "2016-03-02T09:00,10.2,7"])
+        with pytest.raises(ParseError, match=f"^line 3: bad timestamp '{re.escape(stamp)}'"):
+            load_bars(p)
+
+    def test_calendar_stamp_bounds_and_seconds(self, tmp_path):
+        p = _write(tmp_path, ["2016-03-01T00:00,10.0,5", "2016-03-01T09:31:59,10.1,6",
+                              "2016-03-01T23:59:00,10.2,7"])
+        bars = load_bars(p, session="00:00-23:59")
+        day = (bars.minutes[0] // 1440) * 1440
+        assert (bars.minutes - day).tolist() == [0, 9 * 60 + 31, 23 * 60 + 59]
+
+    def test_bytes_not_utf8_report_line(self, tmp_path):
+        p = tmp_path / "bars.csv"
+        p.write_bytes(f"timestamp,price,volume\n{DAY + 540},10.0,5\n\n".encode()
+                      + f"{DAY + 541},10.1,6\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="^line 4: not UTF-8: byte 0xe9$"):
+            load_bars(p)
 
     def test_row_after_close_excluded(self, tmp_path):
         p = _write(tmp_path, [f"{DAY + 1050},10.0,5", f"{DAY + 1051},10.1,6"])

@@ -8,8 +8,8 @@ calendar-form stamps (``YYYY-MM-DDTHH:MM``); the same bars with a ``+`` before
 every price; and the benchmark's stock (``make_stock`` with seed 101). The
 calendar and signed files are the ones ``load_bars`` reads row by row. It runs
 ``analyze``, ``optimize``, ``estimate``, ``simulate`` and ``fpt`` (Monte Carlo
-and recursion) on each, and prints one ``sha256  relative/path`` line per
-file, inputs and manifests included.
+and recursion, each at ``--u 0`` and ``--u 2``) on each, and prints one
+``sha256  relative/path`` line per file, inputs and manifests included.
 
 Manifests record the paths they were given, so two checkouts write the same
 lines for the same OUTDIR exactly when every output is byte-identical.
@@ -41,6 +41,10 @@ def commands(d: Path) -> list:
          "--method", "mc", "--out", str(d / "fpt_mc")],
         ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3",
          "--method", "recursion", "--out", str(d / "fpt_recursion")],
+        ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "30", "--u", "2",
+         "--method", "mc", "--out", str(d / "fpt_mc_u2")],
+        ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3", "--u", "2",
+         "--method", "recursion", "--out", str(d / "fpt_recursion_u2")],
     ]
 
 
