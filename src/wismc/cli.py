@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -26,11 +27,14 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
-_USAGE_ERRORS = (ParameterError, ContractViolation)
+# argparse's conversion and choice errors (the parsers do not exit on them)
+# are reported as ParameterError; an unknown or missing flag exits in argparse
+_USAGE_ERRORS = (ParameterError, ContractViolation, argparse.ArgumentError)
 _RESOURCE_ERRORS = (ResourceLimitError, MemoryError)
-# every other package error is a data error, and so is an input or output path
-# that cannot be opened; caught after the two above
-_DATA_ERRORS = (WismcError, OSError)
+# every other package error is a data error, and so are an input or output path
+# that cannot be opened and a config file that is not JSON; caught after the
+# two above
+_DATA_ERRORS = (WismcError, OSError, json.JSONDecodeError)
 
 
 def _sha256(path: Path) -> str:
@@ -41,9 +45,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+# parsed names that are not flags of a subcommand
+_NOT_FLAGS = ("command", "func", "config")
 # parsed names left out of a manifest's config: the seed has a field of its
 # own, and outputs are recorded by name
-_NOT_CONFIG = ("seed", "out", "command", "func", "config")
+_NOT_CONFIG = ("seed", "out", *_NOT_FLAGS)
 
 
 def _write_manifest(out_dir: Path, args, inputs: list, outputs: list,
@@ -234,17 +240,29 @@ def _cmd_optimize(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy takes only seeds >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="wismc",
+        prog="wismc", exit_on_error=False,
         description="Indexed semi-Markov modelling of minute returns, volumes "
                     "and waiting times")
     ap.add_argument("--version", action="version", version=f"wismc {__version__}")
     ap.add_argument("--config", default=None,
                     help="JSON file of flag defaults; explicit flags win")
-    sub = ap.add_subparsers(dest="command", required=True)
+    add = functools.partial(ap.add_subparsers(dest="command", required=True).add_parser,
+                            exit_on_error=False)
 
-    p = sub.add_parser("analyze", help="statistics battery over a minute-bar CSV")
+    p = add("analyze", help="statistics battery over a minute-bar CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--session", default="09:00-17:30")
     p.add_argument("--max-lag", type=int, default=100)
@@ -252,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("estimate", help="fit the joint model from a minute-bar CSV")
+    p = add("estimate", help="fit the joint model from a minute-bar CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--session", default="09:00-17:30")
     p.add_argument("--states-r", type=int, default=5)
@@ -266,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("simulate", help="generate synthetic paths from a model file")
+    p = add("simulate", help="generate synthetic paths from a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--minutes", type=int, required=True)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--backtransform", default="empirical",
                    choices=["empirical", "representative"])
     p.add_argument("--s0", type=float, default=1.0)
@@ -278,21 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fpt", help="joint first-passage-time survival")
+    p = add("fpt", help="joint first-passage-time survival")
     p.add_argument("--model", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--method", default="mc", choices=["mc", "recursion"])
     p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--i0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)
     p.add_argument("--u", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fpt)
 
-    p = sub.add_parser("optimize", help="grid search over states and memory")
+    p = add("optimize", help="grid search over states and memory")
     p.add_argument("--input", required=True)
     p.add_argument("--session", default="09:00-17:30")
     p.add_argument("--variable", default="r", choices=["r", "v"])
@@ -302,88 +320,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--index-bins", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_seed, default=11)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
     return ap
 
 
 def _apply_config_file(parser, argv):
-    """Precedence flags > config file > built-in defaults: values from the
-    JSON file become defaults of the subcommand being run, where it has those
-    flags, before the real parse. Each value passes its flag's type and
-    choices as a command-line value does; ``null`` is taken only where the
-    built-in default is ``null``."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    path, command = _config_path(argv)
-    if path is None:
+    """Precedence flags > config file > built-in defaults. Each key of the
+    JSON file that names a flag of the subcommand being run becomes a
+    ``--flag=value`` token right after the subcommand's name, so argparse
+    converts and checks it as a command-line value and a later explicit flag
+    wins. ``null`` adds no token, and is taken only where the flag is
+    otherwise ``null``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand onwards
+    found = pre.parse_known_args(argv)[0]
+    if found.config is None:
         return argv
-    with open(path, encoding="utf-8") as fh:
+    with open(found.config, encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8: {exc}") from None
+            raise ParseError(f"{found.config}: not UTF-8: {exc}") from None
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
-    overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-    sub = parser._subparsers._group_actions[0].choices.get(command)
-    if sub is None:  # argparse reports the missing or unknown subcommand
-        return argv
-    sub.set_defaults(**{a.dest: _flag_value(sub, a, overrides[a.dest])
-                        for a in sub._actions if a.dest in overrides})
-    return argv
-
-
-def _flag_value(sub, action, value):
-    """A config value converted and checked as argparse converts and checks
-    the same value given on the command line."""
-    if value is None and action.default is None:
-        return None
-    try:
+    flags = vars(parser.parse_args(argv))  # the subcommand's flags, as if no file
+    tokens = []
+    for key, value in overrides.items():
+        dest = key.replace("-", "_")
+        if dest not in flags or dest in _NOT_FLAGS or value is None and flags[dest] is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise argparse.ArgumentError(action, f"not a flag value: {value!r}")
-        value = sub._get_value(action, str(value))
-        sub._check_value(action, value)
-    except argparse.ArgumentError as exc:
-        raise ParameterError(f"config file: {exc}") from None
-    return value
+            raise ParameterError(f"config file: argument {flag}: not a flag value: {value!r}")
+        tokens.append(f"{flag}={value}")
+    at = len(argv) - len(found.rest) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
-def _config_path(argv):
-    """The --config value among the options before the subcommand, in every
-    spelling argparse accepts there (``--config PATH``, ``--config=PATH``,
-    unique prefixes), and the subcommand; the last --config wins, as in
-    argparse."""
-    path = None
-    k = 0
-    while k < len(argv) and argv[k].startswith("-"):
-        name, eq, value = argv[k].partition("=")
-        if len(name) > 2 and "--config".startswith(name):
-            if eq:
-                path = value
-            elif k + 1 < len(argv):
-                path = argv[k + 1]
-                k += 1
-            else:
-                raise ParameterError("--config needs a file path")
-        k += 1
-    return path, (argv[k] if k < len(argv) else None)
+def _check_out(args) -> None:
+    """Refuse, before any work, an ``--out`` that cannot be written: a file
+    output that is a directory, or an output directory that is, or lies
+    under, a file. Nothing is created here."""
+    out = Path(args.out)
+    if args.command in ("estimate", "optimize"):  # these write one file
+        if out.is_dir():
+            raise IsADirectoryError(f"--out {out}: is a directory")
+        out = out.parent
+    above = next(p for p in (out, *out.parents) if p.exists())
+    if not above.is_dir():
+        raise NotADirectoryError(f"--out {args.out}: {above} is not a directory")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-    except ParameterError as exc:
-        _emit_error(exc)
-        return EXIT_USAGE
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return EXIT_DATA
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(_apply_config_file(parser, argv))
+        _check_out(args)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         _emit_error(exc)
@@ -397,8 +393,8 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc) -> None:
-    sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                 "message": str(exc)}) + "\n")
+    name = "ParameterError" if isinstance(exc, argparse.ArgumentError) else type(exc).__name__
+    sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
 
 
 if __name__ == "__main__":

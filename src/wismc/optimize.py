@@ -36,6 +36,10 @@ class GridSpec:
             raise ParameterError("state counts must be >= 2")
         if self.reps_per_point < 1:
             raise ParameterError("reps_per_point must be >= 1")
+        if self.n_index_bins < 1:
+            raise ParameterError("n_index_bins must be >= 1")
+        if self.epsilon is not None and np.isnan(self.epsilon):
+            raise ParameterError("epsilon must not be NaN")
         if any(not 0.0 < l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in (0, 1]")
 

@@ -104,6 +104,39 @@ def test_failed_run_keeps_the_pairs_already_run(tmp_path, monkeypatch, capsys):
                            "every run correct, stopped: " + doc["error"])
 
 
+def test_per_layer_medians_of_one_traced_run_per_side(tmp_path, monkeypatch, capsys):
+    calls = []
+    bench = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
+    layers = [m["name"] for m in bench["per_layer"]]
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, seed, seconds, trace))
+        run = _run(0.0)
+        names = layers if trace else [m["name"] for m in bench["end_to_end"]]
+        run["metrics"] = {m: 2.0 if tree.name == "parent" else 1.0 for m in names}
+        return run
+
+    monkeypatch.setattr(ab_bench, "checkout", lambda rev, dest: dest.mkdir(parents=True) or rev)
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    workdir = tmp_path / "not" / "yet"  # created by the driver
+    assert ab_bench.main(["p", "c", "--workload", "fpt", "--seeds", "3:4",
+                          "--out", str(out), "--workdir", str(workdir)]) == 0
+    seconds = bench["run_seconds"]
+    # the timed pairs stay untraced; then one traced run per side at the first seed
+    assert calls == [("parent", 3, seconds, 0), ("change", 3, seconds, 0),
+                     ("change", 4, seconds, 0), ("parent", 4, seconds, 0),
+                     ("parent", 3, 0, 1), ("change", 3, 0, 1)]
+    assert workdir.is_dir() and not any(workdir.iterdir())
+    doc = json.loads(out.read_text())["workloads"]["fpt"]
+    assert doc["per_layer"]["parent"]["metrics"] == {m: 2.0 for m in layers}
+    assert doc["per_layer"]["change"]["metrics"] == {m: 1.0 for m in layers}
+    assert set(doc["metrics"]) == {m["name"] for m in bench["end_to_end"]}  # none gated
+    printed = capsys.readouterr().out.splitlines()
+    at = printed.index("| workload | layer | parent | change |")
+    assert printed[at + 2:] == [f"| fpt | {m} | 2 | 1 |" for m in layers]
+
+
 def test_seed_range():
     assert ab_bench.parse_seeds("5:7") == [5, 6, 7]
     assert ab_bench.parse_seeds("5:6") == [5, 6]

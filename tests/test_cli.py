@@ -259,6 +259,14 @@ class TestConfigFile:
         assert config["i0"] == 0.0 and isinstance(config["i0"], float)
         assert config["paths"] == 100 and config["v0"] is not None
 
+    def test_seed_key_sets_the_seed(self, small_model, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "paths": 100}))
+        out = tmp_path / "fpt"
+        assert main(["--config", str(cfg), "fpt", "--model", small_model, "--rho", "1.0015",
+                     "--psi", "20", "--horizon", "3", "--out", str(out)]) == 0
+        assert _read_manifest(out)["seed"] == 5
+
     def test_dangling_config_exits_2(self, capsys):
         assert main(["--config"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
@@ -506,6 +514,60 @@ class TestErrors:
         elif case in ("model bom", "config byte"):
             assert err["error"] == "ParseError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "estimate", "optimize", "simulate", "fpt"])
+    def test_out_checked_before_the_work(self, small_csv, small_model, tmp_path, monkeypatch,
+                                         capsys, command):
+        def work(*args, **kwargs):
+            pytest.fail("the work ran before --out was checked")
+
+        for name in ("run_battery", "fit_triplet_kernel", "grid_search", "simulate_path",
+                     "fpt_survival_mc"):
+            monkeypatch.setattr(cli, name, work)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        # a file where a directory goes, a directory where a file goes, and
+        # an output under a file
+        argv, out = {
+            "analyze": (["--input", small_csv], a_file),
+            "estimate": (["--input", small_csv], tmp_path),
+            "optimize": (["--input", small_csv, "--states", "3", "--lambdas", "0.9",
+                          "--reps", "1"], a_file / "opt.json"),
+            "simulate": (["--model", small_model, "--minutes", "10"], a_file / "sim"),
+            "fpt": (["--model", small_model, "--rho", "1.0015", "--psi", "20",
+                     "--horizon", "3"], a_file / "sub" / "fpt"),
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] in ("IsADirectoryError",
+                                                                "NotADirectoryError")
+        assert a_file.read_text() == ""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--model", "MODEL", "--minutes", "10", "--seed", "-1"],
+        ["fpt", "--model", "MODEL", "--rho", "1.0015", "--psi", "20", "--horizon", "3",
+         "--paths", "100", "--seed", "-1"],
+        ["optimize", "--input", "CSV", "--states", "3", "--lambdas", "0.9", "--reps", "1",
+         "--max-lag", "5", "--index-bins", "1", "--seed", "-1"],
+        ["--config", "SEED_FILE", "simulate", "--model", "MODEL", "--minutes", "10"],
+    ], ids=["simulate", "fpt", "optimize", "config"])
+    def test_negative_seed_exits_2(self, small_csv, small_model, tmp_path, capsys, args):
+        seed_file = tmp_path / "cfg.json"
+        seed_file.write_text(json.dumps({"seed": -1}))
+        names = {"MODEL": small_model, "CSV": small_csv, "SEED_FILE": str(seed_file)}
+        out = tmp_path / "new" / "out"
+        assert main([names.get(a, a) for a in args] + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": "argument --seed: must be >= 0, got -1"}
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--index-bins", "0"), ("--epsilon", "nan")])
+    def test_optimize_grid_refused_before_loading(self, tmp_path, capsys, flag, value):
+        # the input does not exist: the spec is refused before it is opened
+        out = tmp_path / "opt" / "opt.json"
+        assert main(["optimize", "--input", str(tmp_path / "missing.csv"), flag, value,
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.parent.exists()
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -113,6 +113,14 @@ class TestGridSearch:
             with pytest.raises(ParameterError):
                 GridSpec(state_counts=(3,), lambdas=(0.9,), reps_per_point=reps)
 
+    @pytest.mark.parametrize("field", [{"n_index_bins": 0}, {"n_index_bins": -1},
+                                       {"epsilon": float("nan")}])
+    def test_refuses_what_the_fit_refuses(self, field):
+        # no index bin fails every grid point; a NaN epsilon never stops early
+        # and is not JSON
+        with pytest.raises(ParameterError):
+            GridSpec(state_counts=(3,), lambdas=(0.9,), **field)
+
 
 class TestOptResult:
     def test_round_trip_with_published_style_record(self):

@@ -34,10 +34,20 @@ If a run exits with an error or times out, its exit code and error output are
 stored in its pair, the pairs already run are written with the verdicts over
 the complete ones, and the driver exits with code 1.
 
+After the timed pairs, when all of them finished, each side runs once more
+with ``--trace 1 --seconds 0`` (run.py's minimum of two traced pairs) at the
+first seed. The run, whose ``metrics`` are its medians of the ``per_layer``
+metrics of BENCHMARK.json, is stored under ``workloads[W].per_layer.{parent,
+change}``. These figures are reported, never compared; a traced run that
+fails is stored as its error, and the driver exits with code 1.
+
 Last, the driver prints every workload of OUT as a Markdown table, one row per
 end-to-end metric (each side's median [q1–q3], the pairs the change won and
 the verdict), and one line per workload with its seeds, failed operations and
-whether every run was correct.
+whether every run was correct; then a second table of the per-layer medians
+of each side.
+
+DIR, when given, is created if it does not exist.
 """
 from __future__ import annotations
 
@@ -68,12 +78,12 @@ def checkout(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run; a run that fails or times out gives ``error``."""
     try:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(seconds), "--trace", str(trace)],
             cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 600)
     except subprocess.TimeoutExpired as exc:
         return {"error": f"timed out after {exc.timeout:.0f} s"}
@@ -166,6 +176,26 @@ def report(doc: dict, order: list) -> str:
     return "\n".join(lines + [""] + notes)
 
 
+def layer_report(doc: dict, order: list) -> str:
+    """The per-layer medians of each side as Markdown, in the metric
+    ``order``; empty when no workload of ``doc`` has them."""
+    lines = []
+    for name, w in sorted(doc["workloads"].items()):
+        sides = [w.get("per_layer", {}).get(side, {}) for side in SIDES]
+        if not any(sides):
+            continue
+        for side, run in zip(SIDES, sides):
+            if "error" in run:
+                lines.append(f"| {name} | ({side} traced run: {run['error']}) | | |")
+        values = [run.get("metrics", {}) for run in sides]
+        for metric in [x for x in order if any(x in v for v in values)]:
+            cells = [f"{v[metric]:.4g}" if metric in v else "–" for v in values]
+            lines.append(f"| {name} | {metric} | {cells[0]} | {cells[1]} |")
+    if not lines:
+        return ""
+    return "\n".join(["| workload | layer | parent | change |", "|---|---|---|---|", *lines])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -180,8 +210,10 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="ab-", dir=args.workdir))
-    runs, error = [], None
+    runs, error, layers = [], None, {}
     try:
         trees = {side: work / side for side in SIDES}
         commits = {side: checkout(rev, trees[side])
@@ -203,6 +235,12 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             if error:
                 break
+        for side in SIDES if not error else ():
+            print(f"traced run, seed {seeds[0]}, {side}", file=sys.stderr, flush=True)
+            layers[side] = run_once(trees[side], args.workload, seeds[0], 0, trace=1)
+            if "error" in layers[side]:
+                print(layers[side]["error"], *layers[side].get("stderr", ()), sep="\n",
+                      file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -210,10 +248,13 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
         "parent": commits["parent"], "change": commits["change"],
-        "seconds": seconds, "pairs": runs, "error": error, **result}
+        "seconds": seconds, "pairs": runs, "error": error, "per_layer": layers, **result}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(report(doc, [spec["name"] for spec in bench["end_to_end"]]))
-    return 1 if error else 0
+    table = layer_report(doc, [spec["name"] for spec in bench["per_layer"]])
+    if table:
+        print("", table, sep="\n")
+    return 1 if error or any("error" in run for run in layers.values()) else 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ calendar-form stamps (``YYYY-MM-DDTHH:MM``); the same bars with a ``+`` before
 every price; and the benchmark's stock (``make_stock`` with seed 101). The
 calendar and signed files are the ones ``load_bars`` reads row by row. It runs
 ``analyze``, ``optimize``, ``estimate``, ``simulate`` and ``fpt`` (Monte Carlo
-and recursion, each at ``--u 0`` and ``--u 2``) on each, and prints one
-``sha256  relative/path`` line per file, inputs and manifests included.
+and recursion, each at ``--u 0`` and ``--u 2``) on each, then ``estimate`` and
+``fpt`` again with part of their flags from a ``--config`` file (a command-line
+flag overriding one key), and prints one ``sha256  relative/path`` line per
+file, inputs, config files and manifests included.
 
 Manifests record the paths they were given, so two checkouts write the same
 lines for the same OUTDIR exactly when every output is byte-identical.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -26,6 +29,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 FPT_BARRIERS = ["--rho", "1.0015", "--psi", "20"]
+# config files written next to each input; the manifests hash the effective
+# configuration
+CONFIGS = {"estimate.config.json": {"states-r": 3, "states_v": 4, "lambda-r": 0.9},
+           "fpt.config.json": {"i0": 0, "paths": 20000, "method": "mc", "seed": 9}}
 
 
 def commands(d: Path) -> list:
@@ -45,6 +52,10 @@ def commands(d: Path) -> list:
          "--method", "mc", "--out", str(d / "fpt_mc_u2")],
         ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3", "--u", "2",
          "--method", "recursion", "--out", str(d / "fpt_recursion_u2")],
+        ["--config", str(d / "estimate.config.json"), "estimate", "--input", bars,
+         "--lambda-r", "0.95", "--out", str(d / "estimate_config" / "model.json")],
+        ["--config", str(d / "fpt.config.json"), "fpt", "--model", model, *FPT_BARRIERS,
+         "--horizon", "30", "--out", str(d / "fpt_config")],
     ]
 
 
@@ -97,6 +108,8 @@ def main(argv) -> int:
         d = out / name
         d.mkdir(parents=True)
         write(d / "bars.csv")
+        for config_name, config in CONFIGS.items():
+            (d / config_name).write_text(json.dumps(config))
         for argv_ in commands(d):
             code = wismc_main(argv_)
             if code != 0:
