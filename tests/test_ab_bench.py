@@ -119,7 +119,7 @@ def test_per_layer_medians_of_one_traced_run_per_side(tmp_path, monkeypatch, cap
     monkeypatch.setattr(ab_bench, "checkout", lambda rev, dest: dest.mkdir(parents=True) or rev)
     monkeypatch.setattr(ab_bench, "run_once", run_once)
     out = tmp_path / "bench.json"
-    workdir = tmp_path / "not" / "yet"  # created by the driver
+    workdir = tmp_path / "not" / "yet"  # created by main
     assert ab_bench.main(["p", "c", "--workload", "fpt", "--seeds", "3:4",
                           "--out", str(out), "--workdir", str(workdir)]) == 0
     seconds = bench["run_seconds"]

@@ -39,7 +39,7 @@ with ``--trace 1 --seconds 0`` (run.py's minimum of two traced pairs) at the
 first seed. The run, whose ``metrics`` are its medians of the ``per_layer``
 metrics of BENCHMARK.json, is stored under ``workloads[W].per_layer.{parent,
 change}``. These figures are reported, never compared; a traced run that
-fails is stored as its error, and the driver exits with code 1.
+fails is stored as its error, and the exit code is 1.
 
 Last, the driver prints every workload of OUT as a Markdown table, one row per
 end-to-end metric (each side's median [q1–q3], the pairs the change won and
@@ -182,8 +182,6 @@ def layer_report(doc: dict, order: list) -> str:
     lines = []
     for name, w in sorted(doc["workloads"].items()):
         sides = [w.get("per_layer", {}).get(side, {}) for side in SIDES]
-        if not any(sides):
-            continue
         for side, run in zip(SIDES, sides):
             if "error" in run:
                 lines.append(f"| {name} | ({side} traced run: {run['error']}) | | |")
