@@ -58,7 +58,6 @@ from .triplet import (
     estimate_cond_wait,
     estimate_signs,
     fit_triplet_kernel,
-    modulus_marginal_cdf,
     quadrant_masses,
     synchronize,
     triplet_kernel_eval,

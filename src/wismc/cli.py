@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .copulas import FAMILIES
 from .errors import (ContractViolation, ParameterError, ParseError, ResourceLimitError,
                      WismcError)
 from .finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
@@ -278,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-r", type=float, default=0.97)
     p.add_argument("--lambda-v", type=float, default=0.97)
     p.add_argument("--index-bins", type=int, default=5)
-    p.add_argument("--copula", default="gaussian",
-                   choices=["independence", "gaussian", "clayton", "gumbel", "t"])
+    p.add_argument("--copula", default="gaussian", choices=FAMILIES)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)

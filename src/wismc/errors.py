@@ -47,9 +47,5 @@ class EstimationError(WismcError):
     """Empirical estimation failed (degenerate or empty data)."""
 
 
-class UndefinedConditionalError(WismcError):
-    """A conditional law was requested for a zero-probability conditioning event."""
-
-
 class ResourceLimitError(WismcError):
     """An exact computation would exceed the configured resource bound."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParameterError, ResourceLimitError
 from .core import advance_carry
-from .triplet import ConditioningCell, TripletKernel
+from .triplet import ConditioningCell, TripletKernel, triplet_kernel_eval
 
 __all__ = [
     "CovarianceResult",
@@ -32,42 +32,29 @@ __all__ = [
 # one-step marginals and dependence measures
 
 
-def _one_step_marginal(tk, cell, threshold, side):
-    h = tk.waiting_pmf(cell)
-    cdf = tk.modulus_cdf_j if side == "j" else tk.modulus_cdf_v
-    p = tk.signs.p_j if side == "j" else tk.signs.p_v
-    acc = 0.0
-    for t in range(1, tk.t_max + 1):
-        if h[t - 1] <= 0.0:
-            continue
-        acc += h[t - 1] * cdf(cell, t, abs(threshold))
-    if threshold >= 0:
-        return 1.0 - p * (1.0 - acc)
-    return (1.0 - p) * (1.0 - acc)
-
-
 def one_step_marginal_return(tk: TripletKernel, cell: ConditioningCell,
                              threshold: float) -> float:
-    """P(next return value <= threshold | cell), unconditional on when the
-    next transition happens."""
-    return _one_step_marginal(tk, cell, threshold, "j")
+    """P(next return value <= threshold (< if negative) | cell), unconditional
+    on when the next transition happens: the kernel summed over the sojourn
+    at an infinite volume threshold, where C(F, 1) = F."""
+    return sum(triplet_kernel_eval(tk, cell, threshold, math.inf, t)
+               for t in range(1, tk.t_max + 1))
 
 
 def one_step_marginal_volume(tk: TripletKernel, cell: ConditioningCell,
                              threshold: float) -> float:
-    return _one_step_marginal(tk, cell, threshold, "v")
+    return sum(triplet_kernel_eval(tk, cell, math.inf, threshold, t)
+               for t in range(1, tk.t_max + 1))
 
 
 def joint_modulus_pmf(tk: TripletKernel, cell: ConditioningCell):
     """(moduli_j, moduli_v, pmf) of the next |return|, |volume| pair,
-    aggregated over the waiting time."""
-    h = tk.waiting_pmf(cell)
+    aggregated over the waiting time: the cell's cached event law with the
+    signs folded back onto the moduli."""
+    vj, vv, event = tk.event_value_pmf(cell)
     mj, mv = tk.modulus_j.moduli, tk.modulus_v.moduli
-    joint = np.zeros((mj.size, mv.size))
-    for t in range(1, tk.t_max + 1):
-        if h[t - 1] <= 0.0:
-            continue
-        joint += h[t - 1] * tk.modulus_volume(cell, t)
+    joint = np.einsum("tab,ka,lb->kl", event,
+                      np.abs(vj) == mj[:, None], np.abs(vv) == mv[:, None])
     return mj, mv, joint
 
 

@@ -38,8 +38,8 @@ class GridSpec:
             raise ParameterError("reps_per_point must be >= 1")
         if self.n_index_bins < 1:
             raise ParameterError("n_index_bins must be >= 1")
-        if self.epsilon is not None and np.isnan(self.epsilon):
-            raise ParameterError("epsilon must not be NaN")
+        if self.epsilon is not None and not np.isfinite(self.epsilon):
+            raise ParameterError("epsilon must be finite")
         if any(not 0.0 < l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in (0, 1]")
 

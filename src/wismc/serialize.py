@@ -130,11 +130,17 @@ def _inverse_to_dict(inv) -> dict | None:
     return {"samples": [s.tolist() for s in inv.samples]}
 
 
-def _inverse_from_dict(doc, grid: StateGrid):
+def _inverse_from_dict(doc, grid: StateGrid, name: str):
+    """Samples as ``EmpiricalInverse.from_data`` leaves them: one list per
+    grid state, each finite, ascending and inside its state's bin."""
     if doc is None:
         return None
-    return EmpiricalInverse(samples=[np.array(s, dtype=float) for s in doc["samples"]],
-                            grid=grid)
+    samples = [np.array(s, dtype=float) for s in doc["samples"]]
+    if len(samples) != grid.n_states or not all(
+            s.ndim == 1 and np.isfinite(s).all() and (np.diff(s) >= 0).all()
+            and (grid.state_of(s) == k).all() for k, s in enumerate(samples)):
+        raise ParseError(f"{name} samples: need one ascending finite list per state, in its bin")
+    return EmpiricalInverse(samples=samples, grid=grid)
 
 
 def triplet_to_dict(tk: TripletKernel) -> dict:
@@ -182,8 +188,8 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
         kernel_j=kj, kernel_v=kv, cond_wait=cond, copula=spec,
         signs=SignModel(p_j=float(doc["signs"]["p_j"]),
                         p_v=float(doc["signs"]["p_v"])),
-        inverse_j=_inverse_from_dict(doc.get("inverse_j"), kj.grid),
-        inverse_v=_inverse_from_dict(doc.get("inverse_v"), kv.grid),
+        inverse_j=_inverse_from_dict(doc.get("inverse_j"), kj.grid, "inverse_j"),
+        inverse_v=_inverse_from_dict(doc.get("inverse_v"), kv.grid, "inverse_v"),
     )
 
 
@@ -195,9 +201,10 @@ def save_model(tk: TripletKernel, path) -> None:
 def load_model(path) -> TripletKernel:
     """Read a triplet model file. A file that is not UTF-8 JSON, not a JSON
     object or not a triplet document, lacks a field, holds one of the wrong
-    type, a negative count or a pmf other than its counts normalized raises
-    :class:`ParseError`; tables whose shapes, ``t_max`` or index edges
-    disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
+    type, a negative count, a pmf other than its counts normalized or
+    inverse samples that ``EmpiricalInverse.from_data`` would not give
+    raises :class:`ParseError`; tables whose shapes, ``t_max`` or index
+    edges disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

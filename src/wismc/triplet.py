@@ -32,7 +32,6 @@ from .errors import (
     ContractViolation,
     EstimationError,
     ParameterError,
-    UndefinedConditionalError,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "synchronize",
     "estimate_signs",
     "estimate_cond_wait",
-    "modulus_marginal_cdf",
     "triplet_kernel_eval",
     "quadrant_masses",
     "fit_triplet_kernel",
@@ -198,28 +196,6 @@ class ConditioningCell:
     w_bin: int = 0
     b_j: int = 0
     b_v: int = 0
-
-
-def modulus_marginal_cdf(kernel: IndexedKernel, i: int, x_bin: int,
-                         sojourn: int, threshold: float) -> float:
-    """P(|next state value| <= threshold | sojourn, state, index bin) as a
-    right-continuous step function over the grid's modulus values.
-
-    Raises :class:`UndefinedConditionalError` when the cell assigns zero
-    probability to the requested sojourn.
-    """
-    if not kernel.occupied[i, x_bin]:
-        raise UndefinedConditionalError("conditioning cell never observed")
-    t_slot = min(int(sojourn), kernel.t_max) - 1
-    if t_slot < 0:
-        raise ContractViolation("sojourn must be >= 1")
-    joint = kernel.pmf[i, x_bin, :, t_slot]
-    denom = joint.sum()
-    if denom <= 0:
-        raise UndefinedConditionalError(
-            f"sojourn {sojourn} has zero mass in cell ({i}, {x_bin})")
-    mods = np.abs(kernel.grid.representatives)
-    return float(joint[mods <= threshold].sum() / denom)
 
 
 class _ModulusTable:

@@ -1,7 +1,8 @@
 """The A/B driver's verdicts: a gain needs ten pairs, nine tenths of them won
 and a median move wider than the parent's quartile spread, with every change
 run correct and finished; a failed run still leaves the pairs already run;
-the closing report is the Markdown table of the result file."""
+the closing report is the Markdown table of the result file, with the
+fewest ticks per subcommand and side read from the logged round lines."""
 import importlib.util
 import json
 from pathlib import Path
@@ -143,3 +144,39 @@ def test_seed_range():
     for text in ("5", "5:5", "6:5"):
         with pytest.raises(SystemExit):
             ab_bench.parse_seeds(text)
+
+
+def _round_line(k, ticks):
+    inside = ", ".join(f"1.250 ({n})" for n in ticks)
+    return (f"  round {k}: setup_s 0.6000, run_s 2.5000, cpu_s 2.5000 (measured 0.4500, "
+            f"1.9000, 1.9000 s; tick 1.231, 1.309 ms around set-up, {inside} ms (count) "
+            f"in the subcommands)")
+
+
+def test_fewest_ticks_per_subcommand_and_side(tmp_path, monkeypatch, capsys):
+    bench = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        run = _run(0.0)
+        run["metrics"] = {m["name"]: 1.0 for m in bench["per_layer" if trace else "end_to_end"]}
+        base = 3 if tree.name == "parent" else 9
+        run["log"] = [f"perfbench fpt seed {seed}: 2 rounds in 15.6 s, host.calib_s 1.2 ms",
+                      _round_line(0, [12, base + seed]), _round_line(1, [11 + seed, 30]),
+                      "  run_s = 2.5 s"]
+        if trace:  # the traced runs are not timed rounds: never counted
+            run["log"].append(_round_line(2, [1, 1]))
+        return run
+
+    monkeypatch.setattr(ab_bench, "checkout", lambda rev, dest: dest.mkdir(parents=True) or rev)
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert ab_bench.main(["p", "c", "--workload", "fpt", "--seeds", "3:4",
+                          "--out", str(out), "--workdir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    # labels in bench_inputs.commands order; 6 ticks and fewer are starred
+    assert ab_bench.subcommand_labels("fpt") == ["fpt_mc", "fpt_recursion"]
+    at = printed.index("fpt: fpt_mc 12 → 12, fpt_recursion 6* → 12")
+    assert printed[at - 1].startswith("Fewest ticks in a timed round, parent → change")
+    # a round line with another number of subcommands is refused, not mislabelled
+    with pytest.raises(ValueError):
+        ab_bench.fewest_ticks([{"log": [_round_line(0, [12])]}], ["fpt_mc", "fpt_recursion"])

@@ -310,6 +310,10 @@ class TestErrors:
         ("kernel_v count negative", "simulate", 3, "ParseError"),
         ("kernel document", "simulate", 3, "ParseError"),
         ("kernel document", "fpt", 3, "ParseError"),
+        ("inverse_j samples one list short", "simulate", 3, "ParseError"),
+        ("inverse_j samples reversed", "simulate", 3, "ParseError"),
+        ("inverse_v sample NaN", "simulate", 3, "ParseError"),
+        ("inverse_v sample in the next state's list", "simulate", 3, "ParseError"),
     ])
     def test_bad_model_file(self, small_model, tmp_path, capsys, damage, command,
                             code, error):
@@ -347,6 +351,15 @@ class TestErrors:
             table["pmf"] = normalized(counts, law_ndim)[0].tolist()
         elif damage == "kernel document":  # a nested kernel on its own
             doc = doc["kernel_j"]
+        elif damage == "inverse_j samples one list short":
+            doc["inverse_j"]["samples"].pop()
+        elif damage == "inverse_j samples reversed":
+            doc["inverse_j"]["samples"][0].reverse()
+        elif damage == "inverse_v sample NaN":  # written as a bare NaN token
+            doc["inverse_v"]["samples"][0][0] = float("nan")
+        elif damage == "inverse_v sample in the next state's list":  # still ascending
+            samples = doc["inverse_v"]["samples"]
+            samples[1].insert(0, samples[0][-1])
         path = tmp_path / "bad.json"
         path.write_text("{not json" if damage == "not json" else json.dumps(doc))
         args = (["simulate", "--minutes", "10"] if command == "simulate" else
@@ -560,13 +573,17 @@ class TestErrors:
             "error": "ParameterError", "message": "argument --seed: must be >= 0, got -1"}
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--index-bins", "0"), ("--epsilon", "nan")])
+    @pytest.mark.parametrize("flag, value", [("--index-bins", "0"), ("--epsilon", "nan"),
+                                             ("--epsilon", "inf"), ("--epsilon", "-inf")])
     def test_optimize_grid_refused_before_loading(self, tmp_path, capsys, flag, value):
-        # the input does not exist: the spec is refused before it is opened
+        # the input does not exist: the spec is refused before it is opened;
+        # "flag=value" lets "-inf" reach the spec instead of reading as a flag
         out = tmp_path / "opt" / "opt.json"
-        assert main(["optimize", "--input", str(tmp_path / "missing.csv"), flag, value,
-                     "--out", str(out)]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert main(["optimize", "--input", str(tmp_path / "missing.csv"),
+                     f"{flag}={value}", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert not err["message"].startswith("argument")
         assert not out.parent.exists()
 
     def test_unknown_flag_exits_2(self):

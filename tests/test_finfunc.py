@@ -14,6 +14,7 @@ from wismc.finfunc import (
     FptQuery,
     fpt_survival_mc,
     fpt_survival_recursive,
+    joint_modulus_pmf,
     modulus_covariance,
     mutual_information,
     one_step_marginal_return,
@@ -71,6 +72,47 @@ class TestOneStepMarginal:
                                 if ok(vj))
                 got = one_step_marginal_return(tk, cell, float(thr))
                 assert got == pytest.approx(want, abs=1e-10)
+
+
+FAMILIES = [CopulaSpec("independence"), CopulaSpec("gaussian", rho=-0.45),
+            CopulaSpec("clayton", theta=2.2), CopulaSpec("gumbel", theta=1.8),
+            CopulaSpec("t", rho=0.35, df=4.0)]
+
+
+def _oracle_cases(copula):
+    """A model with a zero modulus in both variables, and cells with both
+    backward offsets positive, each with its oracle atoms over all sojourns."""
+    rng = np.random.default_rng(11)
+    tk = random_triplet(rng, [-0.02, 0.0, 0.01, 0.03], [-1.0, 0.0, 0.5], copula)
+    for i, v, b_j, b_v in ((0, 1, 1, 2), (1, 2, 2, 1), (3, 0, 2, 2)):
+        cell = ConditioningCell(i=i, v=v, b_j=b_j, b_v=b_v)
+        yield tk, cell, [a for t in range(1, tk.t_max + 1)
+                         for a in oracle_signed_atoms(tk, cell, t)]
+
+
+@pytest.mark.parametrize("copula", FAMILIES, ids=lambda c: c.family)
+class TestClosedFormsMatchOracle:
+    def test_one_step_marginals(self, copula):
+        for tk, cell, atoms in _oracle_cases(copula):
+            for side, fn, thresholds in (
+                    (0, one_step_marginal_return, (-0.03, -0.02, -0.01, 0.0, 0.005,
+                                                   0.01, 0.02, 0.03, 0.05)),
+                    (1, one_step_marginal_volume, (-2.0, -1.0, -0.5, -0.2, 0.0,
+                                                   0.3, 0.5, 1.0, 2.0))):
+                for thr in thresholds:
+                    want = sum(a[2] for a in atoms
+                               if (a[side] <= thr if thr >= 0 else a[side] < thr))
+                    assert fn(tk, cell, thr) == pytest.approx(want, abs=1e-10)
+
+    def test_joint_modulus_pmf(self, copula):
+        for tk, cell, atoms in _oracle_cases(copula):
+            mj, mv, joint = joint_modulus_pmf(tk, cell)
+            assert mj.tolist() == [0.0, 0.01, 0.02, 0.03]
+            assert mv.tolist() == [0.0, 0.5, 1.0]
+            want = np.zeros((mj.size, mv.size))
+            for vj, vv, p in atoms:
+                want[np.searchsorted(mj, abs(vj)), np.searchsorted(mv, abs(vv))] += p
+            np.testing.assert_allclose(joint, want, rtol=0, atol=1e-10)
 
 
 class TestCovariance:

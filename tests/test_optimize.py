@@ -114,10 +114,12 @@ class TestGridSearch:
                 GridSpec(state_counts=(3,), lambdas=(0.9,), reps_per_point=reps)
 
     @pytest.mark.parametrize("field", [{"n_index_bins": 0}, {"n_index_bins": -1},
-                                       {"epsilon": float("nan")}])
+                                       {"epsilon": float("nan")},
+                                       {"epsilon": float("inf")},
+                                       {"epsilon": float("-inf")}])
     def test_refuses_what_the_fit_refuses(self, field):
-        # no index bin fails every grid point; a NaN epsilon never stops early
-        # and is not JSON
+        # no index bin fails every grid point; a non-finite epsilon is not
+        # JSON, and a NaN one never stops early
         with pytest.raises(ParameterError):
             GridSpec(state_counts=(3,), lambdas=(0.9,), **field)
 

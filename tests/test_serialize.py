@@ -1,4 +1,5 @@
 """Model document round trips are bit-exact."""
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,8 @@ from wismc.serialize import (
     triplet_from_dict,
     triplet_to_dict,
 )
-from wismc.triplet import TripletFitConfig, TripletKernel, fit_triplet_kernel
+from wismc.triplet import (EmpiricalInverse, TripletFitConfig, TripletKernel,
+                           fit_triplet_kernel)
 
 
 class TestKernelRoundTrip:
@@ -83,6 +85,48 @@ class TestTripletRoundTrip:
     def test_format_tag_checked(self):
         with pytest.raises(ParseError):
             triplet_from_dict({"format": "wismc.kernel"})
+
+    def _with_inverses(self, r_values):
+        rng = np.random.default_rng(4)
+        tk = random_triplet(rng, [-0.02, 0.0, 0.01], [-1.0, 0.5],
+                            CopulaSpec("independence"))
+        return dataclasses.replace(
+            tk, inverse_j=EmpiricalInverse.from_data(r_values, tk.kernel_j.grid),
+            inverse_v=EmpiricalInverse.from_data([-2.0, -1.0, 0.5, 0.5, 3.0],
+                                                 tk.kernel_v.grid))
+
+    def test_inverse_samples_round_trip(self):
+        # the middle return state holds no sample: an empty list loads
+        tk = self._with_inverses([-0.03, -0.02, -0.011, 0.009, 0.01, 0.04])
+        assert tk.inverse_j.samples[1].size == 0
+        back = triplet_from_dict(json.loads(dumps(triplet_to_dict(tk))))
+        for a, b in zip(back.inverse_j.samples + back.inverse_v.samples,
+                        tk.inverse_j.samples + tk.inverse_v.samples):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("damage", ["one list short", "one list more", "reversed",
+                                        "nan", "inf", "in the next state's list",
+                                        "not a flat list"])
+    def test_inverse_samples_checked(self, damage):
+        # EmpiricalInverse.from_data gives one ascending list of finite values
+        # per grid state, each inside its state's bin; a file must hold that
+        tk = self._with_inverses([-0.03, -0.02, -0.001, 0.0, 0.001, 0.01, 0.04])
+        doc = json.loads(dumps(triplet_to_dict(tk)))
+        samples = doc["inverse_j"]["samples"]
+        if damage == "one list short":
+            samples.pop()
+        elif damage == "one list more":
+            samples.append([])
+        elif damage == "reversed":
+            samples[2].reverse()
+        elif damage in ("nan", "inf"):
+            samples[0][0] = float(damage)
+        elif damage == "in the next state's list":
+            samples[1].insert(0, samples[0][-1])
+        else:
+            samples[0] = [samples[0]]
+        with pytest.raises(ParseError, match="inverse_j samples"):
+            triplet_from_dict(doc)
 
     def test_evaluation_identical_after_round_trip(self):
         from wismc.triplet import ConditioningCell, triplet_kernel_eval

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import heavy_tailed_series, knock_out, random_triplet, toy_grid
 from wismc.copulas import CopulaSpec, copula_eval
-from wismc.core import IndexedKernel, JumpChain
+from wismc.core import JumpChain
 from wismc.errors import (
     AlignmentError,
     ContractViolation,
     EstimationError,
     ParameterError,
-    UndefinedConditionalError,
 )
 from wismc.triplet import (
     CondWaitDist,
@@ -26,7 +25,6 @@ from wismc.triplet import (
     estimate_cond_wait,
     estimate_signs,
     fit_triplet_kernel,
-    modulus_marginal_cdf,
     quadrant_masses,
     synchronize,
     triplet_kernel_eval,
@@ -202,44 +200,6 @@ class TestSigns:
     def test_domain(self):
         with pytest.raises(ContractViolation):
             SignModel(p_j=1.2, p_v=0.5)
-
-
-class TestModulusMarginal:
-    def _kernel(self):
-        grid = toy_grid([-0.02, 0.01])
-        counts = np.zeros((2, 1, 2, 3), dtype=np.int64)
-        counts[0, 0, 1, 0] = 3  # from -0.02: to 0.01 at t=1
-        counts[0, 0, 1, 2] = 1
-        counts[1, 0, 0, 1] = 2
-        return IndexedKernel(grid=grid, lam=0.9,
-                             index_edges=np.array([-np.inf, np.inf]), counts=counts)
-
-    def test_full_support_limits(self):
-        k = self._kernel()
-        assert modulus_marginal_cdf(k, 0, 0, 1, 0.02) == 1.0
-        assert modulus_marginal_cdf(k, 0, 0, 1, 0.005) == 0.0
-
-    def test_hand_ratio(self):
-        k = self._kernel()
-        # from state 0 at sojourn 1 the only target is 0.01
-        assert modulus_marginal_cdf(k, 0, 0, 1, 0.01) == pytest.approx(1.0)
-        # from state 1 at sojourn 2 the only target is |-0.02|
-        assert modulus_marginal_cdf(k, 1, 0, 2, 0.015) == pytest.approx(0.0)
-        assert modulus_marginal_cdf(k, 1, 0, 2, 0.02) == pytest.approx(1.0)
-
-    def test_zero_denominator_raises(self):
-        k = self._kernel()
-        with pytest.raises(UndefinedConditionalError):
-            modulus_marginal_cdf(k, 1, 0, 1, 0.02)  # sojourn 1 unobserved from 1
-
-    def test_unoccupied_cell_raises(self):
-        grid = toy_grid([-0.02, 0.01])
-        counts = np.zeros((2, 1, 2, 3), dtype=np.int64)
-        counts[0, 0, 1, 0] = 1
-        k = IndexedKernel(grid=grid, lam=0.9, index_edges=np.array([-np.inf, np.inf]),
-                          counts=counts)
-        with pytest.raises(UndefinedConditionalError):
-            modulus_marginal_cdf(k, 1, 0, 1, 0.02)
 
 
 class TestKernelEval:

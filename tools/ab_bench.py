@@ -44,15 +44,21 @@ fails is stored as its error, and the exit code is 1.
 Last, the driver prints every workload of OUT as a Markdown table, one row per
 end-to-end metric (each side's median [q1–q3], the pairs the change won and
 the verdict), and one line per workload with its seeds, failed operations and
-whether every run was correct; then a second table of the per-layer medians
-of each side.
+whether every run was correct. Under those, one line per workload gives each
+side's fewest ticks of the sampler's clock in a timed round, per subcommand,
+read from the round lines that run.py prints and labelled in the order of
+``perfbench/bench_inputs.commands``; a count of ``TICK_MARK`` or fewer is
+starred, since ``bench_host`` refuses a stretch of fewer than 5 ticks. Then
+comes a second table of the per-layer medians of each side.
 
 DIR, when given, is created if it does not exist.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -64,6 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # equal length, so the checkouts' paths are too
 GAIN_SHARE = 0.9
 GAIN_PAIRS = 10
+TICK_MARK = 6  # starred in the report: one tick above bench_host's floor of 5
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -152,6 +159,42 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+def subcommand_labels(workload: str) -> list:
+    """The labels of ``workload``'s subcommands, in the order a round runs them."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", ROOT / "perfbench" / "bench_inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [label for label, _ in inputs.commands(workload, "", Path(), 0)]
+
+
+def fewest_ticks(runs: list, labels: list) -> dict:
+    """Fewest ticks per subcommand over the round lines in ``runs``' logs,
+    which end "..., X (n), Y (m) ms (count) in the subcommands)"."""
+    fewest = {}
+    for run in runs:
+        for line in run.get("log", ()):
+            if line.endswith("ms (count) in the subcommands)"):
+                counts = re.findall(r"\((\d+)\)", line.partition("around set-up,")[2])
+                for label, n in zip(labels, map(int, counts), strict=True):
+                    fewest[label] = min(n, fewest.get(label, n))
+    return fewest
+
+
+def tick_line(name: str, w: dict) -> str:
+    """Each side's fewest ticks per subcommand of workload ``name`` as one
+    line; empty when no run logged a round line."""
+    labels = subcommand_labels(name)
+    sides = [fewest_ticks([p[side] for p in w["pairs"] if side in p], labels)
+             for side in SIDES]
+    if not any(sides):
+        return ""
+    cells = [" → ".join(f"{t[label]}{'*' if t[label] <= TICK_MARK else ''}"
+                        if label in t else "–" for t in sides) for label in labels]
+    return f"{name}: " + ", ".join(
+        f"{label} {cell}" for label, cell in zip(labels, cells))
+
+
 def report(doc: dict, order: list) -> str:
     """The result file ``doc`` as Markdown: the comparison table of every
     workload, its rows in the metric ``order``, then one line per workload
@@ -173,6 +216,11 @@ def report(doc: dict, order: list) -> str:
                      f"failed operations {w['failed']['parent']} → {w['failed']['change']}, "
                      + ("every run correct" if w["all_correct"] else "NOT EVERY RUN CORRECT")
                      + (f", stopped: {w['error']}" if w["error"] else ""))
+    ticks = [line for name, w in sorted(doc["workloads"].items())
+             if (line := tick_line(name, w))]
+    if ticks:
+        notes += ["", f"Fewest ticks in a timed round, parent → change "
+                      f"(* at most {TICK_MARK}; bench_host refuses fewer than 5):", *ticks]
     return "\n".join(lines + [""] + notes)
 
 
