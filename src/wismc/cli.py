@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -326,6 +327,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the negative numbers argparse takes as a flag's value; any other number that
+# starts with "-", such as "-1e-3" or "-inf", reads as a flag
+_PLAIN_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _reads_as_flag(token: str) -> bool:
+    """Is ``token`` a negative number that argparse takes for a flag?"""
+    if not token.startswith("-") or _PLAIN_NEGATIVE.match(token):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    """Write each flag followed by such a number as one ``--flag=value``
+    token, so that the number reaches the flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _reads_as_flag(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _apply_config_file(parser, argv):
     """Precedence flags > config file > built-in defaults. Each key of the
     JSON file that names a flag of the subcommand being run becomes a
@@ -333,7 +362,7 @@ def _apply_config_file(parser, argv):
     converts and checks it as a command-line value and a later explicit flag
     wins. ``null`` adds no token, and is taken only where the flag is
     otherwise ``null``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand onwards

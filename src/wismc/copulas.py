@@ -74,7 +74,8 @@ class CopulaSpec:
     """A fitted or hand-set copula: family name plus its parameters.
 
     gaussian: ``rho`` in (-1, 1); clayton: ``theta`` > 0; gumbel: ``theta``
-    >= 1; t: ``rho`` in (-1, 1) and ``df`` > 0. ``fitted_from`` records
+    >= 1; t: ``rho`` in (-1, 1) and ``df`` > 0. All three parameters are
+    finite, used or not. ``fitted_from`` records
     estimation metadata (sample size, Kendall tau, ...) and does not affect
     evaluation.
     """
@@ -96,6 +97,8 @@ class CopulaSpec:
             raise ParameterError("gumbel theta must be >= 1")
         if self.family == "t" and self.df <= 0:
             raise ParameterError("t copula needs df > 0")
+        if not np.isfinite([self.rho, self.theta, self.df]).all():
+            raise ParameterError("copula parameters must be finite")
 
 
 def copula_eval(spec: CopulaSpec, u, v):

@@ -56,12 +56,14 @@ class StateGrid:
         reps = np.asarray(self.representatives, dtype=float)
         if edges.ndim != 1 or edges.size < 3:
             raise ParameterError("need at least 2 states (3 edges)")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):  # NaN fails too
             raise ParameterError("state edges must be strictly increasing")
         if not np.isinf(edges[0]) or not np.isinf(edges[-1]):
             raise ParameterError("outermost edges must be -inf/+inf")
         if reps.size != edges.size - 1:
             raise ParameterError("need one representative per state")
+        if not np.isfinite(reps).all():
+            raise ParameterError("state representatives must be finite")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "representatives", reps)
 
@@ -87,7 +89,10 @@ def make_state_grid(values, n_states: int) -> StateGrid:
 
     For odd ``n_states`` a dedicated bin bracketing zero takes roughly
     ``1/n_states`` of the mass and the remaining mass is split into
-    equal-count bins on each side. Representatives are in-bin medians.
+    equal-count bins on each side. Representatives are in-bin medians. An
+    empty bin takes its midpoint, and an empty lowest bin the greatest float
+    below its edge (the top bin holds the greatest value), so every
+    representative is finite and lies in its own bin.
     """
     if n_states < 2:
         raise ParameterError(f"need at least 2 states, got {n_states}")
@@ -116,7 +121,12 @@ def make_state_grid(values, n_states: int) -> StateGrid:
     reps = np.empty(n_states)
     for s in range(n_states):
         sel = values[idx == s]
-        reps[s] = np.median(sel) if sel.size else 0.5 * (edges[s] + edges[s + 1])
+        if sel.size:
+            reps[s] = np.median(sel)
+        elif s == 0:  # its edge is the least value
+            reps[s] = np.nextafter(edges[1], -np.inf)
+        else:
+            reps[s] = 0.5 * (edges[s] + edges[s + 1])
     return StateGrid(edges=edges, representatives=reps)
 
 
@@ -452,6 +462,10 @@ class IndexedKernel:
         self.counts = np.asarray(self.counts)
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError("lambda must lie in (0, 1]")
+        edges = self.index_edges
+        if not (edges.ndim == 1 and edges.size >= 2 and edges[0] == -np.inf
+                and edges[-1] == np.inf and np.all(np.diff(edges) > 0)):
+            raise ParameterError("index edges must rise strictly from -inf to +inf")
         s, b = self.grid.n_states, self.n_index_bins
         if self.counts.ndim != 4 or self.counts.shape[:3] != (s, b, s) or self.t_max < 1:
             raise ParameterError("counts must be laid out as [state, index bin, "

@@ -206,9 +206,12 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     The no-jump branch survives while the running product of held values
     stays below both barriers; the jump branch re-runs the problem with the
     barriers deflated by the accumulation at the jump time and the index
-    carry-states rolled forward. Memoization collapses repeated sub-problems;
-    the node budget guards against profiles where the exact recursion is
-    infeasible (use the Monte Carlo method there). On a two-year minute-bar
+    carry-states rolled forward. Memoization collapses repeated sub-problems
+    only when both kernels have one index bin: otherwise the memo key holds
+    the exact carry floats, and it never hits (0 hits in 56 701 lookups at
+    horizon 3 on a model with 5 index bins). The node budget guards against
+    profiles where the exact recursion is infeasible (use the Monte Carlo
+    method there). On a two-year minute-bar
     model fitted with the ``estimate`` defaults and barriers 1.0015 (price)
     and 20 (volume), horizon 3 takes about 1 s, horizon 4 about 30 s and
     0.9 GB, and horizon 5 exceeds the default budget.

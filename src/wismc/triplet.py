@@ -15,7 +15,6 @@ from .core import (
     JumpChain,
     ScoreSpec,
     StateGrid,
-    advance_carry,
     bin_of,
     discretize,
     estimate_kernel,
@@ -48,7 +47,6 @@ __all__ = [
     "triplet_kernel_eval",
     "quadrant_masses",
     "fit_triplet_kernel",
-    "advance_carry",
 ]
 
 
@@ -199,15 +197,25 @@ class ConditioningCell:
 
 
 class _ModulusTable:
-    """Per-kernel machinery: sorted unique modulus values and the resolved
-    conditional modulus cdf cube F[i, b, t, k] = P(|next| <= modulus_k |
-    sojourn t+1, ...). Each (i, b, t) row takes the first of five laws,
-    folded onto the moduli, that has mass there: the kernel's cell, state
-    and global law at that sojourn (levels 0-2), then the state's and the
-    global law over all sojourns (levels 3 and 4), so analytic sums stay
-    normalized. ``level`` holds the level each row took."""
+    """One variable's tables, built once per kernel and up-move probability
+    ``p``:
 
-    def __init__(self, kernel: IndexedKernel):
+    - ``moduli``, the sorted unique moduli of the representatives, and the
+      resolved conditional modulus cdf cube F[i, b, t, k] = P(|next| <=
+      moduli[k] | sojourn t+1, ...). Each (i, b, t) row takes the first of
+      five laws, folded onto the moduli, that has mass there: the kernel's
+      cell, state and global law at that sojourn (levels 0-2), then the
+      state's and the global law over all sojourns (levels 3 and 4), so
+      analytic sums stay normalized. ``level`` holds the level each row took;
+    - ``support``, every modulus with both signs (0.0 once, never -0.0);
+    - ``sign_matrix``, row k the law of modulus k's signed value: mass 1 on
+      0 for a zero modulus, else p on +m and 1 - p on -m;
+    - ``support_state``, the state of each support value: the first
+      representative equal to it, else the first of the same modulus, which
+      every support value has;
+    - ``edges``, the kernel's index edges as a list, for scalar lookups."""
+
+    def __init__(self, kernel: IndexedKernel, p: float):
         self.kernel = kernel
         self.moduli, self.state_mod = kernel.grid.moduli()
         [(cell, _), (state, _)], glob = kernel.ladder()
@@ -220,6 +228,20 @@ class _ModulusTable:
         # guard against accumulated rounding at the top
         self.cdf[..., -1] = 1.0
 
+        moduli, reps = self.moduli, kernel.grid.representatives
+        self.support = support = np.unique(np.concatenate([-moduli[moduli > 0], moduli]))
+        rows = np.arange(moduli.size)
+        signed = moduli > 0
+        self.sign_matrix = np.zeros((moduli.size, support.size))
+        self.sign_matrix[rows, np.searchsorted(support, moduli)] = np.where(signed, p, 1.0)
+        self.sign_matrix[rows[signed], np.searchsorted(support, -moduli[signed])] = 1.0 - p
+        same = support[:, None] == reps
+        mirror = np.abs(support)[:, None] == np.abs(reps)
+        self.support_state = np.where(same.any(axis=1), same.argmax(axis=1),
+                                      mirror.argmax(axis=1))
+        self._exact = dict(zip(support.tolist(), self.support_state.tolist()))
+        self.edges = kernel.index_edges.tolist()
+
     def _fold(self, law: np.ndarray) -> np.ndarray:
         """law[..., next state, sojourn] -> [..., sojourn, modulus]."""
         out = np.zeros(law.shape[:-2] + (law.shape[-1], self.moduli.size))
@@ -231,11 +253,21 @@ class _ModulusTable:
         t_slot = min(int(sojourn), self.kernel.t_max) - 1
         return self.cdf[i, x_bin, t_slot]
 
-    def eval(self, i: int, x_bin: int, sojourn: int, threshold: float) -> float:
-        if threshold < self.moduli[0]:
-            return 0.0
-        k = int(np.searchsorted(self.moduli, threshold, side="right")) - 1
-        return float(self.cdf_row(i, x_bin, sojourn)[k])
+    def states(self, values) -> np.ndarray:
+        """Grid states of signed values: exact for support values, the
+        nearest support value's state otherwise."""
+        support = self.support
+        values = np.asarray(values, dtype=float)
+        pos = np.minimum(np.searchsorted(support, values), support.size - 1)
+        prev = np.maximum(pos - 1, 0)
+        take_prev = np.abs(support[prev] - values) < np.abs(support[pos] - values)
+        return self.support_state[np.where(take_prev, prev, pos)]
+
+    def state(self, value: float) -> int:
+        """:meth:`states` for one Python float, without numpy's cost per
+        call for a support value."""
+        state = self._exact.get(value)
+        return int(self.states(value)) if state is None else state
 
 
 @dataclass
@@ -278,16 +310,8 @@ class TripletKernel:
                                                kj.n_index_bins, kv.n_index_bins):
             raise ContractViolation("the waiting-time table's shape does not match "
                                     "the kernels' grids and index bins")
-        self.modulus_j = _ModulusTable(self.kernel_j)
-        self.modulus_v = _ModulusTable(self.kernel_v)
-        (self.support_j, self.sign_matrix_j, self.state_of_j,
-         self._exact_j) = _value_tables(kj.grid.representatives,
-                                        self.modulus_j.moduli, self.signs.p_j)
-        (self.support_v, self.sign_matrix_v, self.state_of_v,
-         self._exact_v) = _value_tables(kv.grid.representatives,
-                                        self.modulus_v.moduli, self.signs.p_v)
-        self._x_edges = kj.index_edges.tolist()
-        self._w_edges = kv.index_edges.tolist()
+        self.modulus_j = _ModulusTable(kj, self.signs.p_j)
+        self.modulus_v = _ModulusTable(kv, self.signs.p_v)
         self._event_cache: dict = {}
 
     # -- lookups ------------------------------------------------------------
@@ -299,12 +323,6 @@ class TripletKernel:
     def waiting_pmf(self, cell: ConditioningCell) -> np.ndarray:
         return self.cond_wait.resolved[cell.i, cell.v, cell.x_bin, cell.w_bin]
 
-    def modulus_cdf_j(self, cell: ConditioningCell, t: int, threshold: float) -> float:
-        return self.modulus_j.eval(cell.i, cell.x_bin, t + cell.b_j, threshold)
-
-    def modulus_cdf_v(self, cell: ConditioningCell, t: int, threshold: float) -> float:
-        return self.modulus_v.eval(cell.v, cell.w_bin, t + cell.b_v, threshold)
-
     def event_value_pmf(self, cell: ConditioningCell) -> tuple:
         """Model law of the next event: (signed j values, signed v values,
         P[t_max, nj, nv]) where P[t-1, a, b] = P(next j value, next v value,
@@ -315,7 +333,7 @@ class TripletKernel:
         if hit is not None:
             return hit
         h = self.waiting_pmf(cell)
-        vj, vv = self.support_j, self.support_v
+        vj, vv = self.modulus_j.support, self.modulus_v.support
         out = np.zeros((self.t_max, vj.size, vv.size))
         for t in range(1, self.t_max + 1):
             if h[t - 1] <= 0.0:
@@ -338,35 +356,24 @@ class TripletKernel:
     def _sign_split(self, vol: np.ndarray) -> np.ndarray:
         """Distribute a modulus-pair pmf onto signed values."""
         # out[a, b] = sum_{k,l} vol[k, l] * sj[k, a] * sv[l, b]
-        return np.einsum("kl,ka,lb->ab", vol, self.sign_matrix_j, self.sign_matrix_v)
+        return np.einsum("kl,ka,lb->ab", vol, self.modulus_j.sign_matrix,
+                         self.modulus_v.sign_matrix)
 
-    # -- states and cells of signed values ------------------------------------
-
-    def states_j(self, values) -> np.ndarray:
-        """Grid states of signed return values: exact for support values,
-        the nearest support value's state otherwise."""
-        return self.state_of_j[_nearest_idx(self.support_j, values)]
-
-    def states_v(self, values) -> np.ndarray:
-        return self.state_of_v[_nearest_idx(self.support_v, values)]
+    # -- cells of signed values ---------------------------------------------
 
     def cell_for(self, i_val, v_val, xj, wv, b_j, b_v) -> ConditioningCell:
         """The cell of one path, from Python scalars: the same cell as the
         array lookups give, without numpy's cost per call on single values
         (the exact recursion makes one call per node)."""
-        i = self._exact_j.get(i_val)
-        if i is None:
-            i = int(self.states_j(i_val))
-        v = self._exact_v.get(v_val)
-        if v is None:
-            v = int(self.states_v(v_val))
-        return ConditioningCell(i=i, v=v, x_bin=scalar_bin(self._x_edges, xj),
-                                w_bin=scalar_bin(self._w_edges, wv), b_j=b_j, b_v=b_v)
+        mj, mv = self.modulus_j, self.modulus_v
+        return ConditioningCell(i=mj.state(i_val), v=mv.state(v_val),
+                                x_bin=scalar_bin(mj.edges, xj),
+                                w_bin=scalar_bin(mv.edges, wv), b_j=b_j, b_v=b_v)
 
     def cells_of(self, i_val, v_val, wj, dj, wv, dv) -> tuple:
         """Conditioning cells of a batch of paths: both states and both index
         bins, which index the waiting-time table and the modulus tables alike."""
-        return (self.states_j(i_val), self.states_v(v_val),
+        return (self.modulus_j.states(i_val), self.modulus_v.states(v_val),
                 self.kernel_j.index_bin((wj + i_val * i_val) / dj),
                 self.kernel_v.index_bin((wv + v_val * v_val) / dv))
 
@@ -400,112 +407,34 @@ class TripletKernel:
                 np.where(out[1] == 0.0, 0.0, sign_v * out[1]))
 
 
-def _value_tables(reps: np.ndarray, moduli: np.ndarray, p: float) -> tuple:
-    """One variable's signed-value tables, from its representatives, its
-    sorted moduli and its up-move probability:
-
-    - the signed support, every modulus with both signs (0.0 once, never -0.0);
-    - the sign matrix, row k the law of modulus k's signed value: mass 1 on
-      0 for a zero modulus, else p on +m and 1 - p on -m;
-    - the state of each support value: the first representative equal to
-      it, else the first of the same modulus, which every support value has;
-    - that map as a dict of Python floats, for scalar lookups."""
-    support = np.unique(np.concatenate([-moduli[moduli > 0], moduli]))
-    rows = np.arange(moduli.size)
-    signed = moduli > 0
-    signs = np.zeros((moduli.size, support.size))
-    signs[rows, np.searchsorted(support, moduli)] = np.where(signed, p, 1.0)
-    signs[rows[signed], np.searchsorted(support, -moduli[signed])] = 1.0 - p
-    same = support[:, None] == reps
-    mirror = np.abs(support)[:, None] == np.abs(reps)
-    state_of = np.where(same.any(axis=1), same.argmax(axis=1), mirror.argmax(axis=1))
-    return support, signs, state_of, dict(zip(support.tolist(), state_of.tolist()))
-
-
-def _nearest_idx(support: np.ndarray, values) -> np.ndarray:
-    """Index of the closest support member (exact for in-support values)."""
-    values = np.asarray(values, dtype=float)
-    pos = np.minimum(np.searchsorted(support, values), support.size - 1)
-    prev = np.maximum(pos - 1, 0)
-    take_prev = np.abs(support[prev] - values) < np.abs(support[pos] - values)
-    return np.where(take_prev, prev, pos)
-
-
 # ---------------------------------------------------------------------------
-# kernel evaluation (the four sign quadrants)
-
-
-def _case_pp(h, fj, fv, c, pj, pv):
-    return h * (1.0 + pj * pv * (1.0 - fj - fv + c)
-                - pv * (1.0 - fv) - pj * (1.0 - fj))
-
-
-def _case_mm(h, fjm, fvm, c, pj, pv):
-    return h * (1.0 - pj) * (1.0 - pv) * (1.0 - fjm - fvm + c)
-
-
-def _case_mp(h, fjm, fv, c, pj, pv):
-    return h * ((1.0 - pj) * (fv - c)
-                + (1.0 - pj) * (1.0 - pv) * (1.0 - fjm - fv + c))
-
-
-def _case_pm(h, fj, fvm, c, pj, pv):
-    return h * ((1.0 - pv) * (fj - c)
-                + (1.0 - pj) * (1.0 - pv) * (1.0 - fj - fvm + c))
+# kernel evaluation: sums of the cell's event law
 
 
 def triplet_kernel_eval(tk: TripletKernel, cell: ConditioningCell,
                         j: float, a: float, t: int) -> float:
     """P(next return value <= j (strictly < for j < 0), next volume value
-    below a likewise, sojourn = t | cell), dispatching on the sign quadrant
-    of the thresholds."""
+    below a likewise, sojourn = t | cell): the cell's event law at sojourn t
+    summed over the signed values below both thresholds."""
     if t < 1 or t > tk.t_max:
         return 0.0
-    h = float(tk.waiting_pmf(cell)[t - 1])
-    if h <= 0.0:
-        return 0.0
-    pj, pv = tk.signs.p_j, tk.signs.p_v
-    cop = tk.copula
-    if j >= 0 and a >= 0:
-        fj = tk.modulus_cdf_j(cell, t, j)
-        fv = tk.modulus_cdf_v(cell, t, a)
-        return _case_pp(h, fj, fv, float(copula_eval(cop, fj, fv)), pj, pv)
-    if j < 0 and a < 0:
-        fjm = tk.modulus_cdf_j(cell, t, -j)
-        fvm = tk.modulus_cdf_v(cell, t, -a)
-        return _case_mm(h, fjm, fvm, float(copula_eval(cop, fjm, fvm)), pj, pv)
-    if j < 0:
-        fjm = tk.modulus_cdf_j(cell, t, -j)
-        fv = tk.modulus_cdf_v(cell, t, a)
-        return _case_mp(h, fjm, fv, float(copula_eval(cop, fjm, fv)), pj, pv)
-    fj = tk.modulus_cdf_j(cell, t, j)
-    fvm = tk.modulus_cdf_v(cell, t, -a)
-    return _case_pm(h, fj, fvm, float(copula_eval(cop, fj, fvm)), pj, pv)
+    vj, vv, event = tk.event_value_pmf(cell)
+    k = np.searchsorted(vj, j, side="right" if j >= 0 else "left")
+    l = np.searchsorted(vv, a, side="right" if a >= 0 else "left")
+    return float(event[t - 1, :k, :l].sum())
 
 
 def quadrant_masses(tk: TripletKernel, cell: ConditioningCell, t: int) -> dict:
     """Probability of each sign quadrant of the next (return, volume) pair at
-    sojourn t, reconstructed from the four quadrant formulas evaluated at
-    their full-range limits with inclusion-exclusion. Their sum equals the
-    waiting-time mass when the formulas are mutually consistent."""
+    sojourn t, a zero value counted as "+": the four sign blocks of the
+    cell's event law at sojourn t. They sum to the waiting-time mass."""
     if t < 1 or t > tk.t_max:
         return {"++": 0.0, "--": 0.0, "-+": 0.0, "+-": 0.0}
-    h = float(tk.waiting_pmf(cell)[t - 1])
-    pj, pv = tk.signs.p_j, tk.signs.p_v
-    cop = tk.copula
-    fj0 = tk.modulus_cdf_j(cell, t, 0.0)   # zero-modulus mass
-    fv0 = tk.modulus_cdf_v(cell, t, 0.0)
-    c00 = float(copula_eval(cop, fj0, fv0))
-    m_mm = _case_mm(h, fj0, fv0, c00, pj, pv)
-    # case (-, +) at a -> +inf: C(F, 1) = F
-    neg_j_total = _case_mp(h, fj0, 1.0, fj0, pj, pv)
-    # case (+, -) at j -> +inf
-    neg_v_total = _case_pm(h, 1.0, fv0, fv0, pj, pv)
-    total = _case_pp(h, 1.0, 1.0, float(copula_eval(cop, 1.0, 1.0)), pj, pv)
-    m_mp = neg_j_total - m_mm
-    m_pm = neg_v_total - m_mm
-    m_pp = total - neg_j_total - neg_v_total + m_mm
-    return {"++": m_pp, "--": m_mm, "-+": m_mp, "+-": m_pm}
+    vj, vv, event = tk.event_value_pmf(cell)
+    block = event[t - 1]
+    k, l = np.searchsorted(vj, 0.0), np.searchsorted(vv, 0.0)
+    return {"++": float(block[k:, l:].sum()), "--": float(block[:k, :l].sum()),
+            "-+": float(block[:k, l:].sum()), "+-": float(block[k:, :l].sum())}
 
 
 # ---------------------------------------------------------------------------

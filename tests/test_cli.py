@@ -314,6 +314,12 @@ class TestErrors:
         ("inverse_j samples reversed", "simulate", 3, "ParseError"),
         ("inverse_v sample NaN", "simulate", 3, "ParseError"),
         ("inverse_v sample in the next state's list", "simulate", 3, "ParseError"),
+        ("copula theta Infinity", "fpt", 2, "ParameterError"),
+        ("copula theta NaN", "fpt", 2, "ParameterError"),
+        ("copula df NaN", "simulate", 2, "ParameterError"),
+        ("kernel_j representative NaN", "fpt", 2, "ParameterError"),
+        ("kernel_v state edge NaN", "simulate", 2, "ParameterError"),
+        ("index edges swapped", "fpt", 2, "ParameterError"),
     ])
     def test_bad_model_file(self, small_model, tmp_path, capsys, damage, command,
                             code, error):
@@ -360,6 +366,16 @@ class TestErrors:
         elif damage == "inverse_v sample in the next state's list":  # still ascending
             samples = doc["inverse_v"]["samples"]
             samples[1].insert(0, samples[0][-1])
+        elif damage.startswith("copula"):  # on a clayton copula, which reads theta
+            _, name, value = damage.split()
+            doc["copula"].update({"family": "clayton", "theta": 2.0, name: float(value)})
+        elif damage == "kernel_j representative NaN":
+            doc["kernel_j"]["grid"]["representatives"][0] = float("nan")
+        elif damage == "kernel_v state edge NaN":
+            doc["kernel_v"]["grid"]["edges"][1] = float("nan")
+        elif damage == "index edges swapped":  # in the kernel and the waiting-time table
+            for edges in (doc["kernel_j"]["index_edges"], doc["cond_wait"]["x_edges"]):
+                edges[1], edges[2] = edges[2], edges[1]
         path = tmp_path / "bad.json"
         path.write_text("{not json" if damage == "not json" else json.dumps(doc))
         args = (["simulate", "--minutes", "10"] if command == "simulate" else
@@ -585,6 +601,23 @@ class TestErrors:
         assert err["error"] == "ParameterError"
         assert not err["message"].startswith("argument")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--i0", "--v0"])
+    def test_negative_exponent_flag_value_runs(self, small_model, tmp_path, flag):
+        # argparse alone reads "-1e-3" as a flag, not as the flag's value
+        out = tmp_path / "fpt"
+        assert main(["fpt", "--model", small_model, "--rho", "1.0015", "--psi", "20",
+                     "--horizon", "3", "--paths", "100", flag, "-1e-3",
+                     "--out", str(out)]) == 0
+        query = json.loads((out / "fpt.json").read_text())["query"]
+        assert query[flag[2:]] == -1e-3
+
+    def test_negative_infinite_epsilon_reaches_the_spec(self, tmp_path, capsys):
+        out = tmp_path / "opt" / "opt.json"
+        assert main(["optimize", "--input", str(tmp_path / "missing.csv"),
+                     "--epsilon", "-inf", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": "epsilon must be finite"}
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

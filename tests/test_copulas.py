@@ -156,6 +156,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             CopulaSpec("nope")
 
+    @pytest.mark.parametrize("family, params", [
+        ("clayton", {"theta": np.inf}), ("clayton", {"theta": np.nan}),
+        ("gumbel", {"theta": np.inf}), ("gumbel", {"theta": np.nan}),
+        ("t", {"rho": 0.3, "df": np.inf}), ("t", {"rho": 0.3, "df": np.nan}),
+        ("gaussian", {"rho": 0.3, "theta": np.nan}), ("independence", {"df": -np.inf})])
+    def test_non_finite_parameters_refused(self, family, params):
+        with pytest.raises(ParameterError, match="finite"):
+            CopulaSpec(family, **params)
+
 
 def test_special_functions_match_scipy_stats():
     """The scipy.special calls that stand in for scipy.stats at import time

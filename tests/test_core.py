@@ -57,6 +57,22 @@ class TestStateGrid:
         with pytest.raises(ParameterError):
             StateGrid(edges=np.array([-np.inf, 1.0, 0.0, np.inf]),
                       representatives=np.array([0.0, 0.5, 1.0]))
+        for edges, reps in (([-np.inf, np.nan, np.inf], [0.0, 1.0]),
+                            ([-np.inf, 0.5, np.inf], [0.0, np.nan]),
+                            ([-np.inf, 0.5, np.inf], [-np.inf, 1.0])):
+            with pytest.raises(ParameterError):
+                StateGrid(edges=np.array(edges), representatives=np.array(reps))
+
+    def test_empty_lowest_bin_gets_a_finite_representative(self):
+        # quantized, mostly non-negative data: the lowest bin's edge is the
+        # least value, so the bin is empty
+        x = np.round(np.random.default_rng(0).standard_t(3, 3000) * 2) * 1e-3
+        x[x < 0] = 0.0
+        x[::97] = -1e-3
+        grid = make_state_grid(x, 5)
+        assert not (grid.state_of(x) == 0).any()
+        assert grid.representatives[0] == np.nextafter(grid.edges[1], -np.inf)
+        assert np.array_equal(grid.state_of(grid.representatives), np.arange(5))
 
     @pytest.mark.parametrize("n_states", [1, 0, -3])
     def test_fewer_than_two_states_rejected(self, n_states):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_triplet
-from test_triplet import modulus_law, oracle_signed_atoms
+from test_triplet import (
+    fallback_cells,
+    modulus_cdf,
+    modulus_law,
+    oracle_eval,
+    oracle_signed_atoms,
+)
 from wismc.copulas import CopulaSpec, copula_eval
 from wismc.errors import ContractViolation, ParameterError, ResourceLimitError
 from wismc.finfunc import (
@@ -50,7 +56,8 @@ class TestOneStepMarginal:
         cell = ConditioningCell(i=0, v=1)
         h = tk.waiting_pmf(cell)
         for j in (0.004, 0.02):
-            want = sum(h[t - 1] * tk.modulus_cdf_j(cell, t, j)
+            want = sum(h[t - 1] * modulus_cdf(tk.modulus_j, cell.i, cell.x_bin,
+                                              t + cell.b_j, j)
                        for t in range(1, tk.t_max + 1))
             assert one_step_marginal_return(tk, cell, j) == pytest.approx(want,
                                                                           abs=1e-12)
@@ -72,6 +79,32 @@ class TestOneStepMarginal:
                                 if ok(vj))
                 got = one_step_marginal_return(tk, cell, float(thr))
                 assert got == pytest.approx(want, abs=1e-10)
+
+    def test_fallback_cells_match_the_ladder_oracle(self):
+        # the marginals and the joint modulus law of cells the fit never saw,
+        # against atoms enumerated from the laws the fallback ladders give
+        worst = 0.0
+        fell_back = 0
+        for seed in range(15):
+            tk, cells = fallback_cells(seed)
+            for cell, levels in cells:
+                fell_back += max(levels["cond_wait"] | levels["modulus"]) > 0
+                for thr in (-np.inf, -0.01, 0.0, 0.015, np.inf):
+                    want = sum(oracle_eval(tk, cell, thr, np.inf, t, resolved=True)
+                               for t in range(1, tk.t_max + 1))
+                    worst = max(worst, abs(one_step_marginal_return(tk, cell, thr) - want))
+                for thr in (-0.7, 0.0, 0.5, np.inf):
+                    want = sum(oracle_eval(tk, cell, np.inf, thr, t, resolved=True)
+                               for t in range(1, tk.t_max + 1))
+                    worst = max(worst, abs(one_step_marginal_volume(tk, cell, thr) - want))
+                mj, mv, joint = joint_modulus_pmf(tk, cell)
+                want = np.zeros(joint.shape)
+                for t in range(1, tk.t_max + 1):
+                    for vj, vv, p in oracle_signed_atoms(tk, cell, t, resolved=True):
+                        want[np.searchsorted(mj, abs(vj)), np.searchsorted(mv, abs(vv))] += p
+                worst = max(worst, np.abs(joint - want).max())
+        assert worst < 1e-10
+        assert fell_back >= 20
 
 
 FAMILIES = [CopulaSpec("independence"), CopulaSpec("gaussian", rho=-0.45),

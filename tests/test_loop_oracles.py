@@ -2,11 +2,10 @@
 ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``), the mask version of ``value_wait_pairs``, the shared
 fallback-ladder resolver, the column-wise ``load_bars``, the signed-value
-tables ``TripletKernel`` builds once and the live-paths-only Monte Carlo
-loop of ``fpt_survival_mc`` against the versions they replaced, which are
-kept below as oracles. Every comparison
-is exact: same shape and the same doubles, and the same dtype where the loop
-built a new array."""
+tables that each variable's modulus table builds once and the live-paths-only
+Monte Carlo loop of ``fpt_survival_mc`` against the versions they replaced,
+which are kept below as oracles. Every comparison is exact: same shape and
+the same doubles, and the same dtype where the loop built a new array."""
 import csv
 import dataclasses
 import math
@@ -51,7 +50,7 @@ from wismc.market_data import (
     value_wait_pairs,
 )
 from wismc.simulate import backtransform, simulate_univariate
-from wismc.triplet import EmpiricalInverse, fit_triplet_kernel, _ModulusTable
+from wismc.triplet import EmpiricalInverse, fit_triplet_kernel
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before they moved off numpy scalars
@@ -883,11 +882,10 @@ def test_value_wait_pairs_fixture(market_csv):
 
 
 def _same_ladders(tk, reached):
-    for kernel in (tk.kernel_j, tk.kernel_v):
+    for kernel, table in ((tk.kernel_j, tk.modulus_j), (tk.kernel_v, tk.modulus_v)):
         resolved, level, state_pmf, global_pmf = oracle_kernel_ladder(kernel)
         assert np.array_equal(kernel.resolved, resolved)
         assert np.array_equal(kernel.level, level)
-        table = _ModulusTable(kernel)
         cdf, fallback_cells = oracle_modulus_cdf(kernel, state_pmf, global_pmf)
         assert np.array_equal(table.cdf, cdf)
         assert (table.level >= 3).sum() == fallback_cells
@@ -919,23 +917,24 @@ def test_ladders_random_knockouts():
 
 
 # ---------------------------------------------------------------------------
-# the signed-value tables of TripletKernel
+# the signed-value tables and lookups of each variable's modulus table
 
 
 def _same_value_tables(tk):
     """Byte identity of both variables' tables; returns what the grids held:
     a zero representative, a modulus with both signs, one with one sign."""
     held = set()
-    for kernel, modulus, p, support, signs, state_of, exact in (
-            (tk.kernel_j, tk.modulus_j, tk.signs.p_j, tk.support_j, tk.sign_matrix_j,
-             tk.state_of_j, tk._exact_j),
-            (tk.kernel_v, tk.modulus_v, tk.signs.p_v, tk.support_v, tk.sign_matrix_v,
-             tk.state_of_v, tk._exact_v)):
+    for kernel, modulus, p in ((tk.kernel_j, tk.modulus_j, tk.signs.p_j),
+                               (tk.kernel_v, tk.modulus_v, tk.signs.p_v)):
+        support = modulus.support
         assert_identical(support, oracle_signed_support(modulus.moduli))
         assert not np.signbit(support[support == 0.0]).any()
-        assert_identical(signs, oracle_sign_matrix(modulus.moduli, p))
-        assert_identical(state_of, oracle_resolution(kernel, support))
-        assert exact == dict(zip(support.tolist(), state_of.tolist()))
+        assert_identical(modulus.sign_matrix, oracle_sign_matrix(modulus.moduli, p))
+        state_of = oracle_resolution(kernel, support)
+        assert_identical(modulus.support_state, state_of)
+        assert_identical(modulus.states(support), state_of)
+        assert [modulus.state(x) for x in support.tolist()] == state_of.tolist()
+        assert modulus.edges == kernel.index_edges.tolist()
         # the nearest-value fallback of the oracle is never taken
         reps = kernel.grid.representatives
         assert np.isin(np.abs(support), np.abs(reps)).all()

@@ -19,7 +19,6 @@ from wismc.errors import (
 from wismc.triplet import (
     CondWaitDist,
     ConditioningCell,
-    _ModulusTable,
     SignModel,
     TripletFitConfig,
     estimate_cond_wait,
@@ -43,10 +42,32 @@ def modulus_law(kernel, i, b, tau):
     return uniq, np.array([cond[mods == m].sum() for m in uniq])
 
 
-def oracle_signed_atoms(tk, cell, t):
-    h = tk.cond_wait.pmf[cell.i, cell.v, cell.x_bin, cell.w_bin, t - 1]
-    mj, pj = modulus_law(tk.kernel_j, cell.i, cell.x_bin, t + cell.b_j)
-    mv, pv = modulus_law(tk.kernel_v, cell.v, cell.w_bin, t + cell.b_v)
+def resolved_modulus_law(table, i, b, tau):
+    """The moduli and the law of a modulus table's resolved cdf row: the law
+    the fallback ladder gives the row."""
+    return table.moduli, np.diff(table.cdf[i, b, min(tau, table.kernel.t_max) - 1],
+                                 prepend=0.0)
+
+
+def modulus_cdf(table, i, b, tau, threshold):
+    """P(|next| <= threshold) read off a modulus table's resolved cdf row."""
+    k = np.searchsorted(table.moduli, threshold, side="right")
+    return float(table.cdf_row(i, b, tau)[k - 1]) if k else 0.0
+
+
+def oracle_signed_atoms(tk, cell, t, resolved=False):
+    """Every (signed j value, signed v value, probability) atom of the next
+    event at sojourn t. The laws are the cell's own (level 0) counts
+    normalized or, with ``resolved``, what the fallback ladders give: the
+    waiting-time table's resolved row and the modulus tables' cdf rows."""
+    if resolved:
+        h = tk.cond_wait.resolved[cell.i, cell.v, cell.x_bin, cell.w_bin, t - 1]
+        mj, pj = resolved_modulus_law(tk.modulus_j, cell.i, cell.x_bin, t + cell.b_j)
+        mv, pv = resolved_modulus_law(tk.modulus_v, cell.v, cell.w_bin, t + cell.b_v)
+    else:
+        h = tk.cond_wait.pmf[cell.i, cell.v, cell.x_bin, cell.w_bin, t - 1]
+        mj, pj = modulus_law(tk.kernel_j, cell.i, cell.x_bin, t + cell.b_j)
+        mv, pv = modulus_law(tk.kernel_v, cell.v, cell.w_bin, t + cell.b_v)
     FJ = np.concatenate([[0.0], np.cumsum(pj)])
     FV = np.concatenate([[0.0], np.cumsum(pv)])
     atoms = []
@@ -66,19 +87,51 @@ def oracle_signed_atoms(tk, cell, t):
     return atoms
 
 
-def oracle_eval(tk, cell, j, a, t):
+def oracle_eval(tk, cell, j, a, t, resolved=False):
     okj = (lambda x: x <= j) if j >= 0 else (lambda x: x < j)
     oka = (lambda x: x <= a) if a >= 0 else (lambda x: x < a)
-    return sum(p for vj, vv, p in oracle_signed_atoms(tk, cell, t)
+    return sum(p for vj, vv, p in oracle_signed_atoms(tk, cell, t, resolved)
                if okj(vj) and oka(vv))
 
 
-def oracle_quadrants(tk, cell, t):
+def oracle_quadrants(tk, cell, t, resolved=False):
     out = {"++": 0.0, "--": 0.0, "-+": 0.0, "+-": 0.0}
-    for vj, vv, p in oracle_signed_atoms(tk, cell, t):
+    for vj, vv, p in oracle_signed_atoms(tk, cell, t, resolved):
         key = ("+" if vj >= 0 else "-") + ("+" if vv >= 0 else "-")
         out[key] += p
     return out
+
+
+def fallback_cells(seed):
+    """A knocked-out random triplet model and cells drawn from all of its
+    conditioning cells, with the levels their laws took: the waiting-time
+    row's and, per sojourn, both modulus rows' (one model per seed, every
+    copula family in turn)."""
+    rng = np.random.default_rng(seed)
+    families = [CopulaSpec("independence"), CopulaSpec("gaussian", rho=-0.45),
+                CopulaSpec("clayton", theta=2.2), CopulaSpec("gumbel", theta=1.8),
+                CopulaSpec("t", rho=0.35, df=4.0)]
+    reps_j = [-0.02, 0.0, 0.01, 0.02] if seed % 2 else [-0.02, -0.01, 0.01, 0.03]
+    tk = knock_out(rng, random_triplet(rng, reps_j, [-1.0, 0.5, 1.0],
+                                       families[seed % len(families)],
+                                       n_bins=int(rng.integers(1, 4))))
+    cells = []
+    for _ in range(4):
+        cell = ConditioningCell(
+            i=int(rng.integers(4)), v=int(rng.integers(3)),
+            x_bin=int(rng.integers(tk.kernel_j.n_index_bins)),
+            w_bin=int(rng.integers(tk.kernel_v.n_index_bins)),
+            b_j=int(rng.integers(0, 3)), b_v=int(rng.integers(0, 3)))
+        levels = {"cond_wait": {int(tk.cond_wait.level[cell.i, cell.v, cell.x_bin,
+                                                       cell.w_bin])},
+                  "modulus": set()}
+        for t in range(1, tk.t_max + 1):
+            for table, i, b, back in ((tk.modulus_j, cell.i, cell.x_bin, cell.b_j),
+                                      (tk.modulus_v, cell.v, cell.w_bin, cell.b_v)):
+                slot = min(t + back, table.kernel.t_max) - 1
+                levels["modulus"].add(int(table.level[i, b, slot]))
+        cells.append((cell, levels))
+    return tk, cells
 
 
 def _chain(states, times, reps):
@@ -254,8 +307,8 @@ class TestKernelEval:
         for t in range(1, tk.t_max + 1):
             h = tk.waiting_pmf(cell)[t - 1]
             for j, a in [(0.005, 0.4), (0.02, 0.4), (0.005, 1.2)]:
-                fj = tk.modulus_cdf_j(cell, t, j)
-                fv = tk.modulus_cdf_v(cell, t, a)
+                fj = modulus_cdf(tk.modulus_j, cell.i, cell.x_bin, t + cell.b_j, j)
+                fv = modulus_cdf(tk.modulus_v, cell.v, cell.w_bin, t + cell.b_v, a)
                 assert triplet_kernel_eval(tk, cell, j, a, t) == pytest.approx(
                     h * fj * fv, abs=1e-12)
 
@@ -327,6 +380,30 @@ class TestKernelEval:
                         assert abs(event.sum() - 1.0) <= 1e-12
 
 
+class TestFallbackCells:
+    def test_closed_forms_match_the_ladder_oracle(self):
+        # cells the fit never saw read the laws the fallback ladders give,
+        # in the closed forms as in the samplers
+        reached = {"cond_wait": set(), "modulus": set()}
+        worst = 0.0
+        for seed in range(15):
+            tk, cells = fallback_cells(seed)
+            for cell, levels in cells:
+                for key in reached:
+                    reached[key] |= levels[key]
+                for t in range(1, tk.t_max + 1):
+                    for j in (-np.inf, -0.01, 0.0, 0.015, np.inf):
+                        for a in (-0.7, 0.0, 0.5, np.inf):
+                            got = triplet_kernel_eval(tk, cell, j, a, t)
+                            want = oracle_eval(tk, cell, j, a, t, resolved=True)
+                            worst = max(worst, abs(got - want))
+                    want = oracle_quadrants(tk, cell, t, resolved=True)
+                    for key, val in quadrant_masses(tk, cell, t).items():
+                        worst = max(worst, abs(val - want[key]))
+        assert worst < 1e-10
+        assert reached == {"cond_wait": {0, 1, 2}, "modulus": {0, 1, 2, 3, 4}}
+
+
 def _law(counts):
     """Counts normalized; uniform when the whole table is empty, the one case
     where a ladder takes a law that has no mass."""
@@ -347,14 +424,13 @@ class TestFallbackLadder:
         reps_v = np.sort(rng.choice(np.arange(-3, 4), n_v, replace=False)) * 0.5
         tk = knock_out(rng, random_triplet(rng, reps_j, reps_v, CopulaSpec("independence"),
                                            t_max=t_max, n_bins=n_bins))
-        for kernel in (tk.kernel_j, tk.kernel_v):
+        for kernel, table in ((tk.kernel_j, tk.modulus_j), (tk.kernel_v, tk.modulus_v)):
             c = kernel.counts
             assert np.abs(kernel.resolved.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
             assert np.array_equal(kernel.level == 0, c.sum(axis=(2, 3)) > 0)
             for (i, b), k in np.ndenumerate(kernel.level):
                 want = _law([c[i, b], c[i].sum(axis=0), c.sum(axis=(0, 1))][k])
                 assert np.abs(kernel.resolved[i, b] - want).max() <= 1e-12
-            table = _ModulusTable(kernel)
             moduli, state_mod = kernel.grid.moduli()
             assert np.array_equal(table.level == 0, c.sum(axis=2) > 0)
             assert np.all(np.diff(table.cdf, axis=-1) >= -1e-12)
@@ -383,15 +459,15 @@ class TestLookups:
         rng = np.random.default_rng(12)
         tk = random_triplet(rng, [-0.02, 0.0, 0.01, 0.03], [-1.0, 0.5],
                             CopulaSpec("independence"), n_bins=3)
-        values_j = np.concatenate([tk.support_j, rng.normal(0, 0.03, 20), [-0.0]])
-        values_v = np.concatenate([tk.support_v, rng.normal(0, 1.0, 20)])
+        values_j = np.concatenate([tk.modulus_j.support, rng.normal(0, 0.03, 20), [-0.0]])
+        values_v = np.concatenate([tk.modulus_v.support, rng.normal(0, 1.0, 20)])
         index = np.concatenate([tk.kernel_j.index_edges, tk.kernel_v.index_edges,
                                 rng.random(30), [-1.0, 2.0]])
         for _ in range(300):
             i_val, v_val = float(rng.choice(values_j)), float(rng.choice(values_v))
             xj, wv = float(rng.choice(index)), float(rng.choice(index))
             want = ConditioningCell(
-                i=int(tk.states_j(i_val)), v=int(tk.states_v(v_val)),
+                i=int(tk.modulus_j.states(i_val)), v=int(tk.modulus_v.states(v_val)),
                 x_bin=int(tk.kernel_j.index_bin(xj)), w_bin=int(tk.kernel_v.index_bin(wv)),
                 b_j=1, b_v=2)
             assert tk.cell_for(i_val, v_val, xj, wv, 1, 2) == want
