@@ -211,10 +211,10 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     the exact carry floats, and it never hits (0 hits in 56 701 lookups at
     horizon 3 on a model with 5 index bins). The node budget guards against
     profiles where the exact recursion is infeasible (use the Monte Carlo
-    method there). On a two-year minute-bar
-    model fitted with the ``estimate`` defaults and barriers 1.0015 (price)
-    and 20 (volume), horizon 3 takes about 1 s, horizon 4 about 30 s and
-    0.9 GB, and horizon 5 exceeds the default budget.
+    method there). On a two-year minute-bar model fitted with the
+    ``estimate`` defaults and barriers 1.0015 (price) and 20 (volume),
+    horizon 3 takes about 1 s, horizon 4 about 30 s and 0.9 GB, and horizon
+    5 exceeds the default budget.
     """
     i0, v0, (wj0, dj0), (wv0, dv0), b_j, b_v = _fpt_start(tk, query)
     if query.rho <= 1.0 or query.psi <= 1.0:

@@ -103,10 +103,9 @@ def oracle_quadrants(tk, cell, t, resolved=False):
 
 
 def fallback_cells(seed):
-    """A knocked-out random triplet model and cells drawn from all of its
-    conditioning cells, with the levels their laws took: the waiting-time
-    row's and, per sojourn, both modulus rows' (one model per seed, every
-    copula family in turn)."""
+    """A knocked-out random triplet model (each copula family in turn) and
+    four random cells of it, each with the levels its laws took: the
+    waiting-time row's and, at every sojourn, both modulus rows'."""
     rng = np.random.default_rng(seed)
     families = [CopulaSpec("independence"), CopulaSpec("gaussian", rho=-0.45),
                 CopulaSpec("clayton", theta=2.2), CopulaSpec("gumbel", theta=1.8),
