@@ -4,6 +4,9 @@ nested in each.
 Floats are written with Python's shortest round-trip representation and the
 non-finite grid edges as JSON ``Infinity`` literals, so load(save(x)) is
 bit-exact. Every document carries a ``format`` tag and ``version`` field.
+Triplet documents are version 2: each empirical inverse is stored as runs of
+equal bits, one ``values`` and one ``counts`` list per state. Version 1 held
+the raw ``samples`` instead and is still read. Kernel documents are version 1.
 
 A table is its counts. Each document also holds copies derived from them for
 readers: every table's ``pmf``, each kernel's ``t_max`` and the waiting-time
@@ -34,7 +37,8 @@ __all__ = [
 
 KERNEL_FORMAT = "wismc.kernel"
 TRIPLET_FORMAT = "wismc.triplet"
-FORMAT_VERSION = 1
+KERNEL_VERSION = 1
+TRIPLET_VERSION = 2
 
 
 def _pieces(obj, depth: int = 0):
@@ -75,7 +79,7 @@ def dumps(doc: dict) -> str:
 def kernel_to_dict(k: IndexedKernel) -> dict:
     return {
         "format": KERNEL_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": KERNEL_VERSION,
         "grid": {
             "edges": k.grid.edges.tolist(),
             "representatives": k.grid.representatives.tolist(),
@@ -106,9 +110,18 @@ def _counts(stored, name: str) -> np.ndarray:
     return counts
 
 
+def _version(doc: dict, known: tuple, name: str) -> int:
+    """The document's version, which must be an integer in ``known``."""
+    version = doc.get("version")
+    if type(version) is not int or version not in known:
+        raise ParseError(f"{name} version {version!r} is not one of {known}")
+    return version
+
+
 def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
     if doc.get("format") != KERNEL_FORMAT:
         raise ParseError(f"not a kernel document: {doc.get('format')!r}")
+    _version(doc, (KERNEL_VERSION,), name)
     grid = StateGrid(edges=np.array(doc["grid"]["edges"], dtype=float),
                      representatives=np.array(doc["grid"]["representatives"], dtype=float))
     kernel = IndexedKernel(
@@ -125,17 +138,43 @@ def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
 
 
 def _inverse_to_dict(inv) -> dict | None:
+    """Each state's sorted samples as runs of equal bits, so that ``-0.0``
+    and ``0.0`` stay apart."""
     if inv is None:
         return None
-    return {"samples": [s.tolist() for s in inv.samples]}
+    values, counts = [], []
+    for s in inv.samples:
+        bits = s.view(np.int64)
+        starts = np.flatnonzero(np.r_[s.size > 0, bits[1:] != bits[:-1]])
+        values.append(s[starts].tolist())
+        counts.append(np.diff(np.r_[starts, s.size]).tolist())
+    return {"values": values, "counts": counts}
 
 
-def _inverse_from_dict(doc, grid: StateGrid, name: str):
+def _runs(values, counts, name: str) -> np.ndarray:
+    """The sample that one state's runs stand for. ``counts`` must hold one
+    integer of at least 1 per value, and adjacent values must differ in bits."""
+    values, counts = np.array(values, dtype=float), np.array(counts)
+    if not (values.ndim == counts.ndim == 1 and values.size == counts.size
+            and (counts.dtype.kind == "i" or counts.size == 0) and (counts >= 1).all()
+            and (values[1:].view(np.int64) != values[:-1].view(np.int64)).all()):
+        raise ParseError(f"{name} runs: need per state one count of 1 or more per value, "
+                         "and adjacent values that differ")
+    return np.repeat(values, counts.astype(np.int64))
+
+
+def _inverse_from_dict(doc, grid: StateGrid, name: str, version: int):
     """Samples as ``EmpiricalInverse.from_data`` leaves them: one list per
-    grid state, each finite, ascending and inside its state's bin."""
+    grid state, each finite, ascending and inside its state's bin. Version 1
+    stores them as they are, version 2 as runs (see :func:`_runs`)."""
     if doc is None:
         return None
-    samples = [np.array(s, dtype=float) for s in doc["samples"]]
+    if version == 1:
+        samples = [np.array(s, dtype=float) for s in doc["samples"]]
+    elif len(doc["values"]) != len(doc["counts"]):
+        raise ParseError(f"{name} runs: need as many count lists as value lists")
+    else:
+        samples = [_runs(v, c, name) for v, c in zip(doc["values"], doc["counts"])]
     if len(samples) != grid.n_states or not all(
             s.ndim == 1 and np.isfinite(s).all() and (np.diff(s) >= 0).all()
             and (grid.state_of(s) == k).all() for k, s in enumerate(samples)):
@@ -146,7 +185,7 @@ def _inverse_from_dict(doc, grid: StateGrid, name: str):
 def triplet_to_dict(tk: TripletKernel) -> dict:
     return {
         "format": TRIPLET_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": TRIPLET_VERSION,
         "kernel_j": kernel_to_dict(tk.kernel_j),
         "kernel_v": kernel_to_dict(tk.kernel_v),
         "cond_wait": {
@@ -171,6 +210,7 @@ def triplet_to_dict(tk: TripletKernel) -> dict:
 def triplet_from_dict(doc: dict) -> TripletKernel:
     if doc.get("format") != TRIPLET_FORMAT:
         raise ParseError(f"not a triplet document: {doc.get('format')!r}")
+    version = _version(doc, (1, TRIPLET_VERSION), "model")
     kj = kernel_from_dict(doc["kernel_j"], "kernel_j")
     kv = kernel_from_dict(doc["kernel_v"], "kernel_v")
     cw = doc["cond_wait"]
@@ -188,8 +228,8 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
         kernel_j=kj, kernel_v=kv, cond_wait=cond, copula=spec,
         signs=SignModel(p_j=float(doc["signs"]["p_j"]),
                         p_v=float(doc["signs"]["p_v"])),
-        inverse_j=_inverse_from_dict(doc.get("inverse_j"), kj.grid, "inverse_j"),
-        inverse_v=_inverse_from_dict(doc.get("inverse_v"), kv.grid, "inverse_v"),
+        inverse_j=_inverse_from_dict(doc.get("inverse_j"), kj.grid, "inverse_j", version),
+        inverse_v=_inverse_from_dict(doc.get("inverse_v"), kv.grid, "inverse_v", version),
     )
 
 
@@ -200,11 +240,12 @@ def save_model(tk: TripletKernel, path) -> None:
 
 def load_model(path) -> TripletKernel:
     """Read a triplet model file. A file that is not UTF-8 JSON, not a JSON
-    object or not a triplet document, lacks a field, holds one of the wrong
-    type, a negative count, a pmf other than its counts normalized or
-    inverse samples that ``EmpiricalInverse.from_data`` would not give
-    raises :class:`ParseError`; tables whose shapes, ``t_max`` or index
-    edges disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
+    object or not a triplet document of version 1 or 2 (with kernels of
+    version 1), lacks a field, holds one of the wrong type, a negative
+    count, a pmf other than its counts normalized or inverse samples that
+    ``EmpiricalInverse.from_data`` would not give raises
+    :class:`ParseError`; tables whose shapes, ``t_max`` or index edges
+    disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

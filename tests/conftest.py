@@ -60,6 +60,18 @@ def random_triplet(rng, reps_j, reps_v, copula: CopulaSpec, t_max=3, n_bins=1,
                          copula=copula, signs=signs)
 
 
+def v1_document(doc: dict) -> dict:
+    """The version-1 form of a model document: each empirical inverse's runs
+    expanded into its raw per-state ``samples``."""
+    doc = dict(doc, version=1)
+    for name in ("inverse_j", "inverse_v"):
+        if doc.get(name) is not None:
+            doc[name] = {"samples": [
+                [x for x, n in zip(values, counts) for _ in range(n)]
+                for values, counts in zip(doc[name]["values"], doc[name]["counts"])]}
+    return doc
+
+
 def knock_out(rng, tk: TripletKernel) -> TripletKernel:
     """``tk`` with random conditioning cells, whole states and whole sojourn
     slots emptied in both kernels, and random cells and whole state pairs

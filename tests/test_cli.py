@@ -11,12 +11,13 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import wismc
-from conftest import heavy_tailed_series, write_bar_csv
+from conftest import heavy_tailed_series, v1_document, write_bar_csv
 from wismc import cli
 from wismc.cli import main
 from wismc.core import normalized
 from wismc.finfunc import fpt_survival_recursive
 from wismc.market_data import load_bars
+from wismc.serialize import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,36 @@ class TestPipelineChain:
                      "--out", str(tmp_path / "fpt")]) == 4
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "ResourceLimitError"
+
+
+class TestModelVersions:
+    def test_version_1_file_runs_as_its_re_save(self, small_model, tmp_path):
+        """A version-1 model file, with raw samples, loads to the same samples
+        as the version-2 file with runs, and simulate and fpt write the same
+        bytes from either."""
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(v1_document(json.loads(Path(small_model).read_text()))))
+        v2 = tmp_path / "v2.json"
+        save_model(load_model(v1), v2)
+        assert v2.read_bytes() == Path(small_model).read_bytes()
+        old, new = load_model(v1), load_model(v2)
+        for name in ("inverse_j", "inverse_v"):
+            for a, b in zip(getattr(old, name).samples, getattr(new, name).samples):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        outs = {}
+        for model in (v1, v2):
+            out = tmp_path / model.stem
+            assert main(["simulate", "--model", str(model), "--minutes", "3000", "--reps",
+                         "2", "--seed", "7", "--out", str(out / "sim")]) == 0
+            assert main(["fpt", "--model", str(model), "--rho", "1.005", "--psi", "100",
+                         "--horizon", "15", "--method", "mc", "--paths", "5000",
+                         "--seed", "42", "--out", str(out / "fpt")]) == 0
+            outs[model.stem] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*.csv"))}
+        assert sorted(map(str, outs["v1"])) == [
+            "fpt/fpt.csv", "sim/events_000.csv", "sim/events_001.csv",
+            "sim/rep_000.csv", "sim/rep_001.csv"]
+        assert outs["v1"] == outs["v2"]
 
 
 class TestOptimizeCommand:
@@ -314,6 +345,16 @@ class TestErrors:
         ("inverse_j samples reversed", "simulate", 3, "ParseError"),
         ("inverse_v sample NaN", "simulate", 3, "ParseError"),
         ("inverse_v sample in the next state's list", "simulate", 3, "ParseError"),
+        ("inverse_j run count 0", "simulate", 3, "ParseError"),
+        ("inverse_j negative run count", "fpt", 3, "ParseError"),
+        ("inverse_v run values descending", "simulate", 3, "ParseError"),
+        ("inverse_j adjacent runs with identical bits", "simulate", 3, "ParseError"),
+        ("inverse_v values and counts of different lengths", "simulate", 3, "ParseError"),
+        ("inverse_v run value in the next state's bin", "fpt", 3, "ParseError"),
+        ("version 99", "simulate", 3, "ParseError"),
+        ("version 99", "fpt", 3, "ParseError"),
+        ("kernel_j version a string", "simulate", 3, "ParseError"),
+        ("kernel_v version 2", "fpt", 3, "ParseError"),
         ("copula theta Infinity", "fpt", 2, "ParameterError"),
         ("copula theta NaN", "fpt", 2, "ParameterError"),
         ("copula df NaN", "simulate", 2, "ParameterError"),
@@ -324,6 +365,9 @@ class TestErrors:
     def test_bad_model_file(self, small_model, tmp_path, capsys, damage, command,
                             code, error):
         doc = json.loads(Path(small_model).read_text())
+        if "sample" in damage:  # raw samples, as version 1 holds them
+            doc = v1_document(doc)
+        runs_j, runs_v = doc["inverse_j"], doc["inverse_v"]
         if damage == "no cond_wait":
             del doc["cond_wait"]
         elif damage == "kernel_j lambda not a number":
@@ -366,6 +410,28 @@ class TestErrors:
         elif damage == "inverse_v sample in the next state's list":  # still ascending
             samples = doc["inverse_v"]["samples"]
             samples[1].insert(0, samples[0][-1])
+        elif damage == "inverse_j run count 0":
+            runs_j["counts"][0][0] = 0
+        elif damage == "inverse_j negative run count":
+            runs_j["counts"][0][0] = -1
+        elif damage == "inverse_v run values descending":  # counts reversed with them
+            runs_v["values"][0].reverse()
+            runs_v["counts"][0].reverse()
+        elif damage == "inverse_j adjacent runs with identical bits":  # same samples
+            k = next(k for k, c in enumerate(runs_j["counts"]) if c and c[0] > 1)
+            runs_j["values"][k].insert(0, runs_j["values"][k][0])
+            runs_j["counts"][k][:1] = [1, runs_j["counts"][k][0] - 1]
+        elif damage == "inverse_v values and counts of different lengths":
+            runs_v["counts"][0].pop()
+        elif damage == "inverse_v run value in the next state's bin":  # still ascending
+            runs_v["values"][1].insert(0, runs_v["values"][0][-1])
+            runs_v["counts"][1].insert(0, 1)
+        elif damage == "version 99":
+            doc["version"] = 99
+        elif damage == "kernel_j version a string":
+            doc["kernel_j"]["version"] = "1"
+        elif damage == "kernel_v version 2":
+            doc["kernel_v"]["version"] = 2
         elif damage.startswith("copula"):  # on a clayton copula, which reads theta
             _, name, value = damage.split()
             doc["copula"].update({"family": "clayton", "theta": 2.0, name: float(value)})

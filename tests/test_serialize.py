@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heavy_tailed_series, random_kernel, random_triplet
+from conftest import heavy_tailed_series, random_kernel, random_triplet, v1_document
 from wismc.cli import main
 from wismc.copulas import CopulaSpec
 from wismc.errors import ParseError
@@ -109,9 +109,10 @@ class TestTripletRoundTrip:
                                         "not a flat list"])
     def test_inverse_samples_checked(self, damage):
         # EmpiricalInverse.from_data gives one ascending list of finite values
-        # per grid state, each inside its state's bin; a file must hold that
+        # per grid state, each inside its state's bin; a version-1 file, which
+        # holds the lists as they are, must hold that
         tk = self._with_inverses([-0.03, -0.02, -0.001, 0.0, 0.001, 0.01, 0.04])
-        doc = json.loads(dumps(triplet_to_dict(tk)))
+        doc = v1_document(json.loads(dumps(triplet_to_dict(tk))))
         samples = doc["inverse_j"]["samples"]
         if damage == "one list short":
             samples.pop()
@@ -128,6 +129,64 @@ class TestTripletRoundTrip:
         with pytest.raises(ParseError, match="inverse_j samples"):
             triplet_from_dict(doc)
 
+    @pytest.mark.parametrize("damage", ["count 0", "count negative", "count 1.0",
+                                        "descending", "same bits",
+                                        "a count short", "one count list more",
+                                        "in the next state's bin"])
+    def test_inverse_runs_checked(self, damage):
+        # a version-2 file holds each state's samples as runs of equal bits:
+        # non-decreasing values, each with an integer count of at least 1
+        tk = self._with_inverses([-0.03, -0.02, -0.02, -0.0, 0.0, 0.0, 0.01, 0.04])
+        doc = json.loads(dumps(triplet_to_dict(tk)))
+        values, counts = doc["inverse_j"]["values"], doc["inverse_j"]["counts"]
+        assert (values[0], counts[0]) == ([-0.03, -0.02], [1, 2])
+        if damage == "count 0":
+            counts[0][1] = 0
+        elif damage == "count negative":
+            counts[0][1] = -2
+        elif damage == "count 1.0":
+            counts[0][0] = 1.0
+        elif damage == "descending":
+            values[0].reverse()
+        elif damage == "same bits":  # the samples unchanged, the run split in two
+            values[0].insert(1, -0.02)
+            counts[0][1:] = [1, 1]
+        elif damage == "a count short":
+            counts[0].pop()
+        elif damage == "one count list more":
+            counts.append([])
+        else:  # still non-decreasing
+            values[1].insert(0, values[0][-1])
+            counts[1].insert(0, 1)
+        with pytest.raises(ParseError, match="inverse_j (runs|samples)"):
+            triplet_from_dict(doc)
+
+    def test_zeros_of_both_signs_stay_apart(self):
+        # np.unique would merge -0.0 and 0.0 into one run; runs split on bits
+        tk = self._with_inverses([-0.03, 0.01])
+        tk.inverse_j.samples[1] = np.array([-0.0, 0.0, -0.0])
+        doc = json.loads(dumps(triplet_to_dict(tk)))
+        assert list(map(repr, doc["inverse_j"]["values"][1])) == ["-0.0", "0.0", "-0.0"]
+        assert doc["inverse_j"]["counts"][1] == [1, 1, 1]
+        back = triplet_from_dict(doc)
+        assert back.inverse_j.samples[1].view(np.int64).tolist() == \
+            tk.inverse_j.samples[1].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("where, version", [
+        ("model", 99), ("model", 0), ("model", "2"), ("model", 2.0), ("model", True),
+        ("model", None), ("kernel_j", "1"), ("kernel_v", 2)])
+    def test_unknown_versions_refused(self, where, version):
+        tk = self._with_inverses([-0.03, 0.01])
+        doc = json.loads(dumps(triplet_to_dict(tk)))
+        (doc if where == "model" else doc[where])["version"] = version
+        with pytest.raises(ParseError, match=f"{where} version"):
+            triplet_from_dict(doc)
+
+    def test_version_1_with_runs_refused(self):
+        doc = dict(json.loads(dumps(triplet_to_dict(self._with_inverses([0.01])))), version=1)
+        with pytest.raises(KeyError, match="samples"):
+            triplet_from_dict(doc)
+
     def test_evaluation_identical_after_round_trip(self):
         from wismc.triplet import ConditioningCell, triplet_kernel_eval
         rng = np.random.default_rng(5)
@@ -139,6 +198,44 @@ class TestTripletRoundTrip:
             for j, a in [(0.015, 0.7), (-0.02, np.inf), (0.0, -0.5)]:
                 assert triplet_kernel_eval(back, cell, j, a, t) == \
                     triplet_kernel_eval(tk, cell, j, a, t)
+
+
+# sample values with repeats, zeros of both signs and subnormals; draws of few
+# values leave states empty
+SAMPLE_VALUES = st.lists(st.sampled_from([-0.0, 0.0, -0.03, -0.011, 5e-324, -5e-324,
+                                          0.004, 0.01, 0.02, 0.5, -1.0, 3.0]), max_size=40)
+ROUND_TRIP_MODEL = random_triplet(np.random.default_rng(6), [-0.02, 0.0, 0.01, 0.03],
+                                  [-1.0, 0.5], CopulaSpec("independence"))
+
+
+def _per_state(values, grid) -> EmpiricalInverse:
+    """``values`` split by state, each state's list sorted stably, so that
+    zeros of both signs keep the order they were drawn in."""
+    states = grid.state_of(np.array(values, dtype=float))
+    return EmpiricalInverse(samples=[np.array(sorted(x for x, s in zip(values, states) if s == k),
+                                              dtype=float) for k in range(grid.n_states)],
+                            grid=grid)
+
+
+class TestRunForm:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SAMPLE_VALUES, SAMPLE_VALUES)
+    def test_samples_round_trip_bitwise(self, tmp_path_factory, r_values, v_values):
+        tk = dataclasses.replace(
+            ROUND_TRIP_MODEL,
+            inverse_j=_per_state(r_values, ROUND_TRIP_MODEL.kernel_j.grid),
+            inverse_v=_per_state(v_values, ROUND_TRIP_MODEL.kernel_v.grid))
+        path = tmp_path_factory.mktemp("runs") / "model.json"
+        save_model(tk, path)
+        back = load_model(path)
+        from_v1 = triplet_from_dict(v1_document(json.loads(path.read_text())))
+        for name in ("inverse_j", "inverse_v"):
+            want = getattr(tk, name).samples
+            for got in (getattr(back, name).samples, getattr(from_v1, name).samples):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == np.float64
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # bools are ints to isinstance, np.float64 values are floats; big ints, -0.0,
