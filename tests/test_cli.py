@@ -163,9 +163,10 @@ class TestModelVersions:
         v1 = tmp_path / "v1.json"
         v1.write_text(json.dumps(v1_document(json.loads(Path(small_model).read_text()))))
         v2 = tmp_path / "v2.json"
-        save_model(load_model(v1), v2)
+        old = load_model(v1)
+        save_model(old, v2)
         assert v2.read_bytes() == Path(small_model).read_bytes()
-        old, new = load_model(v1), load_model(v2)
+        new = load_model(v2)
         for name in ("inverse_j", "inverse_v"):
             for a, b in zip(getattr(old, name).samples, getattr(new, name).samples):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -347,9 +348,11 @@ class TestErrors:
         ("inverse_v sample in the next state's list", "simulate", 3, "ParseError"),
         ("inverse_j run count 0", "simulate", 3, "ParseError"),
         ("inverse_j negative run count", "fpt", 3, "ParseError"),
+        ("inverse_j run count 1.0", "simulate", 3, "ParseError"),
         ("inverse_v run values descending", "simulate", 3, "ParseError"),
         ("inverse_j adjacent runs with identical bits", "simulate", 3, "ParseError"),
         ("inverse_v values and counts of different lengths", "simulate", 3, "ParseError"),
+        ("inverse_v one count list more", "simulate", 3, "ParseError"),
         ("inverse_v run value in the next state's bin", "fpt", 3, "ParseError"),
         ("version 99", "simulate", 3, "ParseError"),
         ("version 99", "fpt", 3, "ParseError"),
@@ -414,6 +417,8 @@ class TestErrors:
             runs_j["counts"][0][0] = 0
         elif damage == "inverse_j negative run count":
             runs_j["counts"][0][0] = -1
+        elif damage == "inverse_j run count 1.0":
+            runs_j["counts"][0][0] = 1.0
         elif damage == "inverse_v run values descending":  # counts reversed with them
             runs_v["values"][0].reverse()
             runs_v["counts"][0].reverse()
@@ -423,6 +428,8 @@ class TestErrors:
             runs_j["counts"][k][:1] = [1, runs_j["counts"][k][0] - 1]
         elif damage == "inverse_v values and counts of different lengths":
             runs_v["counts"][0].pop()
+        elif damage == "inverse_v one count list more":
+            runs_v["counts"].append([])
         elif damage == "inverse_v run value in the next state's bin":  # still ascending
             runs_v["values"][1].insert(0, runs_v["values"][0][-1])
             runs_v["counts"][1].insert(0, 1)

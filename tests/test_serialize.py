@@ -129,38 +129,6 @@ class TestTripletRoundTrip:
         with pytest.raises(ParseError, match="inverse_j samples"):
             triplet_from_dict(doc)
 
-    @pytest.mark.parametrize("damage", ["count 0", "count negative", "count 1.0",
-                                        "descending", "same bits",
-                                        "a count short", "one count list more",
-                                        "in the next state's bin"])
-    def test_inverse_runs_checked(self, damage):
-        # a version-2 file holds each state's samples as runs of equal bits:
-        # non-decreasing values, each with an integer count of at least 1
-        tk = self._with_inverses([-0.03, -0.02, -0.02, -0.0, 0.0, 0.0, 0.01, 0.04])
-        doc = json.loads(dumps(triplet_to_dict(tk)))
-        values, counts = doc["inverse_j"]["values"], doc["inverse_j"]["counts"]
-        assert (values[0], counts[0]) == ([-0.03, -0.02], [1, 2])
-        if damage == "count 0":
-            counts[0][1] = 0
-        elif damage == "count negative":
-            counts[0][1] = -2
-        elif damage == "count 1.0":
-            counts[0][0] = 1.0
-        elif damage == "descending":
-            values[0].reverse()
-        elif damage == "same bits":  # the samples unchanged, the run split in two
-            values[0].insert(1, -0.02)
-            counts[0][1:] = [1, 1]
-        elif damage == "a count short":
-            counts[0].pop()
-        elif damage == "one count list more":
-            counts.append([])
-        else:  # still non-decreasing
-            values[1].insert(0, values[0][-1])
-            counts[1].insert(0, 1)
-        with pytest.raises(ParseError, match="inverse_j (runs|samples)"):
-            triplet_from_dict(doc)
-
     def test_zeros_of_both_signs_stay_apart(self):
         # np.unique would merge -0.0 and 0.0 into one run; runs split on bits
         tk = self._with_inverses([-0.03, 0.01])
@@ -172,14 +140,11 @@ class TestTripletRoundTrip:
         assert back.inverse_j.samples[1].view(np.int64).tolist() == \
             tk.inverse_j.samples[1].view(np.int64).tolist()
 
-    @pytest.mark.parametrize("where, version", [
-        ("model", 99), ("model", 0), ("model", "2"), ("model", 2.0), ("model", True),
-        ("model", None), ("kernel_j", "1"), ("kernel_v", 2)])
-    def test_unknown_versions_refused(self, where, version):
-        tk = self._with_inverses([-0.03, 0.01])
-        doc = json.loads(dumps(triplet_to_dict(tk)))
-        (doc if where == "model" else doc[where])["version"] = version
-        with pytest.raises(ParseError, match=f"{where} version"):
+    @pytest.mark.parametrize("version", [0, "2", 2.0, True, None])
+    def test_versions_other_than_integers_1_and_2_refused(self, version):
+        doc = json.loads(dumps(triplet_to_dict(self._with_inverses([-0.03, 0.01]))))
+        doc["version"] = version
+        with pytest.raises(ParseError, match="model version"):
             triplet_from_dict(doc)
 
     def test_version_1_with_runs_refused(self):
@@ -225,7 +190,7 @@ class TestRunForm:
             ROUND_TRIP_MODEL,
             inverse_j=_per_state(r_values, ROUND_TRIP_MODEL.kernel_j.grid),
             inverse_v=_per_state(v_values, ROUND_TRIP_MODEL.kernel_v.grid))
-        path = tmp_path_factory.mktemp("runs") / "model.json"
+        path = tmp_path_factory.getbasetemp() / "run_form_model.json"
         save_model(tk, path)
         back = load_model(path)
         from_v1 = triplet_from_dict(v1_document(json.loads(path.read_text())))
