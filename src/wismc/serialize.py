@@ -103,11 +103,11 @@ def _check_pmf(table, stored, name: str) -> None:
 
 
 def _counts(stored, name: str) -> np.ndarray:
-    """A table's stored counts, which must all be non-negative."""
-    counts = np.array(stored, dtype=np.int64)
-    if (counts < 0).any():
-        raise ParseError(f"{name} holds a negative count")
-    return counts
+    """A table's stored counts, which must all be integers and non-negative."""
+    counts = np.array(stored)
+    if not (counts.dtype.kind == "i" or counts.size == 0) or (counts < 0).any():
+        raise ParseError(f"{name} holds a count that is negative or not an integer")
+    return counts.astype(np.int64)
 
 
 def _version(doc: dict, known: tuple, name: str) -> int:

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .core import IndexedKernel, advance_carry, carry_coefficients, scalar_bin
+from .core import IndexedKernel, advance_carry, carry_coefficients
 from .errors import ParameterError
 from .market_data import autocorrelation, cross_correlation_battery, jarque_bera
 from .triplet import ConditioningCell, EmpiricalInverse, TripletKernel
@@ -30,10 +30,14 @@ __all__ = [
 _BLOCK = 4096  # uniforms drawn per call to the generator
 
 
-def _uniforms(rng: np.random.Generator):
-    """A function returning the next uniform of ``rng``, drawn in blocks: the
-    same doubles, in the same order, as one ``rng.random()`` call each."""
-    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
+def _uniforms(rng: np.random.Generator, per: int, blocks: list):
+    """A function returning every ``per``-th uniform of ``rng``, drawn in
+    blocks of ``per * _BLOCK`` that are appended to ``blocks``: the doubles,
+    in the same order, that one ``rng.random()`` call each would give."""
+    def draw():
+        blocks.append(rng.random(per * _BLOCK))
+        return blocks[-1][::per].tolist()
+    return chain.from_iterable(iter(draw, None)).__next__
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,11 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     Runs until ``minutes`` are covered or ``n_events`` jumps were generated,
     whichever is given. Returns (minute series, states, times).
 
-    The loop runs on Python floats and lists (cumulative cell rows, index
-    edges, inverse samples) and block-drawn uniforms, with the arithmetic of
-    :func:`backtransform` and :func:`~wismc.core.advance_carry` inlined."""
+    Only the sequential core runs per event, on Python floats and lists and
+    block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
+    :func:`~wismc.core.advance_carry` inlined. A recorded path with an
+    inverse draws a second uniform per event for its back-transform, which
+    runs after the loop with the arithmetic of :func:`backtransform`."""
     if minutes is None and n_events is None:
         raise ParameterError("give minutes or n_events")
     rng = np.random.default_rng(seed)
@@ -205,49 +211,55 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     if occupancy.sum() <= 0:
         occupancy = np.ones(s)
     state = int(rng.choice(s, p=occupancy / occupancy.sum()))
-    uniform = _uniforms(rng)
-    reps = kernel.grid.representatives.tolist()
-    squares = [r * r for r in reps]
+    record = minutes is not None
+    per = 2 if record and inverse is not None else 1
+    blocks = []
+    uniform = _uniforms(rng, per, blocks)
+    squares = [r * r for r in kernel.grid.representatives.tolist()]
     edges = kernel.index_edges.tolist()
-    samples = None if inverse is None else [x.tolist() for x in inverse.samples]
     carry = [carry_coefficients(kernel.lam, dt) for dt in range(t_max + 1)]
     w, d = 0.0, 1.0
     t = 0
-    record = minutes is not None
-    states, times, held, sojourns = [], [], [], []
+    states, sojourns = [], []
     while (minutes is None or t < minutes) and (n_events is None
                                                 or len(states) < n_events):
         states.append(state)
-        times.append(t)
-        b = scalar_bin(edges, (w + squares[state]) / d)
+        b = min(max(bisect_right(edges, (w + squares[state]) / d) - 1, 0), nb - 1)
         pos = min(bisect_left(cum[state][b], uniform()), last)
         soj = pos % t_max + 1
-        if record:
-            if samples is None:
-                held.append(reps[state])
-            else:
-                sample = samples[state]
-                size = len(sample)
-                if size > 1:
-                    # backtransform() inlined
-                    at = uniform() * (size - 1)
-                    lo = math.floor(at)
-                    frac = at - lo
-                    held.append(sample[lo] * (1.0 - frac)
-                                + sample[min(lo + 1, size - 1)] * frac)
-                else:
-                    held.append(backtransform(state, uniform(), inverse))
-            sojourns.append(soj)
-        # advance_carry() inlined
+        sojourns.append(soj)
         decay, weight, gain = carry[soj]
         w = decay * w + squares[state] * weight
         d = decay * d + gain
         state = pos // t_max
         t += soj
+    states = np.asarray(states, dtype=np.int64)
+    sojourns = np.asarray(sojourns, dtype=np.int64)
     out = None
     if record:
-        out = np.repeat(np.array(held, dtype=float), sojourns)[:min(t, minutes)]
-    return out, np.asarray(states, dtype=np.int64), np.asarray(times, dtype=np.int64)
+        held = kernel.grid.representatives[states]
+        if per == 2 and states.size:
+            held = _backtransform_path(states, np.concatenate(blocks)[1::2][:states.size],
+                                       inverse)
+        out = np.repeat(held, sojourns)[:min(t, minutes)]
+    return out, states, np.cumsum(sojourns) - sojourns
+
+
+def _backtransform_path(states: np.ndarray, u: np.ndarray, inv: EmpiricalInverse):
+    """:func:`backtransform` at each (state, u) of a path, with the same IEEE
+    operations. A one-value sample needs no branch of its own: x * 1.0 +
+    x * 0.0 is x bit for bit, -0.0 included."""
+    seen = np.bincount(states, minlength=len(inv.samples)) > 0
+    pool = [x if x.size or not seen[k] else np.array([backtransform(k, 0.0, inv)])
+            for k, x in enumerate(inv.samples)]
+    sizes = np.array([x.size for x in pool])
+    first = (np.cumsum(sizes) - sizes)[states]
+    top = sizes[states] - 1
+    at = u * top
+    frac = at - np.floor(at)
+    lo = np.floor(at).astype(np.int64)
+    x = np.concatenate(pool, dtype=float)
+    return x[first + lo] * (1.0 - frac) + x[first + np.minimum(lo + 1, top)] * frac
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def synchronize(chain_j: JumpChain, chain_v: JumpChain) -> SyncChain:
         raise AlignmentError("cannot synchronize an empty chain")
     if chain_j.times[0] != chain_v.times[0]:
         raise AlignmentError("chains must share their time origin")
-    times = np.union1d(chain_j.times, chain_v.times)
+    both = np.sort(np.concatenate([chain_j.times, chain_v.times]))
+    times = both[np.concatenate([[True], both[1:] != both[:-1]])]
     pj = np.searchsorted(chain_j.times, times, side="right") - 1
     pv = np.searchsorted(chain_v.times, times, side="right") - 1
     return SyncChain(

@@ -340,6 +340,7 @@ class TestErrors:
         ("kernel_v t_max changed", "simulate", 2, "ParameterError"),
         ("cond_wait count negative", "simulate", 3, "ParseError"),
         ("kernel_v count negative", "simulate", 3, "ParseError"),
+        ("kernel_j count fractional", "fpt", 3, "ParseError"),
         ("kernel document", "simulate", 3, "ParseError"),
         ("kernel document", "fpt", 3, "ParseError"),
         ("inverse_j samples one list short", "simulate", 3, "ParseError"),
@@ -402,6 +403,10 @@ class TestErrors:
             table["counts"] = counts.tolist()
             law_ndim = 1 if damage.startswith("cond_wait") else 2
             table["pmf"] = normalized(counts, law_ndim)[0].tolist()
+        elif damage == "kernel_j count fractional":  # 40 -> 40.7 would load as 40
+            counts = np.array(doc["kernel_j"]["counts"], dtype=float)
+            counts[tuple(np.argwhere(counts > 0)[0])] += 0.7
+            doc["kernel_j"]["counts"] = counts.tolist()
         elif damage == "kernel document":  # a nested kernel on its own
             doc = doc["kernel_j"]
         elif damage == "inverse_j samples one list short":

@@ -1,11 +1,13 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``,
+whose back-transform now runs after its loop over the whole path,
 ``index_at_times`` at a chain's jumps and at other times,
-``compute_returns``), the mask version of ``value_wait_pairs``, the shared
-fallback-ladder resolver, the column-wise ``load_bars``, the signed-value
-tables that each variable's modulus table builds once and the live-paths-only
-Monte Carlo loop of ``fpt_survival_mc`` against the versions they replaced,
-which are kept below as oracles. Every comparison is exact: same shape and
-the same doubles, and the same dtype where the loop built a new array."""
+``compute_returns``), the mask version of ``value_wait_pairs``, the sorted
+merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
+the column-wise ``load_bars``, the signed-value tables that each variable's
+modulus table builds once and the live-paths-only Monte Carlo loop of
+``fpt_survival_mc`` against the versions they replaced, which are kept below
+as oracles. Every comparison is exact: same shape and the same bits, and the
+same dtype where the loop built a new array."""
 import csv
 import dataclasses
 import math
@@ -37,7 +39,7 @@ from wismc.core import (
     index_at_times,
     make_state_grid,
 )
-from wismc.errors import OrderingError, ParameterError, ParseError
+from wismc.errors import AlignmentError, OrderingError, ParameterError, ParseError
 from wismc.finfunc import FptQuery, _fpt_start, fpt_survival_mc
 from wismc.market_data import (
     MINUTES_PER_DAY,
@@ -50,7 +52,7 @@ from wismc.market_data import (
     value_wait_pairs,
 )
 from wismc.simulate import backtransform, simulate_univariate
-from wismc.triplet import EmpiricalInverse, fit_triplet_kernel
+from wismc.triplet import EmpiricalInverse, SyncChain, fit_triplet_kernel, synchronize
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before they moved off numpy scalars
@@ -130,6 +132,25 @@ def oracle_index_at_times(chain, query_times, score):
             now = t
         out[qi] = (w + values[pos] * values[pos]) / d
     return out
+
+
+def oracle_synchronize(chain_j, chain_v):
+    if len(chain_j) == 0 or len(chain_v) == 0:
+        raise AlignmentError("cannot synchronize an empty chain")
+    if chain_j.times[0] != chain_v.times[0]:
+        raise AlignmentError("chains must share their time origin")
+    times = np.union1d(chain_j.times, chain_v.times)
+    pj = np.searchsorted(chain_j.times, times, side="right") - 1
+    pv = np.searchsorted(chain_v.times, times, side="right") - 1
+    return SyncChain(
+        j_states=chain_j.states[pj],
+        v_states=chain_v.states[pv],
+        times=times,
+        backward_j=times - chain_j.times[pj],
+        backward_v=times - chain_v.times[pv],
+        grid_j=chain_j.grid,
+        grid_v=chain_v.grid,
+    )
 
 
 def oracle_compute_returns(series, kind="price-return"):
@@ -428,7 +449,7 @@ def assert_identical(a, b):
         assert a is None and b is None
         return
     assert a.dtype == b.dtype and a.shape == b.shape
-    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # bitwise: -0.0 and 0.0 differ
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +474,21 @@ RUNS = [
 ]
 
 
-def _check_runs(kernel, inverse, seed):
-    for run in RUNS:
+# runs that cross blocks of uniforms: 4096 events per block, whether a path
+# draws one uniform per event or two (a recorded path with an inverse)
+BLOCK_RUNS = [
+    dict(minutes=20000),
+    dict(minutes=20000, inverse=True),
+    dict(minutes=None, n_events=4096),
+    dict(minutes=None, n_events=4097),
+    dict(minutes=None, n_events=8193),
+    dict(minutes=40000, n_events=4097, inverse=True),
+    dict(minutes=40000, n_events=8193, inverse=True),
+]
+
+
+def _check_runs(kernel, inverse, seed, runs=RUNS):
+    for run in runs:
         kw = dict(run, inverse=inverse if run.get("inverse") else None)
         want = oracle_simulate_univariate(kernel, seed=seed, **kw)
         got = simulate_univariate(kernel, seed=seed, **kw)
@@ -469,6 +503,12 @@ def test_simulate_univariate_fitted(seed, lam):
     # several index bins on a short series: some cells fall back
     assert not kernel.occupied.all()
     _check_runs(kernel, inverse, seed)
+
+
+@pytest.mark.parametrize("lam", [0.97, 1.0])
+def test_simulate_univariate_across_blocks(lam):
+    kernel, inverse = _fitted(8, 5, lam, 4)
+    _check_runs(kernel, inverse, 8, BLOCK_RUNS)
 
 
 @pytest.mark.parametrize("lam", [0.9, 1.0])
@@ -492,12 +532,19 @@ def test_simulate_univariate_fallback_and_thin_samples():
     counts[2] = 0  # global fallback
     kernel = dataclasses.replace(kernel, counts=counts)
     assert kernel.level[0, 1] == 1 and kernel.level[2, 0] == 2
-    # an empty sample (representative, with a warning) and a single value
+    # an empty sample (representative, with a warning) and a single value,
+    # which is taken bit for bit, -0.0 included
+    grid = toy_grid([-0.02, 0.0, 0.015])
     inverse = EmpiricalInverse(samples=[np.array([-0.03, -0.02, -0.01]), np.array([]),
-                                        np.array([0.02])], grid=toy_grid([-0.02, 0.0, 0.015]))
+                                        np.array([0.02])], grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _check_runs(kernel, inverse, 6)
+    with pytest.warns(UserWarning, match="state 1 has no sample"):
+        simulate_univariate(kernel, 3000, seed=6, inverse=inverse)
+    signed_zero = EmpiricalInverse(samples=[np.array([-0.03]), np.array([-0.0]),
+                                            np.array([0.0, 0.02])], grid=grid)
+    _check_runs(kernel, signed_zero, 6)
 
 
 def test_simulate_univariate_index_on_edge():
@@ -553,6 +600,38 @@ def test_index_loops_fitted_chain():
     queries = np.arange(0, r.size, 3)
     assert_identical(oracle_index_at_times(chain, queries, score),
                      index_at_times(chain, queries, score))
+
+
+# ---------------------------------------------------------------------------
+# synchronize
+
+
+def _same_sync(chain_j, chain_v):
+    want, got = oracle_synchronize(chain_j, chain_v), synchronize(chain_j, chain_v)
+    for field in dataclasses.fields(SyncChain):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        if field.name.startswith("grid"):
+            assert a is b
+        else:
+            assert_identical(a, b)
+
+
+def test_synchronize_random_chains():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        chain_j = random_chain(rng, n_jumps=1 if seed == 0 else int(rng.integers(1, 60)))
+        chain_v = random_chain(rng, n_jumps=int(rng.integers(1, 60)),
+                               max_soj=int(rng.integers(2, 8)))
+        _same_sync(chain_j, chain_v)
+        # identical jump times, other states
+        _same_sync(chain_j, JumpChain(states=random_chain(rng, len(chain_j)).states,
+                                      times=chain_j.times, grid=chain_v.grid))
+
+
+def test_synchronize_fixture_chains(market_csv):
+    chains = [discretize(x, make_state_grid(x, 5)) for x in (market_csv["r"], market_csv["v"])]
+    _same_sync(*chains)
+    _same_sync(*chains[::-1])
 
 
 # ---------------------------------------------------------------------------
