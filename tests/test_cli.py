@@ -403,7 +403,7 @@ class TestErrors:
             table["counts"] = counts.tolist()
             law_ndim = 1 if damage.startswith("cond_wait") else 2
             table["pmf"] = normalized(counts, law_ndim)[0].tolist()
-        elif damage == "kernel_j count fractional":  # 40 -> 40.7 would load as 40
+        elif damage == "kernel_j count fractional":  # an int64 cast would truncate it
             counts = np.array(doc["kernel_j"]["counts"], dtype=float)
             counts[tuple(np.argwhere(counts > 0)[0])] += 0.7
             doc["kernel_j"]["counts"] = counts.tolist()
