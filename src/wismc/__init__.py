@@ -9,15 +9,11 @@ from .core import (
     IndexParams,
     IndexedKernel,
     JumpChain,
-    ScoreSpec,
     StateGrid,
     discretize,
     estimate_kernel,
-    ewma_score,
-    index_at_time,
     index_at_times,
     make_state_grid,
-    shift_check,
 )
 from .finfunc import (
     FptQuery,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -13,17 +13,13 @@ from .errors import ContractViolation, EstimationError, ParameterError
 __all__ = [
     "StateGrid",
     "JumpChain",
-    "ScoreSpec",
     "IndexParams",
     "IndexedKernel",
     "make_state_grid",
     "discretize",
-    "ewma_score",
-    "index_at_time",
     "index_at_times",
     "advance_carry",
     "carry_coefficients",
-    "shift_check",
     "estimate_kernel",
     "sojourn_counts",
     "resolve_ladder",
@@ -182,87 +178,7 @@ def discretize(values, grid: StateGrid) -> JumpChain:
 
 
 # ---------------------------------------------------------------------------
-# score functions and the index process
-
-
-@dataclass(frozen=True)
-class ScoreSpec:
-    """Reward-rate function of the index process.
-
-    ``ewma-squares`` scores a past state value ``i`` observed ``t - a``
-    minutes ago as ``lam**(t-a) * i**2 / normalizer`` where the normalizer is
-    the geometric sum over the window span plus one, so the index is a
-    weighted average of squared state values. A ``custom`` score supplies
-    ``func(value, t, a)`` directly; it satisfies the homogeneity requirement
-    only if it depends on ``(value, t - a)`` alone.
-    """
-
-    kind: str = "ewma-squares"
-    lam: float = 0.97
-    func: Optional[Callable[[float, int, int], float]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("ewma-squares", "custom"):
-            raise ParameterError(f"unknown score kind {self.kind!r}")
-        if self.kind == "ewma-squares" and not 0.0 < self.lam <= 1.0:
-            raise ParameterError("lambda must lie in (0, 1]")
-        if self.kind == "custom" and self.func is None:
-            raise ParameterError("custom score requires func")
-
-
-def _geom_sum(lam: float, n_terms: int) -> float:
-    """1 + lam + ... + lam**(n_terms-1)."""
-    if n_terms <= 0:
-        return 0.0
-    if lam == 1.0:
-        return float(n_terms)
-    return (1.0 - lam ** n_terms) / (1.0 - lam)
-
-
-def ewma_score(j_value: float, elapsed: int, lam: float, normalizer: float) -> float:
-    """Decayed squared state value: ``lam**elapsed * j_value**2 / normalizer``."""
-    if elapsed < 0:
-        raise ContractViolation("elapsed time must be non-negative")
-    if normalizer <= 0:
-        raise ContractViolation("normalizer must be positive")
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError("lambda must lie in (0, 1]")
-    return (lam ** elapsed) * j_value * j_value / normalizer
-
-
-def _score_callable(score: ScoreSpec, span: int) -> Callable[[float, int, int], float]:
-    """Bind a score to a window: ewma gets its span normalizer here."""
-    if score.kind == "custom":
-        return score.func
-    norm = _geom_sum(score.lam, span + 1)
-    lam = score.lam
-    return lambda value, t, a: ewma_score(value, t - a, lam, norm)
-
-
-def _index_sum(values: np.ndarray, times: np.ndarray, pos: int, t: int,
-               score: ScoreSpec) -> float:
-    """Accumulated reward at time ``t`` where ``pos`` is the last jump with
-    ``times[pos] <= t``: every minute of every completed or partial sojourn
-    scores the then-holding state, plus the current-state term at ``t``."""
-    f = _score_callable(score, int(t - times[0]))
-    total = 0.0
-    for k in range(pos):
-        for a in range(int(times[k]), int(times[k + 1])):
-            total += f(values[k], t, a)
-    for a in range(int(times[pos]), int(t)):
-        total += f(values[pos], t, a)
-    total += f(values[pos], t, t)
-    return total
-
-
-def index_at_time(chain: JumpChain, t: int, score: ScoreSpec) -> float:
-    """Index value at minute ``t``, summed term by term: the reference for
-    :func:`index_at_times`, and the only form that takes a custom score."""
-    times = chain.times
-    if t < times[0]:
-        raise ContractViolation("time precedes the recorded history")
-    pos = int(np.searchsorted(times, t, side="right")) - 1
-    return _index_sum(chain.values, times, pos, int(t), score)
+# the index process
 
 
 def carry_coefficients(lam: float, dt):
@@ -285,19 +201,21 @@ def advance_carry(lam: float, w, d, value, dt):
     return decay * w + value * value * weight, decay * d + gain
 
 
-def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) -> np.ndarray:
-    """Index value at each (sorted, integer) query time; the holding state is
-    the last jumped-to state at or before each time. At the chain's own
-    jump times it gives the index at every jump."""
+def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.ndarray:
+    """Index value at each (sorted, integer) query time: the exponentially
+    weighted average, with memory ``lam`` in (0, 1], of the squared state
+    value held at every minute from the chain's first jump to the query time,
+    the query minute included. The holding state is the last jumped-to state
+    at or before each time. At the chain's own jump times it gives the index
+    at every jump."""
+    if not 0.0 < lam <= 1.0:
+        raise ParameterError("lambda must lie in (0, 1]")
     query_times = np.asarray(query_times, dtype=np.int64)
     if not query_times.size:
         return np.empty(0)
-    if score.kind != "ewma-squares":
-        return np.array([index_at_time(chain, int(t), score) for t in query_times])
     values, times = chain.values.tolist(), chain.times.tolist()
     if query_times[0] < times[0]:
         raise ContractViolation("time precedes the recorded history")
-    lam = score.lam
     coefficients = {}
 
     def advance(w, d, value, dt):
@@ -324,20 +242,6 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, score: ScoreSpec) 
             now = t
         out.append((w + values[pos] * values[pos]) / d)
     return np.array(out, dtype=float)
-
-
-def shift_check(chain: JumpChain, score: ScoreSpec, tol: float = 1e-10) -> bool:
-    """Translate the window so its last jump lands at time zero and re-derive
-    the index there; a score depending only on elapsed time must reproduce the
-    original value exactly."""
-    if len(chain) < 1:
-        raise ContractViolation("empty window")
-    last = index_at_time(chain, int(chain.times[-1]), score)
-    shifted = JumpChain(states=chain.states.copy(),
-                        times=chain.times - chain.times[-1],
-                        grid=chain.grid)
-    again = index_at_time(shifted, 0, score)
-    return abs(last - again) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +386,6 @@ class IndexedKernel:
     def t_max(self) -> int:
         return self.counts.shape[-1]
 
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.level == 0
-
     def ladder(self):
         """The fallback ladder's (law, mass) levels and last law, laid out
         as [state, index bin, next state, sojourn slot]."""
@@ -503,7 +403,7 @@ def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:
     if len(chain) < 2:
         raise EstimationError("need at least one transition")
     # the index where each counted transition starts: every jump but the last
-    idx = index_at_times(chain, chain.times, ScoreSpec(lam=params.lam))[:-1]
+    idx = index_at_times(chain, chain.times, params.lam)[:-1]
     if params.index_edges is not None:
         edges = np.asarray(params.index_edges, dtype=float)
     else:

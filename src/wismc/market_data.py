@@ -64,10 +64,6 @@ class BarSeries:
     session_starts: np.ndarray
     excluded_rows: int = 0
 
-    @property
-    def n_sessions(self) -> int:
-        return self.session_starts.size
-
     def __len__(self) -> int:
         return self.minutes.size
 
@@ -93,9 +89,6 @@ class ReturnSeries:
     session_boundaries: np.ndarray
     positions: np.ndarray
     skipped_pairs: int = 0
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def _parse_minute(text: str, line_no: int) -> int:

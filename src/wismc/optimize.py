@@ -52,10 +52,6 @@ class OptResult:
     def as_dict(self) -> dict:
         return {"records": self.records, "best": self.best}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OptResult":
-        return cls(records=list(doc["records"]), best=doc.get("best"))
-
 
 def mape(real_acf, synth_acf, max_lag: Optional[int] = None) -> float:
     """Mean absolute percentage error over lags 1..max_lag; lags where the

@@ -78,33 +78,28 @@ class SynthPath:
     forced_holds: int = 0
 
 
-def backtransform(state: int, u: float, inv: EmpiricalInverse) -> float:
-    """Empirical quantile of the state's sample at level u, interpolating
-    between order statistics; falls back to the state representative when the
-    state carries no sample."""
-    sample = inv.samples[state]
-    if sample.size == 0:
-        warnings.warn(f"state {state} has no sample; using representative value")
-        return float(inv.grid.representatives[state])
-    if sample.size == 1:
-        return float(sample[0])
-    pos = u * (sample.size - 1)
-    lo = int(np.floor(pos))
-    hi = min(lo + 1, sample.size - 1)
-    frac = pos - lo
-    return float(sample[lo] * (1.0 - frac) + sample[hi] * frac)
-
-
-def _continuous_value(value, state, rng, inv, grid, mode):
-    """Continuous value for a simulated signed state value; mirrored states
-    draw from the opposite-sign sample and flip."""
-    if mode == "representative" or inv is None:
-        return float(value)
-    drawn = backtransform(int(state), float(rng.random()), inv)
-    rep = grid.representatives[int(state)]
-    if value != 0.0 and np.sign(rep) != 0 and np.sign(value) != np.sign(rep):
-        return -drawn
-    return drawn
+def backtransform(states, u, inv: EmpiricalInverse) -> np.ndarray:
+    """Empirical quantile of each state's sample at its level in ``u``,
+    interpolating between order statistics; a state that carries no sample
+    takes its representative value, with a warning. A one-value sample needs
+    no branch of its own: x * 1.0 + x * 0.0 is x bit for bit, -0.0
+    included."""
+    states, u = np.asarray(states, dtype=np.int64), np.asarray(u, dtype=float)
+    seen = np.bincount(states, minlength=len(inv.samples)) > 0
+    pool = []
+    for k, x in enumerate(inv.samples):
+        if not x.size and seen[k]:
+            warnings.warn(f"state {k} has no sample; using representative value")
+            x = inv.grid.representatives[k:k + 1]
+        pool.append(x)
+    sizes = np.array([x.size for x in pool])
+    first = (np.cumsum(sizes) - sizes)[states]
+    top = sizes[states] - 1
+    at = u * top
+    frac = at - np.floor(at)
+    lo = np.floor(at).astype(np.int64)
+    x = np.concatenate(pool, dtype=float)
+    return x[first + lo] * (1.0 - frac) + x[first + np.minimum(lo + 1, top)] * frac
 
 
 def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
@@ -115,7 +110,8 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     the copula and both signs independently, so events follow
     :meth:`TripletKernel.event_value_pmf` exactly. A variable changes state
     only when its drawn value differs from its current one; an event that
-    changes neither is an ordinary hold (counted in ``forced_holds``)."""
+    changes neither is an ordinary hold (counted in ``forced_holds``). The
+    minute series are worked out from the event record after the loop."""
     rng = np.random.default_rng(cfg.seed)
     # the back-transform draws from a child stream: the engine consumes the
     # seed's own stream, as in fpt_survival_mc, and the event record does not
@@ -136,12 +132,9 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     v_val = tk.kernel_v.grid.representatives[[v_state]]
     wj, dj = np.zeros(1), np.ones(1)
     wv, dv = np.zeros(1), np.ones(1)
-    r = np.empty(length)
-    v = np.empty(length)
     keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
             "x_bin", "w_bin", "j_value", "v_value")
     ev = {k: [] for k in keys}
-    moved_j = moved_v = True
     t = 0
     n_event = 0
     fallbacks = 0
@@ -149,13 +142,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     while t < length:
         cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
         i_state, v_state, xb, wb = (int(c[0]) for c in cells)
-        # a value that moved takes its continuous value from its new state
-        if moved_j:
-            cur_r = _continuous_value(i_val[0], i_state, bt_rng, tk.inverse_j,
-                                      tk.kernel_j.grid, cfg.backtransform)
-        if moved_v:
-            cur_v = _continuous_value(v_val[0], v_state, bt_rng, tk.inverse_v,
-                                      tk.kernel_v.grid, cfg.backtransform)
         fallbacks += bool(tk.cond_wait.level[i_state, v_state, xb, wb] > 0)
         for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
                                    float(i_val[0]), float(v_val[0]))):
@@ -165,8 +151,6 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
         wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
         wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
         step = int(soj[0])
-        r[t:t + step] = cur_r
-        v[t:t + step] = cur_v
         moved_j = bool(new_j[0] != i_val[0])
         moved_v = bool(new_v[0] != v_val[0])
         forced += not (moved_j or moved_v)
@@ -175,13 +159,48 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
         i_val, v_val = new_j, new_v
         t += step
         n_event += 1
+    events = {k: np.asarray(vals) for k, vals in ev.items()}
+    r, v = _continuous_series(tk, cfg, events, bt_rng)
     with np.errstate(over="ignore"):
         # exp-cumsum reconstruction; a drifting volume path may saturate to inf
         S = cfg.s0 * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
         V = cfg.v0 * np.exp(np.concatenate([[0.0], np.cumsum(v)]))
-    events = {k: np.asarray(vals) for k, vals in ev.items()}
     return SynthPath(r=r, v=v, S=S, V=V, events=events,
                      fallback_events=fallbacks, forced_holds=forced)
+
+
+def _continuous_series(tk: TripletKernel, cfg: SimConfig, events: dict,
+                       bt_rng: np.random.Generator):
+    """The minute series (r, v) of a path from its event record. A value
+    takes its continuous value at each event where it changed (the first
+    event included) and holds it over the sojourns up to its next change, cut
+    at the path's length. In the empirical mode a variable with an inverse
+    draws one uniform per change, all from ``bt_rng`` in one call in event
+    order, j before v; a value of the other sign than its state's
+    representative (a mirrored value) is drawn from its state's sample and
+    negated. Otherwise a value is its signed support value."""
+    values = np.stack([events["j_value"], events["v_value"]], axis=1)
+    states = np.stack([events["j_state"], events["v_state"]], axis=1)
+    changed = np.ones(values.shape, dtype=bool)
+    changed[1:] = values[1:] != values[:-1]
+    tables = ((tk.kernel_j.grid, tk.inverse_j), (tk.kernel_v.grid, tk.inverse_v))
+    draw = changed & [cfg.backtransform == "empirical" and inv is not None
+                      for _, inv in tables]
+    u = np.zeros(values.shape)
+    u[draw] = bt_rng.random(np.count_nonzero(draw))
+    held = values.copy()
+    for k, (grid, inv) in enumerate(tables):
+        at = draw[:, k]
+        if at.any():
+            drawn = backtransform(states[at, k], u[at, k], inv)
+            rep, value = grid.representatives[states[at, k]], values[at, k]
+            mirrored = (value != 0.0) & (np.sign(rep) != 0) & (np.sign(value) != np.sign(rep))
+            held[at, k] = np.where(mirrored, -drawn, drawn)
+    # each event holds the value of the last event at which it changed
+    last = np.maximum.accumulate(np.where(changed, np.arange(len(values))[:, None], 0), axis=0)
+    held = np.take_along_axis(held, last, axis=0)
+    sojourns = np.diff(events["time"], append=cfg.length_minutes)
+    return np.repeat(held[:, 0], sojourns), np.repeat(held[:, 1], sojourns)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +219,7 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
     :func:`~wismc.core.advance_carry` inlined. A recorded path with an
     inverse draws a second uniform per event for its back-transform, which
-    runs after the loop with the arithmetic of :func:`backtransform`."""
+    runs after the loop through :func:`backtransform`."""
     if minutes is None and n_events is None:
         raise ParameterError("give minutes or n_events")
     rng = np.random.default_rng(seed)
@@ -239,27 +258,10 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     if record:
         held = kernel.grid.representatives[states]
         if per == 2 and states.size:
-            held = _backtransform_path(states, np.concatenate(blocks)[1::2][:states.size],
-                                       inverse)
+            held = backtransform(states, np.concatenate(blocks)[1::2][:states.size],
+                                 inverse)
         out = np.repeat(held, sojourns)[:min(t, minutes)]
     return out, states, np.cumsum(sojourns) - sojourns
-
-
-def _backtransform_path(states: np.ndarray, u: np.ndarray, inv: EmpiricalInverse):
-    """:func:`backtransform` at each (state, u) of a path, with the same IEEE
-    operations. A one-value sample needs no branch of its own: x * 1.0 +
-    x * 0.0 is x bit for bit, -0.0 included."""
-    seen = np.bincount(states, minlength=len(inv.samples)) > 0
-    pool = [x if x.size or not seen[k] else np.array([backtransform(k, 0.0, inv)])
-            for k, x in enumerate(inv.samples)]
-    sizes = np.array([x.size for x in pool])
-    first = (np.cumsum(sizes) - sizes)[states]
-    top = sizes[states] - 1
-    at = u * top
-    frac = at - np.floor(at)
-    lo = np.floor(at).astype(np.int64)
-    x = np.concatenate(pool, dtype=float)
-    return x[first + lo] * (1.0 - frac) + x[first + np.minimum(lo + 1, top)] * frac
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from .core import (
     IndexedKernel,
     IndexParams,
     JumpChain,
-    ScoreSpec,
     StateGrid,
     bin_of,
     discretize,
@@ -472,8 +471,8 @@ def fit_triplet_kernel(r_values, v_values,
     kern_v = estimate_kernel(chain_v, IndexParams(
         lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
     sync = synchronize(chain_r, chain_v)
-    idx_j = index_at_times(chain_r, sync.times, ScoreSpec(lam=cfg.lam_r))
-    idx_v = index_at_times(chain_v, sync.times, ScoreSpec(lam=cfg.lam_v))
+    idx_j = index_at_times(chain_r, sync.times, cfg.lam_r)
+    idx_v = index_at_times(chain_v, sync.times, cfg.lam_v)
     cond = estimate_cond_wait(sync, idx_j, idx_v,
                               x_edges=kern_r.index_edges,
                               w_edges=kern_v.index_edges,

@@ -1,9 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a pass line
 with its runtime. Tolerances are fixed here and nowhere else."""
+import functools
 import time
 import numpy as np
 
 from conftest import heavy_tailed_series, random_chain, random_triplet, toy_grid, write_bar_csv
+from test_core import scored_index, shift_identical
 from test_finfunc import oracle_fpt
 from test_triplet import oracle_eval
 from wismc.cli import main as cli_main
@@ -12,10 +14,9 @@ from wismc.core import (
     IndexParams,
     IndexedKernel,
     JumpChain,
-    ScoreSpec,
     StateGrid,
     estimate_kernel,
-    shift_check,
+    index_at_times,
 )
 from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive, signed_covariance
 from wismc.market_data import jarque_bera
@@ -100,20 +101,21 @@ def test_criterion_02_kernel_oracle_equivalence():
 
 
 def test_criterion_03_shift_homogeneity():
-    """Index recomputed on the time-translated window is unchanged for
-    elapsed-time scores; a score reading absolute time breaks on a
-    constructed window."""
+    """The index trajectory of a window translated so that its last jump
+    sits at time zero is byte-identical; a score reading absolute time,
+    summed term by term, breaks on a constructed window."""
     t0 = time.time()
     rng = np.random.default_rng(303)
-    all_pass = all(
-        shift_check(random_chain(rng), ScoreSpec("ewma-squares",
-                                                 lam=float(rng.uniform(0.5, 1.0))))
-        for _ in range(100))
-    bad_score = ScoreSpec(
-        "custom", func=lambda v, t, a: 0.9 ** (t - a) * v * v * (1.0 + 0.5 * np.sin(a)))
+    all_pass = True
+    for _ in range(100):
+        chain = random_chain(rng)
+        index = functools.partial(index_at_times, lam=float(rng.uniform(0.5, 1.0)))
+        all_pass &= shift_identical(index, chain, chain.times)
+    bad_index = functools.partial(
+        scored_index, score=lambda v, t, a: 0.9 ** (t - a) * v * v * (1.0 + 0.5 * np.sin(a)))
     window = JumpChain(states=np.array([0, 1, 0]), times=np.array([3, 5, 9]),
                        grid=toy_grid([0.5, 1.0]))
-    counterexample_fails = not shift_check(window, bad_score)
+    counterexample_fails = not shift_identical(bad_index, window, window.times)
     elapsed = time.time() - t0
     _report(3, all_pass and counterexample_fails, elapsed,
             "100 windows pass, counterexample fails")

@@ -1,5 +1,8 @@
 """Jump chains, the index process and kernel estimation, checked against
 literal term-by-term oracles."""
+import functools
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -7,15 +10,11 @@ from conftest import random_chain, toy_grid
 from wismc.core import (
     IndexParams,
     JumpChain,
-    ScoreSpec,
     StateGrid,
     discretize,
     estimate_kernel,
-    ewma_score,
-    index_at_time,
     index_at_times,
     make_state_grid,
-    shift_check,
     sojourn_counts,
 )
 from wismc.errors import ContractViolation, EstimationError, ParameterError
@@ -35,6 +34,31 @@ def oracle_index(values, times, t, lam):
         total += lam ** (t - a) * values[pos] ** 2 / norm
     total += values[pos] ** 2 / norm
     return total
+
+
+def scored_index(chain, query_times, score):
+    """The index at each query time ``t`` summed term by term with a score
+    ``score(value, t, a)`` of the value held at every minute ``a`` from the
+    chain's first jump to ``t``, the current-state term at ``a = t``
+    included: the form in which a score can read absolute time."""
+    values, times = chain.values.tolist(), chain.times.tolist()
+    out = []
+    for t in np.asarray(query_times).tolist():
+        total = 0.0
+        for a in range(times[0], t + 1):
+            total += score(values[bisect_right(times, a) - 1], t, a)
+        out.append(total)
+    return np.array(out)
+
+
+def shift_identical(index, chain, query_times) -> bool:
+    """Whether ``index(window, times)`` gives the same bytes on the window
+    translated so that its last jump sits at time zero, at the translated
+    query times."""
+    shift = int(chain.times[-1])
+    moved = JumpChain(states=chain.states, times=chain.times - shift, grid=chain.grid)
+    again = index(moved, np.asarray(query_times) - shift)
+    return index(chain, query_times).tobytes() == again.tobytes()
 
 
 class TestStateGrid:
@@ -110,37 +134,18 @@ class TestDiscretize:
             JumpChain(states=np.array([0, 1]), times=np.array([2, 2]), grid=grid)
 
 
-class TestEwmaScore:
-    def test_zero_state(self):
-        assert ewma_score(0.0, 5, 0.9, 2.0) == 0.0
-
-    def test_no_decay(self):
-        assert ewma_score(0.3, 7, 1.0, 4.0) == pytest.approx(0.09 / 4.0)
-
-    def test_hand_value(self):
-        assert ewma_score(0.5, 2, 0.9, 1.0) == pytest.approx(0.2025)
-
-    def test_contract(self):
-        with pytest.raises(ContractViolation):
-            ewma_score(0.5, -1, 0.9, 1.0)
-        with pytest.raises(ContractViolation):
-            ewma_score(0.5, 1, 0.9, 0.0)
-
-
 class TestIndexProcess:
     def test_zero_states_zero_index(self):
         grid = StateGrid(edges=np.array([-np.inf, 0.5, np.inf]),
                          representatives=np.array([0.0, 0.0]))
         chain = JumpChain(states=np.array([0, 1, 0]), times=np.array([0, 2, 5]),
                           grid=grid)
-        sc = ScoreSpec("ewma-squares", lam=0.9)
-        assert index_at_time(chain, 5, sc) == 0.0
+        assert index_at_times(chain, [5], 0.9)[0] == 0.0
 
     def test_degenerate_history(self):
         grid = toy_grid([0.0, 0.7])
         chain = JumpChain(states=np.array([1]), times=np.array([0]), grid=grid)
-        sc = ScoreSpec("ewma-squares", lam=0.9)
-        assert index_at_time(chain, 0, sc) == pytest.approx(0.49)
+        assert index_at_times(chain, [0], 0.9)[0] == pytest.approx(0.49)
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(3)
@@ -148,12 +153,10 @@ class TestIndexProcess:
         for _ in range(100):
             chain = random_chain(rng)
             lam = float(rng.uniform(0.5, 1.0))
-            sc = ScoreSpec("ewma-squares", lam=lam)
-            vals = chain.values
-            for t in chain.times:
-                got = index_at_time(chain, int(t), sc)
-                want = oracle_index(vals, chain.times, t, lam)
-                worst = max(worst, abs(got - want))
+            got = index_at_times(chain, chain.times, lam)
+            for n, t in enumerate(chain.times):
+                want = oracle_index(chain.values, chain.times, t, lam)
+                worst = max(worst, abs(got[n] - want))
         assert worst < 1e-14
 
     def test_time_form_matches_oracle_mid_sojourn(self):
@@ -161,39 +164,39 @@ class TestIndexProcess:
         for _ in range(50):
             chain = random_chain(rng)
             lam = float(rng.uniform(0.5, 1.0))
-            sc = ScoreSpec("ewma-squares", lam=lam)
             t = int(rng.integers(chain.times[0], chain.times[-1] + 4))
-            got = index_at_time(chain, t, sc)
+            got = index_at_times(chain, [t], lam)[0]
             want = oracle_index(chain.values, chain.times, t, lam)
             assert got == pytest.approx(want, abs=1e-14)
 
     def test_coincidence_at_jump_times(self):
+        # the index at every jump from one call is each jump's index from a
+        # call of its own, to the last bit
         rng = np.random.default_rng(5)
         chain = random_chain(rng)
-        sc = ScoreSpec("ewma-squares", lam=0.93)
-        at_jumps = index_at_times(chain, chain.times, sc)
+        at_jumps = index_at_times(chain, chain.times, 0.93)
         for n, t in enumerate(chain.times):
-            assert index_at_time(chain, int(t), sc) == pytest.approx(at_jumps[n], abs=1e-14)
+            assert index_at_times(chain, [t], 0.93)[0] == at_jumps[n]
 
     def test_fast_paths_match_reference(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             chain = random_chain(rng)
-            sc = ScoreSpec("ewma-squares", lam=float(rng.uniform(0.5, 1.0)))
-            traj = index_at_times(chain, chain.times, sc)
+            lam = float(rng.uniform(0.5, 1.0))
+            traj = index_at_times(chain, chain.times, lam)
             for n, t in enumerate(chain.times):
-                assert traj[n] == pytest.approx(index_at_time(chain, int(t), sc), abs=1e-12)
+                assert traj[n] == pytest.approx(oracle_index(chain.values, chain.times, t, lam),
+                                                abs=1e-12)
             qts = np.sort(rng.integers(chain.times[0], chain.times[-1] + 4, 5))
-            fast = index_at_times(chain, qts, sc)
+            fast = index_at_times(chain, qts, lam)
             for q, t in enumerate(qts):
-                assert fast[q] == pytest.approx(index_at_time(chain, int(t), sc),
+                assert fast[q] == pytest.approx(oracle_index(chain.values, chain.times, t, lam),
                                                 abs=1e-12)
 
     def test_lambda_one(self):
         rng = np.random.default_rng(7)
         chain = random_chain(rng)
-        sc = ScoreSpec("ewma-squares", lam=1.0)
-        got = index_at_time(chain, int(chain.times[-1]), sc)
+        got = index_at_times(chain, chain.times[-1:], 1.0)[0]
         want = oracle_index(chain.values, chain.times, chain.times[-1], 1.0)
         assert got == pytest.approx(want, abs=1e-14)
 
@@ -201,23 +204,26 @@ class TestIndexProcess:
         rng = np.random.default_rng(8)
         for _ in range(20):
             chain = random_chain(rng)
-            sc = ScoreSpec("ewma-squares", lam=float(rng.uniform(0.5, 1.0)))
-            idx = index_at_times(chain, chain.times, sc)
+            idx = index_at_times(chain, chain.times, float(rng.uniform(0.5, 1.0)))
             top = np.max(chain.values ** 2)
             assert np.all(idx >= 0.0) and np.all(idx <= top + 1e-12)
 
     def test_no_query_times(self):
         grid = toy_grid([0.0, 0.7])
         empty = JumpChain(states=np.empty(0), times=np.empty(0), grid=grid)
-        custom = ScoreSpec("custom", func=lambda v, t, a: v * v)
-        for sc in (ScoreSpec(lam=0.9), custom):
-            got = index_at_times(empty, empty.times, sc)
-            assert got.dtype == float and got.shape == (0,)
+        got = index_at_times(empty, empty.times, 0.9)
+        assert got.dtype == float and got.shape == (0,)
 
     def test_before_history(self):
         chain = random_chain(np.random.default_rng(9))
         with pytest.raises(ContractViolation):
-            index_at_time(chain, int(chain.times[0]) - 1, ScoreSpec(lam=0.9))
+            index_at_times(chain, [int(chain.times[0]) - 1], 0.9)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, 1.0 + 1e-12, np.nan])
+    def test_lambda_outside_unit_interval_refused(self, lam):
+        chain = random_chain(np.random.default_rng(9))
+        with pytest.raises(ParameterError):
+            index_at_times(chain, chain.times, lam)
 
     def test_zero_state_sojourn_contributes_nothing(self):
         # mid-sojourn in a zero-valued state: only the decayed past counts,
@@ -226,11 +232,10 @@ class TestIndexProcess:
                          representatives=np.array([0.0, 0.02]))
         chain = JumpChain(states=np.array([1, 0]), times=np.array([0, 2]),
                           grid=grid)
-        sc = ScoreSpec("ewma-squares", lam=0.9)
         t = 5  # three minutes into the zero-state sojourn
         norm = sum(0.9 ** e for e in range(t + 1))
         want = (0.9 ** 5 + 0.9 ** 4) * 0.02 ** 2 / norm
-        assert index_at_time(chain, t, sc) == pytest.approx(want, abs=1e-15)
+        assert index_at_times(chain, [t], 0.9)[0] == pytest.approx(want, abs=1e-15)
 
 
 class TestShiftCheck:
@@ -239,19 +244,28 @@ class TestShiftCheck:
         for _ in range(100):
             chain = random_chain(rng)
             lam = float(rng.uniform(0.5, 1.0))
-            assert shift_check(chain, ScoreSpec("ewma-squares", lam=lam))
+            queries = np.sort(rng.integers(chain.times[0], chain.times[-1] + 4, 5))
+            for q in (chain.times, queries):
+                assert shift_identical(functools.partial(index_at_times, lam=lam), chain, q)
+
+    # the check's power: on the term-by-term form a score of elapsed time
+    # passes and a score reading absolute time fails
 
     def test_custom_elapsed_only_score_passes(self):
         rng = np.random.default_rng(11)
-        sc = ScoreSpec("custom", func=lambda v, t, a: 0.8 ** (t - a) * abs(v))
+        index = functools.partial(scored_index, score=lambda v, t, a: 0.8 ** (t - a) * abs(v))
         for _ in range(20):
-            assert shift_check(random_chain(rng), sc)
+            chain = random_chain(rng)
+            assert shift_identical(index, chain, chain.times)
 
     def test_absolute_time_score_fails(self):
         rng = np.random.default_rng(12)
-        bad = ScoreSpec("custom",
-                        func=lambda v, t, a: 0.9 ** (t - a) * v * v * (1.0 + 0.3 * np.sin(a)))
-        fails = sum(not shift_check(random_chain(rng), bad) for _ in range(20))
+        index = functools.partial(
+            scored_index, score=lambda v, t, a: 0.9 ** (t - a) * v * v * (1.0 + 0.3 * np.sin(a)))
+        fails = 0
+        for _ in range(20):
+            chain = random_chain(rng)
+            fails += not shift_identical(index, chain, chain.times)
         assert fails >= 1
 
 
@@ -282,8 +296,9 @@ class TestEstimateKernel:
         chain = random_chain(rng, n_jumps=400)
         kernel = estimate_kernel(chain, IndexParams(lam=0.95, n_index_bins=3))
         sums = kernel.pmf.sum(axis=(2, 3))
-        assert np.allclose(sums[kernel.occupied], 1.0, atol=1e-12)
-        assert np.all(sums[~kernel.occupied] == 0.0)
+        occupied = kernel.level == 0
+        assert np.allclose(sums[occupied], 1.0, atol=1e-12)
+        assert np.all(sums[~occupied] == 0.0)
 
     def test_no_zero_sojourns(self):
         rng = np.random.default_rng(14)
@@ -320,7 +335,7 @@ class TestEstimateKernel:
         rng = np.random.default_rng(16)
         chain = random_chain(rng, n_jumps=50, n_states=3)
         kernel = estimate_kernel(chain, IndexParams(lam=0.9, n_index_bins=4))
-        empty = np.argwhere(~kernel.occupied)
+        empty = np.argwhere(kernel.level > 0)
         if empty.size:
             i, b = empty[0]
             pmf, level = kernel.resolved[i, b], kernel.level[i, b]

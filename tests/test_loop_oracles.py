@@ -1,6 +1,6 @@
-"""Byte-identity of the list-based per-element loops (``simulate_univariate``,
-whose back-transform now runs after its loop over the whole path,
-``index_at_times`` at a chain's jumps and at other times,
+"""Byte-identity of the list-based per-element loops (``simulate_univariate``
+and ``simulate_path``, whose back-transforms now run after their loops over
+the whole path, ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``), the mask version of ``value_wait_pairs``, the sorted
 merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, the signed-value tables that each variable's
@@ -32,7 +32,6 @@ from wismc.copulas import CopulaSpec
 from wismc.core import (
     IndexParams,
     JumpChain,
-    ScoreSpec,
     advance_carry,
     discretize,
     estimate_kernel,
@@ -51,11 +50,102 @@ from wismc.market_data import (
     load_bars,
     value_wait_pairs,
 )
-from wismc.simulate import backtransform, simulate_univariate
+from wismc.simulate import SimConfig, SynthPath, simulate_path, simulate_univariate
 from wismc.triplet import EmpiricalInverse, SyncChain, fit_triplet_kernel, synchronize
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before they moved off numpy scalars
+
+
+def oracle_backtransform(state, u, inv):
+    """The per-draw back-transform that the array ``backtransform`` replaced."""
+    sample = inv.samples[state]
+    if sample.size == 0:
+        warnings.warn(f"state {state} has no sample; using representative value")
+        return float(inv.grid.representatives[state])
+    if sample.size == 1:
+        return float(sample[0])
+    pos = u * (sample.size - 1)
+    lo = int(np.floor(pos))
+    hi = min(lo + 1, sample.size - 1)
+    frac = pos - lo
+    return float(sample[lo] * (1.0 - frac) + sample[hi] * frac)
+
+
+def oracle_continuous_value(value, state, rng, inv, grid, mode):
+    if mode == "representative" or inv is None:
+        return float(value)
+    drawn = oracle_backtransform(int(state), float(rng.random()), inv)
+    rep = grid.representatives[int(state)]
+    if value != 0.0 and np.sign(rep) != 0 and np.sign(value) != np.sign(rep):
+        return -drawn
+    return drawn
+
+
+def oracle_simulate_path(tk, cfg):
+    """``simulate_path`` as it was when each event filled its minutes of r
+    and v, drawing a moved value's continuous value in the loop."""
+    rng = np.random.default_rng(cfg.seed)
+    bt_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    length = cfg.length_minutes
+    if cfg.initial is not None:
+        i_state, v_state = cfg.initial.i, cfg.initial.v
+        b_j, b_v = cfg.initial.b_j, cfg.initial.b_v
+    else:
+        marg = tk.cond_wait.counts.sum(axis=(2, 3, 4)).astype(float)
+        if marg.sum() <= 0:
+            marg = np.ones_like(marg)
+        flat = rng.choice(marg.size, p=(marg / marg.sum()).ravel())
+        i_state, v_state = np.unravel_index(flat, marg.shape)
+        b_j = b_v = 0
+    i_val = tk.kernel_j.grid.representatives[[i_state]]
+    v_val = tk.kernel_v.grid.representatives[[v_state]]
+    wj, dj = np.zeros(1), np.ones(1)
+    wv, dv = np.zeros(1), np.ones(1)
+    r = np.empty(length)
+    v = np.empty(length)
+    keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
+            "x_bin", "w_bin", "j_value", "v_value")
+    ev = {k: [] for k in keys}
+    moved_j = moved_v = True
+    t = 0
+    n_event = 0
+    fallbacks = 0
+    forced = 0
+    while t < length:
+        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
+        i_state, v_state, xb, wb = (int(c[0]) for c in cells)
+        if moved_j:
+            cur_r = oracle_continuous_value(i_val[0], i_state, bt_rng, tk.inverse_j,
+                                            tk.kernel_j.grid, cfg.backtransform)
+        if moved_v:
+            cur_v = oracle_continuous_value(v_val[0], v_state, bt_rng, tk.inverse_v,
+                                            tk.kernel_v.grid, cfg.backtransform)
+        fallbacks += bool(tk.cond_wait.level[i_state, v_state, xb, wb] > 0)
+        for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
+                                   float(i_val[0]), float(v_val[0]))):
+            ev[key].append(val)
+        soj = tk.draw_sojourns(rng, cells)
+        new_j, new_v = tk.draw_next_values(rng, cells, b_j, b_v, soj)
+        wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
+        wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
+        step = int(soj[0])
+        r[t:t + step] = cur_r
+        v[t:t + step] = cur_v
+        moved_j = bool(new_j[0] != i_val[0])
+        moved_v = bool(new_v[0] != v_val[0])
+        forced += not (moved_j or moved_v)
+        b_j = 0 if moved_j else b_j + step
+        b_v = 0 if moved_v else b_v + step
+        i_val, v_val = new_j, new_v
+        t += step
+        n_event += 1
+    with np.errstate(over="ignore"):
+        S = cfg.s0 * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
+        V = cfg.v0 * np.exp(np.concatenate([[0.0], np.cumsum(v)]))
+    events = {k: np.asarray(vals) for k, vals in ev.items()}
+    return SynthPath(r=r, v=v, S=S, V=V, events=events,
+                     fallback_events=fallbacks, forced_holds=forced)
 
 
 def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
@@ -91,7 +181,7 @@ def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
         nxt, soj = pos // t_max, pos % t_max + 1
         if out is not None:
             if inverse is not None:
-                val = backtransform(state, float(rng.random()), inverse)
+                val = oracle_backtransform(state, float(rng.random()), inverse)
             else:
                 val = float(reps[state])
             out[t:min(t + soj, minutes)] = val
@@ -103,18 +193,18 @@ def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
     return out, np.asarray(states, dtype=np.int64), np.asarray(times, dtype=np.int64)
 
 
-def oracle_index_trajectory(chain, score):
+def oracle_index_trajectory(chain, lam):
     values, times = chain.values, chain.times
     out = np.empty(len(chain))
     w, d = 0.0, 1.0
     for n in range(len(chain)):
         if n > 0:
-            w, d = advance_carry(score.lam, w, d, values[n - 1], int(times[n] - times[n - 1]))
+            w, d = advance_carry(lam, w, d, values[n - 1], int(times[n] - times[n - 1]))
         out[n] = (w + values[n] * values[n]) / d
     return out
 
 
-def oracle_index_at_times(chain, query_times, score):
+def oracle_index_at_times(chain, query_times, lam):
     query_times = np.asarray(query_times, dtype=np.int64)
     values, times = chain.values, chain.times
     out = np.empty(query_times.size)
@@ -124,11 +214,11 @@ def oracle_index_at_times(chain, query_times, score):
     for qi, t in enumerate(query_times):
         t = int(t)
         while pos + 1 < len(chain) and times[pos + 1] <= t:
-            w, d = advance_carry(score.lam, w, d, values[pos], int(times[pos + 1]) - now)
+            w, d = advance_carry(lam, w, d, values[pos], int(times[pos + 1]) - now)
             now = int(times[pos + 1])
             pos += 1
         if t > now:
-            w, d = advance_carry(score.lam, w, d, values[pos], t - now)
+            w, d = advance_carry(lam, w, d, values[pos], t - now)
             now = t
         out[qi] = (w + values[pos] * values[pos]) / d
     return out
@@ -501,7 +591,7 @@ def _check_runs(kernel, inverse, seed, runs=RUNS):
 def test_simulate_univariate_fitted(seed, lam):
     kernel, inverse = _fitted(seed, 5 + 2 * (seed % 2), lam, 6)
     # several index bins on a short series: some cells fall back
-    assert not kernel.occupied.all()
+    assert (kernel.level > 0).any()
     _check_runs(kernel, inverse, seed)
 
 
@@ -556,7 +646,7 @@ def test_simulate_univariate_index_on_edge():
     other = random_kernel(rng, [-0.02, -0.004, 0.003, 0.01], n_bins=1, t_max=4)
     _, states, times = oracle_simulate_univariate(one, None, seed=8, n_events=80)
     x = oracle_index_trajectory(JumpChain(states=states, times=times, grid=one.grid),
-                                ScoreSpec(lam=one.lam))
+                                one.lam)
     # up to a running maximum x[k], every earlier index lies in bin 0 and
     # draws from ``one``'s law, so the path reaches x[k] exactly
     records = [k for k in range(1, x.size) if x[k] > x[:k].max()]
@@ -573,33 +663,106 @@ def test_simulate_univariate_index_on_edge():
 
 
 # ---------------------------------------------------------------------------
+# simulate_path, whose continuous values come after its loop
+
+
+@pytest.fixture(scope="module")
+def fixture_models(market_csv):
+    """The fits of the fixture's bars, in which every event moves both
+    values, and of the series the bars were written from, in which a value
+    also holds while the other moves."""
+    r, v = heavy_tailed_series(30000, 42)
+    return {"bars": fit_triplet_kernel(market_csv["r"], market_csv["v"]),
+            "series": fit_triplet_kernel(r, v)}
+
+
+def _same_path(tk, cfg):
+    want, got = oracle_simulate_path(tk, cfg), simulate_path(tk, cfg)
+    for name in ("r", "v", "S", "V"):
+        assert_identical(getattr(want, name), getattr(got, name))
+    for key, values in want.events.items():
+        assert_identical(values, got.events[key])
+    assert (want.fallback_events, want.forced_holds) == (got.fallback_events,
+                                                         got.forced_holds)
+    return got
+
+
+def _mirrored(tk, events):
+    """Events whose j value has the other sign than its state's representative."""
+    rep = tk.kernel_j.grid.representatives[events["j_state"]]
+    value = events["j_value"]
+    return (value != 0.0) & (np.sign(rep) != 0) & (np.sign(value) != np.sign(rep))
+
+
+def _holds(events):
+    """Whether some event keeps the j value and some the v value."""
+    return all((np.diff(events[key]) == 0).any() for key in ("j_value", "v_value"))
+
+
+@pytest.mark.parametrize("mode", ["empirical", "representative"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("source", ["bars", "series"])
+def test_simulate_path_fitted_fixture(fixture_models, source, mode, seed):
+    tk = fixture_models[source]
+    got = _same_path(tk, SimConfig(length_minutes=2000 + 500 * seed, seed=seed,
+                                   backtransform=mode))
+    assert _mirrored(tk, got.events).any()
+    assert _holds(got.events) == (source == "series")
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_simulate_path_without_volume_inverse(fixture_models, seed):
+    _same_path(dataclasses.replace(fixture_models["series"], inverse_v=None),
+               SimConfig(length_minutes=2500, seed=seed))
+
+
+def test_simulate_path_thin_samples(fixture_models):
+    # state 0, the one whose values are mirrored, has no sample (its
+    # representative, negated where mirrored, with a warning) and the zero
+    # state a single -0.0, which is taken bit for bit
+    model = fixture_models["series"]
+    samples = list(model.inverse_j.samples)
+    samples[0], samples[2] = np.array([]), np.array([-0.0])
+    inverse = EmpiricalInverse(samples=samples, grid=model.kernel_j.grid)
+    tk = dataclasses.replace(model, inverse_j=inverse)
+    cfg = SimConfig(length_minutes=2500, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = _same_path(tk, cfg)
+    states = got.events["j_state"]
+    assert _mirrored(tk, got.events).any() and (states == 2).any() and _holds(got.events)
+    assert (np.signbit(got.r) & (got.r == 0.0)).any()
+    with pytest.warns(UserWarning, match="state 0 has no sample"):
+        simulate_path(tk, cfg)
+
+
+# ---------------------------------------------------------------------------
 # index_at_times, at a chain's jumps and at other times
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.97, 1.0])
 def test_index_loops_random_chains(lam):
-    score = ScoreSpec(lam=lam)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         chain = random_chain(rng, n_jumps=int(rng.integers(1, 40)))
-        assert_identical(oracle_index_trajectory(chain, score),
-                         index_at_times(chain, chain.times, score))
+        assert_identical(oracle_index_trajectory(chain, lam),
+                         index_at_times(chain, chain.times, lam))
         queries = np.unique(rng.integers(0, int(chain.times[-1]) + 6, 25))
-        assert_identical(oracle_index_at_times(chain, queries, score),
-                         index_at_times(chain, queries, score))
-        assert_identical(oracle_index_at_times(chain, queries[:0], score),
-                         index_at_times(chain, queries[:0], score))
+        assert_identical(oracle_index_at_times(chain, queries, lam),
+                         index_at_times(chain, queries, lam))
+        assert_identical(oracle_index_at_times(chain, queries[:0], lam),
+                         index_at_times(chain, queries[:0], lam))
 
 
 def test_index_loops_fitted_chain():
     r, _ = heavy_tailed_series(20000, 11)
     chain = discretize(r, make_state_grid(r, 5))
-    score = ScoreSpec(lam=0.97)
-    assert_identical(oracle_index_trajectory(chain, score),
-                     index_at_times(chain, chain.times, score))
+    lam = 0.97
+    assert_identical(oracle_index_trajectory(chain, lam),
+                     index_at_times(chain, chain.times, lam))
     queries = np.arange(0, r.size, 3)
-    assert_identical(oracle_index_at_times(chain, queries, score),
-                     index_at_times(chain, queries, score))
+    assert_identical(oracle_index_at_times(chain, queries, lam),
+                     index_at_times(chain, queries, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +848,7 @@ def test_compute_returns_edge_sessions():
 def test_compute_returns_fixture(market_csv):
     from wismc.market_data import load_bars
     bars = load_bars(market_csv["path"])
-    assert bars.n_sessions > 1
+    assert bars.session_starts.size > 1
     _same_returns(bars)
 
 

@@ -46,7 +46,7 @@ class TestLoadBars:
         bars = load_bars(p)
         assert len(bars) == 3
         assert bars.prices.tolist() == [10.0, 10.1, 10.2]
-        assert bars.n_sessions == 1
+        assert bars.session_starts.size == 1
 
     @pytest.mark.parametrize("stamps", [[f"{DAY + 540}", f"{DAY + 541}"],
                                         ["2016-03-01T09:00", "2016-03-01T09:01"]])
@@ -103,7 +103,7 @@ class TestLoadBars:
                 rows.append(f"{DAY + day * 1440 + 540 + m},10.0,5")
         bars = load_bars(_write(tmp_path, rows))
         assert len(bars) == 1020
-        assert bars.n_sessions == 2
+        assert bars.session_starts.size == 2
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = _write(tmp_path, [f"{DAY + 540},10.0,5", f"{DAY + 541},oops,6"])
@@ -171,13 +171,13 @@ class TestComputeReturns:
 
     def test_count_single_session(self, tmp_path):
         r = compute_returns(self._bars(tmp_path, [10.0 + k for k in range(7)]))
-        assert len(r) == 6
+        assert r.values.size == 6
 
     def test_no_overnight_pair(self, tmp_path):
         bars = self._bars(tmp_path, [10.0, 20.0, 30.0, 40.0], split_at=2)
         r = compute_returns(bars)
         # bookkeeping: returns = bars - sessions
-        assert len(r) == len(bars) - bars.n_sessions == 2
+        assert r.values.size == len(bars) - bars.session_starts.size == 2
         assert r.values[0] == pytest.approx(math.log(2.0))
         assert r.values[1] == pytest.approx(math.log(4.0 / 3.0))
 
@@ -185,7 +185,7 @@ class TestComputeReturns:
         bars = self._bars(tmp_path, [10.0] * 4, volumes=[5, 0, 5, 5])
         v = compute_returns(bars, "volume-return")
         assert v.skipped_pairs == 2
-        assert len(v) == 1
+        assert v.values.size == 1
 
 
 class TestDescriptiveStats:
@@ -441,7 +441,7 @@ class TestBattery:
         bars = load_bars(market_csv["path"])
         r = compute_returns(bars, "price-return")
         v = compute_returns(bars, "volume-return")
-        assert len(r) == len(bars) - bars.n_sessions
+        assert r.values.size == len(bars) - bars.session_starts.size
         # realized series recovered exactly at within-session positions
         assert np.allclose(r.values, market_csv["r"][r.positions - 1], atol=1e-12)
         assert np.allclose(v.values, market_csv["v"][v.positions - 1], atol=1e-9)
@@ -463,4 +463,4 @@ class TestBattery:
         r = compute_returns(bars, "price-return")
         v = compute_returns(bars, "volume-return")
         ra, va = align(r, v)
-        assert ra.size == va.size == min(len(r), len(v))
+        assert ra.size == va.size == min(r.values.size, v.values.size)

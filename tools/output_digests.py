@@ -7,11 +7,12 @@ test fixture (``heavy_tailed_series(30000, 42)``); the same bars with
 calendar-form stamps (``YYYY-MM-DDTHH:MM``); the same bars with a ``+`` before
 every price; and the benchmark's stock (``make_stock`` with seed 101). The
 calendar and signed files are the ones ``load_bars`` reads row by row. It runs
-``analyze``, ``optimize``, ``estimate``, ``simulate`` and ``fpt`` (Monte Carlo
-and recursion, each at ``--u 0`` and ``--u 2``) on each, then ``estimate`` and
-``fpt`` again with part of their flags from a ``--config`` file (a command-line
-flag overriding one key), and prints one ``sha256  relative/path`` line per
-file, inputs, config files and manifests included.
+``analyze``, ``optimize``, ``estimate``, ``simulate`` (with each
+``--backtransform``) and ``fpt`` (Monte Carlo and recursion, each at ``--u 0``
+and ``--u 2``) on each, then ``estimate`` and ``fpt`` again with part of their
+flags from a ``--config`` file (a command-line flag overriding one key), and
+prints one ``sha256  relative/path`` line per file, inputs, config files and
+manifests included.
 
 Manifests record the paths they were given, so two checkouts write the same
 lines for the same OUTDIR exactly when every output is byte-identical.
@@ -44,6 +45,8 @@ def commands(d: Path) -> list:
          "--reps", "1", "--out", str(d / "opt.json")],
         ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
          "--out", str(d / "sim")],
+        ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
+         "--backtransform", "representative", "--out", str(d / "sim_representative")],
         ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "30",
          "--method", "mc", "--out", str(d / "fpt_mc")],
         ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3",
@@ -78,16 +81,9 @@ def with_signed_prices(path: Path) -> None:
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        sys.stderr.write(__doc__)
-        return 2
-    out = Path(argv[0]).resolve()
-    if out.exists() and any(out.iterdir()):
-        sys.stderr.write(f"{out} is not empty\n")
-        return 2
+def inputs() -> dict:
+    """The writer of each input's bar file, by input name."""
     from bench_inputs import fixture_module, make_stock
-    from wismc.cli import main as wismc_main
 
     fx = fixture_module()
 
@@ -102,19 +98,52 @@ def main(argv) -> int:
         fixture(p)
         with_signed_prices(p)
 
-    inputs = {"fixture": fixture, "calendar": calendar, "signed": signed,
-              "stock101": lambda p: make_stock(p, seed=101)}
-    for name, write in inputs.items():
-        d = out / name
-        d.mkdir(parents=True)
-        write(d / "bars.csv")
-        for config_name, config in CONFIGS.items():
-            (d / config_name).write_text(json.dumps(config))
-        for argv_ in commands(d):
-            code = wismc_main(argv_)
-            if code != 0:
-                sys.stderr.write(f"{' '.join(argv_)} exited {code}\n")
-                return 1
+    return {"fixture": fixture, "calendar": calendar, "signed": signed,
+            "stock101": lambda p: make_stock(p, seed=101)}
+
+
+def prepare(d: Path, write) -> None:
+    """Make the directory ``d`` and write its bar file and config files."""
+    d.mkdir(parents=True)
+    write(d / "bars.csv")
+    for config_name, config in CONFIGS.items():
+        (d / config_name).write_text(json.dumps(config))
+
+
+def run(argvs, wismc_main) -> bool:
+    """Run each command line with ``wismc_main``; stop at the first that
+    fails and name it."""
+    for argv_ in argvs:
+        code = wismc_main(argv_)
+        if code != 0:
+            sys.stderr.write(f"{' '.join(argv_)} exited {code}\n")
+            return False
+    return True
+
+
+def out_dir(argv, usage: str):
+    """The one argument, OUTDIR, if it is empty or absent; else None, with
+    the reason written to stderr."""
+    if len(argv) != 1:
+        sys.stderr.write(usage)
+        return None
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        sys.stderr.write(f"{out} is not empty\n")
+        return None
+    return out
+
+
+def main(argv) -> int:
+    out = out_dir(argv, __doc__)
+    if out is None:
+        return 2
+    from wismc.cli import main as wismc_main
+
+    for name, write in inputs().items():
+        prepare(out / name, write)
+        if not run(commands(out / name), wismc_main):
+            return 1
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
     return 0
