@@ -8,8 +8,9 @@ then ``estimate``, a short ``simulate`` and a short exact ``fpt`` with every
 copula family on the fixture. Only the CLI runs are traced, with
 ``sys.setprofile`` (the standard library alone; no coverage tool is needed).
 It prints one line per module-level function, method or property defined in
-``src/wismc`` that none of those runs entered, as ``module:qualified.name
-line``, in source order, and the count to stderr.
+``src/wismc`` that none of those runs entered, in source order, in the form
+``wismc.core:IndexedKernel.ladder  412`` (module, qualified name, first
+line), and the count to stderr.
 """
 from __future__ import annotations
 
