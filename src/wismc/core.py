@@ -27,6 +27,8 @@ __all__ = [
 
 # sojourns above this quantile share a kernel's or waiting-time law's last slot
 SOJOURN_QUANTILE = 0.995
+# jumps and query times converted to Python numbers at a time by index_at_times
+INDEX_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +209,62 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.
     value held at every minute from the chain's first jump to the query time,
     the query minute included. The holding state is the last jumped-to state
     at or before each time. At the chain's own jump times it gives the index
-    at every jump."""
+    at every jump.
+
+    The recurrence runs on Python floats, which numpy's per-element cost
+    would swamp, but converts the jumps and the queries ``INDEX_CHUNK`` at a
+    time and writes each chunk's results into the output array, so its
+    working memory beside the output does not grow with the chain or the
+    query count."""
     if not 0.0 < lam <= 1.0:
         raise ParameterError("lambda must lie in (0, 1]")
     query_times = np.asarray(query_times, dtype=np.int64)
+    out = np.empty(query_times.size)
     if not query_times.size:
-        return np.empty(0)
-    values, times = chain.values.tolist(), chain.times.tolist()
+        return out
+    times, states, reps = chain.times, chain.states, chain.grid.representatives
     if query_times[0] < times[0]:
         raise ContractViolation("time precedes the recorded history")
+    # the coefficients of each step length are worked out once: lengths
+    # repeat, and a power costs more than a lookup
     coefficients = {}
-
-    def advance(w, d, value, dt):
-        # advance_carry, with the coefficients of each step length worked
-        # out once: lengths repeat, and a power costs more than a lookup
-        c = coefficients.get(dt)
-        if c is None:
-            c = coefficients[dt] = carry_coefficients(lam, dt)
-        decay, weight, gain = c
-        return decay * w + value * value * weight, decay * d + gain
-
-    out = []
     w, d = 0.0, 1.0
-    pos = 0
-    now = times[0]
-    n_jumps = len(times)
-    for t in query_times.tolist():
-        while pos + 1 < n_jumps and times[pos + 1] <= t:
-            w, d = advance(w, d, values[pos], times[pos + 1] - now)
-            now = times[pos + 1]
-            pos += 1
-        if t > now:
-            w, d = advance(w, d, values[pos], t - now)
-            now = t
-        out.append((w + values[pos] * values[pos]) / d)
-    return np.array(out, dtype=float)
+    now, held = int(times[0]), float(reps[states[0]])
+    # the loaded jumps after ``now``: next_t[k:], next_v[k:]
+    next_t, next_v, k, loaded = [], [], 0, 1
+    for q in range(0, query_times.size, INDEX_CHUNK):
+        chunk = query_times[q:q + INDEX_CHUNK].tolist()
+        res = []
+        for t in chunk:
+            while True:
+                if k == len(next_t):
+                    if loaded == times.size:
+                        break
+                    next_t = times[loaded:loaded + INDEX_CHUNK].tolist()
+                    next_v = reps[states[loaded:loaded + INDEX_CHUNK]].tolist()
+                    loaded += len(next_t)
+                    k = 0
+                if next_t[k] > t:
+                    break
+                dt = next_t[k] - now
+                c = coefficients.get(dt)
+                if c is None:
+                    c = coefficients[dt] = carry_coefficients(lam, dt)
+                decay, weight, gain = c
+                w, d = decay * w + held * held * weight, decay * d + gain
+                now, held = next_t[k], next_v[k]
+                k += 1
+            if t > now:
+                dt = t - now
+                c = coefficients.get(dt)
+                if c is None:
+                    c = coefficients[dt] = carry_coefficients(lam, dt)
+                decay, weight, gain = c
+                w, d = decay * w + held * held * weight, decay * d + gain
+                now = t
+            res.append((w + held * held) / d)
+        out[q:q + len(res)] = res
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -136,8 +137,11 @@ class FptQuery:
         self.history_t = np.asarray(self.history_t, dtype=np.int64)
         if not (self.rho > 0 and self.psi > 0):
             raise ParameterError("thresholds must be positive")
-        if not (np.isfinite(self.history_j).all() and np.isfinite(self.history_v).all()):
-            raise ParameterError("history values must be finite")
+        with np.errstate(over="ignore"):
+            squares = np.concatenate([self.history_j ** 2, self.history_v ** 2])
+        # the index averages squared values: a square that overflows is inf
+        if not np.isfinite(squares).all():
+            raise ParameterError("history values must be finite, with finite squares")
         if self.horizon < 1:
             raise ParameterError("horizon must be >= 1")
         if self.u < 0:
@@ -297,7 +301,13 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
     stream, so the result is reproducible for fixed (seed, n_paths). Each
     round draws the sojourns of the live paths in path order, then the next
     values of the paths that neither crossed nor passed the horizon; the
-    others leave every array."""
+    others leave every array.
+
+    Working memory is about 200 bytes per path: the live paths' arrays are
+    compacted one at a time, states and index bins are small integers, and
+    the draw counts each value's modulus without a paths-by-moduli matrix.
+    Only the start's states take the nearest-value search (the start may
+    lie off the support); later rounds carry the states the draw returns."""
     if n_paths < 1:
         raise ParameterError("need at least one path")
     i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _fpt_start(tk, query)
@@ -308,42 +318,46 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
                          upper=zeros, n_paths=n_paths)
     rng = np.random.default_rng(seed)
     n = n_paths
-    i_val, v_val = np.full(n, i0), np.full(n, v0)
-    wj, dj, wv, dv = np.full(n, wj0), np.full(n, dj0), np.full(n, wv0), np.full(n, dv0)
-    bj = np.full(n, b_j0, dtype=np.int64)
-    bv = np.full(n, b_v0, dtype=np.int64)
-    log_j, log_v = np.zeros(n), np.zeros(n)
-    t_now = np.zeros(n, dtype=np.int64)
+    live = SimpleNamespace(
+        i_val=np.full(n, i0), v_val=np.full(n, v0),
+        wj=np.full(n, wj0), dj=np.full(n, dj0), wv=np.full(n, wv0), dv=np.full(n, dv0),
+        bj=np.full(n, b_j0, dtype=np.int64), bv=np.full(n, b_v0, dtype=np.int64),
+        log_j=np.zeros(n), log_v=np.zeros(n), t_now=np.zeros(n, dtype=np.int64))
+    cells = tk.cells_of(tk.value_states(live.i_val, live.v_val),
+                        live.i_val, live.v_val, live.wj, live.dj, live.wv, live.dv)
     lr, lp = math.log(query.rho), math.log(query.psi)
     crossed = []  # crossing times within the horizon, one array per round
     u = query.u
     while True:
-        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
         soj = tk.draw_sojourns(rng, cells, u=u)
         u = 0
         # crossing during the stretch: positive held values accumulate
-        cross = np.full(i_val.size, horizon + 1, dtype=np.int64)
-        for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
+        cross = np.full(soj.size, horizon + 1, dtype=np.int64)
+        for vals, logs, lim in ((live.i_val, live.log_j, lr), (live.v_val, live.log_v, lp)):
             hit = (vals > 0) & (logs + vals * soj >= lim)
             need = np.ceil((lim - logs[hit]) / vals[hit]).astype(np.int64)
-            cross[hit] = np.minimum(cross[hit], t_now[hit] + need)
+            cross[hit] = np.minimum(cross[hit], live.t_now[hit] + need)
         done = cross <= horizon
         crossed.append(cross[done])
-        t_now += soj
-        keep = ~done & (t_now <= horizon)
-        (i_val, v_val, wj, dj, wv, dv, bj, bv, log_j, log_v, t_now, soj,
-         *cells) = (a[keep] for a in (i_val, v_val, wj, dj, wv, dv, bj, bv,
-                                      log_j, log_v, t_now, soj, *cells))
+        live.t_now += soj
+        keep = ~done & (live.t_now <= horizon)
+        del cross, done  # not held through the compaction and the draw
+        # one array at a time, so that one old copy at most is held
+        for name in vars(live):
+            setattr(live, name, getattr(live, name)[keep])
+        soj = soj[keep]
+        cells = tuple(c[keep] for c in cells)
         if not soj.size:
             break
-        log_j += i_val * soj
-        log_v += v_val * soj
-        nj, nv = tk.draw_next_values(rng, tuple(cells), bj, bv, soj)
-        wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
-        wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
-        bj = np.where(nj != i_val, 0, bj + soj)
-        bv = np.where(nv != v_val, 0, bv + soj)
-        i_val, v_val = nj, nv
+        live.log_j += live.i_val * soj
+        live.log_v += live.v_val * soj
+        (nj, nv), states = tk.draw_next_values(rng, cells, live.bj, live.bv, soj)
+        live.wj, live.dj = advance_carry(tk.kernel_j.lam, live.wj, live.dj, live.i_val, soj)
+        live.wv, live.dv = advance_carry(tk.kernel_v.lam, live.wv, live.dv, live.v_val, soj)
+        live.bj = np.where(nj != live.i_val, 0, live.bj + soj)
+        live.bv = np.where(nv != live.v_val, 0, live.bv + soj)
+        live.i_val, live.v_val = nj, nv
+        cells = tk.cells_of(states, live.i_val, live.v_val, live.wj, live.dj, live.wv, live.dv)
     hits = np.bincount(np.concatenate(crossed), minlength=horizon + 1)
     surv = (n_paths - np.cumsum(hits)) / n_paths
     se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)

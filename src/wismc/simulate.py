@@ -132,6 +132,7 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     v_val = tk.kernel_v.grid.representatives[[v_state]]
     wj, dj = np.zeros(1), np.ones(1)
     wv, dv = np.zeros(1), np.ones(1)
+    states = tk.value_states(i_val, v_val)
     keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
             "x_bin", "w_bin", "j_value", "v_value")
     ev = {k: [] for k in keys}
@@ -140,14 +141,14 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     fallbacks = 0
     forced = 0
     while t < length:
-        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
+        cells = tk.cells_of(states, i_val, v_val, wj, dj, wv, dv)
         i_state, v_state, xb, wb = (int(c[0]) for c in cells)
         fallbacks += bool(tk.cond_wait.level[i_state, v_state, xb, wb] > 0)
         for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
                                    float(i_val[0]), float(v_val[0]))):
             ev[key].append(val)
         soj = tk.draw_sojourns(rng, cells)
-        new_j, new_v = tk.draw_next_values(rng, cells, b_j, b_v, soj)
+        (new_j, new_v), states = tk.draw_next_values(rng, cells, b_j, b_v, soj)
         wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
         wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
         step = int(soj[0])

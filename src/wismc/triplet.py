@@ -213,7 +213,11 @@ class _ModulusTable:
     - ``support_state``, the state of each support value: the first
       representative equal to it, else the first of the same modulus, which
       every support value has;
-    - ``edges``, the kernel's index edges as a list, for scalar lookups."""
+    - ``edges``, the kernel's index edges as a list, for scalar lookups;
+    - for the batched draw, the cdf's columns below the top over the flat
+      (state, index bin, sojourn slot) rows, and the signed value and state
+      of modulus k drawn down (entry k) or up (entry K + k), the states in
+      the smallest integer type that holds them."""
 
     def __init__(self, kernel: IndexedKernel, p: float):
         self.kernel = kernel
@@ -241,6 +245,11 @@ class _ModulusTable:
                                       mirror.argmax(axis=1))
         self._exact = dict(zip(support.tolist(), self.support_state.tolist()))
         self.edges = kernel.index_edges.tolist()
+        # not the top column, 1.0: a uniform above it would take the last modulus anyway
+        self._columns = np.ascontiguousarray(self.cdf.reshape(-1, moduli.size).T[:-1])
+        drawn = np.searchsorted(support, np.concatenate([-moduli, moduli]))
+        self._drawn_value = support[drawn]
+        self._drawn_state = self.support_state[drawn].astype(np.min_scalar_type(reps.size - 1))
 
     def _fold(self, law: np.ndarray) -> np.ndarray:
         """law[..., next state, sojourn] -> [..., sojourn, modulus]."""
@@ -268,6 +277,19 @@ class _ModulusTable:
         call for a support value."""
         state = self._exact.get(value)
         return int(self.states(value)) if state is None else state
+
+    def draw(self, state, x_bin, age, u, up) -> tuple:
+        """Signed value and state of each path's draw: the modulus at which
+        ``u`` meets the cdf row of (state, index bin, ``age``), with the sign
+        up where ``up``. Counts the row's entries below ``u`` one column at a
+        time, never gathering the rows."""
+        rows = np.ravel_multi_index(
+            (state, x_bin, np.minimum(age, self.kernel.t_max) - 1), self.cdf.shape[:3])
+        pos = np.zeros(rows.size, dtype=np.intp)
+        for column in self._columns:
+            pos += column[rows] < u
+        np.add(pos, self.moduli.size, out=pos, where=up)
+        return self._drawn_value[pos], self._drawn_state[pos]
 
 
 @dataclass
@@ -313,6 +335,9 @@ class TripletKernel:
         self.modulus_j = _ModulusTable(kj, self.signs.p_j)
         self.modulus_v = _ModulusTable(kv, self.signs.p_v)
         self._event_cache: dict = {}
+        # every cell's waiting-time cdf, for the batched sojourn draw
+        self._wait_cdf = np.cumsum(self.cond_wait.resolved, axis=-1)
+        self._bin_types = tuple(np.min_scalar_type(k.n_index_bins - 1) for k in (kj, kv))
 
     # -- lookups ------------------------------------------------------------
 
@@ -370,41 +395,44 @@ class TripletKernel:
                                 x_bin=scalar_bin(mj.edges, xj),
                                 w_bin=scalar_bin(mv.edges, wv), b_j=b_j, b_v=b_v)
 
-    def cells_of(self, i_val, v_val, wj, dj, wv, dv) -> tuple:
+    def value_states(self, i_val, v_val) -> tuple:
+        """Grid states of a batch of signed value pairs, the nearest support
+        value's state for a value off the support. Only a start needs it: the
+        draw returns the states of the values it draws."""
+        return self.modulus_j.states(i_val), self.modulus_v.states(v_val)
+
+    def cells_of(self, states, i_val, v_val, wj, dj, wv, dv) -> tuple:
         """Conditioning cells of a batch of paths: both states and both index
-        bins, which index the waiting-time table and the modulus tables alike."""
-        return (self.modulus_j.states(i_val), self.modulus_v.states(v_val),
-                self.kernel_j.index_bin((wj + i_val * i_val) / dj),
-                self.kernel_v.index_bin((wv + v_val * v_val) / dv))
+        bins, which index the waiting-time table and the modulus tables alike.
+        The bins are held in the smallest integer type that holds them."""
+        type_j, type_v = self._bin_types
+        return (*states,
+                self.kernel_j.index_bin((wj + i_val * i_val) / dj).astype(type_j),
+                self.kernel_v.index_bin((wv + v_val * v_val) / dv).astype(type_v))
 
     # -- the sampling step, shared by simulate_path and fpt_survival_mc -----
 
     def draw_sojourns(self, rng, cells, u=0) -> np.ndarray:
         """Inverse-cdf sojourn draw per path, conditioned on exceeding u."""
-        i_state, v_state, xb, wb = cells
-        cdf = np.cumsum(self.cond_wait.resolved[i_state, v_state, xb, wb], axis=1)
+        cdf = self._wait_cdf[cells]
         base = cdf[:, min(u, self.t_max) - 1] if u >= 1 else 0.0
-        uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
+        uni = base + rng.random(cdf.shape[0]) * (cdf[:, -1] - base)
         slot = (cdf < uni[:, None]).sum(axis=1)
         return np.minimum(slot, self.t_max - 1) + 1
 
     def draw_next_values(self, rng, cells, bj, bv, soj) -> tuple:
-        """Next signed value pair per path: copula uniforms inverted through the
-        conditional modulus cdfs at each variable's backward time plus the
-        sojourn, signs attached independently."""
+        """Next signed value pair per path and the states of both values,
+        ``((j values, v values), (j states, v states))``: copula uniforms
+        inverted through the conditional modulus cdfs at each variable's
+        backward time plus the sojourn, signs attached independently."""
         i_state, v_state, xb, wb = cells
         n = i_state.size
         u_j, u_v = sample_copula(self.copula, n, rng)
-        out = []
-        for mod, state, kb, back, u in ((self.modulus_j, i_state, xb, bj, u_j),
-                                        (self.modulus_v, v_state, wb, bv, u_v)):
-            rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
-            pos = (rows < u[:, None]).sum(axis=1)
-            out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])
-        sign_j = np.where(rng.random(n) < self.signs.p_j, 1.0, -1.0)
-        sign_v = np.where(rng.random(n) < self.signs.p_v, 1.0, -1.0)
-        return (np.where(out[0] == 0.0, 0.0, sign_j * out[0]),
-                np.where(out[1] == 0.0, 0.0, sign_v * out[1]))
+        up_j = rng.random(n) < self.signs.p_j
+        up_v = rng.random(n) < self.signs.p_v
+        nj, sj = self.modulus_j.draw(i_state, xb, bj + soj, u_j, up_j)
+        nv, sv = self.modulus_v.draw(v_state, wb, bv + soj, u_v, up_v)
+        return (nj, nv), (sj, sv)
 
 
 # ---------------------------------------------------------------------------

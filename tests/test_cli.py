@@ -3,6 +3,7 @@ import functools
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,23 @@ class TestErrors:
                      "--out", str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mc", "recursion"])
+    @pytest.mark.parametrize("flag, value", [("--i0", "1e300"), ("--v0", "-1e200")])
+    def test_start_value_whose_square_overflows_exits_2(self, small_model, tmp_path, capsys,
+                                                        flag, value, method):
+        # finite, but the index averages squared values, and this square is inf
+        out = tmp_path / "fpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fpt", "--model", small_model, "--rho", "1.0015", "--psi", "20",
+                         "--horizon", "3", "--method", method, "--paths", "100",
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError",
+            "message": "history values must be finite, with finite squares"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--s0", "nan"), ("--s0", "0"),

@@ -4,9 +4,11 @@ the whole path, ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``), the mask version of ``value_wait_pairs``, the sorted
 merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, the signed-value tables that each variable's
-modulus table builds once and the live-paths-only Monte Carlo loop of
-``fpt_survival_mc`` against the versions they replaced, which are kept below
-as oracles. Every comparison is exact: same shape and the same bits, and the
+modulus table builds once, the live-paths-only Monte Carlo loop of
+``fpt_survival_mc`` and the sampling step it shares with ``simulate_path``
+(a waiting-time cdf table, modulus positions counted a column at a time,
+the drawn values' states carried from round to round) against the versions
+they replaced, which are kept below as oracles. Every comparison is exact: same shape and the same bits, and the
 same dtype where the loop built a new array."""
 import csv
 import dataclasses
@@ -28,7 +30,8 @@ from conftest import (
     random_triplet,
     toy_grid,
 )
-from wismc.copulas import CopulaSpec
+from wismc import core
+from wismc.copulas import CopulaSpec, sample_copula
 from wismc.core import (
     IndexParams,
     JumpChain,
@@ -51,7 +54,13 @@ from wismc.market_data import (
     value_wait_pairs,
 )
 from wismc.simulate import SimConfig, SynthPath, simulate_path, simulate_univariate
-from wismc.triplet import EmpiricalInverse, SyncChain, fit_triplet_kernel, synchronize
+from wismc.triplet import (
+    EmpiricalInverse,
+    SyncChain,
+    TripletFitConfig,
+    fit_triplet_kernel,
+    synchronize,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before they moved off numpy scalars
@@ -80,6 +89,44 @@ def oracle_continuous_value(value, state, rng, inv, grid, mode):
     if value != 0.0 and np.sign(rep) != 0 and np.sign(value) != np.sign(rep):
         return -drawn
     return drawn
+
+
+def oracle_cells_of(tk, i_val, v_val, wj, dj, wv, dv):
+    """``TripletKernel.cells_of`` as it was when every call searched the
+    nearest support value of each path's values."""
+    return (tk.modulus_j.states(i_val), tk.modulus_v.states(v_val),
+            tk.kernel_j.index_bin((wj + i_val * i_val) / dj),
+            tk.kernel_v.index_bin((wv + v_val * v_val) / dv))
+
+
+def oracle_draw_sojourns(tk, rng, cells, u=0):
+    """``TripletKernel.draw_sojourns`` as it was when each call summed its
+    cells' waiting laws."""
+    i_state, v_state, xb, wb = cells
+    cdf = np.cumsum(tk.cond_wait.resolved[i_state, v_state, xb, wb], axis=1)
+    base = cdf[:, min(u, tk.t_max) - 1] if u >= 1 else 0.0
+    uni = base + rng.random(i_state.size) * (cdf[:, -1] - base)
+    slot = (cdf < uni[:, None]).sum(axis=1)
+    return np.minimum(slot, tk.t_max - 1) + 1
+
+
+def oracle_draw_next_values(tk, rng, cells, bj, bv, soj):
+    """``TripletKernel.draw_next_values`` as it was when it gathered a
+    paths-by-moduli matrix of cdf rows per variable and returned the values
+    alone."""
+    i_state, v_state, xb, wb = cells
+    n = i_state.size
+    u_j, u_v = sample_copula(tk.copula, n, rng)
+    out = []
+    for mod, state, kb, back, u in ((tk.modulus_j, i_state, xb, bj, u_j),
+                                    (tk.modulus_v, v_state, wb, bv, u_v)):
+        rows = mod.cdf[state, kb, np.minimum(soj + back, mod.kernel.t_max) - 1]
+        pos = (rows < u[:, None]).sum(axis=1)
+        out.append(mod.moduli[np.minimum(pos, mod.moduli.size - 1)])
+    sign_j = np.where(rng.random(n) < tk.signs.p_j, 1.0, -1.0)
+    sign_v = np.where(rng.random(n) < tk.signs.p_v, 1.0, -1.0)
+    return (np.where(out[0] == 0.0, 0.0, sign_j * out[0]),
+            np.where(out[1] == 0.0, 0.0, sign_v * out[1]))
 
 
 def oracle_simulate_path(tk, cfg):
@@ -113,7 +160,7 @@ def oracle_simulate_path(tk, cfg):
     fallbacks = 0
     forced = 0
     while t < length:
-        cells = tk.cells_of(i_val, v_val, wj, dj, wv, dv)
+        cells = oracle_cells_of(tk, i_val, v_val, wj, dj, wv, dv)
         i_state, v_state, xb, wb = (int(c[0]) for c in cells)
         if moved_j:
             cur_r = oracle_continuous_value(i_val[0], i_state, bt_rng, tk.inverse_j,
@@ -125,8 +172,8 @@ def oracle_simulate_path(tk, cfg):
         for key, val in zip(keys, (n_event, t, i_state, v_state, b_j, b_v, xb, wb,
                                    float(i_val[0]), float(v_val[0]))):
             ev[key].append(val)
-        soj = tk.draw_sojourns(rng, cells)
-        new_j, new_v = tk.draw_next_values(rng, cells, b_j, b_v, soj)
+        soj = oracle_draw_sojourns(tk, rng, cells)
+        new_j, new_v = oracle_draw_next_values(tk, rng, cells, b_j, b_v, soj)
         wj, dj = advance_carry(tk.kernel_j.lam, wj, dj, i_val, soj)
         wv, dv = advance_carry(tk.kernel_v.lam, wv, dv, v_val, soj)
         step = int(soj[0])
@@ -494,8 +541,8 @@ def oracle_fpt_survival_mc(tk, query, n_paths, seed):
     first_round = True
     while np.any(alive):
         ids = np.flatnonzero(alive)
-        cells = tk.cells_of(i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
-        soj = tk.draw_sojourns(rng, cells, u=query.u if first_round else 0)
+        cells = oracle_cells_of(tk, i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
+        soj = oracle_draw_sojourns(tk, rng, cells, u=query.u if first_round else 0)
         first_round = False
         # crossing during the stretch: positive held values accumulate
         for vals, logs, lim in ((i_val, log_j, lr), (v_val, log_v, lp)):
@@ -519,8 +566,8 @@ def oracle_fpt_survival_mc(tk, query, n_paths, seed):
         if live.size == 0:
             break
         soj_live = soj[keep]
-        nj, nv = tk.draw_next_values(rng, tuple(c[keep] for c in cells),
-                                     bj[live], bv[live], soj_live)
+        nj, nv = oracle_draw_next_values(tk, rng, tuple(c[keep] for c in cells),
+                                         bj[live], bv[live], soj_live)
         wj[live], dj[live] = advance_carry(tk.kernel_j.lam, wj[live], dj[live],
                                            i_val[live], soj_live)
         wv[live], dv[live] = advance_carry(tk.kernel_v.lam, wv[live], dv[live],
@@ -752,6 +799,25 @@ def test_index_loops_random_chains(lam):
                          index_at_times(chain, queries, lam))
         assert_identical(oracle_index_at_times(chain, queries[:0], lam),
                          index_at_times(chain, queries[:0], lam))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_index_loops_across_chunks(monkeypatch, chunk):
+    # chains and query arrays several chunks long, queries repeated, between
+    # jumps, at jumps and after the last jump
+    monkeypatch.setattr(core, "INDEX_CHUNK", chunk)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_jumps=int(rng.integers(1, 3 * chunk + 12)))
+        lam = float(rng.choice([0.5, 0.97, 1.0]))
+        assert_identical(oracle_index_trajectory(chain, lam),
+                         index_at_times(chain, chain.times, lam))
+        queries = np.sort(rng.integers(0, int(chain.times[-1]) + 6, 4 * chunk + 5))
+        assert_identical(oracle_index_at_times(chain, queries, lam),
+                         index_at_times(chain, queries, lam))
+        after = chain.times[-1] + np.arange(1, 2 * chunk + 2)
+        assert_identical(oracle_index_at_times(chain, after, lam),
+                         index_at_times(chain, after, lam))
 
 
 def test_index_loops_fitted_chain():
@@ -1250,3 +1316,41 @@ def test_fpt_mc_fitted_fixture(market_csv, u):
     query = FptQuery(rho=1.0015, psi=20.0, horizon=30, u=u,
                      history_j=[i0], history_v=[v0], history_t=[0])
     assert np.unique(_same_fpt_mc(tk, query, 20_000, 7)).size > 2
+
+
+def test_fpt_mc_off_grid_start(fixture_models):
+    # only the start's states come from the nearest-value search; every later
+    # round carries the states of the values the draw returned
+    tk = fixture_models["bars"]
+    i0, v0 = 0.00031, -0.37
+    assert i0 not in tk.modulus_j.support and v0 not in tk.modulus_v.support
+    for u in (0, 2):
+        query = FptQuery(rho=1.0015, psi=20.0, horizon=30, u=u,
+                         history_j=[i0], history_v=[v0], history_t=[0])
+        assert np.unique(_same_fpt_mc(tk, query, 20_000, 3)).size > 2
+    # an off-grid history, whose last value is off the grid too
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30, history_j=[-0.0007, i0],
+                     history_v=[0.9, v0], history_t=[-3, 0])
+    assert np.unique(_same_fpt_mc(tk, query, 20_000, 4)).size > 2
+
+
+def test_fpt_mc_index_free_model(market_csv):
+    tk = fit_triplet_kernel(market_csv["r"], market_csv["v"],
+                            TripletFitConfig(n_index_bins=1))
+    assert tk.kernel_j.n_index_bins == tk.kernel_v.n_index_bins == 1
+    i0, v0 = (float(k.grid.representatives[-1]) for k in (tk.kernel_j, tk.kernel_v))
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+    assert np.unique(_same_fpt_mc(tk, query, 20_000, 5)).size > 2
+
+
+@pytest.mark.parametrize("copula", [
+    CopulaSpec("independence"), CopulaSpec("gaussian", rho=-0.6),
+    CopulaSpec("clayton", theta=2.5), CopulaSpec("gumbel", theta=1.8),
+    CopulaSpec("t", rho=0.5, df=3.0)], ids=lambda c: c.family)
+def test_fpt_mc_copula_families(fixture_models, copula):
+    tk = dataclasses.replace(fixture_models["series"], copula=copula)
+    i0, v0 = (float(k.grid.representatives[0]) for k in (tk.kernel_j, tk.kernel_v))
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30, u=1,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+    assert np.unique(_same_fpt_mc(tk, query, 20_000, 6)).size > 2

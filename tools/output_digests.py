@@ -9,10 +9,11 @@ every price; and the benchmark's stock (``make_stock`` with seed 101). The
 calendar and signed files are the ones ``load_bars`` reads row by row. It runs
 ``analyze``, ``optimize``, ``estimate``, ``simulate`` (with each
 ``--backtransform``) and ``fpt`` (Monte Carlo and recursion, each at ``--u 0``
-and ``--u 2``) on each, then ``estimate`` and ``fpt`` again with part of their
-flags from a ``--config`` file (a command-line flag overriding one key), and
-prints one ``sha256  relative/path`` line per file, inputs, config files and
-manifests included.
+and ``--u 2``, and each from a start off the state grids) on each, then
+``estimate`` and ``fpt`` again with part of their flags from a ``--config``
+file (a command-line flag overriding one key), and prints one
+``sha256  relative/path`` line per file, inputs, config files and manifests
+included.
 
 Manifests record the paths they were given, so two checkouts write the same
 lines for the same OUTDIR exactly when every output is byte-identical.
@@ -30,6 +31,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 FPT_BARRIERS = ["--rho", "1.0015", "--psi", "20"]
+# a start whose values are no state's: it takes the nearest value's state
+OFF_GRID = ["--i0", "0.00031", "--v0", "-0.37"]
 # config files written next to each input; the manifests hash the effective
 # configuration
 CONFIGS = {"estimate.config.json": {"states-r": 3, "states_v": 4, "lambda-r": 0.9},
@@ -55,6 +58,10 @@ def commands(d: Path) -> list:
          "--method", "mc", "--out", str(d / "fpt_mc_u2")],
         ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "3", "--u", "2",
          "--method", "recursion", "--out", str(d / "fpt_recursion_u2")],
+        ["fpt", "--model", model, *FPT_BARRIERS, *OFF_GRID, "--horizon", "30",
+         "--method", "mc", "--out", str(d / "fpt_mc_off_grid")],
+        ["fpt", "--model", model, *FPT_BARRIERS, *OFF_GRID, "--horizon", "3",
+         "--method", "recursion", "--out", str(d / "fpt_recursion_off_grid")],
         ["--config", str(d / "estimate.config.json"), "estimate", "--input", bars,
          "--lambda-r", "0.95", "--out", str(d / "estimate_config" / "model.json")],
         ["--config", str(d / "fpt.config.json"), "fpt", "--model", model, *FPT_BARRIERS,
