@@ -8,8 +8,9 @@ modulus table builds once, the live-paths-only Monte Carlo loop of
 ``fpt_survival_mc`` and the sampling step it shares with ``simulate_path``
 (a waiting-time cdf table, modulus positions counted a column at a time,
 the drawn values' states carried from round to round) against the versions
-they replaced, which are kept below as oracles. Every comparison is exact: same shape and the same bits, and the
-same dtype where the loop built a new array."""
+they replaced, which are kept below as oracles. Every comparison is exact:
+same shape and the same bits, and the same dtype where the loop built a new
+array."""
 import csv
 import dataclasses
 import math
@@ -541,7 +542,8 @@ def oracle_fpt_survival_mc(tk, query, n_paths, seed):
     first_round = True
     while np.any(alive):
         ids = np.flatnonzero(alive)
-        cells = oracle_cells_of(tk, i_val[ids], v_val[ids], wj[ids], dj[ids], wv[ids], dv[ids])
+        cells = oracle_cells_of(tk, i_val[ids], v_val[ids], wj[ids], dj[ids],
+                                wv[ids], dv[ids])
         soj = oracle_draw_sojourns(tk, rng, cells, u=query.u if first_round else 0)
         first_round = False
         # crossing during the stretch: positive held values accumulate
