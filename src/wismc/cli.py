@@ -18,7 +18,7 @@ from . import __version__
 from .copulas import FAMILIES
 from .errors import (ContractViolation, ParameterError, ParseError, ResourceLimitError,
                      WismcError)
-from .finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
+from .finfunc import MC_BATCH, FptQuery, fpt_survival_mc, fpt_survival_recursive
 from .market_data import align, compute_returns, load_bars, run_battery
 from .optimize import GridSpec, grid_search
 from .serialize import dumps, load_model, save_model
@@ -303,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--method", default="mc", choices=["mc", "recursion"])
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=int, default=100_000,
+                   help=f"Monte Carlo paths, run in batches of {MC_BATCH} from one "
+                        "seeded stream: the working memory is one batch's, whatever "
+                        "the count")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--i0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)

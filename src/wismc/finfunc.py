@@ -14,6 +14,10 @@ from .errors import ContractViolation, ParameterError, ResourceLimitError
 from .core import advance_carry
 from .triplet import ConditioningCell, TripletKernel, triplet_kernel_eval
 
+# paths per Monte Carlo batch: the first-passage sampler's working memory is
+# that of one batch, whatever the path count
+MC_BATCH = 2 ** 15
+
 __all__ = [
     "CovarianceResult",
     "FptQuery",
@@ -137,11 +141,6 @@ class FptQuery:
         self.history_t = np.asarray(self.history_t, dtype=np.int64)
         if not (self.rho > 0 and self.psi > 0):
             raise ParameterError("thresholds must be positive")
-        with np.errstate(over="ignore"):
-            squares = np.concatenate([self.history_j ** 2, self.history_v ** 2])
-        # the index averages squared values: a square that overflows is inf
-        if not np.isfinite(squares).all():
-            raise ParameterError("history values must be finite, with finite squares")
         if self.horizon < 1:
             raise ParameterError("horizon must be >= 1")
         if self.u < 0:
@@ -152,6 +151,14 @@ class FptQuery:
             raise ContractViolation("history must end at time zero")
         if self.history_t.size > 1 and np.any(np.diff(self.history_t) <= 0):
             raise ContractViolation("history times must be strictly increasing")
+        # the index carry sums a squared value over each minute it holds, from
+        # the history's first time to the horizon: a sum that may overflow is
+        # refused, since it would run on as inf
+        minutes = self.horizon - int(self.history_t[0]) + 1
+        with np.errstate(over="ignore"):
+            sums = np.concatenate([self.history_j ** 2, self.history_v ** 2]) * minutes
+        if not np.isfinite(sums).all():
+            raise ParameterError("history values must be finite, with finite squares")
 
 
 @dataclass
@@ -210,15 +217,17 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     The no-jump branch survives while the running product of held values
     stays below both barriers; the jump branch re-runs the problem with the
     barriers deflated by the accumulation at the jump time and the index
-    carry-states rolled forward. Memoization collapses repeated sub-problems
-    only when both kernels have one index bin: otherwise the memo key holds
-    the exact carry floats, and it never hits (0 hits in 56 701 lookups at
-    horizon 3 on a model with 5 index bins). The node budget guards against
-    profiles where the exact recursion is infeasible (use the Monte Carlo
-    method there). On a two-year minute-bar model fitted with the
-    ``estimate`` defaults and barriers 1.0015 (price) and 20 (volume),
-    horizon 3 takes about 1 s, horizon 4 about 30 s and 0.9 GB, and horizon
-    5 exceeds the default budget.
+    carry-states rolled forward. A memo collapses repeated sub-problems only
+    when both kernels have one index bin, where the key leaves the carry
+    out. With index bins a node's law depends on the exact carry floats,
+    which no two nodes share (0 hits in 56 701 lookups at horizon 3 on a
+    model with 5 index bins), so every node is solved without a key and the
+    working memory is the call stack alone, at most ``horizon`` frames deep.
+    The node budget guards against profiles where the exact recursion is
+    infeasible (use the Monte Carlo method there). On a two-year minute-bar
+    model fitted with the ``estimate`` defaults and barriers 1.0015 (price)
+    and 20 (volume), horizon 3 takes about 1.5 s, horizon 4 about 35 s, and
+    horizon 5 exceeds the default budget.
     """
     i0, v0, (wj0, dj0), (wv0, dv0), b_j, b_v = _fpt_start(tk, query)
     if query.rho <= 1.0 or query.psi <= 1.0:
@@ -230,13 +239,12 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
     def solve(i_val, v_val, aj_w, aj_d, av_w, av_d, bj, bv, lr, lp, u, hor):
         if lr <= 0.0 or lp <= 0.0:
             return np.zeros(hor + 1)
+        key = None
         if index_free:
             key = (i_val, v_val, bj, bv, round(lr, 12), round(lp, 12), u, hor)
-        else:
-            key = (i_val, v_val, aj_w, aj_d, av_w, av_d, bj, bv, lr, lp, u, hor)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         nodes[0] += 1
         if nodes[0] > max_nodes:
             raise ResourceLimitError(
@@ -277,7 +285,8 @@ def fpt_survival_recursive(tk: TripletKernel, query: FptQuery,
                                   lr - i_val * t1, lp - v_val * t1,
                                   0, hor - t1)
                     out[t1:] += (p / denom) * child
-        memo[key] = out
+        if key is not None:
+            memo[key] = out
         return out
 
     surv = solve(i0, v0, wj0, dj0, wv0, dv0, b_j, b_v,
@@ -297,27 +306,46 @@ def _crossed_by(value: float, t: int, log_barrier: float) -> bool:
 def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
                     seed: int = 0) -> FptResult:
     """Monte Carlo estimate of the same survival with binomial-proportion
-    bands. Paths are advanced in vectorized lockstep from a single seeded
-    stream, so the result is reproducible for fixed (seed, n_paths). Each
-    round draws the sojourns of the live paths in path order, then the next
-    values of the paths that neither crossed nor passed the horizon; the
-    others leave every array.
+    bands. The paths run in consecutive batches of ``MC_BATCH``, all drawing
+    one after another from a single seeded stream, so the result is
+    reproducible for fixed (seed, n_paths). Within a batch the paths advance
+    in vectorized lockstep: each round draws the sojourns of the live paths
+    in path order, then the next values of the paths that neither crossed
+    nor passed the horizon; the others leave every array. Each round adds
+    its crossings to one histogram over the horizon.
 
-    Working memory is about 200 bytes per path: the live paths' arrays are
-    compacted one at a time, states and index bins are small integers, and
-    the draw counts each value's modulus without a paths-by-moduli matrix.
-    Only the start's states take the nearest-value search (the start may
-    lie off the support); later rounds carry the states the draw returns."""
+    Working memory is about 200 bytes per path of one batch, whatever the
+    path count: the live paths' arrays are compacted one at a time, states
+    and index bins are small integers, and the draw counts each value's
+    modulus without a paths-by-moduli matrix. Only the start's states take
+    the nearest-value search (the start may lie off the support); later
+    rounds carry the states the draw returns."""
     if n_paths < 1:
         raise ParameterError("need at least one path")
-    i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _fpt_start(tk, query)
+    start = _fpt_start(tk, query)
     horizon = query.horizon
     if query.rho <= 1.0 or query.psi <= 1.0:
         zeros = np.zeros(horizon + 1)
         return FptResult(survival=zeros, method="monte-carlo", lower=zeros,
                          upper=zeros, n_paths=n_paths)
     rng = np.random.default_rng(seed)
-    n = n_paths
+    hits = np.zeros(horizon + 1, dtype=np.int64)  # paths crossing at each time
+    for first in range(0, n_paths, MC_BATCH):
+        _mc_batch(tk, query, start, min(MC_BATCH, n_paths - first), rng, hits)
+    surv = (n_paths - np.cumsum(hits)) / n_paths
+    se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
+    return FptResult(survival=surv, method="monte-carlo",
+                     lower=np.clip(surv - 3.0 * se, 0.0, 1.0),
+                     upper=np.clip(surv + 3.0 * se, 0.0, 1.0),
+                     n_paths=n_paths)
+
+
+def _mc_batch(tk: TripletKernel, query: FptQuery, start, n: int,
+              rng: np.random.Generator, hits: np.ndarray) -> None:
+    """Run ``n`` paths from ``start`` (``_fpt_start``'s result) to their
+    crossing or past the horizon, adding each crossing time to ``hits``."""
+    i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = start
+    horizon = query.horizon
     live = SimpleNamespace(
         i_val=np.full(n, i0), v_val=np.full(n, v0),
         wj=np.full(n, wj0), dj=np.full(n, dj0), wv=np.full(n, wv0), dv=np.full(n, dv0),
@@ -326,7 +354,6 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
     cells = tk.cells_of(tk.value_states(live.i_val, live.v_val),
                         live.i_val, live.v_val, live.wj, live.dj, live.wv, live.dv)
     lr, lp = math.log(query.rho), math.log(query.psi)
-    crossed = []  # crossing times within the horizon, one array per round
     u = query.u
     while True:
         soj = tk.draw_sojourns(rng, cells, u=u)
@@ -338,7 +365,7 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
             need = np.ceil((lim - logs[hit]) / vals[hit]).astype(np.int64)
             cross[hit] = np.minimum(cross[hit], live.t_now[hit] + need)
         done = cross <= horizon
-        crossed.append(cross[done])
+        hits += np.bincount(cross[done], minlength=horizon + 1)
         live.t_now += soj
         keep = ~done & (live.t_now <= horizon)
         del cross, done  # not held through the compaction and the draw
@@ -348,7 +375,7 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
         soj = soj[keep]
         cells = tuple(c[keep] for c in cells)
         if not soj.size:
-            break
+            return
         live.log_j += live.i_val * soj
         live.log_v += live.v_val * soj
         (nj, nv), states = tk.draw_next_values(rng, cells, live.bj, live.bv, soj)
@@ -358,10 +385,3 @@ def fpt_survival_mc(tk: TripletKernel, query: FptQuery, n_paths: int = 100_000,
         live.bv = np.where(nv != live.v_val, 0, live.bv + soj)
         live.i_val, live.v_val = nj, nv
         cells = tk.cells_of(states, live.i_val, live.v_val, live.wj, live.dj, live.wv, live.dv)
-    hits = np.bincount(np.concatenate(crossed), minlength=horizon + 1)
-    surv = (n_paths - np.cumsum(hits)) / n_paths
-    se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
-    return FptResult(survival=surv, method="monte-carlo",
-                     lower=np.clip(surv - 3.0 * se, 0.0, 1.0),
-                     upper=np.clip(surv + 3.0 * se, 0.0, 1.0),
-                     n_paths=n_paths)

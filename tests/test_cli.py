@@ -509,10 +509,13 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["mc", "recursion"])
-    @pytest.mark.parametrize("flag, value", [("--i0", "1e300"), ("--v0", "-1e200")])
+    @pytest.mark.parametrize("flag, value", [("--i0", "1e300"), ("--v0", "-1e200"),
+                                             ("--i0", "-1.3e154")])
     def test_start_value_whose_square_overflows_exits_2(self, small_model, tmp_path, capsys,
                                                         flag, value, method):
-        # finite, but the index averages squared values, and this square is inf
+        # finite, but the index averages squared values: the first two squares
+        # are inf, and the last one is finite, but its sum over the query's
+        # minutes is not
         out = tmp_path / "fpt"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -14,6 +14,7 @@ from test_triplet import (
     oracle_eval,
     oracle_signed_atoms,
 )
+from wismc import finfunc
 from wismc.copulas import CopulaSpec, copula_eval
 from wismc.errors import ContractViolation, ParameterError, ResourceLimitError
 from wismc.finfunc import (
@@ -445,6 +446,26 @@ class TestFptRecursion:
         with pytest.raises(ParameterError):
             FptQuery(rho=2.0, psi=2.0, horizon=0)
 
+    @pytest.mark.parametrize("history_t", [[0], [-5, 0]])
+    def test_query_bounds_the_carry_sum(self, history_t):
+        # the index carry sums a squared history value over at most horizon
+        # + span + 1 minutes: a value whose sum stays finite runs both methods
+        # without an overflow, and one just beyond is refused
+        rng = np.random.default_rng(404)
+        tk = random_triplet(rng, [-0.3, 0.25], [-0.5, 0.4],
+                            CopulaSpec("gaussian", rho=0.4), t_max=3, max_b=8)
+        horizon = 6
+        edge = math.sqrt(np.finfo(float).max / (horizon - history_t[0] + 1))
+        for sign in (1.0, -1.0):
+            query = dict(rho=1.9, psi=2.4, horizon=horizon, history_t=history_t,
+                         history_v=[-0.5] * len(history_t))
+            with np.errstate(all="raise"):
+                q = FptQuery(history_j=[0.99 * sign * edge] * len(history_t), **query)
+                fpt_survival_recursive(tk, q)
+                fpt_survival_mc(tk, q, n_paths=1000, seed=1)
+            with pytest.raises(ParameterError, match="finite squares"):
+                FptQuery(history_j=[1.01 * sign * edge] * len(history_t), **query)
+
 
 class TestFptMonteCarlo:
     def test_within_three_se_of_recursion(self):
@@ -497,6 +518,26 @@ class TestFptMonteCarlo:
         mc = fpt_survival_mc(tk, q, n_paths=150_000, seed=3)
         se = np.sqrt(np.maximum(rec.survival * (1 - rec.survival), 1e-12) / mc.n_paths)
         assert np.all(np.abs(mc.survival - rec.survival) <= 3.0 * se + 1e-12)
+
+    def test_z_scores_across_batches_calibrated(self, monkeypatch):
+        # criterion 4's triplet and query, 20 000 paths in 7 batches: over 40
+        # seeds the z-scores against the exact survival at the horizon have
+        # mean within 3/sqrt(40) of 0 and a standard deviation near 1,
+        # whatever the random stream
+        monkeypatch.setattr(finfunc, "MC_BATCH", 3000)
+        rng = np.random.default_rng(404)
+        tk = random_triplet(rng, [-0.3, 0.25], [-0.5, 0.4],
+                            CopulaSpec("gaussian", rho=0.4), t_max=3, max_b=8)
+        q = FptQuery(rho=1.9, psi=2.4, horizon=6, history_j=[0.25],
+                     history_v=[-0.5], history_t=[0])
+        exact = fpt_survival_recursive(tk, q).survival[-1]
+        assert 0.2 < exact < 0.8
+        n_paths, seeds = 20_000, 40
+        se = math.sqrt(exact * (1.0 - exact) / n_paths)
+        z = np.array([(fpt_survival_mc(tk, q, n_paths, seed).survival[-1] - exact) / se
+                      for seed in range(seeds)])
+        assert abs(z.mean()) < 3.0 / math.sqrt(seeds)
+        assert 0.7 <= z.std(ddof=1) <= 1.3
 
 
 class TestFptStart:

@@ -31,7 +31,7 @@ from conftest import (
     random_triplet,
     toy_grid,
 )
-from wismc import core
+from wismc import core, finfunc
 from wismc.copulas import CopulaSpec, sample_copula
 from wismc.core import (
     IndexParams,
@@ -517,11 +517,25 @@ def oracle_resolution(kernel, support):
     return out
 
 
-def oracle_fpt_survival_mc(tk, query, n_paths, seed):
+def oracle_fpt_survival_mc(tk, query, n_paths, seed, batch=None):
     """The Monte Carlo loop over an ``alive`` mask of all paths, with its
-    start taken from the shared helper; returns (survival, lower, upper)."""
-    horizon = query.horizon
+    start taken from the shared helper, run on ``batch`` paths at a time
+    (all at once by default), batch after batch on one Generator; returns
+    (survival, lower, upper) over the crossing times of every batch."""
     rng = np.random.default_rng(seed)
+    batch = batch or n_paths
+    cross_at = np.concatenate([oracle_fpt_crossings(tk, query, min(batch, n_paths - k), rng)
+                               for k in range(0, n_paths, batch)])
+    grid = np.arange(query.horizon + 1)
+    surv = (cross_at[None, :] > grid[:, None]).mean(axis=1)
+    se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
+    return surv, np.clip(surv - 3.0 * se, 0.0, 1.0), np.clip(surv + 3.0 * se, 0.0, 1.0)
+
+
+def oracle_fpt_crossings(tk, query, n_paths, rng):
+    """Each path's crossing time (the int64 maximum if it never crossed)
+    from the Monte Carlo loop over an ``alive`` mask of all paths."""
+    horizon = query.horizon
     i0, v0, (wj0, dj0), (wv0, dv0), b_j0, b_v0 = _fpt_start(tk, query)
 
     n = n_paths
@@ -577,10 +591,7 @@ def oracle_fpt_survival_mc(tk, query, n_paths, seed):
         bj[live] = np.where(nj != i_val[live], 0, bj[live] + soj_live)
         bv[live] = np.where(nv != v_val[live], 0, bv[live] + soj_live)
         i_val[live], v_val[live] = nj, nv
-    grid = np.arange(horizon + 1)
-    surv = (cross_at[None, :] > grid[:, None]).mean(axis=1)
-    se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / n_paths)
-    return surv, np.clip(surv - 3.0 * se, 0.0, 1.0), np.clip(surv + 3.0 * se, 0.0, 1.0)
+    return cross_at
 
 
 def assert_identical(a, b):
@@ -1356,3 +1367,37 @@ def test_fpt_mc_copula_families(fixture_models, copula):
     query = FptQuery(rho=1.0015, psi=20.0, horizon=30, u=1,
                      history_j=[i0], history_v=[v0], history_t=[0])
     assert np.unique(_same_fpt_mc(tk, query, 20_000, 6)).size > 2
+
+
+def _same_fpt_mc_batches(tk, query, batch, seed):
+    """Byte identity with the parent's loop run batch after batch on one
+    Generator, for path counts below the batch size, equal to it and not a
+    multiple of it."""
+    for n_paths in (batch // 2 + 1, batch, 2 * batch + 389):
+        got = fpt_survival_mc(tk, query, n_paths=n_paths, seed=seed)
+        want = oracle_fpt_survival_mc(tk, query, n_paths, seed, batch=batch)
+        for a, b in zip(want, (got.survival, got.lower, got.upper)):
+            assert_identical(a, b)
+        assert np.unique(got.survival).size > 2
+
+
+@pytest.mark.parametrize("batch", [1000, 4096, 7777])
+def test_fpt_mc_across_batches_random_triplet(monkeypatch, batch):
+    monkeypatch.setattr(finfunc, "MC_BATCH", batch)
+    rng = np.random.default_rng(24)
+    tk = random_triplet(rng, [-0.3, 0.0, 0.25], [-0.5, 0.4],
+                        CopulaSpec("gaussian", rho=0.4), t_max=4, n_bins=2, max_b=8)
+    query = FptQuery(rho=2.5, psi=4.0, horizon=10, u=1, history_j=[-0.3, 0.25],
+                     history_v=[0.4, 0.4], history_t=[-2, 0])
+    _same_fpt_mc_batches(tk, query, batch, seed=batch)
+
+
+@pytest.mark.parametrize("batch", [1000, 4096, 7777])
+def test_fpt_mc_across_batches_fitted_fixture(fixture_models, monkeypatch, batch):
+    monkeypatch.setattr(finfunc, "MC_BATCH", batch)
+    tk = fixture_models["bars"]
+    i0, v0 = (float(k.grid.representatives[np.argmax(k.counts.sum(axis=(1, 2, 3)))])
+              for k in (tk.kernel_j, tk.kernel_v))
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+    _same_fpt_mc_batches(tk, query, batch, seed=11)

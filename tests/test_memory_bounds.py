@@ -1,16 +1,22 @@
-"""Working-memory bounds of the two loops that set the benchmark's memory
-peaks: the Monte Carlo first-passage loop, whose traced peak must stay under
-a budget per path, and the index recurrence, whose traced peak must not grow
-with the chain it walks. tracemalloc sees numpy's buffers, so the peaks count
-every array the loops hold at once."""
+"""Working-memory bounds of the loops that set the benchmark's memory peaks:
+the Monte Carlo first-passage loop, whose traced peak must stay under a budget
+per path of one batch and must not grow with the path count, the exact
+first-passage recursion, which holds no memo on an indexed model, and the
+index recurrence, whose traced peak must not grow with the chain it walks.
+tracemalloc sees numpy's buffers, so the peaks count every array the loops
+hold at once."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from conftest import toy_grid
+from conftest import random_triplet, toy_grid
+from wismc import finfunc
+from wismc.copulas import CopulaSpec
 from wismc.core import JumpChain, index_at_times
-from wismc.finfunc import FptQuery, fpt_survival_mc
-from wismc.triplet import fit_triplet_kernel
+from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
+from wismc.triplet import CondWaitDist, TripletKernel, fit_triplet_kernel
 
 # the loop's peak is 192 bytes per path on the fixture model: eleven 8-byte
 # path arrays, the sojourns, four 1-byte cell arrays and the draw's
@@ -28,16 +34,82 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-def test_fpt_mc_peak_per_path(market_csv):
-    tk = fit_triplet_kernel(market_csv["r"], market_csv["v"])
+# a warm recursion at horizon 2 on the fixture model (5 index bins) holds
+# 4 kB; with a memo keyed by the carry floats, which never hit, it held
+# 608 kB (20 MB at horizon 3, whose traced run takes 10 s against 5 kB)
+FPT_RECURSION_PEAK = 100_000
+
+
+@pytest.fixture(scope="module")
+def fixture_model(market_csv):
+    return fit_triplet_kernel(market_csv["r"], market_csv["v"])
+
+
+def _fixture_query(tk, horizon):
+    # the start of the ``fpt`` command: each variable's most visited state
     i0, v0 = (float(k.grid.representatives[np.argmax(k.counts.sum(axis=(1, 2, 3)))])
               for k in (tk.kernel_j, tk.kernel_v))
-    query = FptQuery(rho=1.0015, psi=20.0, horizon=30,
-                     history_j=[i0], history_v=[v0], history_t=[0])
+    return FptQuery(rho=1.0015, psi=20.0, horizon=horizon,
+                    history_j=[i0], history_v=[v0], history_t=[0])
+
+
+def test_fpt_mc_peak_per_path(fixture_model):
+    tk = fixture_model
+    query = _fixture_query(tk, 30)
     fpt_survival_mc(tk, query, n_paths=1000, seed=7)  # first-call imports and caches
     n_paths = 100_000
     peak = _traced_peak(fpt_survival_mc, tk, query, n_paths=n_paths, seed=7)
     assert peak / n_paths < FPT_MC_BYTES_PER_PATH
+
+
+def test_fpt_mc_peak_flat_in_path_count(fixture_model, monkeypatch):
+    # two and eight batches of paths: the working memory is one batch's
+    batch = 4000
+    monkeypatch.setattr(finfunc, "MC_BATCH", batch)
+    tk = fixture_model
+    query = _fixture_query(tk, 30)
+    fpt_survival_mc(tk, query, n_paths=1000, seed=7)
+    few, many = (_traced_peak(fpt_survival_mc, tk, query, n_paths=k * batch, seed=7)
+                 for k in (2, 8))
+    assert many - few < 0.1 * few
+
+
+def test_fpt_recursion_peak_without_memo(fixture_model):
+    tk = fixture_model
+    assert tk.kernel_j.n_index_bins == tk.kernel_v.n_index_bins == 5
+    query = _fixture_query(tk, 2)
+    fpt_survival_recursive(tk, query)  # fills the kernel's cached event laws
+    assert _traced_peak(fpt_survival_recursive, tk, query) < FPT_RECURSION_PEAK
+
+
+def _split_bins(tk):
+    """``tk`` with each variable's one index bin split in two that hold the
+    same counts: the same law, but a model the recursion keeps no memo for."""
+    kernels = [dataclasses.replace(k, index_edges=np.array([-np.inf, 0.1, np.inf]),
+                                   counts=np.repeat(k.counts, 2, axis=1))
+               for k in (tk.kernel_j, tk.kernel_v)]
+    counts = np.repeat(np.repeat(tk.cond_wait.counts, 2, axis=2), 2, axis=3)
+    return dataclasses.replace(tk, kernel_j=kernels[0], kernel_v=kernels[1],
+                               cond_wait=CondWaitDist(counts=counts))
+
+
+def test_fpt_recursion_memo_hits_on_index_free_model(monkeypatch):
+    rng = np.random.default_rng(404)
+    tk = random_triplet(rng, [-0.3, 0.25], [-0.5, 0.4], CopulaSpec("gaussian", rho=0.4),
+                        t_max=3, max_b=8)
+    query = FptQuery(rho=1.9, psi=2.4, horizon=6, history_j=[0.25], history_v=[-0.5],
+                     history_t=[0])
+    calls = []
+    waiting_pmf = TripletKernel.waiting_pmf
+    monkeypatch.setattr(TripletKernel, "waiting_pmf",
+                        lambda self, cell: calls.append(cell) or waiting_pmf(self, cell))
+    counted = []
+    for model in (tk, _split_bins(tk)):
+        calls.clear()
+        counted.append((fpt_survival_recursive(model, query).survival, len(calls)))
+    (memo_surv, memo_calls), (full_surv, full_calls) = counted
+    assert memo_surv.tobytes() == full_surv.tobytes()
+    assert memo_calls < full_calls
 
 
 def _long_chain(n_jumps: int) -> JumpChain:
