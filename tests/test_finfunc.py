@@ -456,9 +456,9 @@ class TestFptRecursion:
                             CopulaSpec("gaussian", rho=0.4), t_max=3, max_b=8)
         horizon = 6
         edge = math.sqrt(np.finfo(float).max / (horizon - history_t[0] + 1))
+        query = dict(rho=1.9, psi=2.4, horizon=horizon, history_t=history_t,
+                     history_v=[-0.5] * len(history_t))
         for sign in (1.0, -1.0):
-            query = dict(rho=1.9, psi=2.4, horizon=horizon, history_t=history_t,
-                         history_v=[-0.5] * len(history_t))
             with np.errstate(all="raise"):
                 q = FptQuery(history_j=[0.99 * sign * edge] * len(history_t), **query)
                 fpt_survival_recursive(tk, q)

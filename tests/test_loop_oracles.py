@@ -5,7 +5,8 @@ the whole path, ``index_at_times`` at a chain's jumps and at other times,
 merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, the signed-value tables that each variable's
 modulus table builds once, the live-paths-only Monte Carlo loop of
-``fpt_survival_mc`` and the sampling step it shares with ``simulate_path``
+``fpt_survival_mc``, also run batch after batch on one stream, and the
+sampling step it shares with ``simulate_path``
 (a waiting-time cdf table, modulus positions counted a column at a time,
 the drawn values' states carried from round to round) against the versions
 they replaced, which are kept below as oracles. Every comparison is exact:

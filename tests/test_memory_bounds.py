@@ -34,6 +34,18 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+def test_fpt_mc_peak_per_path(market_csv):
+    tk = fit_triplet_kernel(market_csv["r"], market_csv["v"])
+    i0, v0 = (float(k.grid.representatives[np.argmax(k.counts.sum(axis=(1, 2, 3)))])
+              for k in (tk.kernel_j, tk.kernel_v))
+    query = FptQuery(rho=1.0015, psi=20.0, horizon=30,
+                     history_j=[i0], history_v=[v0], history_t=[0])
+    fpt_survival_mc(tk, query, n_paths=1000, seed=7)  # first-call imports and caches
+    n_paths = 100_000
+    peak = _traced_peak(fpt_survival_mc, tk, query, n_paths=n_paths, seed=7)
+    assert peak / n_paths < FPT_MC_BYTES_PER_PATH
+
+
 # a warm recursion at horizon 2 on the fixture model (5 index bins) holds
 # 4 kB; with a memo keyed by the carry floats, which never hit, it held
 # 608 kB (20 MB at horizon 3, whose traced run takes 10 s against 5 kB)
@@ -51,15 +63,6 @@ def _fixture_query(tk, horizon):
               for k in (tk.kernel_j, tk.kernel_v))
     return FptQuery(rho=1.0015, psi=20.0, horizon=horizon,
                     history_j=[i0], history_v=[v0], history_t=[0])
-
-
-def test_fpt_mc_peak_per_path(fixture_model):
-    tk = fixture_model
-    query = _fixture_query(tk, 30)
-    fpt_survival_mc(tk, query, n_paths=1000, seed=7)  # first-call imports and caches
-    n_paths = 100_000
-    peak = _traced_peak(fpt_survival_mc, tk, query, n_paths=n_paths, seed=7)
-    assert peak / n_paths < FPT_MC_BYTES_PER_PATH
 
 
 def test_fpt_mc_peak_flat_in_path_count(fixture_model, monkeypatch):
