@@ -83,10 +83,16 @@ def _write_csv(path: Path, header: list, rows) -> None:
 # subcommands
 
 
-def _cmd_analyze(args) -> int:
+def _read_returns(args, *kinds) -> list:
+    """The return series of each kind, formed from the bars of ``args.input``
+    within ``args.session``. The bars are dropped on return, so a subcommand
+    holds only the series through its work."""
     bars = load_bars(args.input, session=args.session)
-    r = compute_returns(bars, "price-return")
-    v = compute_returns(bars, "volume-return")
+    return [compute_returns(bars, kind) for kind in kinds]
+
+
+def _cmd_analyze(args) -> int:
+    r, v = _read_returns(args, "price-return", "volume-return")
     battery = run_battery(r, v, max_lag=args.max_lag, alpha=args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,10 +130,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    bars = load_bars(args.input, session=args.session)
-    r = compute_returns(bars, "price-return")
-    v = compute_returns(bars, "volume-return")
-    ra, va = align(r, v)
+    # the unaligned series go as align returns
+    ra, va = align(*_read_returns(args, "price-return", "volume-return"))
     cfg = TripletFitConfig(
         n_states_r=args.states_r, n_states_v=args.states_v,
         lam_r=args.lambda_r, lam_v=args.lambda_v,
@@ -226,10 +230,9 @@ def _cmd_optimize(args) -> int:
                     lambdas=_parse_lambdas(args.lambdas),
                     max_lag=args.max_lag, reps_per_point=args.reps,
                     n_index_bins=args.index_bins, epsilon=args.epsilon)
-    bars = load_bars(args.input, session=args.session)
-    series = compute_returns(bars, "price-return" if args.variable == "r"
-                             else "volume-return")
-    result = grid_search(series.values, spec, seed=args.seed)
+    values = _read_returns(args, "price-return" if args.variable == "r"
+                           else "volume-return")[0].values
+    result = grid_search(values, spec, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dumps({"variable": args.variable, **result.as_dict()}))

@@ -204,12 +204,13 @@ def advance_carry(lam: float, w, d, value, dt):
 
 
 def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.ndarray:
-    """Index value at each (sorted, integer) query time: the exponentially
-    weighted average, with memory ``lam`` in (0, 1], of the squared state
-    value held at every minute from the chain's first jump to the query time,
-    the query minute included. The holding state is the last jumped-to state
-    at or before each time. At the chain's own jump times it gives the index
-    at every jump.
+    """Index value at each query time: the exponentially weighted average,
+    with memory ``lam`` in (0, 1], of the squared state value held at every
+    minute from the chain's first jump to the query time, the query minute
+    included. The holding state is the last jumped-to state at or before
+    each time. At the chain's own jump times it gives the index at every
+    jump. Query times must be sorted whole minutes (a float such as 10.0
+    is one); others raise :class:`ContractViolation`.
 
     The recurrence runs on Python floats, which numpy's per-element cost
     would swamp, but converts the jumps and the queries ``INDEX_CHUNK`` at a
@@ -218,7 +219,13 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.
     query count."""
     if not 0.0 < lam <= 1.0:
         raise ParameterError("lambda must lie in (0, 1]")
-    query_times = np.asarray(query_times, dtype=np.int64)
+    given = np.asarray(query_times)
+    with np.errstate(invalid="ignore"):
+        query_times = given.astype(np.int64, copy=False)
+    if given is not query_times and np.any(query_times != given):
+        raise ContractViolation("query times must be integers")
+    if np.any(query_times[1:] < query_times[:-1]):
+        raise ContractViolation("query times must be sorted")
     out = np.empty(query_times.size)
     if not query_times.size:
         return out

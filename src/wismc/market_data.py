@@ -42,6 +42,8 @@ __all__ = [
 
 MINUTES_PER_DAY = 1440
 DEFAULT_SESSION = (9 * 60, 17 * 60 + 30)  # 09:00-17:30 inclusive
+# ratios converted to Python floats at a time by compute_returns
+RETURNS_CHUNK = 8192
 
 
 @dataclass
@@ -67,10 +69,9 @@ class BarSeries:
     def __len__(self) -> int:
         return self.minutes.size
 
-    def session_of(self) -> np.ndarray:
-        """Session index of each bar."""
-        pos = np.searchsorted(self.session_starts, np.arange(len(self)),
-                              side="right") - 1
+    def session_of(self, bars) -> np.ndarray:
+        """Session index of the bars at the indices ``bars``."""
+        pos = np.searchsorted(self.session_starts, bars, side="right") - 1
         return np.maximum(pos, 0).astype(np.int64)
 
 
@@ -285,31 +286,46 @@ def load_bars(path, session=None, columns=None) -> BarSeries:
 def compute_returns(series: BarSeries, kind: str = "price-return") -> ReturnSeries:
     """Log variation ``log(x_t / x_{t-1})`` within sessions; pairs straddling
     a session boundary are never formed, and volume pairs touching a zero
-    volume are skipped and counted."""
+    volume are skipped and counted.
+
+    Beside its output it holds one byte per bar for the pairs' mask and
+    ``RETURNS_CHUNK`` ratios at a time as Python floats, whatever the
+    length of the series."""
     if kind not in ("price-return", "volume-return"):
         raise ValueError(f"unknown return kind {kind!r}")
     x = series.prices if kind == "price-return" else series.volumes
-    session = series.session_of()
-    same = session[1:] == session[:-1]
-    keep = same
+    n = len(series)
+    # a session can change only at a session start: the bars where it does
+    starts = series.session_starts
+    at = np.unique(starts[(0 < starts) & (starts < n)])
+    breaks = at[series.session_of(at) != series.session_of(at - 1)]
+    keep = np.ones(max(n - 1, 0), dtype=bool)  # pair (t - 1, t) at t - 1
+    keep[breaks - 1] = False
+    within = keep.size - breaks.size  # pairs inside a session
     if kind == "volume-return":
-        keep = same & ~((x[1:] <= 0) | (x[:-1] <= 0))
-    skipped = int(same.sum() - keep.sum())
-    positions = np.flatnonzero(keep) + 1
+        zero = x <= 0
+        keep[zero[1:]] = False
+        keep[zero[:-1]] = False
+        del zero
+    skipped = within - int(np.count_nonzero(keep))
+    positions = np.flatnonzero(keep).astype(np.int64, copy=False)
+    del keep
+    positions += 1
     # math.log, not np.log: the last digits may differ, and grid edges are
     # quantiles of these values
-    values = np.array([math.log(q) for q in (x[positions] / x[positions - 1]).tolist()],
-                      dtype=float)
+    values = np.empty(positions.size)
+    for k in range(0, positions.size, RETURNS_CHUNK):
+        later = positions[k:k + RETURNS_CHUNK]
+        values[k:k + later.size] = [math.log(q) for q in (x[later] / x[later - 1]).tolist()]
     # a session ends at the last value before each session change; a session
     # without pairs repeats the previous boundary
-    formed = np.searchsorted(positions, np.flatnonzero(~same) + 1)
+    formed = np.searchsorted(positions, breaks)
     boundaries = formed[formed > 0] - 1
     if values.size:
         boundaries = np.append(boundaries, values.size - 1)
     return ReturnSeries(values=values, kind=kind,
                         session_boundaries=boundaries.astype(np.int64),
-                        positions=positions.astype(np.int64),
-                        skipped_pairs=skipped)
+                        positions=positions, skipped_pairs=skipped)
 
 
 def align(r: ReturnSeries, v: ReturnSeries):

@@ -74,24 +74,32 @@ def mape(real_acf, synth_acf, max_lag: Optional[int] = None) -> float:
 def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
     """For each (s, lam): discretize, estimate the kernel, simulate
     ``reps_per_point`` replications as long as the input series, average the
-    absolute-value ACF and score it against the real one. Deterministic for
-    a fixed seed; failed points are recorded and skipped. With ``epsilon``
-    set, the search stops growing the state count once the improvement falls
-    below it."""
+    absolute-value ACF and score it against the real one. The grid, the jump
+    chain and the empirical inverse depend on ``s`` alone and are built once
+    per state count. Deterministic for a fixed seed; failed points are
+    recorded and skipped, with one record per ``lam`` when a state count's
+    own build fails. With ``epsilon`` set, the search stops growing the state
+    count once the improvement falls below it."""
     values = np.asarray(getattr(values, "values", values), dtype=float)
     real_acf = autocorrelation(np.abs(values), spec.max_lag)
     records = []
     best_by_s = {}
     for s in sorted(spec.state_counts):
+        failure = None
+        try:
+            grid = make_state_grid(values, s)
+            chain = discretize(values, grid)
+            inverse = EmpiricalInverse.from_data(values, grid)
+        except WismcError as exc:
+            failure = exc
         for lam in spec.lambdas:
             rec = {"s": int(s), "lam": float(lam), "mape": None,
                    "failed": False, "error": None}
             try:
-                grid = make_state_grid(values, s)
-                chain = discretize(values, grid)
+                if failure is not None:
+                    raise failure
                 kernel = estimate_kernel(
                     chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins))
-                inverse = EmpiricalInverse.from_data(values, grid)
                 acfs = []
                 for rep in range(spec.reps_per_point):
                     child = np.random.SeedSequence(

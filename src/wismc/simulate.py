@@ -30,13 +30,20 @@ __all__ = [
 _BLOCK = 4096  # uniforms drawn per call to the generator
 
 
-def _uniforms(rng: np.random.Generator, per: int, blocks: list):
-    """A function returning every ``per``-th uniform of ``rng``, drawn in
-    blocks of ``per * _BLOCK`` that are appended to ``blocks``: the doubles,
-    in the same order, that one ``rng.random()`` call each would give."""
-    def draw():
-        blocks.append(rng.random(per * _BLOCK))
-        return blocks[-1][::per].tolist()
+def _uniforms(rng: np.random.Generator, seconds: Optional[list]):
+    """A function returning uniforms of ``rng`` one at a time: the doubles,
+    in the same order, that one ``rng.random()`` call each would give,
+    drawn ``_BLOCK`` at a time. With a list ``seconds``, each returned
+    uniform is followed by a second one that is kept instead: each block's
+    second uniforms are appended to ``seconds`` as one array."""
+    if seconds is None:
+        def draw():
+            return rng.random(_BLOCK).tolist()
+    else:
+        def draw():
+            block = rng.random(2 * _BLOCK)
+            seconds.append(block[1::2].copy())
+            return block[::2].tolist()
     return chain.from_iterable(iter(draw, None)).__next__
 
 
@@ -220,7 +227,9 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
     :func:`~wismc.core.advance_carry` inlined. A recorded path with an
     inverse draws a second uniform per event for its back-transform, which
-    runs after the loop through :func:`backtransform`."""
+    runs after the loop through :func:`backtransform`. Beside its outputs
+    the path holds only those uniforms, 8 bytes per event, and what
+    :func:`backtransform` needs."""
     if minutes is None and n_events is None:
         raise ParameterError("give minutes or n_events")
     rng = np.random.default_rng(seed)
@@ -232,9 +241,9 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
         occupancy = np.ones(s)
     state = int(rng.choice(s, p=occupancy / occupancy.sum()))
     record = minutes is not None
-    per = 2 if record and inverse is not None else 1
-    blocks = []
-    uniform = _uniforms(rng, per, blocks)
+    # a recorded path with an inverse keeps a back-transform uniform per event
+    seconds = [] if record and inverse is not None else None
+    uniform = _uniforms(rng, seconds)
     squares = [r * r for r in kernel.grid.representatives.tolist()]
     edges = kernel.index_edges.tolist()
     carry = [carry_coefficients(kernel.lam, dt) for dt in range(t_max + 1)]
@@ -257,10 +266,12 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     sojourns = np.asarray(sojourns, dtype=np.int64)
     out = None
     if record:
-        held = kernel.grid.representatives[states]
-        if per == 2 and states.size:
-            held = backtransform(states, np.concatenate(blocks)[1::2][:states.size],
-                                 inverse)
+        if seconds:
+            u = np.concatenate(seconds)[:states.size]
+            seconds.clear()
+            held = backtransform(states, u, inverse)
+        else:
+            held = kernel.grid.representatives[states]
         out = np.repeat(held, sojourns)[:min(t, minutes)]
     return out, states, np.cumsum(sojourns) - sojourns
 

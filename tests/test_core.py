@@ -219,6 +219,26 @@ class TestIndexProcess:
         with pytest.raises(ContractViolation):
             index_at_times(chain, [int(chain.times[0]) - 1], 0.9)
 
+    def test_unsorted_query_times_refused(self):
+        # the walk only moves forward: the value at 10 would be the index at 50
+        chain = JumpChain(states=np.array([0, 1, 0]), times=np.array([0, 30, 100]),
+                          grid=toy_grid([0.01, 0.03]))
+        with pytest.raises(ContractViolation, match="sorted"):
+            index_at_times(chain, [50, 10, 120], 0.9)
+        # repeated times are sorted
+        assert index_at_times(chain, [10, 10], 0.9).tolist() == \
+            2 * index_at_times(chain, [10], 0.9).tolist()
+
+    def test_non_integer_query_times_refused(self):
+        # 10.7 would be read as 10; a float that is a whole minute is one
+        chain = JumpChain(states=np.array([0, 1]), times=np.array([0, 30]),
+                          grid=toy_grid([0.01, 0.03]))
+        for times in ([10.7], [5.0, np.nan], [np.inf]):
+            with pytest.raises(ContractViolation, match="integers"):
+                index_at_times(chain, times, 0.9)
+        assert index_at_times(chain, [10.0, 40.0], 0.9).tolist() == \
+            index_at_times(chain, [10, 40], 0.9).tolist()
+
     @pytest.mark.parametrize("lam", [0.0, -0.5, 1.0 + 1e-12, np.nan])
     def test_lambda_outside_unit_interval_refused(self, lam):
         chain = random_chain(np.random.default_rng(9))

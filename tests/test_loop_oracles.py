@@ -1,7 +1,8 @@
 """Byte-identity of the list-based per-element loops (``simulate_univariate``
 and ``simulate_path``, whose back-transforms now run after their loops over
 the whole path, ``index_at_times`` at a chain's jumps and at other times,
-``compute_returns``), the mask version of ``value_wait_pairs``, the sorted
+``compute_returns``, also chunk by chunk), the grid search that builds each
+state count's grid, chain and inverse once, the mask version of ``value_wait_pairs``, the sorted
 merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, the signed-value tables that each variable's
 modulus table builds once, the live-paths-only Monte Carlo loop of
@@ -32,7 +33,7 @@ from conftest import (
     random_triplet,
     toy_grid,
 )
-from wismc import core, finfunc
+from wismc import core, finfunc, market_data, optimize
 from wismc.copulas import CopulaSpec, sample_copula
 from wismc.core import (
     IndexParams,
@@ -43,7 +44,8 @@ from wismc.core import (
     index_at_times,
     make_state_grid,
 )
-from wismc.errors import AlignmentError, OrderingError, ParameterError, ParseError
+from wismc.errors import (AlignmentError, OrderingError, ParameterError, ParseError,
+                          WismcError)
 from wismc.finfunc import FptQuery, _fpt_start, fpt_survival_mc
 from wismc.market_data import (
     MINUTES_PER_DAY,
@@ -52,9 +54,11 @@ from wismc.market_data import (
     _parse_minute,
     _parse_session,
     compute_returns,
+    autocorrelation,
     load_bars,
     value_wait_pairs,
 )
+from wismc.optimize import GridSpec, OptResult, grid_search, mape
 from wismc.simulate import SimConfig, SynthPath, simulate_path, simulate_univariate
 from wismc.triplet import (
     EmpiricalInverse,
@@ -315,6 +319,47 @@ def oracle_compute_returns(series, kind="price-return"):
                         session_boundaries=np.array(boundaries, dtype=np.int64),
                         positions=np.array(positions, dtype=np.int64),
                         skipped_pairs=skipped)
+
+
+def oracle_grid_search(values, spec, seed=0):
+    """The grid search that built the grid, the chain and the inverse anew
+    at every (s, lam)."""
+    values = np.asarray(values, dtype=float)
+    real_acf = autocorrelation(np.abs(values), spec.max_lag)
+    records = []
+    best_by_s = {}
+    for s in sorted(spec.state_counts):
+        for lam in spec.lambdas:
+            rec = {"s": int(s), "lam": float(lam), "mape": None,
+                   "failed": False, "error": None}
+            try:
+                grid = make_state_grid(values, s)
+                chain = discretize(values, grid)
+                kernel = estimate_kernel(
+                    chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins))
+                inverse = EmpiricalInverse.from_data(values, grid)
+                acfs = []
+                for rep in range(spec.reps_per_point):
+                    child = np.random.SeedSequence(
+                        [seed, s, rep, int(round(lam * 10 ** 9))]).generate_state(1)[0]
+                    r_syn, _, _ = simulate_univariate(kernel, values.size, int(child),
+                                                      inverse=inverse)
+                    acfs.append(autocorrelation(np.abs(r_syn), spec.max_lag))
+                rec["mape"] = mape(real_acf, np.mean(acfs, axis=0), spec.max_lag)
+            except WismcError as exc:
+                rec["failed"] = True
+                rec["error"] = str(exc)
+            records.append(rec)
+        scored = [r["mape"] for r in records if r["s"] == s and not r["failed"]]
+        if scored:
+            best_by_s[s] = min(scored)
+        earlier = [v for k, v in best_by_s.items() if k < s]
+        if spec.epsilon is not None and earlier and s in best_by_s:
+            if min(earlier) - best_by_s[s] < spec.epsilon:
+                break
+    done = [r for r in records if not r["failed"]]
+    best = min(done, key=lambda r: r["mape"]) if done else None
+    return OptResult(records=records, best=best)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -674,6 +719,15 @@ def test_simulate_univariate_random_kernel(seed, lam):
     _check_runs(kernel, EmpiricalInverse.from_data(values, grid), seed)
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_simulate_univariate_recorded_paths_seeds(seed):
+    # recorded paths over several blocks of uniforms, with an inverse (whose
+    # back-transform uniforms are kept block by block) and without one
+    kernel, inverse = _fitted(seed, 3 + seed % 3, 0.97, 5)
+    runs = [dict(minutes=m, inverse=inv) for m in (1, 9000, 17000) for inv in (True, False)]
+    _check_runs(kernel, inverse, seed, runs)
+
+
 def test_simulate_univariate_fallback_and_thin_samples():
     rng = np.random.default_rng(5)
     kernel = random_kernel(rng, [-0.02, 0.0, 0.015], n_bins=2, t_max=3,
@@ -930,6 +984,23 @@ def test_compute_returns_fixture(market_csv):
     bars = load_bars(market_csv["path"])
     assert bars.session_starts.size > 1
     _same_returns(bars)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_compute_returns_across_chunks(monkeypatch, chunk):
+    # series several chunks long, with sessions shorter and longer than a
+    # chunk, one-bar sessions and zero volumes at chunk edges
+    monkeypatch.setattr(market_data, "RETURNS_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+
+    def session(n):
+        prices = np.exp(np.cumsum(rng.normal(0.0, 1e-3, n))) * 10.0
+        volumes = rng.integers(0, 4, n)
+        return list(zip(prices.tolist(), volumes.tolist()))
+
+    for _ in range(10):
+        _same_returns(_series([session(int(k)) for k in rng.integers(1, 4 * chunk + 6, 6)]))
+    _same_returns(_series([session(chunk), session(1), session(chunk + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1402,3 +1473,52 @@ def test_fpt_mc_across_batches_fitted_fixture(fixture_models, monkeypatch, batch
     query = FptQuery(rho=1.0015, psi=20.0, horizon=30,
                      history_j=[i0], history_v=[v0], history_t=[0])
     _same_fpt_mc_batches(tk, query, batch, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# grid_search, which builds each state count's grid, chain and inverse once
+
+
+def _same_search(values, spec, seed, monkeypatch):
+    builds = []
+    make_grid = optimize.make_state_grid
+    monkeypatch.setattr(optimize, "make_state_grid",
+                        lambda v, s: builds.append(s) or make_grid(v, s))
+    want = oracle_grid_search(values, spec, seed)
+    got = grid_search(values, spec, seed)
+    assert got.as_dict() == want.as_dict()
+    # the same doubles, bit for bit
+    assert [float(r["mape"] or 0).hex() for r in got.records] == \
+        [float(r["mape"] or 0).hex() for r in want.records]
+    assert builds == sorted({r["s"] for r in got.records})
+    return got
+
+
+def test_grid_search_several_lambdas(monkeypatch):
+    r, _ = heavy_tailed_series(3000, 31)
+    spec = GridSpec(state_counts=(4, 2, 3), lambdas=(0.8, 0.9, 0.97), max_lag=15,
+                    reps_per_point=2, n_index_bins=2)
+    got = _same_search(r, spec, 5, monkeypatch)
+    assert len(got.records) == 9 and not any(rec["failed"] for rec in got.records)
+
+
+def test_grid_search_failed_state_count(monkeypatch):
+    # 40 states cannot be estimated from 400 minutes: one failed record per lam
+    r, _ = heavy_tailed_series(400, 9)
+    spec = GridSpec(state_counts=(3, 40), lambdas=(0.9, 0.95), max_lag=10,
+                    reps_per_point=1, n_index_bins=1)
+    got = _same_search(r, spec, 5, monkeypatch)
+    assert [(rec["s"], rec["failed"]) for rec in got.records] == \
+        [(3, False), (3, False), (40, True), (40, True)]
+    assert got.records[2]["error"] == got.records[3]["error"]
+
+
+def test_grid_search_early_stop_after_failed_count(monkeypatch):
+    # quantized, mostly non-negative data: 4 states give degenerate edges
+    vals = np.round(np.random.default_rng(0).standard_t(3, 3000) * 2) * 1e-3
+    vals[vals < 0] = 0.0
+    vals[::97] = -1e-3
+    spec = GridSpec(state_counts=(4, 5, 6), lambdas=(0.9, 0.97), max_lag=20,
+                    reps_per_point=1, n_index_bins=1, epsilon=0.5)
+    got = _same_search(vals, spec, 0, monkeypatch)
+    assert [rec["failed"] for rec in got.records[:2]] == [True, True]

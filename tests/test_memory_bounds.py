@@ -1,22 +1,27 @@
 """Working-memory bounds of the loops that set the benchmark's memory peaks:
 the Monte Carlo first-passage loop, whose traced peak must stay under a budget
 per path of one batch and must not grow with the path count, the exact
-first-passage recursion, which holds no memo on an indexed model, and the
-index recurrence, whose traced peak must not grow with the chain it walks.
-tracemalloc sees numpy's buffers, so the peaks count every array the loops
-hold at once."""
+first-passage recursion, which holds no memo on an indexed model, the index
+recurrence, whose traced peak must not grow with the chain it walks, the
+return series of the bars, whose peak beside its output must not grow with
+the bar count, and the one-variable engine's recorded path, whose peak must
+stay under a budget per minute. tracemalloc sees numpy's buffers, so the
+peaks count every array the loops hold at once."""
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_triplet, toy_grid
+from conftest import heavy_tailed_series, random_triplet, toy_grid
 from wismc import finfunc
 from wismc.copulas import CopulaSpec
-from wismc.core import JumpChain, index_at_times
+from wismc.core import (IndexParams, JumpChain, discretize, estimate_kernel,
+                        index_at_times, make_state_grid)
 from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
-from wismc.triplet import CondWaitDist, TripletKernel, fit_triplet_kernel
+from wismc.market_data import BarSeries, compute_returns
+from wismc.simulate import simulate_univariate
+from wismc.triplet import CondWaitDist, EmpiricalInverse, TripletKernel, fit_triplet_kernel
 
 # the loop's peak is 192 bytes per path on the fixture model: eleven 8-byte
 # path arrays, the sojourns, four 1-byte cell arrays and the draw's
@@ -129,3 +134,53 @@ def test_index_at_times_peak_flat_in_chain_length():
         peaks.append(_traced_peak(index_at_times, chain, queries, 0.97))
     short, long = peaks
     assert long - short < 0.1 * short
+
+
+def _bars(n_bars: int, session: int = 510) -> BarSeries:
+    """``n_bars`` bars in sessions of ``session`` bars, with some zero volumes."""
+    rng = np.random.default_rng(n_bars)
+    volumes = rng.integers(0, 50, n_bars).astype(float)
+    return BarSeries(minutes=np.arange(n_bars, dtype=np.int64) + 20000 * 1440,
+                     prices=np.exp(np.cumsum(rng.normal(0.0, 1e-3, n_bars))),
+                     volumes=volumes, session_open=0, session_close=1439,
+                     session_starts=np.arange(0, n_bars, session, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["price-return", "volume-return"])
+def test_compute_returns_peak_flat_in_bar_count(kind):
+    # beside its output it holds a chunk of ratios as Python floats, 0.53 MB
+    # at both lengths (the pairs' mask, a byte per bar, is gone by then),
+    # against 1.3 and 13 MB with a session number per bar and the ratios of
+    # all bars converted at once
+    beside = []
+    for n_bars in (20_000, 200_000):
+        bars = _bars(n_bars)
+        compute_returns(bars, kind)
+        tracemalloc.start()
+        try:
+            out = compute_returns(bars, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beside.append(peak - sum(a.nbytes for a in (out.values, out.positions,
+                                                     out.session_boundaries)))
+    short, long = beside
+    assert long - short < 0.1 * short
+
+
+# the recorded path's peak per minute on a 60 000-minute series (0.69 events
+# per minute) with an inverse, as ``optimize`` runs it, is 71 bytes: the
+# states, the sojourns, the back-transform uniforms and what
+# ``backtransform`` holds, the inverse's pooled sample among it. Keeping
+# every block of uniforms and joining them read 92.
+UNIVARIATE_BYTES_PER_MINUTE = 82
+
+
+def test_simulate_univariate_recorded_peak_per_minute():
+    r, _ = heavy_tailed_series(60_000, 1)
+    grid = make_state_grid(r, 5)
+    kernel = estimate_kernel(discretize(r, grid), IndexParams(lam=0.97, n_index_bins=5))
+    inverse = EmpiricalInverse.from_data(r, grid)
+    simulate_univariate(kernel, 1000, 0, inverse=inverse)
+    peak = _traced_peak(simulate_univariate, kernel, r.size, 1, inverse=inverse)
+    assert peak / r.size < UNIVARIATE_BYTES_PER_MINUTE
