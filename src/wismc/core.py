@@ -158,11 +158,6 @@ class JumpChain:
     def __len__(self) -> int:
         return self.states.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Representative value at each jump."""
-        return self.grid.representatives[self.states]
-
     def sojourns(self) -> np.ndarray:
         return np.diff(self.times)
 

@@ -574,7 +574,16 @@ def contingency(values, waits, state_edges, wait_edges) -> ContingencyTable:
 
 def run_battery(r: ReturnSeries, v: ReturnSeries, max_lag: int = 100,
                 alpha: float = 0.01) -> dict:
-    """Full exploratory battery over aligned price and volume returns."""
+    """Full exploratory battery over aligned price and volume returns. The
+    autocorrelations, which hold the most working memory, run before the
+    aligned pair exists, and the pair goes once its correlations are taken."""
+    lag = min(max_lag, r.values.size - 1, v.values.size - 1)
+    acf = {
+        "max_lag": lag,
+        "abs_r": autocorrelation(np.abs(r.values), lag).tolist(),
+        "abs_v": autocorrelation(np.abs(v.values), lag).tolist(),
+        "r": autocorrelation(r.values, lag).tolist(),
+    }
     ra, va = align(r, v)
     out = {"n": int(ra.size)}
     out["descriptive"] = {
@@ -588,14 +597,9 @@ def run_battery(r: ReturnSeries, v: ReturnSeries, max_lag: int = 100,
         "r": {"statistic": jb_r[0], "p_value": jb_r[1], "reject": jb_r[2]},
         "v": {"statistic": jb_v[0], "p_value": jb_v[1], "reject": jb_v[2]},
     }
-    lag = min(max_lag, r.values.size - 1, v.values.size - 1)
-    out["acf"] = {
-        "max_lag": lag,
-        "abs_r": autocorrelation(np.abs(r.values), lag).tolist(),
-        "abs_v": autocorrelation(np.abs(v.values), lag).tolist(),
-        "r": autocorrelation(r.values, lag).tolist(),
-    }
+    out["acf"] = acf
     out["cross_correlation"] = cross_correlation_battery(ra, va)
+    del ra, va
     wait_edges = np.array([0.0, 2.0, 4.0, np.inf])
     tables = {}
     for name, series in (("r", r), ("v", v)):

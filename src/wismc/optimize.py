@@ -42,6 +42,10 @@ class GridSpec:
             raise ParameterError("epsilon must be finite")
         if any(not 0.0 < l <= 1.0 for l in self.lambdas):
             raise ParameterError("lambdas must lie in (0, 1]")
+        # a repeated point would be simulated again and recorded twice
+        for name, given in (("state counts", self.state_counts), ("lambdas", self.lambdas)):
+            if len(set(given)) != len(given):
+                raise ParameterError(f"{name} must not repeat, got {list(given)}")
 
 
 @dataclass
@@ -76,37 +80,48 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
     ``reps_per_point`` replications as long as the input series, average the
     absolute-value ACF and score it against the real one. The grid, the jump
     chain and the empirical inverse depend on ``s`` alone and are built once
-    per state count. Deterministic for a fixed seed; failed points are
-    recorded and skipped, with one record per ``lam`` when a state count's
-    own build fails. With ``epsilon`` set, the search stops growing the state
-    count once the improvement falls below it."""
+    per state count, with the kernel of every ``lam``, before the first
+    replication; the chain is dropped then. Deterministic for a fixed seed;
+    failed points are recorded and skipped, with one record per ``lam`` when
+    a state count's own build fails. With ``epsilon`` set, the search stops
+    growing the state count once the improvement falls below it."""
     values = np.asarray(getattr(values, "values", values), dtype=float)
     real_acf = autocorrelation(np.abs(values), spec.max_lag)
     records = []
     best_by_s = {}
     for s in sorted(spec.state_counts):
-        failure = None
+        # each lam's kernel, or the error that stopped its build; the chain
+        # goes once they are built, before any replication runs
         try:
             grid = make_state_grid(values, s)
             chain = discretize(values, grid)
             inverse = EmpiricalInverse.from_data(values, grid)
         except WismcError as exc:
-            failure = exc
-        for lam in spec.lambdas:
+            kernels = [exc] * len(spec.lambdas)
+        else:
+            kernels = []
+            for lam in spec.lambdas:
+                try:
+                    kernels.append(estimate_kernel(
+                        chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins)))
+                except WismcError as exc:
+                    kernels.append(exc)
+            del chain
+        for lam, kernel in zip(spec.lambdas, kernels):
             rec = {"s": int(s), "lam": float(lam), "mape": None,
                    "failed": False, "error": None}
             try:
-                if failure is not None:
-                    raise failure
-                kernel = estimate_kernel(
-                    chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins))
+                if isinstance(kernel, WismcError):
+                    raise kernel
                 acfs = []
                 for rep in range(spec.reps_per_point):
                     child = np.random.SeedSequence(
                         [seed, s, rep, int(round(lam * 10 ** 9))]).generate_state(1)[0]
-                    r_syn, _, _ = simulate_univariate(kernel, values.size, int(child),
-                                                      inverse=inverse)
-                    acfs.append(autocorrelation(np.abs(r_syn), spec.max_lag))
+                    r_syn = simulate_univariate(kernel, values.size, int(child),
+                                                inverse=inverse)[0]
+                    np.abs(r_syn, out=r_syn)
+                    acfs.append(autocorrelation(r_syn, spec.max_lag))
+                    del r_syn  # not held through the next replication's run
                 rec["mape"] = mape(real_acf, np.mean(acfs, axis=0), spec.max_lag)
             except WismcError as exc:
                 rec["failed"] = True

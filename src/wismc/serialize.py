@@ -39,18 +39,34 @@ KERNEL_FORMAT = "wismc.kernel"
 TRIPLET_FORMAT = "wismc.triplet"
 KERNEL_VERSION = 1
 TRIPLET_VERSION = 2
+# numbers of a flat list formatted into one piece
+LIST_SLICE = 4096
+
+
+def _flat(obj) -> bool:
+    """Is ``obj`` a list of plain ints or of finite plain floats, or a
+    one-dimensional array of integers or of finite floats?"""
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 1 and (obj.dtype.kind in "iu" or obj.dtype.kind == "f"
+                                  and bool(np.isfinite(obj).all()))
+    kinds = set(map(type, obj))
+    return kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj)))
 
 
 def _pieces(obj, depth: int = 0):
     """The text of ``json.dumps(obj, sort_keys=True, indent=1)`` in pieces,
-    for ``obj`` nested at ``depth``. A flat list of plain ints, or of finite
-    plain floats, is one piece; every other scalar is encoded by ``json``
-    itself. Dict keys must be strings."""
-    if not isinstance(obj, (dict, list, tuple)):
+    for ``obj`` nested at ``depth``, a numpy array written as its
+    ``tolist()``. A flat list or array (see :func:`_flat`) is formatted
+    ``LIST_SLICE`` numbers to a piece, so the text of a long one is never
+    held whole; every other scalar is encoded by ``json`` itself. Dict keys
+    must be strings."""
+    if isinstance(obj, np.ndarray) and not _flat(obj):
+        obj = obj.tolist()
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
         yield json.dumps(obj)
         return
     opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    if not obj:
+    if not len(obj):
         yield opening + closing
         return
     pad = "\n" + " " * (depth + 1)
@@ -61,9 +77,13 @@ def _pieces(obj, depth: int = 0):
             yield (opening if k == 0 else ",") + pad + json.dumps(key) + ": "
             yield from _pieces(value, depth + 1)
     else:
-        kinds = set(map(type, obj))
-        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj))):
-            yield opening + pad + ("," + pad).join(map(repr, obj))
+        if _flat(obj):
+            sep = "," + pad
+            for k in range(0, len(obj), LIST_SLICE):
+                part = obj[k:k + LIST_SLICE]
+                if isinstance(part, np.ndarray):
+                    part = part.tolist()
+                yield (sep if k else opening + pad) + sep.join(map(repr, part))
         else:
             for k, value in enumerate(obj):
                 yield (opening if k == 0 else ",") + pad
@@ -72,7 +92,8 @@ def _pieces(obj, depth: int = 0):
 
 
 def dumps(doc: dict) -> str:
-    """``doc`` as ``json.dumps(doc, sort_keys=True, indent=1)`` writes it."""
+    """``doc`` as ``json.dumps(doc, sort_keys=True, indent=1)`` writes it,
+    a numpy array as its ``tolist()``."""
     return "".join(_pieces(doc))
 
 
@@ -139,15 +160,16 @@ def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
 
 def _inverse_to_dict(inv) -> dict | None:
     """Each state's sorted samples as runs of equal bits, so that ``-0.0``
-    and ``0.0`` stay apart."""
+    and ``0.0`` stay apart: per state an array of values and one of counts,
+    which hold a quarter of what lists of Python numbers would."""
     if inv is None:
         return None
     values, counts = [], []
     for s in inv.samples:
         bits = s.view(np.int64)
         starts = np.flatnonzero(np.r_[s.size > 0, bits[1:] != bits[:-1]])
-        values.append(s[starts].tolist())
-        counts.append(np.diff(np.r_[starts, s.size]).tolist())
+        values.append(s[starts])
+        counts.append(np.diff(np.r_[starts, s.size]))
     return {"values": values, "counts": counts}
 
 
@@ -183,6 +205,8 @@ def _inverse_from_dict(doc, grid: StateGrid, name: str, version: int):
 
 
 def triplet_to_dict(tk: TripletKernel) -> dict:
+    """The model document. Every table is nested lists, but the inverses'
+    runs are numpy arrays, which :func:`dumps` writes as their lists."""
     return {
         "format": TRIPLET_FORMAT,
         "version": TRIPLET_VERSION,
@@ -234,6 +258,8 @@ def triplet_from_dict(doc: dict) -> TripletKernel:
 
 
 def save_model(tk: TripletKernel, path) -> None:
+    """Write ``dumps(triplet_to_dict(tk))`` to ``path``, never holding the
+    text of a whole list."""
     with open(path, "w") as fh:
         fh.writelines(_pieces(triplet_to_dict(tk)))
 

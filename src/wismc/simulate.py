@@ -90,7 +90,9 @@ def backtransform(states, u, inv: EmpiricalInverse) -> np.ndarray:
     interpolating between order statistics; a state that carries no sample
     takes its representative value, with a warning. A one-value sample needs
     no branch of its own: x * 1.0 + x * 0.0 is x bit for bit, -0.0
-    included."""
+    included. The arithmetic runs in place on arrays of its own, so beside
+    the pooled sample and its output it holds at most four arrays as long as
+    ``states``."""
     states, u = np.asarray(states, dtype=np.int64), np.asarray(u, dtype=float)
     seen = np.bincount(states, minlength=len(inv.samples)) > 0
     pool = []
@@ -100,13 +102,30 @@ def backtransform(states, u, inv: EmpiricalInverse) -> np.ndarray:
             x = inv.grid.representatives[k:k + 1]
         pool.append(x)
     sizes = np.array([x.size for x in pool])
-    first = (np.cumsum(sizes) - sizes)[states]
     top = sizes[states] - 1
-    at = u * top
-    frac = at - np.floor(at)
-    lo = np.floor(at).astype(np.int64)
+    frac = u * top
+    lo = np.floor(frac)
+    frac -= lo
+    lo = lo.astype(np.int64)
+    # positions in the pooled sample: the low order statistic and the next
+    # one, capped at the state's last
+    first = (np.cumsum(sizes) - sizes)[states]
+    lo += first
+    top += first
+    del first
+    hi = lo + 1
+    np.minimum(hi, top, out=hi)
+    del top
     x = np.concatenate(pool, dtype=float)
-    return x[first + lo] * (1.0 - frac) + x[first + np.minimum(lo + 1, top)] * frac
+    out = x[lo]
+    del lo
+    high = x[hi]
+    del hi, x
+    high *= frac
+    np.subtract(1.0, frac, out=frac)
+    out *= frac
+    out += high
+    return out
 
 
 def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
@@ -227,9 +246,15 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
     :func:`~wismc.core.advance_carry` inlined. A recorded path with an
     inverse draws a second uniform per event for its back-transform, which
-    runs after the loop through :func:`backtransform`. Beside its outputs
-    the path holds only those uniforms, 8 bytes per event, and what
-    :func:`backtransform` needs."""
+    runs after the loop through :func:`backtransform`.
+
+    Beside its outputs a recorded path holds the states and the sojourns,
+    one list each (8 bytes per event: small ints are shared) until each in
+    turn becomes an int64 array, and with an inverse the back-transform
+    uniforms, 8 bytes per event, kept a block at a time and joined once the
+    loop ends. :func:`backtransform` then adds the pooled sample and at most
+    four arrays as long as the event count. On a 60 000-minute series with
+    an inverse that peaks at 49 traced bytes per minute."""
     if minutes is None and n_events is None:
         raise ParameterError("give minutes or n_events")
     rng = np.random.default_rng(seed)

@@ -92,8 +92,10 @@ def synchronize(chain_j: JumpChain, chain_v: JumpChain) -> SyncChain:
         raise AlignmentError("cannot synchronize an empty chain")
     if chain_j.times[0] != chain_v.times[0]:
         raise AlignmentError("chains must share their time origin")
-    both = np.sort(np.concatenate([chain_j.times, chain_v.times]))
+    both = np.concatenate([chain_j.times, chain_v.times])
+    both.sort()
     times = both[np.concatenate([[True], both[1:] != both[:-1]])]
+    del both
     pj = np.searchsorted(chain_j.times, times, side="right") - 1
     pv = np.searchsorted(chain_v.times, times, side="right") - 1
     return SyncChain(
@@ -501,14 +503,21 @@ def fit_triplet_kernel(r_values, v_values,
     sync = synchronize(chain_r, chain_v)
     idx_j = index_at_times(chain_r, sync.times, cfg.lam_r)
     idx_v = index_at_times(chain_v, sync.times, cfg.lam_v)
+    # each event-sized array goes at its last use, so that none is held
+    # through the copula fit
+    del chain_r, chain_v
     cond = estimate_cond_wait(sync, idx_j, idx_v,
                               x_edges=kern_r.index_edges,
                               w_edges=kern_v.index_edges,
                               t_max=cfg.t_max)
+    del idx_j, idx_v
     signs = estimate_signs(sync)
-    mj = np.abs(sync.j_values[1:])
-    mv = np.abs(sync.v_values[1:])
+    mj, mv = sync.j_values[1:], sync.v_values[1:]
+    del sync
+    np.abs(mj, out=mj)
+    np.abs(mv, out=mv)
     copula = fit_copula(mj, mv, family=cfg.copula_family)
+    del mj, mv
     return TripletKernel(
         kernel_j=kern_r, kernel_v=kern_v, cond_wait=cond, copula=copula,
         signs=signs,

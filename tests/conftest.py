@@ -17,6 +17,11 @@ def toy_grid(reps) -> StateGrid:
                      representatives=reps)
 
 
+def chain_values(chain: JumpChain) -> np.ndarray:
+    """Representative value at each jump of ``chain``."""
+    return chain.grid.representatives[chain.states]
+
+
 def random_chain(rng, n_jumps=8, n_states=4, max_soj=5, scale=0.02) -> JumpChain:
     grid = toy_grid(np.sort(rng.normal(0, scale, n_states)))
     states = [int(rng.integers(n_states))]

@@ -701,6 +701,19 @@ class TestErrors:
         assert not err["message"].startswith("argument")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--states", "3,3", "state counts must not repeat, got [3, 3]"),
+        ("--lambdas", "0.97,0.97", "lambdas must not repeat, got [0.97, 0.97]")])
+    def test_optimize_repeated_point_refused_before_loading(self, tmp_path, capsys, flag,
+                                                            value, message):
+        # the input does not exist: the spec is refused before it is opened
+        out = tmp_path / "opt" / "opt.json"
+        assert main(["optimize", "--input", str(tmp_path / "missing.csv"),
+                     flag, value, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": message}
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("flag", ["--i0", "--v0"])
     def test_negative_exponent_flag_value_runs(self, small_model, tmp_path, flag):
         # argparse alone reads "-1e-3" as a flag, not as the flag's value

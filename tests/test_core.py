@@ -6,7 +6,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from conftest import random_chain, toy_grid
+from conftest import chain_values, random_chain, toy_grid
 from wismc.core import (
     IndexParams,
     JumpChain,
@@ -41,7 +41,7 @@ def scored_index(chain, query_times, score):
     ``score(value, t, a)`` of the value held at every minute ``a`` from the
     chain's first jump to ``t``, the current-state term at ``a = t``
     included: the form in which a score can read absolute time."""
-    values, times = chain.values.tolist(), chain.times.tolist()
+    values, times = chain_values(chain).tolist(), chain.times.tolist()
     out = []
     for t in np.asarray(query_times).tolist():
         total = 0.0
@@ -155,7 +155,7 @@ class TestIndexProcess:
             lam = float(rng.uniform(0.5, 1.0))
             got = index_at_times(chain, chain.times, lam)
             for n, t in enumerate(chain.times):
-                want = oracle_index(chain.values, chain.times, t, lam)
+                want = oracle_index(chain_values(chain), chain.times, t, lam)
                 worst = max(worst, abs(got[n] - want))
         assert worst < 1e-14
 
@@ -166,7 +166,7 @@ class TestIndexProcess:
             lam = float(rng.uniform(0.5, 1.0))
             t = int(rng.integers(chain.times[0], chain.times[-1] + 4))
             got = index_at_times(chain, [t], lam)[0]
-            want = oracle_index(chain.values, chain.times, t, lam)
+            want = oracle_index(chain_values(chain), chain.times, t, lam)
             assert got == pytest.approx(want, abs=1e-14)
 
     def test_coincidence_at_jump_times(self):
@@ -185,19 +185,19 @@ class TestIndexProcess:
             lam = float(rng.uniform(0.5, 1.0))
             traj = index_at_times(chain, chain.times, lam)
             for n, t in enumerate(chain.times):
-                assert traj[n] == pytest.approx(oracle_index(chain.values, chain.times, t, lam),
+                assert traj[n] == pytest.approx(oracle_index(chain_values(chain), chain.times, t, lam),
                                                 abs=1e-12)
             qts = np.sort(rng.integers(chain.times[0], chain.times[-1] + 4, 5))
             fast = index_at_times(chain, qts, lam)
             for q, t in enumerate(qts):
-                assert fast[q] == pytest.approx(oracle_index(chain.values, chain.times, t, lam),
+                assert fast[q] == pytest.approx(oracle_index(chain_values(chain), chain.times, t, lam),
                                                 abs=1e-12)
 
     def test_lambda_one(self):
         rng = np.random.default_rng(7)
         chain = random_chain(rng)
         got = index_at_times(chain, chain.times[-1:], 1.0)[0]
-        want = oracle_index(chain.values, chain.times, chain.times[-1], 1.0)
+        want = oracle_index(chain_values(chain), chain.times, chain.times[-1], 1.0)
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_monotone_bound(self):
@@ -205,7 +205,7 @@ class TestIndexProcess:
         for _ in range(20):
             chain = random_chain(rng)
             idx = index_at_times(chain, chain.times, float(rng.uniform(0.5, 1.0)))
-            top = np.max(chain.values ** 2)
+            top = np.max(chain_values(chain) ** 2)
             assert np.all(idx >= 0.0) and np.all(idx <= top + 1e-12)
 
     def test_no_query_times(self):

@@ -15,6 +15,7 @@ same shape and the same bits, and the same dtype where the loop built a new
 array."""
 import csv
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    chain_values,
     heavy_tailed_series,
     knock_out,
     random_chain,
@@ -33,19 +35,20 @@ from conftest import (
     random_triplet,
     toy_grid,
 )
-from wismc import core, finfunc, market_data, optimize
+from wismc import core, finfunc, market_data, optimize, serialize
 from wismc.copulas import CopulaSpec, sample_copula
 from wismc.core import (
     IndexParams,
     JumpChain,
+    StateGrid,
     advance_carry,
     discretize,
     estimate_kernel,
     index_at_times,
     make_state_grid,
 )
-from wismc.errors import (AlignmentError, OrderingError, ParameterError, ParseError,
-                          WismcError)
+from wismc.errors import (AlignmentError, EstimationError, OrderingError, ParameterError,
+                          ParseError, WismcError)
 from wismc.finfunc import FptQuery, _fpt_start, fpt_survival_mc
 from wismc.market_data import (
     MINUTES_PER_DAY,
@@ -59,7 +62,9 @@ from wismc.market_data import (
     value_wait_pairs,
 )
 from wismc.optimize import GridSpec, OptResult, grid_search, mape
-from wismc.simulate import SimConfig, SynthPath, simulate_path, simulate_univariate
+from wismc.serialize import dumps, load_model, save_model, triplet_to_dict
+from wismc.simulate import (SimConfig, SynthPath, backtransform, simulate_path,
+                            simulate_univariate)
 from wismc.triplet import (
     EmpiricalInverse,
     SyncChain,
@@ -85,6 +90,27 @@ def oracle_backtransform(state, u, inv):
     hi = min(lo + 1, sample.size - 1)
     frac = pos - lo
     return float(sample[lo] * (1.0 - frac) + sample[hi] * frac)
+
+
+def oracle_array_backtransform(states, u, inv):
+    """The array ``backtransform`` whose arithmetic made a fresh array per
+    step."""
+    states, u = np.asarray(states, dtype=np.int64), np.asarray(u, dtype=float)
+    seen = np.bincount(states, minlength=len(inv.samples)) > 0
+    pool = []
+    for k, x in enumerate(inv.samples):
+        if not x.size and seen[k]:
+            warnings.warn(f"state {k} has no sample; using representative value")
+            x = inv.grid.representatives[k:k + 1]
+        pool.append(x)
+    sizes = np.array([x.size for x in pool])
+    first = (np.cumsum(sizes) - sizes)[states]
+    top = sizes[states] - 1
+    at = u * top
+    frac = at - np.floor(at)
+    lo = np.floor(at).astype(np.int64)
+    x = np.concatenate(pool, dtype=float)
+    return x[first + lo] * (1.0 - frac) + x[first + np.minimum(lo + 1, top)] * frac
 
 
 def oracle_continuous_value(value, state, rng, inv, grid, mode):
@@ -247,7 +273,7 @@ def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
 
 
 def oracle_index_trajectory(chain, lam):
-    values, times = chain.values, chain.times
+    values, times = chain_values(chain), chain.times
     out = np.empty(len(chain))
     w, d = 0.0, 1.0
     for n in range(len(chain)):
@@ -259,7 +285,7 @@ def oracle_index_trajectory(chain, lam):
 
 def oracle_index_at_times(chain, query_times, lam):
     query_times = np.asarray(query_times, dtype=np.int64)
-    values, times = chain.values, chain.times
+    values, times = chain_values(chain), chain.times
     out = np.empty(query_times.size)
     w, d = 0.0, 1.0
     pos = 0
@@ -1522,3 +1548,119 @@ def test_grid_search_early_stop_after_failed_count(monkeypatch):
                     reps_per_point=1, n_index_bins=1, epsilon=0.5)
     got = _same_search(vals, spec, 0, monkeypatch)
     assert [rec["failed"] for rec in got.records[:2]] == [True, True]
+
+
+def test_grid_search_kernel_failure_at_one_lambda(monkeypatch):
+    # every kernel of a state count is built before its first replication:
+    # one that fails gives its own failed record and leaves the others alone
+    def failing(chain, params):
+        calls.append(params.lam)
+        if params.lam == 0.9:
+            raise EstimationError(f"no kernel at lambda {params.lam}")
+        return build(chain, params)
+
+    build, calls = estimate_kernel, []
+    monkeypatch.setattr(optimize, "estimate_kernel", failing)
+    monkeypatch.setitem(globals(), "estimate_kernel", failing)
+    r, _ = heavy_tailed_series(3000, 17)
+    spec = GridSpec(state_counts=(3, 4), lambdas=(0.8, 0.9, 0.97), max_lag=15,
+                    reps_per_point=2, n_index_bins=2)
+    got = _same_search(r, spec, 3, monkeypatch)
+    assert [rec["failed"] for rec in got.records] == [False, True, False] * 2
+    assert got.records[1]["error"] == "no kernel at lambda 0.9"
+    # the oracle's builds, then grid_search's: one per point each
+    assert calls == [0.8, 0.9, 0.97] * 4
+
+
+# ---------------------------------------------------------------------------
+# backtransform, whose arithmetic runs in place
+
+# sample values with zeros of both signs and subnormals; a drawn state may
+# hold no value (it takes its representative) or one
+BT_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, -0.03, -0.011, 0.004, 0.01,
+                             0.5, -1.0, 3.0, 1e300])
+BT_UNIFORMS = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2 ** -53]),
+                        st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def bt_cases(draw):
+    n_states = draw(st.integers(2, 4))
+    samples = [np.array(sorted(draw(st.lists(BT_VALUES, max_size=6))), dtype=float)
+               for _ in range(n_states)]
+    states = draw(st.lists(st.integers(0, n_states - 1), max_size=30))
+    u = draw(st.lists(BT_UNIFORMS, min_size=len(states), max_size=len(states)))
+    reps = draw(st.lists(BT_VALUES, min_size=n_states, max_size=n_states))
+    grid = StateGrid(edges=np.r_[-np.inf, np.arange(n_states - 1.0), np.inf],
+                     representatives=np.array(reps))
+    return EmpiricalInverse(samples=samples, grid=grid), states, u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bt_cases())
+def test_backtransform_drawn_samples(case):
+    inverse, states, u = case
+    results = []
+    for fn in (oracle_array_backtransform, backtransform):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(np.array(states, dtype=np.int64), np.array(u, dtype=float), inverse)
+        results.append((out, [str(w.message) for w in caught]))
+    (want, want_warned), (got, got_warned) = results
+    assert_identical(want, got)
+    assert got_warned == want_warned
+
+
+def test_backtransform_leaves_its_inputs_alone():
+    inverse = EmpiricalInverse(samples=[np.array([-0.0, 0.25, 2.0]), np.array([3.0])],
+                               grid=toy_grid([-0.5, 0.5]))
+    states, u = np.array([0, 1, 0, 0]), np.array([0.0, 0.3, 0.6, 0.99])
+    kept = states.copy(), u.copy()
+    assert_identical(backtransform(states, u, inverse),
+                     oracle_array_backtransform(states, u, inverse))
+    assert_identical(states, kept[0])
+    assert_identical(u, kept[1])
+
+
+# ---------------------------------------------------------------------------
+# the model writer, which formats a long flat list a slice at a time
+
+
+def _json_text(doc):
+    """``doc`` as the standard library writes it, an array as its list."""
+    return json.dumps(doc, sort_keys=True, indent=1, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_dumps_flat_lists_around_a_slice(shift):
+    n = serialize.LIST_SLICE + shift
+    rng = np.random.default_rng(n)
+    floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    floats[:2] = [-0.0, 5e-324]
+    ints = rng.integers(-2 ** 62, 2 ** 62, n).tolist()
+    for numbers in (floats, ints):
+        doc = {"a": numbers, "b": [[numbers], {"c": numbers}]}
+        assert dumps(doc) == _json_text(doc)
+        # an array is written as its list
+        assert dumps({"a": np.array(numbers), "b": [[np.array(numbers)], {}]}) == \
+            _json_text({"a": numbers, "b": [[numbers], {}]})
+
+
+@pytest.mark.parametrize("array", [np.array([]), np.array([], dtype=np.int64),
+                                   np.array([1.0, np.inf, -0.0]), np.array([True, False]),
+                                   np.arange(6.0).reshape(2, 3), np.float64(2.5),
+                                   np.array([7], dtype=np.uint8)])
+def test_dumps_arrays_as_their_lists(array):
+    assert dumps({"x": array}) == _json_text({"x": array.tolist()})
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_save_model_across_slices(market_csv, tmp_path, monkeypatch, size):
+    tk = fit_triplet_kernel(market_csv["r"], market_csv["v"],
+                            TripletFitConfig(n_states_r=3, n_states_v=4, n_index_bins=2))
+    want = _json_text(triplet_to_dict(tk))
+    monkeypatch.setattr(serialize, "LIST_SLICE", size)
+    path = tmp_path / "model.json"
+    save_model(tk, path)
+    assert path.read_text() == want
+    assert dumps(triplet_to_dict(load_model(path))) == want

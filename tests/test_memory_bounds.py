@@ -4,9 +4,11 @@ per path of one batch and must not grow with the path count, the exact
 first-passage recursion, which holds no memo on an indexed model, the index
 recurrence, whose traced peak must not grow with the chain it walks, the
 return series of the bars, whose peak beside its output must not grow with
-the bar count, and the one-variable engine's recorded path, whose peak must
-stay under a budget per minute. tracemalloc sees numpy's buffers, so the
-peaks count every array the loops hold at once."""
+the bar count, the one-variable engine's recorded path, whose peak must
+stay under a budget per minute, the joint fit, whose peak must stay under a
+budget per value of its input, and the model writer, whose peak may grow by
+only a budget per value added to an inverse's longest list. tracemalloc sees
+numpy's buffers, so the peaks count every array the loops hold at once."""
 import dataclasses
 import tracemalloc
 
@@ -20,6 +22,7 @@ from wismc.core import (IndexParams, JumpChain, discretize, estimate_kernel,
                         index_at_times, make_state_grid)
 from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
 from wismc.market_data import BarSeries, compute_returns
+from wismc.serialize import save_model
 from wismc.simulate import simulate_univariate
 from wismc.triplet import CondWaitDist, EmpiricalInverse, TripletKernel, fit_triplet_kernel
 
@@ -169,11 +172,12 @@ def test_compute_returns_peak_flat_in_bar_count(kind):
 
 
 # the recorded path's peak per minute on a 60 000-minute series (0.69 events
-# per minute) with an inverse, as ``optimize`` runs it, is 71 bytes: the
+# per minute) with an inverse, as ``optimize`` runs it, is 49 bytes: the
 # states, the sojourns, the back-transform uniforms and what
-# ``backtransform`` holds, the inverse's pooled sample among it. Keeping
-# every block of uniforms and joining them read 92.
-UNIVARIATE_BYTES_PER_MINUTE = 82
+# ``backtransform`` holds, the inverse's pooled sample among it. With the
+# back-transform's arithmetic on fresh arrays it read 71, and keeping every
+# block of uniforms and joining them 92.
+UNIVARIATE_BYTES_PER_MINUTE = 56
 
 
 def test_simulate_univariate_recorded_peak_per_minute():
@@ -184,3 +188,39 @@ def test_simulate_univariate_recorded_peak_per_minute():
     simulate_univariate(kernel, 1000, 0, inverse=inverse)
     peak = _traced_peak(simulate_univariate, kernel, r.size, 1, inverse=inverse)
     assert peak / r.size < UNIVARIATE_BYTES_PER_MINUTE
+
+
+# the fit's peak per value of a 60 000-minute (r, v) pair is 98 bytes: the
+# synchronized chain and the index at its events while the waiting-time law
+# is counted. Holding both jump chains, both index trajectories and the
+# synchronized chain through the copula fit read 123.
+FIT_BYTES_PER_VALUE = 110
+
+
+def test_fit_triplet_kernel_peak_per_value():
+    r, v = heavy_tailed_series(60_000, 3)
+    fit_triplet_kernel(r[:5000], v[:5000])
+    assert _traced_peak(fit_triplet_kernel, r, v) / r.size < FIT_BYTES_PER_VALUE
+
+
+# each value added to an inverse's one long list of distinct values adds 31
+# bytes to save_model's peak: the run's value and count as array entries and
+# the run's share of the transients while its state is written. The lists of
+# Python numbers, and the whole list's text joined at once, added 138.
+SAVE_BYTES_PER_RUN = 40
+
+
+def test_save_model_peak_per_inverse_run(tmp_path):
+    tk = random_triplet(np.random.default_rng(6), [-0.02, 0.0, 0.01, 0.03], [-1.0, 0.5],
+                        CopulaSpec("independence"))
+    path = tmp_path / "model.json"
+    peaks = []
+    for n in (20_000, 200_000):
+        # state 1 of the volume grid holds every value at or above 0
+        x = np.sort(np.random.default_rng(n).uniform(0.6, 5.0, n))
+        model = dataclasses.replace(tk, inverse_v=EmpiricalInverse(
+            samples=[np.empty(0), x], grid=tk.kernel_v.grid))
+        save_model(model, path)
+        peaks.append(_traced_peak(save_model, model, path))
+    short, long = peaks
+    assert (long - short) / 180_000 < SAVE_BYTES_PER_RUN

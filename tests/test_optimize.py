@@ -113,6 +113,14 @@ class TestGridSearch:
             with pytest.raises(ParameterError):
                 GridSpec(state_counts=(3,), lambdas=(0.9,), reps_per_point=reps)
 
+    @pytest.mark.parametrize("counts, lambdas", [((3, 3), (0.97,)), ((3, 5, 3), (0.97,)),
+                                                 ((3,), (0.97, 0.97)),
+                                                 ((3, 5), (0.95, 0.97, 0.95))])
+    def test_repeated_points_refused(self, counts, lambdas):
+        # a repeated point would be simulated again and recorded twice
+        with pytest.raises(ParameterError, match="must not repeat"):
+            GridSpec(state_counts=counts, lambdas=lambdas)
+
     @pytest.mark.parametrize("field", [{"n_index_bins": 0}, {"n_index_bins": -1},
                                        {"epsilon": float("nan")},
                                        {"epsilon": float("inf")},

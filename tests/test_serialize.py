@@ -226,5 +226,7 @@ class TestWriter:
         path = tmp_path / "model.json"
         assert main(["estimate", "--input", market_csv["path"], "--out", str(path)]) == 0
         with open(tmp_path / "json.json", "w") as fh:
-            json.dump(triplet_to_dict(load_model(path)), fh, sort_keys=True, indent=1)
+            # the inverses' runs are arrays
+            json.dump(triplet_to_dict(load_model(path)), fh, sort_keys=True, indent=1,
+                      default=np.ndarray.tolist)
         assert path.read_bytes() == (tmp_path / "json.json").read_bytes()
