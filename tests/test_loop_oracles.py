@@ -2,8 +2,11 @@
 and ``simulate_path``, whose back-transforms now run after their loops over
 the whole path, ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``, also chunk by chunk), the grid search that builds each
-state count's grid, chain and inverse once, the mask version of ``value_wait_pairs``, the sorted
-merge of jump times in ``synchronize``, the shared fallback-ladder resolver,
+state count's grid, chain and inverse once and every kernel before its first
+replication, the mask version of ``value_wait_pairs``, the sorted
+merge of jump times in ``synchronize`` (sorted in place), the in-place
+arithmetic of ``backtransform``, the model writer that formats long lists a
+slice at a time and writes arrays, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, the signed-value tables that each variable's
 modulus table builds once, the live-paths-only Monte Carlo loop of
 ``fpt_survival_mc``, also run batch after batch on one stream, and the

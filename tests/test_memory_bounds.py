@@ -190,10 +190,11 @@ def test_simulate_univariate_recorded_peak_per_minute():
     assert peak / r.size < UNIVARIATE_BYTES_PER_MINUTE
 
 
-# the fit's peak per value of a 60 000-minute (r, v) pair is 98 bytes: the
-# synchronized chain and the index at its events while the waiting-time law
-# is counted. Holding both jump chains, both index trajectories and the
-# synchronized chain through the copula fit read 123.
+# the fit's peak per value of a 60 000-minute (r, v) pair is 98 bytes, while
+# the index at the synchronized events is worked out: both jump chains, the
+# synchronized chain, the index values and a chunk of Python numbers.
+# Holding the chains, both index trajectories and the synchronized chain
+# through the copula fit read 123.
 FIT_BYTES_PER_VALUE = 110
 
 
@@ -216,7 +217,7 @@ def test_save_model_peak_per_inverse_run(tmp_path):
     path = tmp_path / "model.json"
     peaks = []
     for n in (20_000, 200_000):
-        # state 1 of the volume grid holds every value at or above 0
+        # state 1 of the volume grid holds every value at or above -0.25
         x = np.sort(np.random.default_rng(n).uniform(0.6, 5.0, n))
         model = dataclasses.replace(tk, inverse_v=EmpiricalInverse(
             samples=[np.empty(0), x], grid=tk.kernel_v.grid))
