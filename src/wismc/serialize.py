@@ -4,8 +4,8 @@ nested in each.
 Floats are written with Python's shortest round-trip representation and the
 non-finite grid edges as JSON ``Infinity`` literals, so load(save(x)) is
 bit-exact. Every document carries a ``format`` tag and ``version`` field.
-Triplet documents are version 2: each empirical inverse is stored as runs of
-equal bits, one ``values`` and one ``counts`` list per state. Version 1 held
+Triplet documents are version 2: each empirical inverse is stored as the runs
+it holds, one ``values`` and one ``counts`` list per state. Version 1 held
 the raw ``samples`` instead and is still read. Kernel documents are version 1.
 
 A table is its counts. Each document also holds copies derived from them for
@@ -23,7 +23,7 @@ import numpy as np
 from .copulas import CopulaSpec
 from .core import IndexedKernel, StateGrid
 from .errors import ContractViolation, ParameterError, ParseError
-from .triplet import CondWaitDist, EmpiricalInverse, SignModel, TripletKernel
+from .triplet import CondWaitDist, EmpiricalInverse, SignModel, TripletKernel, sample_runs
 
 __all__ = [
     "kernel_to_dict",
@@ -41,6 +41,8 @@ KERNEL_VERSION = 1
 TRIPLET_VERSION = 2
 # numbers of a flat list formatted into one piece
 LIST_SLICE = 4096
+# beyond this many samples in a state, u * (n - 1) misses order statistics
+MAX_STATE_SAMPLES = 2 ** 53
 
 
 def _flat(obj) -> bool:
@@ -159,49 +161,46 @@ def kernel_from_dict(doc: dict, name: str = "kernel") -> IndexedKernel:
 
 
 def _inverse_to_dict(inv) -> dict | None:
-    """Each state's sorted samples as runs of equal bits, so that ``-0.0``
-    and ``0.0`` stay apart: per state an array of values and one of counts,
-    which hold a quarter of what lists of Python numbers would."""
-    if inv is None:
-        return None
-    values, counts = [], []
-    for s in inv.samples:
-        bits = s.view(np.int64)
-        starts = np.flatnonzero(np.r_[s.size > 0, bits[1:] != bits[:-1]])
-        values.append(s[starts])
-        counts.append(np.diff(np.r_[starts, s.size]))
-    return {"values": values, "counts": counts}
+    """Each state's runs, as the arrays the inverse holds."""
+    return None if inv is None else {"values": inv.values, "counts": inv.counts}
 
 
-def _runs(values, counts, name: str) -> np.ndarray:
-    """The sample that one state's runs stand for. ``counts`` must hold one
-    integer of at least 1 per value, and adjacent values must differ in bits."""
+def _runs(values, counts, name: str) -> tuple:
+    """One state's runs as arrays. ``counts`` must hold one integer of at
+    least 1 per value, totalling at most ``MAX_STATE_SAMPLES``, and adjacent
+    values must differ in bits."""
     values, counts = np.array(values, dtype=float), np.array(counts)
+    # counts up to the cap keep the running sum exact past its first entry above it
     if not (values.ndim == counts.ndim == 1 and values.size == counts.size
             and (counts.dtype.kind == "i" or counts.size == 0) and (counts >= 1).all()
+            and (counts <= MAX_STATE_SAMPLES).all()
+            and np.cumsum(counts).max(initial=0) <= MAX_STATE_SAMPLES
             and (values[1:].view(np.int64) != values[:-1].view(np.int64)).all()):
         raise ParseError(f"{name} runs: need per state one count of 1 or more per value, "
-                         "and adjacent values that differ")
-    return np.repeat(values, counts.astype(np.int64))
+                         "totalling at most 2**53, and adjacent values that differ")
+    return values, counts.astype(np.int64)
 
 
 def _inverse_from_dict(doc, grid: StateGrid, name: str, version: int):
-    """Samples as ``EmpiricalInverse.from_data`` leaves them: one list per
+    """Runs as ``EmpiricalInverse.from_data`` leaves them: one sample per
     grid state, each finite, ascending and inside its state's bin. Version 1
-    stores them as they are, version 2 as runs (see :func:`_runs`)."""
+    stores the samples as they are, version 2 as runs (see :func:`_runs`)."""
     if doc is None:
         return None
     if version == 1:
         samples = [np.array(s, dtype=float) for s in doc["samples"]]
+        if any(s.ndim != 1 for s in samples):
+            raise ParseError(f"{name} samples: need one flat list per state")
+        runs = [sample_runs(s) for s in samples]
     elif len(doc["values"]) != len(doc["counts"]):
         raise ParseError(f"{name} runs: need as many count lists as value lists")
     else:
-        samples = [_runs(v, c, name) for v, c in zip(doc["values"], doc["counts"])]
-    if len(samples) != grid.n_states or not all(
-            s.ndim == 1 and np.isfinite(s).all() and (np.diff(s) >= 0).all()
-            and (grid.state_of(s) == k).all() for k, s in enumerate(samples)):
+        runs = [_runs(v, c, name) for v, c in zip(doc["values"], doc["counts"])]
+    if len(runs) != grid.n_states or not all(
+            np.isfinite(x).all() and (np.diff(x) >= 0).all() and (grid.state_of(x) == k).all()
+            for k, (x, _) in enumerate(runs)):
         raise ParseError(f"{name} samples: need one ascending finite list per state, in its bin")
-    return EmpiricalInverse(samples=samples, grid=grid)
+    return EmpiricalInverse.from_runs(runs, grid)
 
 
 def triplet_to_dict(tk: TripletKernel) -> dict:
@@ -268,8 +267,9 @@ def load_model(path) -> TripletKernel:
     """Read a triplet model file. A file that is not UTF-8 JSON, not a JSON
     object or not a triplet document of version 1 or 2 (with kernels of
     version 1), lacks a field, holds one of the wrong type, a negative
-    count, a pmf other than its counts normalized or inverse samples that
-    ``EmpiricalInverse.from_data`` would not give raises
+    count, a pmf other than its counts normalized, or inverse runs that
+    ``EmpiricalInverse.from_data`` would not give (checked unexpanded) or
+    that total more than ``MAX_STATE_SAMPLES`` in a state raises
     :class:`ParseError`; tables whose shapes, ``t_max`` or index edges
     disagree raise :class:`ParameterError` or :class:`ContractViolation`."""
     with open(path, encoding="utf-8") as fh:

@@ -38,6 +38,7 @@ __all__ = [
     "CondWaitDist",
     "ConditioningCell",
     "EmpiricalInverse",
+    "sample_runs",
     "TripletKernel",
     "TripletFitConfig",
     "synchronize",
@@ -96,17 +97,16 @@ def synchronize(chain_j: JumpChain, chain_v: JumpChain) -> SyncChain:
     both.sort()
     times = both[np.concatenate([[True], both[1:] != both[:-1]])]
     del both
-    pj = np.searchsorted(chain_j.times, times, side="right") - 1
-    pv = np.searchsorted(chain_v.times, times, side="right") - 1
-    return SyncChain(
-        j_states=chain_j.states[pj],
-        v_states=chain_v.states[pv],
-        times=times,
-        backward_j=times - chain_j.times[pj],
-        backward_v=times - chain_v.times[pv],
-        grid_j=chain_j.grid,
-        grid_v=chain_v.grid,
-    )
+
+    def carried(chain):
+        # one variable's positions at a time, dropped once gathered
+        at = np.searchsorted(chain.times, times, side="right") - 1
+        return chain.states[at], times - chain.times[at]
+
+    (j_states, backward_j), (v_states, backward_v) = carried(chain_j), carried(chain_v)
+    return SyncChain(j_states=j_states, v_states=v_states, times=times,
+                     backward_j=backward_j, backward_v=backward_v,
+                     grid_j=chain_j.grid, grid_v=chain_v.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +294,36 @@ class _ModulusTable:
         return self._drawn_value[pos], self._drawn_state[pos]
 
 
+def sample_runs(sample) -> tuple:
+    """A sorted sample as runs of equal bits, so that ``-0.0`` and ``0.0``
+    stay apart: the value of each run and how many samples it holds."""
+    sample = np.asarray(sample, dtype=float)
+    bits = sample.view(np.int64)
+    starts = np.flatnonzero(np.r_[sample.size > 0, bits[1:] != bits[:-1]])
+    return sample[starts], np.diff(np.r_[starts, sample.size])
+
+
 @dataclass
 class EmpiricalInverse:
-    """Per-state sorted samples of the continuous values observed in each
-    state, for mapping simulated states back to continuous values."""
+    """Per state, the sorted continuous values observed in it, for mapping
+    simulated states back to continuous values, held as their runs (see
+    :func:`sample_runs`), as model files store them."""
 
-    samples: list  # one sorted ndarray per state
+    values: list  # one ascending float ndarray per state
+    counts: list  # one int64 ndarray per state, each count at least 1
     grid: StateGrid
+
+    @classmethod
+    def from_runs(cls, runs, grid: StateGrid) -> "EmpiricalInverse":
+        """The inverse of one (values, counts) pair per state."""
+        return cls(values=[v for v, _ in runs], counts=[c for _, c in runs], grid=grid)
 
     @classmethod
     def from_data(cls, values, grid: StateGrid) -> "EmpiricalInverse":
         values = np.asarray(values, dtype=float)
         idx = grid.state_of(values)
-        samples = [np.sort(values[idx == s]) for s in range(grid.n_states)]
-        return cls(samples=samples, grid=grid)
+        return cls.from_runs([sample_runs(np.sort(values[idx == s]))
+                              for s in range(grid.n_states)], grid)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from wismc.copulas import CopulaSpec
 from wismc.core import IndexedKernel, JumpChain, StateGrid
-from wismc.triplet import CondWaitDist, SignModel, TripletKernel
+from wismc.triplet import CondWaitDist, EmpiricalInverse, SignModel, TripletKernel, sample_runs
 
 
 def toy_grid(reps) -> StateGrid:
@@ -15,6 +15,17 @@ def toy_grid(reps) -> StateGrid:
     mid = (reps[:-1] + reps[1:]) / 2.0
     return StateGrid(edges=np.concatenate([[-np.inf], mid, [np.inf]]),
                      representatives=reps)
+
+
+def inverse_of(samples, grid: StateGrid) -> EmpiricalInverse:
+    """The inverse whose state k holds the sorted sample ``samples[k]``,
+    built through the library's run helper."""
+    return EmpiricalInverse.from_runs([sample_runs(s) for s in samples], grid)
+
+
+def samples_of(inv: EmpiricalInverse) -> list:
+    """Each state's sample, its runs expanded."""
+    return [np.repeat(v, c) for v, c in zip(inv.values, inv.counts)]
 
 
 def chain_values(chain: JumpChain) -> np.ndarray:

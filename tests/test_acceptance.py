@@ -4,7 +4,8 @@ import functools
 import time
 import numpy as np
 
-from conftest import heavy_tailed_series, random_chain, random_triplet, toy_grid, write_bar_csv
+from conftest import (heavy_tailed_series, inverse_of, random_chain, random_triplet, toy_grid,
+                      write_bar_csv)
 from test_core import scored_index, shift_identical
 from test_finfunc import oracle_fpt
 from test_triplet import oracle_eval
@@ -22,7 +23,7 @@ from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive, sig
 from wismc.market_data import jarque_bera
 from wismc.optimize import GridSpec, grid_search
 from wismc.simulate import SimConfig, simulate_path, simulate_univariate
-from wismc.triplet import ConditioningCell, EmpiricalInverse, TripletFitConfig, fit_triplet_kernel, quadrant_masses
+from wismc.triplet import ConditioningCell, TripletFitConfig, fit_triplet_kernel, quadrant_masses
 
 
 def _report(num, ok, elapsed, detail=""):
@@ -332,11 +333,11 @@ def test_criterion_10_optimizer_self_consistency():
     t0 = time.time()
     truth = _truth_kernel_search()
     rng0 = np.random.default_rng(999)
-    inverse = EmpiricalInverse(
-        samples=[np.sort(rng0.uniform(-0.02, -0.005, 400)),
-                 np.sort(rng0.uniform(-0.004, 0.004, 400)),
-                 np.sort(rng0.uniform(0.005, 0.02, 400))],
-        grid=truth.grid)
+    inverse = inverse_of(
+        [np.sort(rng0.uniform(-0.02, -0.005, 400)),
+         np.sort(rng0.uniform(-0.004, 0.004, 400)),
+         np.sort(rng0.uniform(0.005, 0.02, 400))],
+        truth.grid)
     spec = GridSpec(state_counts=(2, 3, 4), lambdas=(0.8, 0.9, 0.95),
                     max_lag=30, reps_per_point=3, n_index_bins=3)
     hits = 0

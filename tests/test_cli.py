@@ -169,8 +169,10 @@ class TestModelVersions:
         assert v2.read_bytes() == Path(small_model).read_bytes()
         new = load_model(v2)
         for name in ("inverse_j", "inverse_v"):
-            for a, b in zip(getattr(old, name).samples, getattr(new, name).samples):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            for field in ("values", "counts"):
+                for a, b in zip(getattr(getattr(old, name), field),
+                                getattr(getattr(new, name), field)):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
         outs = {}
         for model in (v1, v2):
             out = tmp_path / model.stem
@@ -185,6 +187,19 @@ class TestModelVersions:
             "fpt/fpt.csv", "sim/events_000.csv", "sim/events_001.csv",
             "sim/rep_000.csv", "sim/rep_001.csv"]
         assert outs["v1"] == outs["v2"]
+
+
+    def test_run_count_of_10_to_the_12_simulates(self, small_model, tmp_path):
+        """A run count is read, not expanded into samples, so a 10**12 count
+        costs no memory."""
+        doc = json.loads(Path(small_model).read_text())
+        doc["inverse_j"]["counts"][0][0] = 10 ** 12
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", str(path), "--minutes", "3000", "--reps", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == ["events_000.csv", "rep_000.csv"]
 
 
 class TestOptimizeCommand:
@@ -356,6 +371,7 @@ class TestErrors:
         ("inverse_v values and counts of different lengths", "simulate", 3, "ParseError"),
         ("inverse_v one count list more", "simulate", 3, "ParseError"),
         ("inverse_v run value in the next state's bin", "fpt", 3, "ParseError"),
+        ("inverse_j run counts totalling over 2**53", "simulate", 3, "ParseError"),
         ("version 99", "simulate", 3, "ParseError"),
         ("version 99", "fpt", 3, "ParseError"),
         ("kernel_j version a string", "simulate", 3, "ParseError"),
@@ -439,6 +455,9 @@ class TestErrors:
         elif damage == "inverse_v run value in the next state's bin":  # still ascending
             runs_v["values"][1].insert(0, runs_v["values"][0][-1])
             runs_v["counts"][1].insert(0, 1)
+        elif damage == "inverse_j run counts totalling over 2**53":  # each at most 2**53
+            k = next(k for k, c in enumerate(runs_j["counts"]) if len(c) > 1)
+            runs_j["counts"][k][0] = 2 ** 53
         elif damage == "version 99":
             doc["version"] = 99
         elif damage == "kernel_j version a string":

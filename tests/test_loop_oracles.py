@@ -36,6 +36,8 @@ from conftest import (
     random_chain,
     random_kernel,
     random_triplet,
+    samples_of,
+    inverse_of,
     toy_grid,
 )
 from wismc import core, finfunc, market_data, optimize, serialize
@@ -82,7 +84,7 @@ from wismc.triplet import (
 
 def oracle_backtransform(state, u, inv):
     """The per-draw back-transform that the array ``backtransform`` replaced."""
-    sample = inv.samples[state]
+    sample = samples_of(inv)[state]
     if sample.size == 0:
         warnings.warn(f"state {state} has no sample; using representative value")
         return float(inv.grid.representatives[state])
@@ -99,9 +101,10 @@ def oracle_array_backtransform(states, u, inv):
     """The array ``backtransform`` whose arithmetic made a fresh array per
     step."""
     states, u = np.asarray(states, dtype=np.int64), np.asarray(u, dtype=float)
-    seen = np.bincount(states, minlength=len(inv.samples)) > 0
+    samples = samples_of(inv)
+    seen = np.bincount(states, minlength=len(samples)) > 0
     pool = []
-    for k, x in enumerate(inv.samples):
+    for k, x in enumerate(samples):
         if not x.size and seen[k]:
             warnings.warn(f"state {k} has no sample; using representative value")
             x = inv.grid.representatives[k:k + 1]
@@ -769,15 +772,15 @@ def test_simulate_univariate_fallback_and_thin_samples():
     # an empty sample (representative, with a warning) and a single value,
     # which is taken bit for bit, -0.0 included
     grid = toy_grid([-0.02, 0.0, 0.015])
-    inverse = EmpiricalInverse(samples=[np.array([-0.03, -0.02, -0.01]), np.array([]),
-                                        np.array([0.02])], grid=grid)
+    inverse = inverse_of([np.array([-0.03, -0.02, -0.01]), np.array([]), np.array([0.02])],
+                         grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _check_runs(kernel, inverse, 6)
     with pytest.warns(UserWarning, match="state 1 has no sample"):
         simulate_univariate(kernel, 3000, seed=6, inverse=inverse)
-    signed_zero = EmpiricalInverse(samples=[np.array([-0.03]), np.array([-0.0]),
-                                            np.array([0.0, 0.02])], grid=grid)
+    signed_zero = inverse_of([np.array([-0.03]), np.array([-0.0]), np.array([0.0, 0.02])],
+                             grid)
     _check_runs(kernel, signed_zero, 6)
 
 
@@ -865,9 +868,9 @@ def test_simulate_path_thin_samples(fixture_models):
     # representative, negated where mirrored, with a warning) and the zero
     # state a single -0.0, which is taken bit for bit
     model = fixture_models["series"]
-    samples = list(model.inverse_j.samples)
+    samples = samples_of(model.inverse_j)
     samples[0], samples[2] = np.array([]), np.array([-0.0])
-    inverse = EmpiricalInverse(samples=samples, grid=model.kernel_j.grid)
+    inverse = inverse_of(samples, model.kernel_j.grid)
     tk = dataclasses.replace(model, inverse_j=inverse)
     cfg = SimConfig(length_minutes=2500, seed=7)
     with warnings.catch_warnings():
@@ -1596,7 +1599,7 @@ def bt_cases(draw):
     reps = draw(st.lists(BT_VALUES, min_size=n_states, max_size=n_states))
     grid = StateGrid(edges=np.r_[-np.inf, np.arange(n_states - 1.0), np.inf],
                      representatives=np.array(reps))
-    return EmpiricalInverse(samples=samples, grid=grid), states, u
+    return inverse_of(samples, grid), states, u
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1615,8 +1618,8 @@ def test_backtransform_drawn_samples(case):
 
 
 def test_backtransform_leaves_its_inputs_alone():
-    inverse = EmpiricalInverse(samples=[np.array([-0.0, 0.25, 2.0]), np.array([3.0])],
-                               grid=toy_grid([-0.5, 0.5]))
+    inverse = inverse_of([np.array([-0.0, 0.25, 2.0]), np.array([3.0])],
+                         toy_grid([-0.5, 0.5]))
     states, u = np.array([0, 1, 0, 0]), np.array([0.0, 0.3, 0.6, 0.99])
     kept = states.copy(), u.copy()
     assert_identical(backtransform(states, u, inverse),

@@ -6,23 +6,25 @@ recurrence, whose traced peak must not grow with the chain it walks, the
 return series of the bars, whose peak beside its output must not grow with
 the bar count, the one-variable engine's recorded path, whose peak must
 stay under a budget per minute, the joint fit, whose peak must stay under a
-budget per value of its input, and the model writer, whose peak may grow by
-only a budget per value added to an inverse's longest list. tracemalloc sees
+budget per value of its input, the model writer, whose peak may grow by
+only a budget per value added to an inverse's longest list, and the model
+reader, whose peak must not grow with the inverses' run counts. tracemalloc sees
 numpy's buffers, so the peaks count every array the loops hold at once."""
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import heavy_tailed_series, random_triplet, toy_grid
+from conftest import heavy_tailed_series, inverse_of, random_triplet, toy_grid
 from wismc import finfunc
 from wismc.copulas import CopulaSpec
 from wismc.core import (IndexParams, JumpChain, discretize, estimate_kernel,
                         index_at_times, make_state_grid)
 from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
 from wismc.market_data import BarSeries, compute_returns
-from wismc.serialize import save_model
+from wismc.serialize import dumps, load_model, save_model
 from wismc.simulate import simulate_univariate
 from wismc.triplet import CondWaitDist, EmpiricalInverse, TripletKernel, fit_triplet_kernel
 
@@ -172,11 +174,11 @@ def test_compute_returns_peak_flat_in_bar_count(kind):
 
 
 # the recorded path's peak per minute on a 60 000-minute series (0.69 events
-# per minute) with an inverse, as ``optimize`` runs it, is 49 bytes: the
+# per minute) with an inverse, as ``optimize`` runs it, is 39 bytes: the
 # states, the sojourns, the back-transform uniforms and what
-# ``backtransform`` holds, the inverse's pooled sample among it. With the
-# back-transform's arithmetic on fresh arrays it read 71, and keeping every
-# block of uniforms and joining them 92.
+# ``backtransform`` holds for one state at a time. Pooling every state's
+# expanded sample read 49, with the back-transform's arithmetic on fresh
+# arrays 71, and keeping every block of uniforms and joining them 92.
 UNIVARIATE_BYTES_PER_MINUTE = 56
 
 
@@ -219,9 +221,23 @@ def test_save_model_peak_per_inverse_run(tmp_path):
     for n in (20_000, 200_000):
         # state 1 of the volume grid holds every value at or above -0.25
         x = np.sort(np.random.default_rng(n).uniform(0.6, 5.0, n))
-        model = dataclasses.replace(tk, inverse_v=EmpiricalInverse(
-            samples=[np.empty(0), x], grid=tk.kernel_v.grid))
+        model = dataclasses.replace(tk, inverse_v=inverse_of([np.empty(0), x],
+                                                             tk.kernel_v.grid))
         save_model(model, path)
         peaks.append(_traced_peak(save_model, model, path))
     short, long = peaks
     assert (long - short) / 180_000 < SAVE_BYTES_PER_RUN
+
+
+def test_load_model_peak_flat_in_run_counts(fixture_model, tmp_path):
+    # the reader checks the inverses' runs as they are; expanding them into
+    # samples took 8 bytes per count
+    path, scaled = tmp_path / "model.json", tmp_path / "scaled.json"
+    save_model(fixture_model, path)
+    doc = json.loads(path.read_text())
+    for name in ("inverse_j", "inverse_v"):
+        doc[name]["counts"] = [[100 * n for n in c] for c in doc[name]["counts"]]
+    scaled.write_text(dumps(doc))
+    load_model(path)
+    base, big = (_traced_peak(load_model, p) for p in (path, scaled))
+    assert big - base < 0.1 * base

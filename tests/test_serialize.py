@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heavy_tailed_series, random_kernel, random_triplet, v1_document
+from conftest import (heavy_tailed_series, inverse_of, random_kernel, random_triplet,
+                      samples_of, v1_document)
 from wismc.cli import main
 from wismc.copulas import CopulaSpec
 from wismc.errors import ParseError
@@ -21,7 +22,7 @@ from wismc.serialize import (
     triplet_to_dict,
 )
 from wismc.triplet import (EmpiricalInverse, TripletFitConfig, TripletKernel,
-                           fit_triplet_kernel)
+                           fit_triplet_kernel, sample_runs)
 
 
 class TestKernelRoundTrip:
@@ -66,7 +67,7 @@ class TestTripletRoundTrip:
         assert back.copula.family == tk.copula.family
         assert back.copula.rho == tk.copula.rho
         assert back.signs == tk.signs
-        for a, b in zip(back.inverse_j.samples, tk.inverse_j.samples):
+        for a, b in zip(samples_of(back.inverse_j), samples_of(tk.inverse_j)):
             assert np.array_equal(a, b)
         # serialization is idempotent byte-for-byte, and the streamed file
         # holds the same text as dumps
@@ -98,10 +99,10 @@ class TestTripletRoundTrip:
     def test_inverse_samples_round_trip(self):
         # the middle return state holds no sample: an empty list loads
         tk = self._with_inverses([-0.03, -0.02, -0.011, 0.009, 0.01, 0.04])
-        assert tk.inverse_j.samples[1].size == 0
+        assert samples_of(tk.inverse_j)[1].size == 0
         back = triplet_from_dict(json.loads(dumps(triplet_to_dict(tk))))
-        for a, b in zip(back.inverse_j.samples + back.inverse_v.samples,
-                        tk.inverse_j.samples + tk.inverse_v.samples):
+        for a, b in zip(samples_of(back.inverse_j) + samples_of(back.inverse_v),
+                        samples_of(tk.inverse_j) + samples_of(tk.inverse_v)):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("damage", ["one list short", "one list more", "reversed",
@@ -132,13 +133,29 @@ class TestTripletRoundTrip:
     def test_zeros_of_both_signs_stay_apart(self):
         # np.unique would merge -0.0 and 0.0 into one run; runs split on bits
         tk = self._with_inverses([-0.03, 0.01])
-        tk.inverse_j.samples[1] = np.array([-0.0, 0.0, -0.0])
+        zeros = np.array([-0.0, 0.0, -0.0])
+        tk.inverse_j.values[1], tk.inverse_j.counts[1] = sample_runs(zeros)
         doc = json.loads(dumps(triplet_to_dict(tk)))
         assert list(map(repr, doc["inverse_j"]["values"][1])) == ["-0.0", "0.0", "-0.0"]
         assert doc["inverse_j"]["counts"][1] == [1, 1, 1]
         back = triplet_from_dict(doc)
-        assert back.inverse_j.samples[1].view(np.int64).tolist() == \
-            tk.inverse_j.samples[1].view(np.int64).tolist()
+        assert samples_of(back.inverse_j)[1].view(np.int64).tolist() == \
+            zeros.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("counts, refused", [
+        ([2 ** 53], False), ([2 ** 53 - 1, 1], False), ([2 ** 53, 1], True),
+        ([1, 2 ** 63 - 1], True), ([2 ** 53] * 1025, True)])
+    def test_run_counts_total_at_most_2_to_the_53(self, counts, refused):
+        # 1025 counts of 2**53 would wrap a running int64 sum past zero
+        doc = json.loads(dumps(triplet_to_dict(self._with_inverses([-0.03, 0.01]))))
+        runs = doc["inverse_j"]
+        runs["values"][2] = np.linspace(0.02, 0.03, len(counts)).tolist()
+        runs["counts"][2] = counts
+        if refused:
+            with pytest.raises(ParseError, match=r"inverse_j runs: .* at most 2\*\*53"):
+                triplet_from_dict(doc)
+        else:
+            assert triplet_from_dict(doc).inverse_j.counts[2].tolist() == counts
 
     @pytest.mark.parametrize("version", [0, "2", 2.0, True, None])
     def test_versions_other_than_integers_1_and_2_refused(self, version):
@@ -173,30 +190,31 @@ ROUND_TRIP_MODEL = random_triplet(np.random.default_rng(6), [-0.02, 0.0, 0.01, 0
                                   [-1.0, 0.5], CopulaSpec("independence"))
 
 
-def _per_state(values, grid) -> EmpiricalInverse:
+def _per_state(values, grid) -> list:
     """``values`` split by state, each state's list sorted stably, so that
     zeros of both signs keep the order they were drawn in."""
     states = grid.state_of(np.array(values, dtype=float))
-    return EmpiricalInverse(samples=[np.array(sorted(x for x, s in zip(values, states) if s == k),
-                                              dtype=float) for k in range(grid.n_states)],
-                            grid=grid)
+    return [np.array(sorted(x for x, s in zip(values, states) if s == k), dtype=float)
+            for k in range(grid.n_states)]
 
 
 class TestRunForm:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(SAMPLE_VALUES, SAMPLE_VALUES)
     def test_samples_round_trip_bitwise(self, tmp_path_factory, r_values, v_values):
+        samples = {"inverse_j": _per_state(r_values, ROUND_TRIP_MODEL.kernel_j.grid),
+                   "inverse_v": _per_state(v_values, ROUND_TRIP_MODEL.kernel_v.grid)}
         tk = dataclasses.replace(
             ROUND_TRIP_MODEL,
-            inverse_j=_per_state(r_values, ROUND_TRIP_MODEL.kernel_j.grid),
-            inverse_v=_per_state(v_values, ROUND_TRIP_MODEL.kernel_v.grid))
+            inverse_j=inverse_of(samples["inverse_j"], ROUND_TRIP_MODEL.kernel_j.grid),
+            inverse_v=inverse_of(samples["inverse_v"], ROUND_TRIP_MODEL.kernel_v.grid))
         path = tmp_path_factory.getbasetemp() / "run_form_model.json"
         save_model(tk, path)
         back = load_model(path)
         from_v1 = triplet_from_dict(v1_document(json.loads(path.read_text())))
         for name in ("inverse_j", "inverse_v"):
-            want = getattr(tk, name).samples
-            for got in (getattr(back, name).samples, getattr(from_v1, name).samples):
+            want = samples[name]
+            for got in (samples_of(getattr(back, name)), samples_of(getattr(from_v1, name))):
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert a.dtype == np.float64

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import heavy_tailed_series, random_kernel, random_triplet, toy_grid
+from conftest import (heavy_tailed_series, inverse_of, random_kernel, random_triplet,
+                      samples_of, toy_grid)
 from wismc.copulas import CopulaSpec
 from wismc.core import IndexedKernel
 from wismc.errors import ParameterError
@@ -31,8 +32,7 @@ from wismc.triplet import (
 class TestBacktransform:
     def _inv(self, samples):
         grid = toy_grid([0.0, 1.0])
-        return EmpiricalInverse(samples=[np.sort(np.asarray(samples, float)),
-                                         np.array([1.0])], grid=grid)
+        return inverse_of([np.sort(np.asarray(samples, float)), np.array([1.0])], grid)
 
     def test_extremes(self):
         inv = self._inv([3.0, 1.0, 2.0])
@@ -44,7 +44,7 @@ class TestBacktransform:
 
     def test_empty_sample_falls_back(self):
         grid = toy_grid([0.25, 1.0])
-        inv = EmpiricalInverse(samples=[np.array([]), np.array([1.0])], grid=grid)
+        inv = inverse_of([np.array([]), np.array([1.0])], grid)
         with pytest.warns(UserWarning, match="state 0 has no sample"):
             got = backtransform([0, 1, 0], [0.3, 0.6, 0.9], inv)
         assert got.tolist() == [0.25, 1.0, 0.25]
@@ -58,7 +58,7 @@ class TestBacktransform:
         states = np.repeat(np.arange(5), 50)
         got = backtransform(states, rng.random(states.size), inv)
         lo, hi = grid.edges[states], grid.edges[states + 1]
-        tops = np.array([x.max() for x in inv.samples])[states]
+        tops = np.array([x.max() for x in samples_of(inv)])[states]
         assert np.all(((lo <= got) & (got < hi)) | (got == tops))
 
 

@@ -11,7 +11,10 @@ calendar and signed files are the ones ``load_bars`` reads row by row. It runs
 ``--backtransform``) and ``fpt`` (Monte Carlo and recursion, each at ``--u 0``
 and ``--u 2``, and each from a start off the state grids) on each, then
 ``estimate`` and ``fpt`` again with part of their flags from a ``--config``
-file (a command-line flag overriding one key), and prints one
+file (a command-line flag overriding one key). It then writes a version-1
+copy of the fixture's ``model.json`` (each state's runs expanded into its
+``samples``, without the library) and runs ``simulate`` (with each
+``--backtransform``) and ``fpt --method mc`` on it. It prints one
 ``sha256  relative/path`` line per file, inputs, config files and manifests
 included.
 
@@ -67,6 +70,31 @@ def commands(d: Path) -> list:
         ["--config", str(d / "fpt.config.json"), "fpt", "--model", model, *FPT_BARRIERS,
          "--horizon", "30", "--out", str(d / "fpt_config")],
     ]
+
+
+def v1_commands(d: Path) -> list:
+    """The commands run on the version-1 copy of ``d``'s model file."""
+    model, out = str(d / "model_v1.json"), d / "v1"
+    return [
+        ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
+         "--out", str(out / "sim")],
+        ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
+         "--backtransform", "representative", "--out", str(out / "sim_representative")],
+        ["fpt", "--model", model, *FPT_BARRIERS, "--horizon", "30",
+         "--method", "mc", "--out", str(out / "fpt_mc")],
+    ]
+
+
+def write_v1_model(d: Path) -> None:
+    """Write ``d``'s ``model.json`` in model format 1 as ``model_v1.json``:
+    each empirical inverse's runs expanded into its per-state samples."""
+    doc = dict(json.loads((d / "model.json").read_text()), version=1)
+    for name in ("inverse_j", "inverse_v"):
+        if doc.get(name) is not None:
+            doc[name] = {"samples": [
+                [x for x, n in zip(values, counts) for _ in range(n)]
+                for values, counts in zip(doc[name]["values"], doc[name]["counts"])]}
+    (d / "model_v1.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def with_calendar_stamps(path: Path) -> None:
@@ -151,6 +179,9 @@ def main(argv) -> int:
         prepare(out / name, write)
         if not run(commands(out / name), wismc_main):
             return 1
+    write_v1_model(out / "fixture")
+    if not run(v1_commands(out / "fixture"), wismc_main):
+        return 1
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
     return 0
