@@ -231,40 +231,45 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.
     # repeat, and a power costs more than a lookup
     coefficients = {}
     w, d = 0.0, 1.0
-    now, held = int(times[0]), float(reps[states[0]])
-    # the loaded jumps after ``now``: next_t[k:], next_v[k:]
-    next_t, next_v, k, loaded = [], [], 0, 1
+    with np.errstate(over="ignore"):  # a square overflows to inf, as a Python float's does
+        squares = reps * reps
+    now, square = int(times[0]), float(squares[states[0]])
+    # the loaded jumps after ``now``: next_t[k:n_next], next_sq[k:n_next]
+    next_t, next_sq, k, n_next, loaded = [], [], 0, 0, 1
     for q in range(0, query_times.size, INDEX_CHUNK):
         chunk = query_times[q:q + INDEX_CHUNK].tolist()
         res = []
+        push = res.append
         for t in chunk:
             while True:
-                if k == len(next_t):
+                if k == n_next:
                     if loaded == times.size:
                         break
                     next_t = times[loaded:loaded + INDEX_CHUNK].tolist()
-                    next_v = reps[states[loaded:loaded + INDEX_CHUNK]].tolist()
-                    loaded += len(next_t)
+                    next_sq = squares[states[loaded:loaded + INDEX_CHUNK]].tolist()
+                    n_next = len(next_t)
+                    loaded += n_next
                     k = 0
-                if next_t[k] > t:
+                jump = next_t[k]
+                if jump > t:
                     break
-                dt = next_t[k] - now
-                c = coefficients.get(dt)
-                if c is None:
-                    c = coefficients[dt] = carry_coefficients(lam, dt)
-                decay, weight, gain = c
-                w, d = decay * w + held * held * weight, decay * d + gain
-                now, held = next_t[k], next_v[k]
+                try:
+                    decay, weight, gain = coefficients[jump - now]
+                except KeyError:
+                    decay, weight, gain = coefficients[jump - now] = carry_coefficients(
+                        lam, jump - now)
+                w, d = decay * w + square * weight, decay * d + gain
+                now, square = jump, next_sq[k]
                 k += 1
             if t > now:
-                dt = t - now
-                c = coefficients.get(dt)
-                if c is None:
-                    c = coefficients[dt] = carry_coefficients(lam, dt)
-                decay, weight, gain = c
-                w, d = decay * w + held * held * weight, decay * d + gain
+                try:
+                    decay, weight, gain = coefficients[t - now]
+                except KeyError:
+                    decay, weight, gain = coefficients[t - now] = carry_coefficients(
+                        lam, t - now)
+                w, d = decay * w + square * weight, decay * d + gain
                 now = t
-            res.append((w + held * held) / d)
+            push((w + square) / d)
         out[q:q + len(res)] = res
     return out
 

@@ -5,6 +5,7 @@ comparing synthetic statistics with a reference battery."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -89,7 +90,8 @@ def backtransform(states, u, inv: EmpiricalInverse) -> np.ndarray:
     """Empirical quantile of each state's sample at its level in ``u``,
     interpolating between order statistics; a state that carries no sample
     takes its representative value, with a warning. Order statistic k of a
-    state is the value of its first run whose running count passes k. A
+    state is the value of its first run whose running count passes k, found
+    with one search per draw for the low statistic and the next. A
     one-value sample needs no branch of its own: x * 1.0 + x * 0.0 is x bit
     for bit, -0.0 included. Beside its output it holds a byte per draw, a
     state's running counts and at most five arrays as long as its draws."""
@@ -106,9 +108,15 @@ def backtransform(states, u, inv: EmpiricalInverse) -> np.ndarray:
         lo = np.floor(frac)
         frac -= lo
         lo = lo.astype(np.int64)
-        # the values of the low order statistic and the next one, capped at the last
-        x_lo = values[np.searchsorted(ends, lo, side="right")]
-        x_hi = values[np.searchsorted(ends, np.minimum(lo + 1, top), side="right")]
+        run = np.searchsorted(ends, lo, side="right")
+        x_lo = values[run]
+        # the next order statistic, capped at the last, lies in the low one's
+        # run or, where that run ends with the low one, in the next run
+        lo += 1
+        np.minimum(lo, top, out=lo)
+        run += lo == ends[run]
+        x_hi = values[run]
+        del lo, run
         out[at] = x_lo * (1.0 - frac) + x_hi * frac
     return out
 
@@ -229,9 +237,14 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
 
     Only the sequential core runs per event, on Python floats and lists and
     block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
-    :func:`~wismc.core.advance_carry` inlined. A recorded path with an
-    inverse draws a second uniform per event for its back-transform, which
-    runs after the loop through :func:`backtransform`.
+    :func:`~wismc.core.advance_carry` inlined. The bisections' bounds do the
+    clamps: the index edges run from -inf to +inf, so searching the inner
+    edges gives the bin's clamped value for every index, inf and NaN
+    included, and a draw past a row's last cumulative takes its last
+    position. A table gives each position's sojourn, next state and carry
+    coefficients. A recorded path with an inverse draws a second uniform per
+    event for its back-transform, which runs after the loop through
+    :func:`backtransform`.
 
     Beside its outputs a recorded path holds the states and the sojourns,
     one list each (8 bytes per event: small ints are shared) until each in
@@ -255,22 +268,26 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     uniform = _uniforms(rng, seconds)
     squares = [r * r for r in kernel.grid.representatives.tolist()]
     edges = kernel.index_edges.tolist()
-    carry = [carry_coefficients(kernel.lam, dt) for dt in range(t_max + 1)]
+    # (sojourn, next state, decay, weight, gain) at each position of a row
+    steps = [(soj, nxt, *carry_coefficients(kernel.lam, soj))
+             for nxt in range(s) for soj in range(1, t_max + 1)]
+    # neither count passes sys.maxsize, since both are returned as int64
+    t_end = sys.maxsize if minutes is None else minutes
+    n_end = sys.maxsize if n_events is None else n_events
     w, d = 0.0, 1.0
-    t = 0
+    t = n = 0
     states, sojourns = [], []
-    while (minutes is None or t < minutes) and (n_events is None
-                                                or len(states) < n_events):
-        states.append(state)
-        b = min(max(bisect_right(edges, (w + squares[state]) / d) - 1, 0), nb - 1)
-        pos = min(bisect_left(cum[state][b], uniform()), last)
-        soj = pos % t_max + 1
-        sojourns.append(soj)
-        decay, weight, gain = carry[soj]
-        w = decay * w + squares[state] * weight
+    push_state, push_sojourn = states.append, sojourns.append
+    while t < t_end and n < n_end:
+        push_state(state)
+        square = squares[state]
+        row = cum[state][bisect_right(edges, (w + square) / d, 1, nb) - 1]
+        soj, state, decay, weight, gain = steps[bisect_left(row, uniform(), 0, last)]
+        push_sojourn(soj)
+        w = decay * w + square * weight
         d = decay * d + gain
-        state = pos // t_max
         t += soj
+        n += 1
     states = np.asarray(states, dtype=np.int64)
     sojourns = np.asarray(sojourns, dtype=np.int64)
     out = None

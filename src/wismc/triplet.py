@@ -517,11 +517,12 @@ def fit_triplet_kernel(r_values, v_values,
     kern_v = estimate_kernel(chain_v, IndexParams(
         lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
     sync = synchronize(chain_r, chain_v)
-    idx_j = index_at_times(chain_r, sync.times, cfg.lam_r)
-    idx_v = index_at_times(chain_v, sync.times, cfg.lam_v)
     # each event-sized array goes at its last use, so that none is held
-    # through the copula fit
-    del chain_r, chain_v
+    # through the copula fit nor while the next one is built
+    idx_j = index_at_times(chain_r, sync.times, cfg.lam_r)
+    del chain_r
+    idx_v = index_at_times(chain_v, sync.times, cfg.lam_v)
+    del chain_v
     cond = estimate_cond_wait(sync, idx_j, idx_v,
                               x_edges=kern_r.index_edges,
                               w_edges=kern_v.index_edges,

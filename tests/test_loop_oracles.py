@@ -809,6 +809,43 @@ def test_simulate_univariate_index_on_edge():
                 assert_identical(a, b)
 
 
+@pytest.mark.parametrize("lam", [1e-200, 0.9, 1.0])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_simulate_univariate_overflowing_index(seed, lam):
+    # representatives of about +-1e200, whose squares overflow: the index
+    # goes to inf, and to NaN where a step's decay underflows to zero
+    # (0 * inf), which only lam = 1e-200 reaches; both take the last bin
+    rng = np.random.default_rng(seed)
+    big = 1e200 * (1.0 + rng.random())
+    kernel = random_kernel(rng, [-big, -0.004, 0.003, big], n_bins=3, t_max=3,
+                           index_edges=np.array([-np.inf, 1e-5, 1e-4, np.inf]))
+    kernel = dataclasses.replace(kernel, lam=lam)
+    values = np.concatenate([rng.normal(0.0, 0.02, 500), [-1.5 * big, 1.2 * big]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracles' numpy scalars
+        _, states, times = oracle_simulate_univariate(kernel, None, seed=seed, n_events=300)
+        x = oracle_index_trajectory(JumpChain(states=states, times=times, grid=kernel.grid),
+                                    lam)
+        assert np.isinf(x).any() and np.isnan(x).any() == (lam < 1e-100)
+        _check_runs(kernel, EmpiricalInverse.from_data(values, kernel.grid), seed)
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_simulate_univariate_row_top_below_one(seed):
+    # cumulative rows whose top lies below 1.0, as rounding can leave it: a
+    # uniform above the top takes the row's last position
+    rng = np.random.default_rng(seed)
+    kernel = random_kernel(rng, [-0.02, -0.004, 0.003, 0.01], n_bins=2, t_max=3,
+                           index_edges=np.array([-np.inf, 1e-4, np.inf]))
+    scale = np.where(rng.random((4, 2)) < 0.5, 1.0 - 2.0 ** -52, rng.uniform(0.5, 0.9, (4, 2)))
+    kernel.resolved = kernel.resolved * scale[:, :, None, None]
+    _, states, times = oracle_simulate_univariate(kernel, None, seed=seed, n_events=400)
+    # the last position is the last state after the longest sojourn
+    last = (np.diff(times) == kernel.t_max) & (states[1:] == 3)
+    assert last.sum() > 20
+    _check_runs(kernel, EmpiricalInverse.from_data(rng.normal(0.0, 0.02, 500), kernel.grid),
+                seed)
+
+
 # ---------------------------------------------------------------------------
 # simulate_path, whose continuous values come after its loop
 
@@ -918,6 +955,43 @@ def test_index_loops_across_chunks(monkeypatch, chunk):
         after = chain.times[-1] + np.arange(1, 2 * chunk + 2)
         assert_identical(oracle_index_at_times(chain, after, lam),
                          index_at_times(chain, after, lam))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_index_loops_repeated_queries_at_chunk_boundaries(monkeypatch, chunk):
+    # every query lies between two jumps, the jump that ends a chunk of
+    # jumps included, and each is repeated chunk + 1 times, so that most
+    # chunk boundaries of the queries fall between two equal times
+    monkeypatch.setattr(core, "INDEX_CHUNK", chunk)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_jumps=int(rng.integers(2, 4 * chunk + 6)))
+        chain = JumpChain(states=chain.states, times=2 * chain.times, grid=chain.grid)
+        lam = float(rng.choice([0.5, 0.97, 1.0]))
+        queries = np.repeat(chain.times + 1, chunk + 1)
+        assert not np.isin(queries, chain.times).any()
+        assert (queries[chunk::chunk] == queries[chunk - 1:-1:chunk]).any()
+        assert_identical(oracle_index_at_times(chain, queries, lam),
+                         index_at_times(chain, queries, lam))
+
+
+@pytest.mark.parametrize("lam", [1e-200, 0.5, 1.0])
+def test_index_loops_overflowing_squares(lam):
+    # representatives of about +-1e200: the index overflows to inf, and
+    # turns NaN where a step's decay underflows to zero (0 * inf), which
+    # lam = 1e-200 reaches at two minutes and lam = 0.5 at some 1 100
+    found = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_jumps=30, max_soj=1500, scale=1e200)
+        queries = np.unique(rng.integers(0, int(chain.times[-1]) + 1500, 60))
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracles' numpy scalars
+            want = oracle_index_at_times(chain, queries, lam)
+            jumps = oracle_index_trajectory(chain, lam)
+        assert_identical(jumps, index_at_times(chain, chain.times, lam))
+        assert_identical(want, index_at_times(chain, queries, lam))
+        found.update(np.isinf(want) * 1 + np.isnan(want) * 2)
+    assert {1, 2} <= found if lam < 1.0 else found == {1}
 
 
 def test_index_loops_fitted_chain():

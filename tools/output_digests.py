@@ -7,7 +7,8 @@ test fixture (``heavy_tailed_series(30000, 42)``); the same bars with
 calendar-form stamps (``YYYY-MM-DDTHH:MM``); the same bars with a ``+`` before
 every price; and the benchmark's stock (``make_stock`` with seed 101). The
 calendar and signed files are the ones ``load_bars`` reads row by row. It runs
-``analyze``, ``optimize``, ``estimate``, ``simulate`` (with each
+``analyze``, ``optimize`` (at lambda 0.97 and at 1.0, where the index carry's
+coefficients are integers), ``estimate``, ``simulate`` (with each
 ``--backtransform``) and ``fpt`` (Monte Carlo and recursion, each at ``--u 0``
 and ``--u 2``, and each from a start off the state grids) on each, then
 ``estimate`` and ``fpt`` again with part of their flags from a ``--config``
@@ -49,6 +50,8 @@ def commands(d: Path) -> list:
         ["estimate", "--input", bars, "--out", model],
         ["optimize", "--input", bars, "--states", "3,5", "--lambdas", "0.97",
          "--reps", "1", "--out", str(d / "opt.json")],
+        ["optimize", "--input", bars, "--states", "3,5", "--lambdas", "1.0",
+         "--reps", "1", "--out", str(d / "opt_lam1.json")],
         ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
          "--out", str(d / "sim")],
         ["simulate", "--model", model, "--minutes", "20000", "--reps", "2",
