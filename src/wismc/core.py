@@ -2,6 +2,7 @@
 estimation of the per-variable indexed semi-Markov kernel."""
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -233,34 +234,28 @@ def index_at_times(chain: JumpChain, query_times: np.ndarray, lam: float) -> np.
     w, d = 0.0, 1.0
     with np.errstate(over="ignore"):  # a square overflows to inf, as a Python float's does
         squares = reps * reps
-    now, square = int(times[0]), float(squares[states[0]])
-    # the loaded jumps after ``now``: next_t[k:n_next], next_sq[k:n_next]
-    next_t, next_sq, k, n_next, loaded = [], [], 0, 0, 1
+    # the jumps as (time, square) pairs, converted INDEX_CHUNK at a time and
+    # closed by one that no query reaches
+    blocks = (zip(times[at:at + INDEX_CHUNK].tolist(),
+                  squares[states[at:at + INDEX_CHUNK]].tolist())
+              for at in range(0, times.size, INDEX_CHUNK))
+    jumps = itertools.chain(itertools.chain.from_iterable(blocks),
+                            [(np.inf, None)]).__next__
+    now, square = jumps()
+    jump, jump_square = jumps()
     for q in range(0, query_times.size, INDEX_CHUNK):
-        chunk = query_times[q:q + INDEX_CHUNK].tolist()
         res = []
         push = res.append
-        for t in chunk:
-            while True:
-                if k == n_next:
-                    if loaded == times.size:
-                        break
-                    next_t = times[loaded:loaded + INDEX_CHUNK].tolist()
-                    next_sq = squares[states[loaded:loaded + INDEX_CHUNK]].tolist()
-                    n_next = len(next_t)
-                    loaded += n_next
-                    k = 0
-                jump = next_t[k]
-                if jump > t:
-                    break
+        for t in query_times[q:q + INDEX_CHUNK].tolist():
+            while jump <= t:
                 try:
                     decay, weight, gain = coefficients[jump - now]
                 except KeyError:
                     decay, weight, gain = coefficients[jump - now] = carry_coefficients(
                         lam, jump - now)
                 w, d = decay * w + square * weight, decay * d + gain
-                now, square = jump, next_sq[k]
-                k += 1
+                now, square = jump, jump_square
+                jump, jump_square = jumps()
             if t > now:
                 try:
                     decay, weight, gain = coefficients[t - now]
@@ -295,11 +290,10 @@ class IndexParams:
 
 
 def bin_of(edges: np.ndarray, x) -> np.ndarray:
-    """Bin of each value between sorted edges, left-closed, with values
-    outside the edges put in the outer bins. (``np.clip`` would read more
-    plainly but costs several microseconds per call on the per-event path.)"""
-    pos = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
-    return np.minimum(np.maximum(pos, 0), edges.size - 2)
+    """Bin of each value between sorted edges, left-closed: the count of
+    inner edges (all but the first and the last) at or below it. Values
+    outside the edges fall in the outer bins, and NaN in the last."""
+    return np.searchsorted(edges[1:-1], np.asarray(x, dtype=float), side="right")
 
 
 def scalar_bin(edges: list, x: float) -> int:

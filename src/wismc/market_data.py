@@ -54,8 +54,9 @@ class BarSeries:
     ``minutes`` (int64 minutes since the epoch), ``prices`` (float last
     prices) and ``volumes`` (float holding whole cumulated transaction
     counts) are aligned arrays with one entry per bar. ``session_starts``
-    holds the index of the first bar of each session. Every bar's
-    minute-of-day lies inside [session_open, session_close].
+    holds the index of the first bar of each session, in increasing order
+    from 0 (none without bars). Every bar's minute-of-day lies inside
+    [session_open, session_close].
     """
 
     minutes: np.ndarray
@@ -68,11 +69,6 @@ class BarSeries:
 
     def __len__(self) -> int:
         return self.minutes.size
-
-    def session_of(self, bars) -> np.ndarray:
-        """Session index of the bars at the indices ``bars``."""
-        pos = np.searchsorted(self.session_starts, bars, side="right") - 1
-        return np.maximum(pos, 0).astype(np.int64)
 
 
 @dataclass
@@ -295,10 +291,9 @@ def compute_returns(series: BarSeries, kind: str = "price-return") -> ReturnSeri
         raise ValueError(f"unknown return kind {kind!r}")
     x = series.prices if kind == "price-return" else series.volumes
     n = len(series)
-    # a session can change only at a session start: the bars where it does
+    # every session start after the first bar begins a new session
     starts = series.session_starts
-    at = np.unique(starts[(0 < starts) & (starts < n)])
-    breaks = at[series.session_of(at) != series.session_of(at - 1)]
+    breaks = np.unique(starts[(0 < starts) & (starts < n)])
     keep = np.ones(max(n - 1, 0), dtype=bool)  # pair (t - 1, t) at t - 1
     keep[breaks - 1] = False
     within = keep.size - breaks.size  # pairs inside a session

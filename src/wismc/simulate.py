@@ -236,15 +236,12 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     whichever is given. Returns (minute series, states, times).
 
     Only the sequential core runs per event, on Python floats and lists and
-    block-drawn uniforms, with :func:`~wismc.core.scalar_bin` and
-    :func:`~wismc.core.advance_carry` inlined. The bisections' bounds do the
-    clamps: the index edges run from -inf to +inf, so searching the inner
-    edges gives the bin's clamped value for every index, inf and NaN
-    included, and a draw past a row's last cumulative takes its last
-    position. A table gives each position's sojourn, next state and carry
-    coefficients. A recorded path with an inverse draws a second uniform per
-    event for its back-transform, which runs after the loop through
-    :func:`backtransform`.
+    block-drawn uniforms, with :func:`~wismc.core.bin_of`'s rule and
+    :func:`~wismc.core.advance_carry` inlined. The draw's search stops at a
+    row's last position, since a row's cumulative top may lie below 1. A
+    table gives each position's sojourn, next state and carry coefficients.
+    A recorded path with an inverse draws a second uniform per event for its
+    back-transform, which runs after the loop through :func:`backtransform`.
 
     Beside its outputs a recorded path holds the states and the sojourns,
     one list each (8 bytes per event: small ints are shared) until each in
@@ -267,7 +264,7 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     seconds = [] if record and inverse is not None else None
     uniform = _uniforms(rng, seconds)
     squares = [r * r for r in kernel.grid.representatives.tolist()]
-    edges = kernel.index_edges.tolist()
+    inner = kernel.index_edges[1:-1].tolist()
     # (sojourn, next state, decay, weight, gain) at each position of a row
     steps = [(soj, nxt, *carry_coefficients(kernel.lam, soj))
              for nxt in range(s) for soj in range(1, t_max + 1)]
@@ -281,7 +278,7 @@ def simulate_univariate(kernel: IndexedKernel, minutes: Optional[int], seed: int
     while t < t_end and n < n_end:
         push_state(state)
         square = squares[state]
-        row = cum[state][bisect_right(edges, (w + square) / d, 1, nb) - 1]
+        row = cum[state][bisect_right(inner, (w + square) / d)]
         soj, state, decay, weight, gain = steps[bisect_left(row, uniform(), 0, last)]
         push_sojourn(soj)
         w = decay * w + square * weight

@@ -22,6 +22,7 @@ import json
 import math
 import re
 import warnings
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -276,6 +277,11 @@ def oracle_simulate_univariate(kernel, minutes, seed, inverse=None,
     if out is not None:
         out = out[:min(t, minutes)]
     return out, np.asarray(states, dtype=np.int64), np.asarray(times, dtype=np.int64)
+
+
+def oracle_bin_of(edges, x):
+    pos = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
+    return np.minimum(np.maximum(pos, 0), edges.size - 2)
 
 
 def oracle_index_trajectory(chain, lam):
@@ -990,6 +996,46 @@ def test_index_loops_fitted_chain():
     queries = np.arange(0, r.size, 3)
     assert_identical(oracle_index_at_times(chain, queries, lam),
                      index_at_times(chain, queries, lam))
+
+
+# ---------------------------------------------------------------------------
+# bin_of, a search of the inner edges without clamps, and the one-variable
+# engine's bisection of the same
+
+# edge values with zeros of both signs, subnormals and infinities; drawing
+# from a few values makes repeated edges common
+BIN_EDGE_VALUES = st.one_of(
+    st.sampled_from([-np.inf, -1e300, -2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324,
+                     0.3, 1.0, 7.0, 1e300, np.inf]),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def bin_cases(draw):
+    n = draw(st.integers(2, 8))
+    edges = sorted(draw(st.lists(BIN_EDGE_VALUES, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        edges[0] = -np.inf
+    if draw(st.booleans()):
+        edges[-1] = np.inf
+    edges = np.array(edges, dtype=float)
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf),
+                             [-np.inf, np.inf, np.nan, -0.0, 0.0]])
+    return edges, values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bin_cases())
+def test_bin_of_drawn_edges(case):
+    edges, values = case
+    assert_identical(oracle_bin_of(edges, values), core.bin_of(edges, values))
+    inner, listed = edges[1:-1].tolist(), edges.tolist()
+    for x in values.tolist():
+        want, got = oracle_bin_of(edges, x), core.bin_of(edges, x)
+        assert type(got) is type(want) and got == want
+        assert_identical(oracle_bin_of(edges, np.array(x)), core.bin_of(edges, np.array(x)))
+        assert bisect_right(inner, x) == core.scalar_bin(listed, x)
 
 
 # ---------------------------------------------------------------------------

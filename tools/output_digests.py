@@ -12,7 +12,9 @@ coefficients are integers), ``estimate``, ``simulate`` (with each
 ``--backtransform``) and ``fpt`` (Monte Carlo and recursion, each at ``--u 0``
 and ``--u 2``, and each from a start off the state grids) on each, then
 ``estimate`` and ``fpt`` again with part of their flags from a ``--config``
-file (a command-line flag overriding one key). It then writes a version-1
+file (a command-line flag overriding one key), and ``estimate`` with one
+index bin, with ``simulate``, ``fpt`` (Monte Carlo and recursion) on that
+model, and ``optimize`` with one index bin. It then writes a version-1
 copy of the fixture's ``model.json`` (each state's runs expanded into its
 ``samples``, without the library) and runs ``simulate`` (with each
 ``--backtransform``) and ``fpt --method mc`` on it. It prints one
@@ -45,6 +47,7 @@ CONFIGS = {"estimate.config.json": {"states-r": 3, "states_v": 4, "lambda-r": 0.
 
 def commands(d: Path) -> list:
     bars, model = str(d / "bars.csv"), str(d / "model.json")
+    one_bin = str(d / "one_bin" / "model.json")
     return [
         ["analyze", "--input", bars, "--out", str(d / "analyze")],
         ["estimate", "--input", bars, "--out", model],
@@ -72,6 +75,16 @@ def commands(d: Path) -> list:
          "--lambda-r", "0.95", "--out", str(d / "estimate_config" / "model.json")],
         ["--config", str(d / "fpt.config.json"), "fpt", "--model", model, *FPT_BARRIERS,
          "--horizon", "30", "--out", str(d / "fpt_config")],
+        # one index bin: the index edges are -inf and +inf alone
+        ["estimate", "--input", bars, "--index-bins", "1", "--out", one_bin],
+        ["simulate", "--model", one_bin, "--minutes", "20000", "--reps", "2",
+         "--out", str(d / "one_bin" / "sim")],
+        ["fpt", "--model", one_bin, *FPT_BARRIERS, "--horizon", "30",
+         "--method", "mc", "--out", str(d / "one_bin" / "fpt_mc")],
+        ["fpt", "--model", one_bin, *FPT_BARRIERS, "--horizon", "3",
+         "--method", "recursion", "--out", str(d / "one_bin" / "fpt_recursion")],
+        ["optimize", "--input", bars, "--states", "3,5", "--lambdas", "0.97",
+         "--index-bins", "1", "--reps", "1", "--out", str(d / "opt_one_bin.json")],
     ]
 
 
