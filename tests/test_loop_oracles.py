@@ -7,7 +7,8 @@ replication, the mask version of ``value_wait_pairs``, the sorted
 merge of jump times in ``synchronize`` (sorted in place), the in-place
 arithmetic of ``backtransform``, the model writer that formats long lists a
 slice at a time and writes arrays, the shared fallback-ladder resolver,
-the column-wise ``load_bars``, the signed-value tables that each variable's
+the column-wise ``load_bars``, ``bin_of``'s search of the inner edges
+without clamps, the signed-value tables that each variable's
 modulus table builds once, the live-paths-only Monte Carlo loop of
 ``fpt_survival_mc``, also run batch after batch on one stream, and the
 sampling step it shares with ``simulate_path``

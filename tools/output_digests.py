@@ -13,8 +13,8 @@ coefficients are integers), ``estimate``, ``simulate`` (with each
 and ``--u 2``, and each from a start off the state grids) on each, then
 ``estimate`` and ``fpt`` again with part of their flags from a ``--config``
 file (a command-line flag overriding one key), and ``estimate`` with one
-index bin, with ``simulate``, ``fpt`` (Monte Carlo and recursion) on that
-model, and ``optimize`` with one index bin. It then writes a version-1
+index bin, then ``simulate`` and ``fpt`` (Monte Carlo and recursion) on that
+model and ``optimize`` with one index bin. It then writes a version-1
 copy of the fixture's ``model.json`` (each state's runs expanded into its
 ``samples``, without the library) and runs ``simulate`` (with each
 ``--backtransform``) and ``fpt --method mc`` on it. It prints one
