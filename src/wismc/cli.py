@@ -130,13 +130,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # refuse the settings before reading the input
+    cfg = TripletFitConfig(n_states_r=args.states_r, n_states_v=args.states_v,
+                           lam_r=args.lambda_r, lam_v=args.lambda_v, n_index_bins=args.index_bins,
+                           copula_family=args.copula, t_max=args.t_max)
     # the unaligned series go as align returns
     ra, va = align(*_read_returns(args, "price-return", "volume-return"))
-    cfg = TripletFitConfig(
-        n_states_r=args.states_r, n_states_v=args.states_v,
-        lam_r=args.lambda_r, lam_v=args.lambda_v,
-        n_index_bins=args.index_bins, copula_family=args.copula,
-        t_max=args.t_max)
     tk = fit_triplet_kernel(ra, va, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -147,8 +146,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
     cfg = SimConfig(length_minutes=args.minutes, backtransform=args.backtransform,
                     s0=args.s0, v0=args.v0)
     tk = load_model(args.model)
@@ -174,13 +171,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fpt(args) -> int:
+    # refuse the query's own settings before reading the model, its start after
+    query = FptQuery(rho=args.rho, psi=args.psi, horizon=args.horizon, u=args.u)
     tk = load_model(args.model)
-    i0 = args.i0 if args.i0 is not None else float(
-        tk.kernel_j.grid.representatives[int(np.argmax(tk.kernel_j.counts.sum(axis=(1, 2, 3))))])
-    v0 = args.v0 if args.v0 is not None else float(
-        tk.kernel_v.grid.representatives[int(np.argmax(tk.kernel_v.counts.sum(axis=(1, 2, 3))))])
-    query = FptQuery(rho=args.rho, psi=args.psi, horizon=args.horizon,
-                     history_j=[i0], history_v=[v0], history_t=[0], u=args.u)
+    # an unset start value is its variable's most visited state's representative
+    i0, v0 = (float(k.grid.representatives[np.argmax(k.counts.sum(axis=(1, 2, 3)))])
+              if given is None else given
+              for given, k in ((args.i0, tk.kernel_j), (args.v0, tk.kernel_v)))
+    query = dataclasses.replace(query, history_j=[i0], history_v=[v0])
     if args.method == "recursion":
         res = fpt_survival_recursive(tk, query)
     else:
@@ -245,15 +243,18 @@ def _cmd_optimize(args) -> int:
 # parser
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy takes only seeds >= 0."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int):
+    """The type of an integer flag whose values start at ``low``: a seed at
+    0, as numpy's seeding requires, and a count of runs or paths at 1."""
+    def value(text: str) -> int:
+        try:
+            number = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", help="generate synthetic paths from a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--minutes", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--reps", type=_at_least(1), default=1)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--backtransform", default="empirical",
                    choices=["empirical", "representative"])
     p.add_argument("--s0", type=float, default=1.0)
@@ -306,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--method", default="mc", choices=["mc", "recursion"])
-    p.add_argument("--paths", type=int, default=100_000,
+    p.add_argument("--paths", type=_at_least(1), default=100_000,
                    help=f"Monte Carlo paths, run in batches of {MC_BATCH} from one "
                         "seeded stream: the working memory is one batch's, whatever "
                         "the count")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--i0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)
     p.add_argument("--u", type=int, default=0)
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--index-bins", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--seed", type=_seed, default=11)
+    p.add_argument("--seed", type=_at_least(0), default=11)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
     return ap

@@ -83,6 +83,12 @@ class StateGrid:
         return uniq, pos
 
 
+def check_state_count(n_states: int) -> None:
+    """Refuse a state grid of fewer than two states."""
+    if n_states < 2:
+        raise ParameterError(f"need at least 2 states, got {n_states}")
+
+
 def make_state_grid(values, n_states: int) -> StateGrid:
     """Build a quantile state grid from observed values.
 
@@ -93,8 +99,7 @@ def make_state_grid(values, n_states: int) -> StateGrid:
     below its edge (the top bin holds the greatest value), so every
     representative is finite and lies in its own bin.
     """
-    if n_states < 2:
-        raise ParameterError(f"need at least 2 states, got {n_states}")
+    check_state_count(n_states)
     values = np.asarray(values, dtype=float)
     if values.size < 2 * n_states:
         raise EstimationError("too few observations for the requested state count")
@@ -287,6 +292,13 @@ class IndexParams:
             raise ParameterError("lambda must lie in (0, 1]")
         if self.index_edges is None and self.n_index_bins < 1:
             raise ParameterError("need at least one index bin")
+        check_t_max(self.t_max)
+
+
+def check_t_max(t_max: Optional[int]) -> None:
+    """Refuse a given sojourn cap of less than one slot."""
+    if t_max is not None and t_max < 1:
+        raise ParameterError(f"t_max must be >= 1, got {t_max}")
 
 
 def bin_of(edges: np.ndarray, x) -> np.ndarray:
@@ -344,10 +356,9 @@ def sojourn_counts(cells: tuple, shape: tuple, sojourns: np.ndarray,
     (an index array per axis of ``shape``) and its sojourn slot on a last axis
     of ``t_max`` slots, longer sojourns in the last one. ``t_max`` defaults to
     the :data:`SOJOURN_QUANTILE` quantile of the sojourns."""
+    check_t_max(t_max)
     if t_max is None:
         t_max = max(int(np.quantile(sojourns, SOJOURN_QUANTILE)), 1)
-    if t_max < 1:
-        raise ParameterError(f"t_max must be >= 1, got {t_max}")
     counts = np.zeros(tuple(shape) + (int(t_max),), dtype=np.int64)
     np.add.at(counts, tuple(cells) + (np.minimum(sojourns, t_max) - 1,), 1)
     return counts
@@ -401,6 +412,7 @@ class IndexedKernel:
         levels, last = self.ladder()
         self.pmf = levels[0][0]
         self.resolved, self.level = resolve_ladder(levels, last)
+        self._bin_type = np.min_scalar_type(self.n_index_bins - 1)
 
     @property
     def n_index_bins(self) -> int:
@@ -416,7 +428,8 @@ class IndexedKernel:
         return indexed_ladder(self.counts, (1,), 2)
 
     def index_bin(self, x) -> np.ndarray:
-        return bin_of(self.index_edges, x)
+        """Index bin of each value, in the smallest integer type that holds them."""
+        return bin_of(self.index_edges, x).astype(self._bin_type)
 
 
 def estimate_kernel(chain: JumpChain, params: IndexParams) -> IndexedKernel:

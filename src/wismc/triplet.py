@@ -14,7 +14,7 @@ from .core import (
     IndexParams,
     JumpChain,
     StateGrid,
-    bin_of,
+    check_state_count,
     discretize,
     estimate_kernel,
     index_at_times,
@@ -56,39 +56,33 @@ __all__ = [
 
 @dataclass
 class SyncChain:
-    """Event record on the union of the two variables' jump times.
+    """The fit's event table: the union of the two variables' jump times
+    (int64), each variable's state at every event and its index bin at the
+    start of every transition, both in the smallest integer type that holds
+    them."""
 
-    At each union time the chain carries the state each variable holds and
-    how long ago that variable last jumped (its backward recurrence time);
-    at least one backward time is zero at every event after the origin.
-    """
-
+    times: np.ndarray
     j_states: np.ndarray
     v_states: np.ndarray
-    times: np.ndarray
-    backward_j: np.ndarray
-    backward_v: np.ndarray
-    grid_j: StateGrid
-    grid_v: StateGrid
+    x_bins: np.ndarray
+    w_bins: np.ndarray
+    kernel_j: IndexedKernel
+    kernel_v: IndexedKernel
 
     def __len__(self) -> int:
         return self.times.size
 
-    @property
-    def j_values(self) -> np.ndarray:
-        return self.grid_j.representatives[self.j_states]
-
-    @property
-    def v_values(self) -> np.ndarray:
-        return self.grid_v.representatives[self.v_states]
-
-    def sojourns(self) -> np.ndarray:
-        return np.diff(self.times)
+    def moduli(self) -> tuple:
+        """The copula's pairs: each variable's |value| at every event but the first."""
+        return tuple(np.abs(kernel.grid.representatives)[states[1:]] for kernel, states in
+                     ((self.kernel_j, self.j_states), (self.kernel_v, self.v_states)))
 
 
-def synchronize(chain_j: JumpChain, chain_v: JumpChain) -> SyncChain:
-    """Merge two jump chains onto the union of their jump times; each
-    variable carries its last value at or before every union time."""
+def synchronize(chain_j: JumpChain, chain_v: JumpChain,
+                kernel_j: IndexedKernel, kernel_v: IndexedKernel) -> SyncChain:
+    """The event table of two jump chains and the kernels fitted on them. Each
+    variable carries its last state at or before every union time, and each
+    index trajectory is binned as soon as it is worked out."""
     if len(chain_j) == 0 or len(chain_v) == 0:
         raise AlignmentError("cannot synchronize an empty chain")
     if chain_j.times[0] != chain_v.times[0]:
@@ -98,15 +92,15 @@ def synchronize(chain_j: JumpChain, chain_v: JumpChain) -> SyncChain:
     times = both[np.concatenate([[True], both[1:] != both[:-1]])]
     del both
 
-    def carried(chain):
-        # one variable's positions at a time, dropped once gathered
+    def states(chain):
         at = np.searchsorted(chain.times, times, side="right") - 1
-        return chain.states[at], times - chain.times[at]
+        return chain.states.astype(np.min_scalar_type(chain.grid.n_states - 1))[at]
 
-    (j_states, backward_j), (v_states, backward_v) = carried(chain_j), carried(chain_v)
-    return SyncChain(j_states=j_states, v_states=v_states, times=times,
-                     backward_j=backward_j, backward_v=backward_v,
-                     grid_j=chain_j.grid, grid_v=chain_v.grid)
+    return SyncChain(
+        times=times, j_states=states(chain_j), v_states=states(chain_v),
+        x_bins=kernel_j.index_bin(index_at_times(chain_j, times[:-1], kernel_j.lam)),
+        w_bins=kernel_v.index_bin(index_at_times(chain_v, times[:-1], kernel_v.lam)),
+        kernel_j=kernel_j, kernel_v=kernel_v)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +122,15 @@ class SignModel:
 
 
 def estimate_signs(sync: SyncChain) -> SignModel:
-    """Fraction of positive values among the nonzero ones, per variable."""
+    """Fraction of positive values among the nonzero ones at the events, per variable."""
     ps = []
-    for vals in (sync.j_values, sync.v_values):
-        nz = vals[vals != 0.0]
-        if nz.size == 0:
+    for states, kernel in ((sync.j_states, sync.kernel_j), (sync.v_states, sync.kernel_v)):
+        reps = kernel.grid.representatives
+        held = np.bincount(states, minlength=reps.size)
+        nonzero = int(held[reps != 0.0].sum())
+        if nonzero == 0:
             raise EstimationError("all states are zero; sign probability unidentifiable")
-        ps.append(float(np.mean(nz > 0)))
+        ps.append(int(held[reps > 0.0].sum()) / nonzero)
     return SignModel(p_j=ps[0], p_v=ps[1])
 
 
@@ -163,20 +159,16 @@ class CondWaitDist:
         return self.counts.shape[4]
 
 
-def estimate_cond_wait(sync: SyncChain, idx_j, idx_v, x_edges, w_edges,
-                       t_max: Optional[int] = None) -> CondWaitDist:
+def estimate_cond_wait(sync: SyncChain, t_max: Optional[int] = None) -> CondWaitDist:
     """Count synchronized sojourns per (state, state, index-bin, index-bin)
-    cell. ``idx_j``/``idx_v`` are the index-process values at the union
-    times, binned by ``x_edges``/``w_edges``."""
+    cell, each transition's cell read off the event table."""
     if len(sync) < 2:
         raise EstimationError("need at least one synchronized transition")
-    x_edges = np.asarray(x_edges, dtype=float)
-    w_edges = np.asarray(w_edges, dtype=float)
+    kj, kv = sync.kernel_j, sync.kernel_v
     return CondWaitDist(counts=sojourn_counts(
-        (sync.j_states[:-1], sync.v_states[:-1],
-         bin_of(x_edges, idx_j[:-1]), bin_of(w_edges, idx_v[:-1])),
-        (sync.grid_j.n_states, sync.grid_v.n_states, x_edges.size - 1, w_edges.size - 1),
-        sync.sojourns(), t_max))
+        (sync.j_states[:-1], sync.v_states[:-1], sync.x_bins, sync.w_bins),
+        (kj.grid.n_states, kv.grid.n_states, kj.n_index_bins, kv.n_index_bins),
+        np.diff(sync.times), t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +347,6 @@ class TripletKernel:
         self._event_cache: dict = {}
         # every cell's waiting-time cdf, for the batched sojourn draw
         self._wait_cdf = np.cumsum(self.cond_wait.resolved, axis=-1)
-        self._bin_types = tuple(np.min_scalar_type(k.n_index_bins - 1) for k in (kj, kv))
 
     # -- lookups ------------------------------------------------------------
 
@@ -421,12 +412,9 @@ class TripletKernel:
 
     def cells_of(self, states, i_val, v_val, wj, dj, wv, dv) -> tuple:
         """Conditioning cells of a batch of paths: both states and both index
-        bins, which index the waiting-time table and the modulus tables alike.
-        The bins are held in the smallest integer type that holds them."""
-        type_j, type_v = self._bin_types
-        return (*states,
-                self.kernel_j.index_bin((wj + i_val * i_val) / dj).astype(type_j),
-                self.kernel_v.index_bin((wv + v_val * v_val) / dv).astype(type_v))
+        bins, which index the waiting-time table and the modulus tables alike."""
+        return (*states, self.kernel_j.index_bin((wj + i_val * i_val) / dj),
+                self.kernel_v.index_bin((wv + v_val * v_val) / dv))
 
     # -- the sampling step, shared by simulate_path and fpt_survival_mc -----
 
@@ -489,6 +477,8 @@ def quadrant_masses(tk: TripletKernel, cell: ConditioningCell, t: int) -> dict:
 
 @dataclass(frozen=True)
 class TripletFitConfig:
+    """Settings of the joint fit, each refused by the rule of what it sets up."""
+
     n_states_r: int = 5
     n_states_v: int = 5
     lam_r: float = 0.97
@@ -496,6 +486,17 @@ class TripletFitConfig:
     n_index_bins: int = 5
     copula_family: str = "gaussian"
     t_max: Optional[int] = None
+
+    def __post_init__(self):
+        check_state_count(self.n_states_r)
+        check_state_count(self.n_states_v)
+        self.index_params()
+        CopulaSpec(self.copula_family)
+
+    def index_params(self) -> tuple:
+        """Each variable's kernel settings, the returns' first."""
+        return tuple(IndexParams(lam=lam, n_index_bins=self.n_index_bins, t_max=self.t_max)
+                     for lam in (self.lam_r, self.lam_v))
 
 
 def fit_triplet_kernel(r_values, v_values,
@@ -508,36 +509,20 @@ def fit_triplet_kernel(r_values, v_values,
     v_values = np.asarray(v_values, dtype=float)
     if r_values.size != v_values.size:
         raise AlignmentError("return and volume series must be aligned")
-    grid_r = make_state_grid(r_values, cfg.n_states_r)
-    grid_v = make_state_grid(v_values, cfg.n_states_v)
-    chain_r = discretize(r_values, grid_r)
-    chain_v = discretize(v_values, grid_v)
-    kern_r = estimate_kernel(chain_r, IndexParams(
-        lam=cfg.lam_r, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
-    kern_v = estimate_kernel(chain_v, IndexParams(
-        lam=cfg.lam_v, n_index_bins=cfg.n_index_bins, t_max=cfg.t_max))
-    sync = synchronize(chain_r, chain_v)
-    # each event-sized array goes at its last use, so that none is held
-    # through the copula fit nor while the next one is built
-    idx_j = index_at_times(chain_r, sync.times, cfg.lam_r)
-    del chain_r
-    idx_v = index_at_times(chain_v, sync.times, cfg.lam_v)
-    del chain_v
-    cond = estimate_cond_wait(sync, idx_j, idx_v,
-                              x_edges=kern_r.index_edges,
-                              w_edges=kern_v.index_edges,
-                              t_max=cfg.t_max)
-    del idx_j, idx_v
+    chain_r, chain_v = (discretize(x, make_state_grid(x, n)) for x, n in
+                        ((r_values, cfg.n_states_r), (v_values, cfg.n_states_v)))
+    kern_r, kern_v = (estimate_kernel(chain, params) for chain, params in
+                      zip((chain_r, chain_v), cfg.index_params()))
+    sync = synchronize(chain_r, chain_v, kern_r, kern_v)
+    # the chains, then the table, go at their last use, before the copula fit
+    del chain_r, chain_v
+    cond = estimate_cond_wait(sync, t_max=cfg.t_max)
     signs = estimate_signs(sync)
-    mj, mv = sync.j_values[1:], sync.v_values[1:]
+    mj, mv = sync.moduli()
     del sync
-    np.abs(mj, out=mj)
-    np.abs(mv, out=mv)
     copula = fit_copula(mj, mv, family=cfg.copula_family)
     del mj, mv
     return TripletKernel(
-        kernel_j=kern_r, kernel_v=kern_v, cond_wait=cond, copula=copula,
-        signs=signs,
-        inverse_j=EmpiricalInverse.from_data(r_values, grid_r),
-        inverse_v=EmpiricalInverse.from_data(v_values, grid_v),
-    )
+        kernel_j=kern_r, kernel_v=kern_v, cond_wait=cond, copula=copula, signs=signs,
+        inverse_j=EmpiricalInverse.from_data(r_values, kern_r.grid),
+        inverse_v=EmpiricalInverse.from_data(v_values, kern_v.grid))

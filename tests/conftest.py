@@ -61,6 +61,15 @@ def random_kernel(rng, reps, n_bins=1, t_max=3, index_edges=None) -> IndexedKern
                          counts=counts)
 
 
+def bare_kernel(grid: StateGrid, lam=0.97, index_edges=(-np.inf, np.inf)) -> IndexedKernel:
+    """A kernel with no counts on ``grid``: the memory and index edges that
+    ``synchronize`` reads of a kernel, with nothing fitted."""
+    edges = np.asarray(index_edges, dtype=float)
+    s = grid.n_states
+    return IndexedKernel(grid=grid, lam=lam, index_edges=edges,
+                         counts=np.zeros((s, edges.size - 1, s, 1), dtype=np.int64))
+
+
 def random_triplet(rng, reps_j, reps_v, copula: CopulaSpec, t_max=3, n_bins=1,
                    max_b=2, p_j=None, p_v=None) -> TripletKernel:
     """Random consistent triplet model: the per-variable kernels support every

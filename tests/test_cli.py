@@ -733,6 +733,39 @@ class TestErrors:
             "error": "ParameterError", "message": message}
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda-r", "1.5", "lambda must lie in (0, 1]"),
+        ("--lambda-v", "0", "lambda must lie in (0, 1]"),
+        ("--index-bins", "0", "need at least one index bin"),
+        ("--t-max", "0", "t_max must be >= 1, got 0"),
+        ("--states-v", "1", "need at least 2 states, got 1")])
+    def test_estimate_settings_refused_before_loading(self, tmp_path, capsys, flag, value,
+                                                      message):
+        # the input does not exist: the setting is refused before it is opened
+        out = tmp_path / "model" / "model.json"
+        assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
+                     f"{flag}={value}", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": message}
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--horizon", "0", "horizon must be >= 1"),
+        ("--rho", "-1", "thresholds must be positive"),
+        ("--psi", "0", "thresholds must be positive"),
+        ("--u", "-1", "backward time must be non-negative"),
+        ("--paths", "0", "argument --paths: must be >= 1, got 0")])
+    def test_fpt_settings_refused_before_loading(self, tmp_path, capsys, flag, value,
+                                                 message):
+        # the model does not exist: the setting is refused before it is read
+        out = tmp_path / "fpt"
+        assert main(["fpt", "--model", str(tmp_path / "missing.json"), "--rho", "1.0015",
+                     "--psi", "20", "--horizon", "3", f"{flag}={value}",
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--i0", "--v0"])
     def test_negative_exponent_flag_value_runs(self, small_model, tmp_path, flag):
         # argparse alone reads "-1e-3" as a flag, not as the flag's value

@@ -3,8 +3,10 @@ and ``simulate_path``, whose back-transforms now run after their loops over
 the whole path, ``index_at_times`` at a chain's jumps and at other times,
 ``compute_returns``, also chunk by chunk), the grid search that builds each
 state count's grid, chain and inverse once and every kernel before its first
-replication, the mask version of ``value_wait_pairs``, the sorted
-merge of jump times in ``synchronize`` (sorted in place), the in-place
+replication, the mask version of ``value_wait_pairs``, the event table that
+``synchronize`` builds (its jump times merged by a sort in place, its states
+and index bins in small integer types) and the waiting-time counts, sign
+probabilities and copula pairs the fit reads off it, the in-place
 arithmetic of ``backtransform``, the model writer that formats long lists a
 slice at a time and writes arrays, the shared fallback-ladder resolver,
 the column-wise ``load_bars``, ``bin_of``'s search of the inner edges
@@ -32,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bare_kernel,
     chain_values,
     heavy_tailed_series,
     knock_out,
@@ -76,6 +79,8 @@ from wismc.triplet import (
     EmpiricalInverse,
     SyncChain,
     TripletFitConfig,
+    estimate_cond_wait,
+    estimate_signs,
     fit_triplet_kernel,
     synchronize,
 )
@@ -135,8 +140,8 @@ def oracle_cells_of(tk, i_val, v_val, wj, dj, wv, dv):
     """``TripletKernel.cells_of`` as it was when every call searched the
     nearest support value of each path's values."""
     return (tk.modulus_j.states(i_val), tk.modulus_v.states(v_val),
-            tk.kernel_j.index_bin((wj + i_val * i_val) / dj),
-            tk.kernel_v.index_bin((wv + v_val * v_val) / dv))
+            core.bin_of(tk.kernel_j.index_edges, (wj + i_val * i_val) / dj),
+            core.bin_of(tk.kernel_v.index_edges, (wv + v_val * v_val) / dv))
 
 
 def oracle_draw_sojourns(tk, rng, cells, u=0):
@@ -316,23 +321,67 @@ def oracle_index_at_times(chain, query_times, lam):
     return out
 
 
-def oracle_synchronize(chain_j, chain_v):
+def oracle_event_columns(chain_j, chain_v, kernel_j, kernel_v):
+    """The per-event columns the fit formed before the event table: the union
+    of the jump times by ``np.union1d``, each variable's state (int64) by a
+    search of its chain's times, and each variable's index at every union
+    time."""
     if len(chain_j) == 0 or len(chain_v) == 0:
         raise AlignmentError("cannot synchronize an empty chain")
     if chain_j.times[0] != chain_v.times[0]:
         raise AlignmentError("chains must share their time origin")
     times = np.union1d(chain_j.times, chain_v.times)
-    pj = np.searchsorted(chain_j.times, times, side="right") - 1
-    pv = np.searchsorted(chain_v.times, times, side="right") - 1
+    states = [chain.states[np.searchsorted(chain.times, times, side="right") - 1]
+              for chain in (chain_j, chain_v)]
+    index = [index_at_times(chain, times, kernel.lam)
+             for chain, kernel in ((chain_j, kernel_j), (chain_v, kernel_v))]
+    return times, states, index
+
+
+def oracle_synchronize(chain_j, chain_v, kernel_j, kernel_v):
+    """The event table from those columns: each transition's bins by
+    ``bin_of`` on the index at its start, and the states and bins cast to
+    the smallest integer type that holds them."""
+    times, (js, vs), (ij, iv) = oracle_event_columns(chain_j, chain_v, kernel_j, kernel_v)
+
+    def small(x, n):
+        return x.astype(np.min_scalar_type(n - 1))
+
     return SyncChain(
-        j_states=chain_j.states[pj],
-        v_states=chain_v.states[pv],
         times=times,
-        backward_j=times - chain_j.times[pj],
-        backward_v=times - chain_v.times[pv],
-        grid_j=chain_j.grid,
-        grid_v=chain_v.grid,
+        j_states=small(js, chain_j.grid.n_states),
+        v_states=small(vs, chain_v.grid.n_states),
+        x_bins=small(core.bin_of(kernel_j.index_edges, ij[:-1]), kernel_j.n_index_bins),
+        w_bins=small(core.bin_of(kernel_v.index_edges, iv[:-1]), kernel_v.n_index_bins),
+        kernel_j=kernel_j,
+        kernel_v=kernel_v,
     )
+
+
+def oracle_event_fit(chain_j, chain_v, kernel_j, kernel_v, t_max):
+    """What the fit read off those columns before the event table: the
+    waiting-time counts of the binned index values (None without a
+    transition), each variable's sign probability as ``np.mean(nz > 0)`` over
+    its values at the events (None when they are all zero), and the copula's
+    pairs, the values' moduli after the origin."""
+    times, (js, vs), (ij, iv) = oracle_event_columns(chain_j, chain_v, kernel_j, kernel_v)
+    kj, kv = kernel_j, kernel_v
+    counts = None
+    if times.size >= 2:
+        soj = np.diff(times)
+        if t_max is None:
+            t_max = max(int(np.quantile(soj, core.SOJOURN_QUANTILE)), 1)
+        counts = np.zeros((kj.grid.n_states, kv.grid.n_states, kj.n_index_bins,
+                           kv.n_index_bins, t_max), dtype=np.int64)
+        np.add.at(counts, (js[:-1], vs[:-1], core.bin_of(kj.index_edges, ij[:-1]),
+                           core.bin_of(kv.index_edges, iv[:-1]),
+                           np.minimum(soj, t_max) - 1), 1)
+    values = [kj.grid.representatives[js], kv.grid.representatives[vs]]
+    signs = []
+    for vals in values:
+        nz = vals[vals != 0.0]
+        signs.append(float(np.mean(nz > 0)) if nz.size else None)
+    return counts, signs, [np.abs(vals[1:]) for vals in values]
 
 
 def oracle_compute_returns(series, kind="price-return"):
@@ -1043,14 +1092,25 @@ def test_bin_of_drawn_edges(case):
 # synchronize
 
 
-def _same_sync(chain_j, chain_v):
-    want, got = oracle_synchronize(chain_j, chain_v), synchronize(chain_j, chain_v)
+def _same_sync(chain_j, chain_v, kernel_j, kernel_v):
+    want = oracle_synchronize(chain_j, chain_v, kernel_j, kernel_v)
+    got = synchronize(chain_j, chain_v, kernel_j, kernel_v)
     for field in dataclasses.fields(SyncChain):
         a, b = getattr(want, field.name), getattr(got, field.name)
-        if field.name.startswith("grid"):
+        if field.name.startswith("kernel"):
             assert a is b
         else:
             assert_identical(a, b)
+    return got
+
+
+def _random_bare_kernel(rng, chain):
+    """An unfitted kernel on ``chain``'s grid, with a random memory and up to
+    three random inner index edges among its squared values."""
+    inner = np.unique(rng.uniform(0.0, np.max(chain.grid.representatives ** 2),
+                                  int(rng.integers(0, 4))))
+    return bare_kernel(chain.grid, lam=float(rng.choice([0.5, 0.97, 1.0])),
+                       index_edges=np.concatenate([[-np.inf], inner, [np.inf]]))
 
 
 def test_synchronize_random_chains():
@@ -1059,16 +1119,69 @@ def test_synchronize_random_chains():
         chain_j = random_chain(rng, n_jumps=1 if seed == 0 else int(rng.integers(1, 60)))
         chain_v = random_chain(rng, n_jumps=int(rng.integers(1, 60)),
                                max_soj=int(rng.integers(2, 8)))
-        _same_sync(chain_j, chain_v)
+        kernel_j, kernel_v = (_random_bare_kernel(rng, c) for c in (chain_j, chain_v))
+        _same_sync(chain_j, chain_v, kernel_j, kernel_v)
         # identical jump times, other states
         _same_sync(chain_j, JumpChain(states=random_chain(rng, len(chain_j)).states,
-                                      times=chain_j.times, grid=chain_v.grid))
+                                      times=chain_j.times, grid=chain_v.grid),
+                   kernel_j, kernel_v)
 
 
 def test_synchronize_fixture_chains(market_csv):
     chains = [discretize(x, make_state_grid(x, 5)) for x in (market_csv["r"], market_csv["v"])]
-    _same_sync(*chains)
-    _same_sync(*chains[::-1])
+    kernels = [estimate_kernel(chain, IndexParams()) for chain in chains]
+    _same_sync(*chains, *kernels)
+    _same_sync(*chains[::-1], *kernels[::-1])
+
+
+@st.composite
+def event_cases(draw):
+    """Two jump chains that share their origin, each on a grid of 2-5 states
+    spaced 0.05 apart (a zero state among them at times), with an unfitted
+    kernel of its own memory and 0-3 inner index edges, and a sojourn cap."""
+    origin = draw(st.integers(0, 50))
+    pairs = []
+    for _ in range(2):
+        n_states = draw(st.integers(2, 5))
+        reps = sorted(draw(st.lists(st.integers(-40, 40), min_size=n_states,
+                                    max_size=n_states, unique=True)))
+        grid = toy_grid(np.array(reps) / 20.0)
+        states = [draw(st.integers(0, n_states - 1))]
+        sojourns = draw(st.lists(st.integers(1, 6), max_size=30))
+        for _ in sojourns:
+            nxt = draw(st.integers(0, n_states - 2))
+            states.append(nxt if nxt < states[-1] else nxt + 1)
+        chain = JumpChain(states=np.array(states),
+                          times=origin + np.concatenate([[0], np.cumsum(sojourns)]),
+                          grid=grid)
+        inner = np.unique(draw(st.lists(st.floats(0.0, 4.0), max_size=3)))
+        kernel = bare_kernel(grid, lam=draw(st.sampled_from([0.5, 0.9, 0.97, 1.0])),
+                             index_edges=np.concatenate([[-np.inf], inner, [np.inf]]))
+        pairs.append((chain, kernel))
+    return pairs, draw(st.none() | st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(event_cases())
+def test_event_table_feeds_the_fit_as_its_columns_did(case):
+    # the waiting-time counts, sign probabilities and copula pairs read off
+    # the table equal those of the columns it replaced, bit for bit
+    ((chain_j, kernel_j), (chain_v, kernel_v)), t_max = case
+    table = _same_sync(chain_j, chain_v, kernel_j, kernel_v)
+    counts, signs, pairs = oracle_event_fit(chain_j, chain_v, kernel_j, kernel_v, t_max)
+    if counts is None:
+        with pytest.raises(EstimationError):
+            estimate_cond_wait(table, t_max)
+    else:
+        assert_identical(counts, estimate_cond_wait(table, t_max).counts)
+    if None in signs:
+        with pytest.raises(EstimationError):
+            estimate_signs(table)
+    else:
+        got = estimate_signs(table)
+        assert (got.p_j, got.p_v) == tuple(signs)
+    for want, got in zip(pairs, table.moduli()):
+        assert_identical(want, got)
 
 
 # ---------------------------------------------------------------------------

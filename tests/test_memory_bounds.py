@@ -6,7 +6,8 @@ recurrence, whose traced peak must not grow with the chain it walks, the
 return series of the bars, whose peak beside its output must not grow with
 the bar count, the one-variable engine's recorded path, whose peak must
 stay under a budget per minute, the joint fit, whose peak must stay under a
-budget per value of its input, the model writer, whose peak may grow by
+budget per value of its input and whose event table must stay under a budget
+per event, the model writer, whose peak may grow by
 only a budget per value added to an inverse's longest list, and the model
 reader, whose peak must not grow with the inverses' run counts. tracemalloc sees
 numpy's buffers, so the peaks count every array the loops hold at once."""
@@ -26,7 +27,8 @@ from wismc.finfunc import FptQuery, fpt_survival_mc, fpt_survival_recursive
 from wismc.market_data import BarSeries, compute_returns
 from wismc.serialize import dumps, load_model, save_model
 from wismc.simulate import simulate_univariate
-from wismc.triplet import CondWaitDist, EmpiricalInverse, TripletKernel, fit_triplet_kernel
+from wismc.triplet import (CondWaitDist, EmpiricalInverse, TripletKernel, fit_triplet_kernel,
+                           synchronize)
 
 # the loop's peak is 192 bytes per path on the fixture model: eleven 8-byte
 # path arrays, the sojourns, four 1-byte cell arrays and the draw's
@@ -192,18 +194,33 @@ def test_simulate_univariate_recorded_peak_per_minute():
     assert peak / r.size < UNIVARIATE_BYTES_PER_MINUTE
 
 
-# the fit's peak per value of a 60 000-minute (r, v) pair is 98 bytes, while
-# the index at the synchronized events is worked out: both jump chains, the
-# synchronized chain, the index values and a chunk of Python numbers.
-# Holding the chains, both index trajectories and the synchronized chain
-# through the copula fit read 123.
-FIT_BYTES_PER_VALUE = 110
+# the fit's peak per value of a 60 000-minute (r, v) pair is 60.2 bytes,
+# while ``synchronize`` works out the volume index: both jump chains, the
+# union times, both states, the return bins, the index values and a chunk of
+# Python numbers. With int64 event columns and both index trajectories held
+# until the waiting-time counts binned them, it read 86.2.
+FIT_BYTES_PER_VALUE = 72
 
 
 def test_fit_triplet_kernel_peak_per_value():
     r, v = heavy_tailed_series(60_000, 3)
     fit_triplet_kernel(r[:5000], v[:5000])
     assert _traced_peak(fit_triplet_kernel, r, v) / r.size < FIT_BYTES_PER_VALUE
+
+
+# the event table holds 8 bytes per event for its time and 1 for each of its
+# two states and two index bins; int64 columns held 40
+TABLE_BYTES_PER_EVENT = 12
+
+
+def test_event_table_bytes_per_event():
+    r, v = heavy_tailed_series(60_000, 3)
+    chains = [discretize(x, make_state_grid(x, 5)) for x in (r, v)]
+    kernels = [estimate_kernel(chain, IndexParams()) for chain in chains]
+    table = synchronize(*chains, *kernels)
+    held = sum(getattr(table, name).nbytes
+               for name in ("times", "j_states", "v_states", "x_bins", "w_bins"))
+    assert held / len(table) <= TABLE_BYTES_PER_EVENT
 
 
 # each value added to an inverse's one long list of distinct values adds 31

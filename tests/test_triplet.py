@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heavy_tailed_series, knock_out, random_triplet, toy_grid
+from conftest import bare_kernel, heavy_tailed_series, knock_out, random_triplet, toy_grid
 from wismc.copulas import CopulaSpec, copula_eval
 from wismc.core import JumpChain
 from wismc.errors import (
@@ -138,66 +138,58 @@ def _chain(states, times, reps):
                      grid=toy_grid(reps))
 
 
+def _synchronize(cj, cv, x_edges=(-np.inf, np.inf), w_edges=(-np.inf, np.inf)):
+    """The event table of two chains, with unfitted kernels of the given
+    index edges."""
+    return synchronize(cj, cv, bare_kernel(cj.grid, index_edges=x_edges),
+                       bare_kernel(cv.grid, index_edges=w_edges))
+
+
 class TestSynchronize:
     def test_hand_merge(self):
         cj = _chain([0, 1, 0], [0, 2, 5], [-0.01, 0.01])
         cv = _chain([1, 0, 1], [0, 3, 5], [-1.0, 1.0])
-        sync = synchronize(cj, cv)
+        sync = _synchronize(cj, cv)
         assert list(sync.times) == [0, 2, 3, 5]
         at3 = list(sync.times).index(3)
-        assert sync.backward_j[at3] == 1
-        assert sync.backward_v[at3] == 0
         assert sync.j_states[at3] == 1  # last return state at or before 3
         assert sync.v_states[at3] == 0
 
     def test_identical_time_sets(self):
         cj = _chain([0, 1, 0], [0, 2, 4], [-0.01, 0.01])
         cv = _chain([1, 0, 1], [0, 2, 4], [-1.0, 1.0])
-        sync = synchronize(cj, cv)
+        sync = _synchronize(cj, cv)
         assert list(sync.times) == [0, 2, 4]
-        assert np.all(sync.backward_j == 0)
-        assert np.all(sync.backward_v == 0)
+        assert list(sync.j_states) == [0, 1, 0] and list(sync.v_states) == [1, 0, 1]
 
     def test_origin_is_zero(self):
         cj = _chain([0, 1], [0, 3], [-0.01, 0.01])
         cv = _chain([1, 0], [0, 7], [-1.0, 1.0])
-        assert synchronize(cj, cv).times[0] == 0
-
-    def test_one_backward_always_zero(self):
-        rng = np.random.default_rng(0)
-        from conftest import random_chain
-        cj, cv = random_chain(rng, 20), random_chain(rng, 15)
-        sync = synchronize(cj, cv)
-        assert np.all(np.minimum(sync.backward_j, sync.backward_v)[1:] == 0)
+        assert _synchronize(cj, cv).times[0] == 0
 
     def test_origin_mismatch(self):
         cj = _chain([0, 1], [0, 3], [-0.01, 0.01])
         cv = _chain([1, 0], [1, 7], [-1.0, 1.0])
         with pytest.raises(AlignmentError):
-            synchronize(cj, cv)
+            _synchronize(cj, cv)
 
 
 class TestCondWait:
     def _sync(self):
         cj = _chain([0, 1, 0, 1, 0], [0, 1, 2, 3, 4], [-0.01, 0.01])
         cv = _chain([1, 0, 1, 0, 1], [0, 1, 2, 3, 4], [-1.0, 1.0])
-        return synchronize(cj, cv)
+        return _synchronize(cj, cv)
 
     def test_unit_sojourns_degenerate(self):
-        sync = self._sync()
-        cond = estimate_cond_wait(sync, np.zeros(5), np.zeros(5),
-                                  np.array([-np.inf, np.inf]),
-                                  np.array([-np.inf, np.inf]), t_max=3)
+        cond = estimate_cond_wait(self._sync(), t_max=3)
         occupied = cond.counts.sum(axis=4) > 0
         assert np.all(cond.pmf[occupied][:, 0] == 1.0)
 
     def test_hand_counts(self):
         cj = _chain([0, 1, 0], [0, 2, 5], [-0.01, 0.01])
         cv = _chain([1, 0, 1], [0, 3, 5], [-1.0, 1.0])
-        sync = synchronize(cj, cv)  # states (0,1),(1,1),(1,0); sojourns 2,1,2
-        cond = estimate_cond_wait(sync, np.zeros(4), np.zeros(4),
-                                  np.array([-np.inf, np.inf]),
-                                  np.array([-np.inf, np.inf]), t_max=3)
+        sync = _synchronize(cj, cv)  # states (0,1),(1,1),(1,0); sojourns 2,1,2
+        cond = estimate_cond_wait(sync, t_max=3)
         assert cond.counts[0, 1, 0, 0, 1] == 1  # (j=0, v=1) with sojourn 2
         assert cond.counts[1, 1, 0, 0, 0] == 1  # (j=1, v=1) with sojourn 1
         assert cond.counts[1, 0, 0, 0, 1] == 1  # (j=1, v=0) with sojourn 2
@@ -206,10 +198,11 @@ class TestCondWait:
     def test_rows_normalized(self):
         rng = np.random.default_rng(1)
         from conftest import random_chain
-        sync = synchronize(random_chain(rng, 300), random_chain(rng, 250))
-        cond = estimate_cond_wait(sync, rng.random(len(sync)), rng.random(len(sync)),
-                                  np.array([-np.inf, 0.5, np.inf]),
-                                  np.array([-np.inf, 0.5, np.inf]))
+        # an edge near each index's median splits it
+        sync = _synchronize(random_chain(rng, 300), random_chain(rng, 250),
+                            (-np.inf, 2.6e-4, np.inf), (-np.inf, 7e-5, np.inf))
+        assert set(sync.x_bins) == set(sync.w_bins) == {0, 1}
+        cond = estimate_cond_wait(sync)
         tot = cond.pmf.sum(axis=4)
         occ = cond.counts.sum(axis=4) > 0
         assert np.allclose(tot[occ], 1.0, atol=1e-12)
@@ -225,7 +218,7 @@ class TestSigns:
         cj = JumpChain(states=pattern[keep], times=keep, grid=toy_grid(j_reps))
         cv = JumpChain(states=np.array([k % 2 for k in range(n)]),
                        times=np.arange(n), grid=toy_grid([-1.0, 1.0]))
-        return synchronize(cj, cv)
+        return _synchronize(cj, cv)
 
     def test_balanced(self):
         sync = self._sync_with_values([-0.01, 0.01], [1, 1, 0, 1, 0])

@@ -14,7 +14,8 @@ and ``--u 2``, and each from a start off the state grids) on each, then
 ``estimate`` and ``fpt`` again with part of their flags from a ``--config``
 file (a command-line flag overriding one key), and ``estimate`` with one
 index bin, then ``simulate`` and ``fpt`` (Monte Carlo and recursion) on that
-model and ``optimize`` with one index bin. It then writes a version-1
+model and ``optimize`` with one index bin, and last ``estimate`` with
+``--t-max 5`` and with ``--copula clayton``. It then writes a version-1
 copy of the fixture's ``model.json`` (each state's runs expanded into its
 ``samples``, without the library) and runs ``simulate`` (with each
 ``--backtransform``) and ``fpt --method mc`` on it. It prints one
@@ -85,6 +86,11 @@ def commands(d: Path) -> list:
          "--method", "recursion", "--out", str(d / "one_bin" / "fpt_recursion")],
         ["optimize", "--input", bars, "--states", "3,5", "--lambdas", "0.97",
          "--index-bins", "1", "--reps", "1", "--out", str(d / "opt_one_bin.json")],
+        # a given sojourn cap, and a copula fitted by Kendall's tau
+        ["estimate", "--input", bars, "--t-max", "5",
+         "--out", str(d / "t_max_5" / "model.json")],
+        ["estimate", "--input", bars, "--copula", "clayton",
+         "--out", str(d / "clayton" / "model.json")],
     ]
 
 
