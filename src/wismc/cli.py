@@ -52,24 +52,57 @@ _NOT_FLAGS = ("command", "func", "config")
 # parsed names left out of a manifest's config: the seed has a field of its
 # own, and outputs are recorded by name
 _NOT_CONFIG = ("seed", "out", *_NOT_FLAGS)
+# the subcommands whose --out names the one file they write; every other
+# subcommand's --out names the directory of its files
+FILE_OUTPUT = ("estimate", "optimize")
 
 
-def _write_manifest(out_dir: Path, args, inputs: list, outputs: list,
-                    name: str = "manifest.json", **resolved) -> Path:
+class _Outputs:
+    """Where a run writes, and the files it has written, in order. The
+    output directory is ``--out``, or a ``FILE_OUTPUT`` file's parent; it
+    holds the manifest, ``manifest.json`` or ``<stem>.manifest.json`` beside
+    the file, and is made just before the first file is written."""
+
+    def __init__(self, args):
+        """Refuse, before any work, an ``--out`` that cannot be written: a
+        file output that is a directory, or an output directory that is, or
+        lies under, a file. Nothing is created here."""
+        out = Path(args.out)
+        self.file = out.name if args.command in FILE_OUTPUT else None
+        self.dir = out if self.file is None else out.parent
+        self.manifest = self.dir / ("manifest.json" if self.file is None
+                                    else out.stem + ".manifest.json")
+        self.written = []
+        if self.file is not None and out.is_dir():
+            raise IsADirectoryError(f"--out {out}: is a directory")
+        above = next(p for p in (self.dir, *self.dir.parents) if p.exists())
+        if not above.is_dir():
+            raise NotADirectoryError(f"--out {args.out}: {above} is not a directory")
+
+    def path(self, name: str = None) -> Path:
+        """The path of the output file ``name``, by default the ``--out``
+        file, recorded as written; the directory is made first."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.written.append(self.dir / (name or self.file))
+        return self.written[-1]
+
+
+def _write_manifest(args, out: _Outputs, inputs: list, resolved: dict) -> None:
     """Write the run manifest. Its ``config`` holds every flag of the
-    subcommand but ``--seed`` and ``--out``, plus the ``resolved`` values."""
+    subcommand but ``--seed`` and ``--out``, plus the ``resolved`` values
+    and a ``FILE_OUTPUT`` file's name as ``out``."""
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if out.file is not None:
+        config["out"] = out.file
     manifest = {
         "subcommand": args.command,
         "config": {**config, **resolved},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: _sha256(p) for p in out.written},
     }
-    path = out_dir / name
-    path.write_text(dumps(manifest))
-    return path
+    out.manifest.write_text(dumps(manifest))
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -80,7 +113,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes through its _Outputs and returns the paths it
+# read and the values it resolved, which its manifest records
 
 
 def _read_returns(args, *kinds) -> list:
@@ -91,86 +125,60 @@ def _read_returns(args, *kinds) -> list:
     return [compute_returns(bars, kind) for kind in kinds]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, out: _Outputs) -> tuple:
     r, v = _read_returns(args, "price-return", "volume-return")
     battery = run_battery(r, v, max_lag=args.max_lag, alpha=args.alpha)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    p = out / "battery.json"
-    p.write_text(dumps(battery))
-    outputs.append(p)
-    p = out / "acf.csv"
-    _write_csv(p, ["lag", "acf_abs_r", "acf_abs_v", "acf_r"],
-               zip(range(battery["acf"]["max_lag"] + 1), battery["acf"]["abs_r"],
-                   battery["acf"]["abs_v"], battery["acf"]["r"]))
-    outputs.append(p)
-    p = out / "cross_correlation.csv"
-    _write_csv(p, ["pair", "rho", "p_value"],
+    out.path("battery.json").write_text(dumps(battery))
+    acf = battery["acf"]
+    _write_csv(out.path("acf.csv"), ["lag", "acf_abs_r", "acf_abs_v", "acf_r"],
+               zip(range(acf["max_lag"] + 1), acf["abs_r"], acf["abs_v"], acf["r"]))
+    _write_csv(out.path("cross_correlation.csv"), ["pair", "rho", "p_value"],
                [(row["pair"], row["rho"], row["p_value"])
                 for row in battery["cross_correlation"]])
-    outputs.append(p)
-    p = out / "descriptive.csv"
-    _write_csv(p, ["series", "mean", "median", "standard_deviation", "skewness",
-                   "kurtosis", "kurtosis_is_excess", "n"],
+    _write_csv(out.path("descriptive.csv"),
+               ["series", "mean", "median", "standard_deviation", "skewness",
+                "kurtosis", "kurtosis_is_excess", "n"],
                [(k, d["mean"], d["median"], d["standard_deviation"], d["skewness"],
                  d["kurtosis"], d["kurtosis_is_excess"], d["n"])
                 for k, d in battery["descriptive"].items()])
-    outputs.append(p)
     for name, table in battery["contingency"].items():
-        p = out / f"contingency_{name}.csv"
-        rows = []
-        for ri, row in enumerate(table["observed"]):
-            for ci, obs in enumerate(row):
-                rows.append((ri, ci, obs, table["expected"][ri][ci]))
-        _write_csv(p, ["wait_bin", "value_bin", "observed", "expected"], rows)
-        outputs.append(p)
-    _write_manifest(out, args, [args.input], outputs)
-    return 0
+        _write_csv(out.path(f"contingency_{name}.csv"),
+                   ["wait_bin", "value_bin", "observed", "expected"],
+                   [(ri, ci, obs, table["expected"][ri][ci])
+                    for ri, row in enumerate(table["observed"])
+                    for ci, obs in enumerate(row)])
+    return [args.input], {}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, out: _Outputs) -> tuple:
     # refuse the settings before reading the input
     cfg = TripletFitConfig(n_states_r=args.states_r, n_states_v=args.states_v,
                            lam_r=args.lambda_r, lam_v=args.lambda_v, n_index_bins=args.index_bins,
                            copula_family=args.copula, t_max=args.t_max)
     # the unaligned series go as align returns
     ra, va = align(*_read_returns(args, "price-return", "volume-return"))
-    tk = fit_triplet_kernel(ra, va, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(tk, out)
-    _write_manifest(out.parent, args, [args.input], [out],
-                    name=out.stem + ".manifest.json", out=out.name)
-    return 0
+    save_model(fit_triplet_kernel(ra, va, cfg), out.path())
+    return [args.input], {}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out: _Outputs) -> tuple:
     cfg = SimConfig(length_minutes=args.minutes, backtransform=args.backtransform,
                     s0=args.s0, v0=args.v0)
     tk = load_model(args.model)
-    out = Path(args.out)
-    outputs = []
     for rep in range(args.reps):
         child = int(np.random.SeedSequence([args.seed, rep]).generate_state(1)[0])
         path = simulate_path(tk, dataclasses.replace(cfg, seed=child))
-        out.mkdir(parents=True, exist_ok=True)
-        p = out / f"rep_{rep:03d}.csv"
-        _write_csv(p, ["minute", "r", "v", "S", "V"],
-                   zip(range(args.minutes), path.r, path.v,
-                       path.S[1:], path.V[1:]))
-        outputs.append(p)
-        p = out / f"events_{rep:03d}.csv"
+        _write_csv(out.path(f"rep_{rep:03d}.csv"), ["minute", "r", "v", "S", "V"],
+                   zip(range(args.minutes), path.r, path.v, path.S[1:], path.V[1:]))
         ev = path.events
-        _write_csv(p, ["n", "T", "J_state", "V_state", "bJ", "bV", "xbin", "wbin"],
+        _write_csv(out.path(f"events_{rep:03d}.csv"),
+                   ["n", "T", "J_state", "V_state", "bJ", "bV", "xbin", "wbin"],
                    zip(ev["n"], ev["time"], ev["j_state"], ev["v_state"],
                        ev["b_j"], ev["b_v"], ev["x_bin"], ev["w_bin"]))
-        outputs.append(p)
-    _write_manifest(out, args, [args.model], outputs)
-    return 0
+    return [args.model], {}
 
 
-def _cmd_fpt(args) -> int:
+def _cmd_fpt(args, out: _Outputs) -> tuple:
     # refuse the query's own settings before reading the model, its start after
     query = FptQuery(rho=args.rho, psi=args.psi, horizon=args.horizon, u=args.u)
     tk = load_model(args.model)
@@ -183,23 +191,15 @@ def _cmd_fpt(args) -> int:
         res = fpt_survival_recursive(tk, query)
     else:
         res = fpt_survival_mc(tk, query, n_paths=args.paths, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    p = out / "fpt.csv"
     lower = res.lower if res.lower is not None else res.survival
     upper = res.upper if res.upper is not None else res.survival
-    _write_csv(p, ["t", "survival", "lower", "upper"],
+    _write_csv(out.path("fpt.csv"), ["t", "survival", "lower", "upper"],
                zip(range(args.horizon + 1), res.survival, lower, upper))
-    outputs.append(p)
-    p = out / "fpt.json"
-    p.write_text(dumps({"query": {"rho": args.rho, "psi": args.psi,
-                                  "horizon": args.horizon, "i0": i0, "v0": v0,
-                                  "u": args.u},
-                        **res.as_dict()}))
-    outputs.append(p)
-    _write_manifest(out, args, [args.model], outputs, i0=i0, v0=v0)
-    return 0
+    out.path("fpt.json").write_text(dumps({
+        "query": {"rho": args.rho, "psi": args.psi, "horizon": args.horizon,
+                  "i0": i0, "v0": v0, "u": args.u},
+        **res.as_dict()}))
+    return [args.model], {"i0": i0, "v0": v0}
 
 
 def _parse_lambdas(text: str) -> tuple:
@@ -223,7 +223,7 @@ def _parse_states(text: str) -> tuple:
         raise ParameterError(f"bad --states {text!r}: {exc}") from exc
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, out: _Outputs) -> tuple:
     spec = GridSpec(state_counts=_parse_states(args.states),
                     lambdas=_parse_lambdas(args.lambdas),
                     max_lag=args.max_lag, reps_per_point=args.reps,
@@ -231,12 +231,8 @@ def _cmd_optimize(args) -> int:
     values = _read_returns(args, "price-return" if args.variable == "r"
                            else "volume-return")[0].values
     result = grid_search(values, spec, seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dumps({"variable": args.variable, **result.as_dict()}))
-    _write_manifest(out.parent, args, [args.input], [out],
-                    name=out.stem + ".manifest.json", out=out.name)
-    return 0
+    out.path().write_text(dumps({"variable": args.variable, **result.as_dict()}))
+    return [args.input], {}
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +253,14 @@ def _at_least(low: int):
     return value
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser of the one flag ``add_argument(*args, **kwargs)``
+    declares, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wismc", exit_on_error=False,
@@ -267,42 +271,42 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file of flag defaults; explicit flags win")
     add = functools.partial(ap.add_subparsers(dest="command", required=True).add_parser,
                             exit_on_error=False)
+    # each flag several subcommands share; the subcommands that share a
+    # parent share its argparse action, so each seed default has its own
+    out = _flag("--out", required=True)
+    bars = [_flag("--input", required=True), _flag("--session", default="09:00-17:30")]
+    model = _flag("--model", required=True)
+    max_lag = _flag("--max-lag", type=int, default=100)
+    index_bins = _flag("--index-bins", type=int, default=5)
+    seed = functools.partial(_flag, "--seed", type=_at_least(0))
 
-    p = add("analyze", help="statistics battery over a minute-bar CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--session", default="09:00-17:30")
-    p.add_argument("--max-lag", type=int, default=100)
+    p = add("analyze", help="statistics battery over a minute-bar CSV",
+            parents=[*bars, max_lag, out])
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = add("estimate", help="fit the joint model from a minute-bar CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--session", default="09:00-17:30")
+    p = add("estimate", help="fit the joint model from a minute-bar CSV",
+            parents=[*bars, index_bins, out])
     p.add_argument("--states-r", type=int, default=5)
     p.add_argument("--states-v", type=int, default=5)
     p.add_argument("--lambda-r", type=float, default=0.97)
     p.add_argument("--lambda-v", type=float, default=0.97)
-    p.add_argument("--index-bins", type=int, default=5)
     p.add_argument("--copula", default="gaussian", choices=FAMILIES)
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    p = add("simulate", help="generate synthetic paths from a model file")
-    p.add_argument("--model", required=True)
+    p = add("simulate", help="generate synthetic paths from a model file",
+            parents=[model, seed(default=0), out])
     p.add_argument("--minutes", type=int, required=True)
     p.add_argument("--reps", type=_at_least(1), default=1)
-    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--backtransform", default="empirical",
                    choices=["empirical", "representative"])
     p.add_argument("--s0", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = add("fpt", help="joint first-passage-time survival")
-    p.add_argument("--model", required=True)
+    p = add("fpt", help="joint first-passage-time survival",
+            parents=[model, seed(default=0), out])
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -311,25 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"Monte Carlo paths, run in batches of {MC_BATCH} from one "
                         "seeded stream: the working memory is one batch's, whatever "
                         "the count")
-    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--i0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)
     p.add_argument("--u", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fpt)
 
-    p = add("optimize", help="grid search over states and memory")
-    p.add_argument("--input", required=True)
-    p.add_argument("--session", default="09:00-17:30")
+    p = add("optimize", help="grid search over states and memory",
+            parents=[*bars, max_lag, index_bins, seed(default=11), out])
     p.add_argument("--variable", default="r", choices=["r", "v"])
     p.add_argument("--states", default="3,5,7,9")
     p.add_argument("--lambdas", default="0.95:0.99:0.01")
-    p.add_argument("--max-lag", type=int, default=100)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--index-bins", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--seed", type=_at_least(0), default=11)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
     return ap
 
@@ -397,26 +394,13 @@ def _apply_config_file(parser, argv):
     return argv[:at] + tokens + argv[at:]
 
 
-def _check_out(args) -> None:
-    """Refuse, before any work, an ``--out`` that cannot be written: a file
-    output that is a directory, or an output directory that is, or lies
-    under, a file. Nothing is created here."""
-    out = Path(args.out)
-    if args.command in ("estimate", "optimize"):  # these write one file
-        if out.is_dir():
-            raise IsADirectoryError(f"--out {out}: is a directory")
-        out = out.parent
-    above = next(p for p in (out, *out.parents) if p.exists())
-    if not above.is_dir():
-        raise NotADirectoryError(f"--out {args.out}: {above} is not a directory")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config_file(parser, argv))
-        _check_out(args)
-        return args.func(args)
+        out = _Outputs(args)
+        _write_manifest(args, out, *args.func(args, out))
+        return 0
     except _USAGE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_USAGE

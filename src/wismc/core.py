@@ -174,10 +174,14 @@ def discretize(values, grid: StateGrid) -> JumpChain:
     values = np.asarray(getattr(values, "values", values), dtype=float)
     if values.size == 0:
         return JumpChain(states=np.empty(0, np.int64), times=np.empty(0, np.int64), grid=grid)
-    idx = grid.state_of(values)
-    change = np.flatnonzero(np.diff(idx) != 0) + 1
-    starts = np.concatenate([[0], change])
-    return JumpChain(states=idx[starts], times=starts.astype(np.int64), grid=grid)
+    states = grid.state_of(values)
+    # a visit starts at the first value and where the state differs from the
+    # one before; rebinding drops the mask, then the per-value states
+    starts = np.ones(states.size, dtype=bool)
+    np.not_equal(states[1:], states[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    states = states[starts]
+    return JumpChain(states=states, times=starts, grid=grid)
 
 
 # ---------------------------------------------------------------------------

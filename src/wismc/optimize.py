@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IndexParams, discretize, estimate_kernel, make_state_grid
+from .core import IndexParams, check_state_count, discretize, estimate_kernel, make_state_grid
 from .errors import ParameterError, WismcError
 from .market_data import autocorrelation
 from .simulate import simulate_univariate
@@ -20,6 +20,8 @@ __all__ = ["GridSpec", "OptResult", "mape", "grid_search"]
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Settings of the grid search, each refused by the rule of what it sets up."""
+
     state_counts: tuple
     lambdas: tuple
     max_lag: int = 100
@@ -32,20 +34,22 @@ class GridSpec:
             raise ParameterError("state_counts and lambdas must be non-empty")
         if self.max_lag < 1:
             raise ParameterError("max_lag must be >= 1")
-        if any(s < 2 for s in self.state_counts):
-            raise ParameterError("state counts must be >= 2")
+        for s in self.state_counts:
+            check_state_count(s)
         if self.reps_per_point < 1:
             raise ParameterError("reps_per_point must be >= 1")
-        if self.n_index_bins < 1:
-            raise ParameterError("n_index_bins must be >= 1")
         if self.epsilon is not None and not np.isfinite(self.epsilon):
             raise ParameterError("epsilon must be finite")
-        if any(not 0.0 < l <= 1.0 for l in self.lambdas):
-            raise ParameterError("lambdas must lie in (0, 1]")
+        self.index_params()
         # a repeated point would be simulated again and recorded twice
         for name, given in (("state counts", self.state_counts), ("lambdas", self.lambdas)):
             if len(set(given)) != len(given):
                 raise ParameterError(f"{name} must not repeat, got {list(given)}")
+
+    def index_params(self) -> tuple:
+        """The kernel settings of each lambda, in order."""
+        return tuple(IndexParams(lam=lam, n_index_bins=self.n_index_bins)
+                     for lam in self.lambdas)
 
 
 @dataclass
@@ -100,10 +104,9 @@ def grid_search(values, spec: GridSpec, seed: int = 0) -> OptResult:
             kernels = [exc] * len(spec.lambdas)
         else:
             kernels = []
-            for lam in spec.lambdas:
+            for params in spec.index_params():
                 try:
-                    kernels.append(estimate_kernel(
-                        chain, IndexParams(lam=lam, n_index_bins=spec.n_index_bins)))
+                    kernels.append(estimate_kernel(chain, params))
                 except WismcError as exc:
                     kernels.append(exc)
             del chain

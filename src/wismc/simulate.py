@@ -152,6 +152,13 @@ def simulate_path(tk: TripletKernel, cfg: SimConfig) -> SynthPath:
     wj, dj = np.zeros(1), np.ones(1)
     wv, dv = np.zeros(1), np.ones(1)
     states = tk.value_states(i_val, v_val)
+    if cfg.initial is not None:
+        # the start's bins are those of its values: refuse others, not drop them
+        given = (cfg.initial.x_bin, cfg.initial.w_bin)
+        start = tuple(int(b[0]) for b in tk.cells_of(states, i_val, v_val, wj, dj, wv, dv)[2:])
+        if given != start:
+            raise ParameterError(f"initial index bins {given} differ from {start}, "
+                                 "the bins of its start values")
     keys = ("n", "time", "j_state", "v_state", "b_j", "b_v",
             "x_bin", "w_bin", "j_value", "v_value")
     ev = {k: [] for k in keys}

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, manifests, exit codes and determinism."""
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -828,6 +829,35 @@ class TestDeterminism:
             written.append((out.read_bytes(),
                             (out.parent / "opt.manifest.json").read_bytes()))
         assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command, args, out, manifest", [
+    ("analyze", ["--input", "CSV", "--max-lag", "10"], "run", "manifest.json"),
+    ("estimate", ["--input", "CSV", "--states-r", "3", "--states-v", "3",
+                  "--index-bins", "1"], "run/model.json", "model.manifest.json"),
+    ("simulate", ["--model", "MODEL", "--minutes", "300", "--reps", "2"], "run",
+     "manifest.json"),
+    ("fpt", ["--model", "MODEL", "--rho", "1.005", "--psi", "100", "--horizon", "5",
+             "--paths", "2000"], "run", "manifest.json"),
+    ("optimize", ["--input", "CSV", "--states", "3", "--lambdas", "0.9", "--max-lag", "5",
+                  "--reps", "1", "--index-bins", "1"], "run/opt.json", "opt.manifest.json"),
+])
+def test_manifest_digests_every_file_beside_it(small_csv, small_model, tmp_path, command,
+                                               args, out, manifest):
+    """A manifest names exactly the files its run wrote beside it, and what
+    it read, each with the SHA-256 of its bytes."""
+    names = {"CSV": small_csv, "MODEL": small_model}
+    assert main([command, *(names.get(a, a) for a in args),
+                 "--out", str(tmp_path / out)]) == 0
+    run = tmp_path / "run"
+    doc = _read_manifest(run, manifest)
+    assert set(doc["outputs"]) == {p.name for p in run.iterdir()} - {manifest}
+    read = names["CSV" if "CSV" in args else "MODEL"]
+    assert list(doc["inputs"]) == [read]
+    digests = {run / name: d for name, d in doc["outputs"].items()}
+    digests[Path(read)] = doc["inputs"][read]
+    for path, digest in digests.items():
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), path
 
 
 SCHEMA_DIR = Path(wismc.__file__).parent / "schemas"

@@ -4,7 +4,8 @@ per path of one batch and must not grow with the path count, the exact
 first-passage recursion, which holds no memo on an indexed model, the index
 recurrence, whose traced peak must not grow with the chain it walks, the
 return series of the bars, whose peak beside its output must not grow with
-the bar count, the one-variable engine's recorded path, whose peak must
+the bar count, the discretized chain, whose peak beside the chain must stay
+under a budget per value, the one-variable engine's recorded path, whose peak must
 stay under a budget per minute, the joint fit, whose peak must stay under a
 budget per value of its input and whose event table must stay under a budget
 per event, the model writer, whose peak may grow by
@@ -192,6 +193,21 @@ def test_simulate_univariate_recorded_peak_per_minute():
     simulate_univariate(kernel, 1000, 0, inverse=inverse)
     peak = _traced_peak(simulate_univariate, kernel, r.size, 1, inverse=inverse)
     assert peak / r.size < UNIVARIATE_BYTES_PER_MINUTE
+
+
+# beside the chain it returns, ``discretize`` peaks at 8 bytes per value of a
+# 60 000-minute volume series: the state of each value. With the neighbours'
+# differences, the shifted and joined copies of the change positions and the
+# copy of the times it held 27.
+DISCRETIZE_BYTES_PER_VALUE = 12
+
+
+def test_discretize_peak_beside_chain_per_value():
+    _, v = heavy_tailed_series(60_000, 3)
+    grid = make_state_grid(v, 5)
+    chain = discretize(v, grid)
+    beside = _traced_peak(discretize, v, grid) - chain.states.nbytes - chain.times.nbytes
+    assert beside / v.size < DISCRETIZE_BYTES_PER_VALUE
 
 
 # the fit's peak per value of a 60 000-minute (r, v) pair is 60.2 bytes,

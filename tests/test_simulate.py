@@ -90,6 +90,23 @@ class TestSimulatePath:
         assert np.allclose(path.S, 1.0 * np.exp(0.02 * np.arange(51)), rtol=1e-12)
         assert path.forced_holds == path.events["n"].size
 
+    def test_initial_bins_must_be_those_of_its_values(self):
+        # the start's index is its values' squares; a start given with other
+        # bins was simulated from the bins of its values, without a word
+        rng = np.random.default_rng(8)
+        tk = random_triplet(rng, [-0.02, 0.5], [-1.0, 0.5], CopulaSpec("independence"),
+                            n_bins=3)
+        i, v = 1, 0
+        bins = [int(k.index_bin(k.grid.representatives[[s]] ** 2)[0])
+                for k, s in ((tk.kernel_j, i), (tk.kernel_v, v))]
+        start = ConditioningCell(i=i, v=v, x_bin=bins[0], w_bin=bins[1])
+        path = simulate_path(tk, SimConfig(length_minutes=20, seed=1, initial=start))
+        assert [path.events["x_bin"][0], path.events["w_bin"][0]] == bins
+        for other in (dataclasses.replace(start, x_bin=(bins[0] + 1) % 3),
+                      dataclasses.replace(start, w_bin=(bins[1] + 1) % 3)):
+            with pytest.raises(ParameterError, match="initial index bins"):
+                simulate_path(tk, SimConfig(length_minutes=20, seed=1, initial=other))
+
     def test_reproducible_bit_exact(self):
         rng = np.random.default_rng(2)
         tk = random_triplet(rng, [-0.02, 0.01], [-1.0, 0.5],

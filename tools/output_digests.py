@@ -15,7 +15,9 @@ and ``--u 2``, and each from a start off the state grids) on each, then
 file (a command-line flag overriding one key), and ``estimate`` with one
 index bin, then ``simulate`` and ``fpt`` (Monte Carlo and recursion) on that
 model and ``optimize`` with one index bin, and last ``estimate`` with
-``--t-max 5`` and with ``--copula clayton``. It then writes a version-1
+``--t-max 5`` and with ``--copula clayton``, ``analyze`` with its shared
+flags off their defaults, and ``optimize`` with ``--max-lag`` and
+``--index-bins`` from a ``--config`` file. It then writes a version-1
 copy of the fixture's ``model.json`` (each state's runs expanded into its
 ``samples``, without the library) and runs ``simulate`` (with each
 ``--backtransform``) and ``fpt --method mc`` on it. It prints one
@@ -43,7 +45,8 @@ OFF_GRID = ["--i0", "0.00031", "--v0", "-0.37"]
 # config files written next to each input; the manifests hash the effective
 # configuration
 CONFIGS = {"estimate.config.json": {"states-r": 3, "states_v": 4, "lambda-r": 0.9},
-           "fpt.config.json": {"i0": 0, "paths": 20000, "method": "mc", "seed": 9}}
+           "fpt.config.json": {"i0": 0, "paths": 20000, "method": "mc", "seed": 9},
+           "optimize.config.json": {"max-lag": 20, "index-bins": 3}}
 
 
 def commands(d: Path) -> list:
@@ -91,6 +94,12 @@ def commands(d: Path) -> list:
          "--out", str(d / "t_max_5" / "model.json")],
         ["estimate", "--input", bars, "--copula", "clayton",
          "--out", str(d / "clayton" / "model.json")],
+        # shared flags off their defaults, on the command line and from a file
+        ["analyze", "--input", bars, "--max-lag", "20", "--alpha", "0.05",
+         "--session", "09:05-17:25", "--out", str(d / "analyze_flags")],
+        ["--config", str(d / "optimize.config.json"), "optimize", "--input", bars,
+         "--states", "3,5", "--lambdas", "0.97", "--reps", "1",
+         "--out", str(d / "opt_config" / "opt.json")],
     ]
 
 
