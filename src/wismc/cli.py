@@ -79,7 +79,7 @@ class _Outputs:
         if not above.is_dir():
             raise NotADirectoryError(f"--out {args.out}: {above} is not a directory")
 
-    def path(self, name: str = None) -> Path:
+    def path(self, name: str | None = None) -> Path:
         """The path of the output file ``name``, by default the ``--out``
         file, recorded as written; the directory is made first."""
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -271,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file of flag defaults; explicit flags win")
     add = functools.partial(ap.add_subparsers(dest="command", required=True).add_parser,
                             exit_on_error=False)
-    # each flag several subcommands share; the subcommands that share a
-    # parent share its argparse action, so each seed default has its own
+    # the flags several subcommands share, each declared once; subcommands
+    # that share a parent share its argparse action, so each --seed default
+    # gets a parent of its own
     out = _flag("--out", required=True)
     bars = [_flag("--input", required=True), _flag("--session", default="09:00-17:30")]
     model = _flag("--model", required=True)
